@@ -41,12 +41,12 @@ from .sbrep import (
     NormalizedStat,
     QuintupleSample,
     compute_sigma_t,
-    normalize_length_deterministic,
     normalize_finite_variance,
     normalize_stable_zero_mean,
     normalize_heavy,
     normalize_drift,
     sample_quintuple,
+    stack_quintuples,
 )
 from .stats import KsResult, TailFitResult, ks_two_sample, mean_ci, tail_slope
 from .sticks import StickBreak, big_sticks, sample_sticks, tau

@@ -27,7 +27,13 @@ from scipy.special import ndtr
 from . import __version__
 from .config import ExperimentConfig
 from .errors import ConfigError, PathError, RegimeError
-from .hull import concave_majorant, faces_to_rows, merge_collinear, shape_stats
+from .hull import (
+    concave_majorant,
+    convex_minorant,
+    faces_to_rows,
+    merge_collinear,
+    shape_stats,
+)
 from .limitlaws import draw_limit_stable_zero_mean, draw_limit_heavy, sample_limit_drift
 from .models import (
     EXACT_JUMPS,
@@ -43,7 +49,14 @@ from .models import (
     theta_fubini,
 )
 from .rng import substream
-from .sbrep import QuintupleSample, normalize_finite_variance, sample_quintuple
+from .sbrep import (
+    normalize_drift,
+    normalize_finite_variance,
+    normalize_heavy,
+    normalize_stable_zero_mean,
+    sample_quintuple,
+    stack_quintuples,
+)
 from .sticks import (
     COMPENSATION_CATALOG,
     big_stick_power_sum,
@@ -96,31 +109,19 @@ def _blocks(total):
 
 
 def _collect_blocks(worker, total, workers):
-    """Run ``worker(block_index, block_size)`` over all blocks and stack the
-    resulting arrays in block order."""
+    """Run ``worker(block_index, block_size)`` over all blocks; returns the
+    results in block order."""
     plan = _blocks(total)
     if workers <= 1:
-        parts = [worker(i, n) for i, n in plan]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(worker, i, n): i for i, n in plan}
-            done = {}
-            for fut, i in futures.items():
-                done[i] = fut.result()
-        parts = [done[i] for i, _ in plan]
-    return np.vstack(parts)
+        return [worker(i, n) for i, n in plan]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(worker, i, n) for i, n in plan]
+        return [fut.result() for fut in futures]
 
 
 def _quintuple_block(index, n, *, model, T, cutoff, seed, tag):
     g = substream(seed, tag, index)
-    out = np.empty((n, 7))
-    for k in range(n):
-        q = sample_quintuple(model, T, g, cutoff=cutoff)
-        out[k] = (
-            q.upsilon, q.h_prime, q.final, q.sup, q.gamma, q.excess,
-            q.truncation_error_bound,
-        )
-    return out
+    return stack_quintuples([sample_quintuple(model, T, g, cutoff=cutoff) for _ in range(n)])
 
 
 def _hull_block(index, n, *, model, T, seed, tag):
@@ -133,21 +134,17 @@ def _hull_block(index, n, *, model, T, seed, tag):
     return out
 
 
-QUINTUPLE_COLUMNS = (
-    "upsilon", "h_prime", "final", "sup", "gamma", "excess", "truncation_bound"
-)
-
-
 def draw_quintuples(model, T, reps, seed, tag, cutoff, workers=1):
-    """Replication matrix with the :data:`QUINTUPLE_COLUMNS` columns."""
+    """Batch :class:`~levyhull.sbrep.QuintupleSample` of ``reps`` draws."""
     worker = partial(_quintuple_block, model=model, T=T, cutoff=cutoff, seed=seed, tag=tag)
-    return _collect_blocks(worker, reps, workers)
+    return stack_quintuples(_collect_blocks(worker, reps, workers))
 
 
-def _draw_record_table(mat, T):
+def _draw_record_table(q):
     """Draw-record table (one row per replication) for CSV export."""
     cols = np.column_stack(
-        [np.full(mat.shape[0], T), mat[:, 0], mat[:, 1], mat[:, 2], mat[:, 3], mat[:, 4], mat[:, 6]]
+        [np.full(q.upsilon.size, q.horizon), q.upsilon, q.h_prime, q.final, q.sup, q.gamma,
+         q.truncation_error_bound]
     )
     header = ("T", "upsilon", "h_prime", "final", "sup", "gamma", "truncation_bound")
     return header, cols
@@ -156,26 +153,21 @@ def _draw_record_table(mat, T):
 def draw_hull_stats(model, T, reps, seed, tag, workers=1):
     """Hull statistics of exact jump paths: (upsilon, final, sup, gamma)."""
     worker = partial(_hull_block, model=model, T=T, seed=seed, tag=tag)
-    return _collect_blocks(worker, reps, workers)
-
-
-def _quintuples_from_matrix(mat, T, cutoff):
-    for row in mat:
-        yield QuintupleSample(
-            upsilon=row[0],
-            h_prime=int(row[1]),
-            final=row[2],
-            sup=row[3],
-            gamma=row[4],
-            excess=row[5],
-            truncation_error_bound=math.nan,
-            horizon=T,
-            cutoff=cutoff,
-        )
+    return np.vstack(_collect_blocks(worker, reps, workers))
 
 
 def _row_ks(T, name, ks, level=0.01):
     return Row(T, name, ks.statistic, ks.statistic, ks.p_value, f"p > {level}", ks.p_value > level)
+
+
+def _rows_coordinate_ks(rep, T, prefix, finite, limit):
+    """KS rows and paired samples of the (length, sup, final, gamma)
+    coordinate columns of a finite-horizon and a limit sample."""
+    for k, name in enumerate(("length", "sup", "final", "gamma")):
+        ks = ks_two_sample(finite[:, k], limit[:, k])
+        rep.rows.append(_row_ks(T, f"{prefix}_ks_{name}", ks))
+        rep.samples[f"finite_{name}"] = finite[:, k]
+        rep.samples[f"limit_{name}"] = limit[:, k]
 
 
 def _row_ci(T, name, est, se, target, mult=3.0):
@@ -233,23 +225,13 @@ def _exp_verify_identity(cfg: ExperimentConfig) -> RunReport:
     T = cfg.t_grid[-1]
     hull = draw_hull_stats(model, T, cfg.reps, cfg.seed, "identity-hull", cfg.workers)
     quin = draw_quintuples(model, T, cfg.reps, cfg.seed, "identity-rep", cfg.cutoff, cfg.workers)
-    pairs = (("upsilon", 0, 0), ("final", 1, 2), ("sup", 2, 3), ("gamma", 3, 4))
-    for name, hcol, qcol in pairs:
-        ks = ks_two_sample(hull[:, hcol], quin[:, qcol])
+    for hcol, name in enumerate(("upsilon", "final", "sup", "gamma")):
+        ks = ks_two_sample(hull[:, hcol], getattr(quin, name))
         rep.rows.append(_row_ks(T, f"identity_ks_{name}", ks))
         rep.samples[f"hull_{name}"] = hull[:, hcol]
-        rep.samples[f"rep_{name}"] = quin[:, qcol]
-    rep.tables["rep_draws"] = _draw_record_table(quin, T)
+        rep.samples[f"rep_{name}"] = getattr(quin, name)
+    rep.tables["rep_draws"] = _draw_record_table(quin)
     return rep
-
-
-def _clt_coords(model, mat, T, cutoff):
-    sto = np.empty((mat.shape[0], 5))
-    det1 = np.empty(mat.shape[0])
-    for i, q in enumerate(_quintuples_from_matrix(mat, T, cutoff)):
-        sto[i] = normalize_finite_variance(model, q, "stochastic").coords
-        det1[i] = normalize_finite_variance(model, q, "deterministic").coords[0]
-    return sto, det1
 
 
 def _exp_verify_clt(cfg: ExperimentConfig) -> RunReport:
@@ -273,8 +255,9 @@ def _exp_verify_clt(cfg: ExperimentConfig) -> RunReport:
     prev_d = None
     grid = cfg.t_grid if cfg.checks in ("all", "trend") else cfg.t_grid[-1:]
     for k, T in enumerate(grid):
-        mat = draw_quintuples(model, T, cfg.reps, cfg.seed, f"clt-{k}", cfg.cutoff, cfg.workers)
-        sto, det1 = _clt_coords(model, mat, T, cfg.cutoff)
+        q = draw_quintuples(model, T, cfg.reps, cfg.seed, f"clt-{k}", cfg.cutoff, cfg.workers)
+        sto = normalize_finite_variance(model, q, "stochastic").coords
+        det1 = normalize_finite_variance(model, q, "deterministic").coords[:, 0]
         rep.samples[f"det_stat_T{k}"] = det1
         if cfg.checks in ("all", "trend"):
             d = ks_distance_to_cdf(det1, lambda x: _phi(x / limit_sd))
@@ -335,36 +318,22 @@ def _exp_verify_stable(cfg: ExperimentConfig) -> RunReport:
         # models (Pareto-jump compound Poisson) carry an unknown limiting
         # scale constant and are expected to miss the KS thresholds
         beta = model.beta if isinstance(model, StableProcess) else 0.0
-        mat = draw_quintuples(model, T, cfg.reps, cfg.seed, "stable-rep", cfg.cutoff, cfg.workers)
-        a_t = norming(model, T)
-        finite = np.column_stack(
-            [
-                (mat[:, 0] - T) * T / a_t**2,
-                mat[:, 3] / a_t,
-                mat[:, 2] / a_t,
-                mat[:, 4] / T,
-            ]
-        )
+        q = draw_quintuples(model, T, cfg.reps, cfg.seed, "stable-rep", cfg.cutoff, cfg.workers)
+        finite = normalize_stable_zero_mean(model, q).coords
         coords, _ = draw_limit_stable_zero_mean(alpha, cfg.reps, substream(cfg.seed, "stable-limit", 0), cfg.eps, beta=beta)
-        for k, name in enumerate(("length", "sup", "final", "gamma")):
-            ks = ks_two_sample(finite[:, k], coords[:, k])
-            rep.rows.append(_row_ks(T, f"stable_ks_{name}", ks))
-            rep.samples[f"finite_{name}"] = finite[:, k]
-            rep.samples[f"limit_{name}"] = coords[:, k]
-        rep.tables["rep_draws"] = _draw_record_table(mat, T)
+        _rows_coordinate_ks(rep, T, "stable", finite, coords)
+        rep.tables["rep_draws"] = _draw_record_table(q)
         rep.tables["limit_draws"] = (("length", "sup", "final", "gamma"), coords)
         return rep
     if mean > 0.0:
         if not 1.0 < alpha <= 2.0:
             raise ConfigError("drifted verify-stable needs attraction index in (1, 2]")
-        mat = draw_quintuples(model, T, cfg.reps, cfg.seed, "drift-a-rep", cfg.cutoff, cfg.workers)
-        a_t = norming(model, T)
-        c = math.sqrt(1.0 + mean * mean)
-        c1 = (mat[:, 0] - c * T) / a_t
-        c3 = (mat[:, 2] - mean * T) / a_t
+        q = draw_quintuples(model, T, cfg.reps, cfg.seed, "drift-a-rep", cfg.cutoff, cfg.workers)
+        fluct = normalize_drift(model, q, "a").coords
+        c1, c3 = fluct[:, 0], fluct[:, 2]
         cov = np.cov(c1, c3)
         slope = float(cov[0, 1] / cov[1, 1])
-        target = mean / c
+        target = mean / math.sqrt(1.0 + mean * mean)
         rep.rows.append(
             Row(T, "drift_regression_slope", slope, math.nan, math.nan,
                 f"within 5% of {target:.6f}", abs(slope / target - 1.0) < 0.05)
@@ -387,8 +356,8 @@ def _exp_verify_stable(cfg: ExperimentConfig) -> RunReport:
     if len(cfg.t_grid) < 2:
         raise ConfigError("negative-mean verify-stable needs at least two horizons")
     t_lo, t_hi = cfg.t_grid[-2], cfg.t_grid[-1]
-    sup_lo = draw_quintuples(model, t_lo, cfg.reps, cfg.seed, "drift-b-lo", cfg.cutoff, cfg.workers)[:, 3]
-    sup_hi = draw_quintuples(model, t_hi, cfg.reps, cfg.seed, "drift-b-hi", cfg.cutoff, cfg.workers)[:, 3]
+    sup_lo = draw_quintuples(model, t_lo, cfg.reps, cfg.seed, "drift-b-lo", cfg.cutoff, cfg.workers).sup
+    sup_hi = draw_quintuples(model, t_hi, cfg.reps, cfg.seed, "drift-b-hi", cfg.cutoff, cfg.workers).sup
     ks = ks_two_sample(sup_lo, sup_hi)
     rep.rows.append(_row_ks(t_hi, "sup_stabilizes_ks", ks))
     rep.samples["sup_lo"] = sup_lo
@@ -403,26 +372,14 @@ def _exp_verify_heavy(cfg: ExperimentConfig) -> RunReport:
     beta = model.beta if isinstance(model, StableProcess) else 0.0
     rep = RunReport("verify-heavy")
     T = cfg.t_grid[-1]
-    mat = draw_quintuples(model, T, cfg.reps, cfg.seed, "heavy-rep", cfg.cutoff, cfg.workers)
-    a_t = norming(model, T)
-    ups, fin, sup, gam = mat[:, 0], mat[:, 2], mat[:, 3], mat[:, 4]
+    q = draw_quintuples(model, T, cfg.reps, cfg.seed, "heavy-rep", cfg.cutoff, cfg.workers)
     coords, _ = draw_limit_heavy(model.attraction_alpha(), cfg.reps,
                                 substream(cfg.seed, "heavy-limit", 0), cfg.eps, beta=beta)
-    checks = (
-        ("length", ups / a_t, coords[:, 0]),
-        ("sup", sup / a_t, coords[:, 1]),
-        ("final", fin / a_t, coords[:, 2]),
-        ("gamma", gam / T, coords[:, 3]),
-    )
-    for name, finite, limit in checks:
-        ks = ks_two_sample(finite, limit)
-        rep.rows.append(_row_ks(T, f"heavy_ks_{name}", ks))
-        rep.samples[f"finite_{name}"] = np.asarray(finite)
-        rep.samples[f"limit_{name}"] = limit
-    rep.tables["rep_draws"] = _draw_record_table(mat, T)
-    lo = 2.0 * sup - fin
-    slack = 1e-9 * a_t
-    violations = int(np.count_nonzero((ups < lo - slack) | (ups > T + lo + slack)))
+    _rows_coordinate_ks(rep, T, "heavy", normalize_heavy(model, q).coords, coords)
+    rep.tables["rep_draws"] = _draw_record_table(q)
+    lo = 2.0 * q.sup - q.final
+    slack = 1e-9 * norming(model, T)
+    violations = int(np.count_nonzero((q.upsilon < lo - slack) | (q.upsilon > T + lo + slack)))
     rep.rows.append(
         Row(T, "sandwich_violations", float(violations), math.nan, math.nan, "== 0", violations == 0)
     )
@@ -482,11 +439,10 @@ def _exp_compare_length(cfg: ExperimentConfig) -> RunReport:
     rep = RunReport("compare-length")
     sds = []
     for k, T in enumerate(cfg.t_grid):
-        mat = draw_quintuples(model, T, cfg.reps, cfg.seed, f"cmp-{k}", cfg.cutoff, cfg.workers)
-        ups, fin, sup, gam = mat[:, 0], mat[:, 2], mat[:, 3], mat[:, 4]
-        hut = np.hypot(gam, sup) + np.hypot(T - gam, sup - fin) - T
-        maj = (ups - T) - 0.5 * var * math.log(T) + theta(model, T)
-        tent = 2.0 * sup - fin
+        q = draw_quintuples(model, T, cfg.reps, cfg.seed, f"cmp-{k}", cfg.cutoff, cfg.workers)
+        hut = np.hypot(q.gamma, q.sup) + np.hypot(T - q.gamma, q.sup - q.final) - T
+        maj = (q.upsilon - T) - 0.5 * var * math.log(T) + theta(model, T)
+        tent = 2.0 * q.sup - q.final
         trio = (float(hut.std(ddof=1)), float(maj.std(ddof=1)), float(tent.std(ddof=1)))
         sds.append(trio)
         ordered = trio[0] < trio[1] < trio[2]
@@ -647,7 +603,7 @@ def _exp_hull_props(cfg: ExperimentConfig) -> RunReport:
         env = _eval_faces(concave_majorant(path), times)
         if not np.allclose(env, _envelope_oracle(times, values, True), atol=1e-12):
             mismatches += 1
-        low = _eval_faces_lower(path)
+        low = _eval_faces(convex_minorant(path), path.times)
         if not np.allclose(low, _envelope_oracle(times, values, False), atol=1e-12):
             mismatches += 1
     rep.rows.append(
@@ -663,12 +619,6 @@ def _exp_hull_props(cfg: ExperimentConfig) -> RunReport:
         np.array(faces_to_rows(demo)),
     )
     return rep
-
-
-def _eval_faces_lower(path):
-    from .hull import convex_minorant
-
-    return _eval_faces(convex_minorant(path), path.times)
 
 
 _DISPATCH = {
@@ -689,9 +639,11 @@ def _phi(x):
 
 
 def _config_hash(cfg: ExperimentConfig) -> str:
-    blob = json.dumps(
-        {k: repr(v) for k, v in asdict(cfg).items()}, sort_keys=True
-    ).encode()
+    """Hash of what identifies the experiment; the worker count and the
+    output directory change neither its draws nor its report."""
+    fields = asdict(cfg)
+    del fields["workers"], fields["out"]
+    blob = json.dumps({k: repr(v) for k, v in fields.items()}, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
 

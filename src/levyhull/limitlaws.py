@@ -343,9 +343,6 @@ def sample_limit_envelopes(case, rng, eps=DEFAULT_EPS, sigma=1.0, alpha=1.5):
         tent = sigma * (2.0 * sup - fin)
         return LimitSample("envelopes-a", np.array([hut, maj, tent]), eps, float(bound[0]))
     if case == "b":
-        if not 1.0 < alpha < 2.0:
-            raise ParameterError(f"alpha must lie in (1, 2), got {alpha}")
-        _check_eps(eps)
         coords, bound = draw_limit_envelopes_stable(alpha, 1, rng, eps)
         return LimitSample("envelopes-b", coords[0], eps, float(bound[0]))
     if case == "c":
@@ -360,6 +357,9 @@ def sample_limit_envelopes(case, rng, eps=DEFAULT_EPS, sigma=1.0, alpha=1.5):
 
 def draw_limit_envelopes_stable(alpha, n, rng, eps=DEFAULT_EPS):
     """Vectorized case-b triples; returns (coords, bounds)."""
+    if not 1.0 < alpha < 2.0:
+        raise ParameterError(f"alpha must lie in (1, 2), got {alpha}")
+    _check_eps(eps)
     p = 1.0 / alpha
     p_len = 2.0 / alpha - 1.0
     ell, rem = stick_matrix(n, 1.0, eps, rng)

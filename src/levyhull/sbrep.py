@@ -21,6 +21,13 @@ pseudo-face.  Consequences:
 The time of the supremum is returned as ``T`` times the positive-slope
 share of the accumulated length, which keeps its endpoint atoms at exactly
 0 and T in floating point.
+
+A :class:`QuintupleSample` holds either one draw (scalar fields, as
+:func:`sample_quintuple` returns) or a batch of draws at one horizon and
+cutoff (equal-length 1-d arrays, as :func:`stack_quintuples` returns).  The
+``normalize_*`` functions run the same arithmetic on either form: their
+``coords`` have shape ``(k,)`` for one draw and ``(n, k)`` for a batch of
+``n``, row ``i`` equal to the coordinates of draw ``i``.
 """
 from __future__ import annotations
 
@@ -43,8 +50,8 @@ __all__ = [
     "QuintupleSample",
     "NormalizedStat",
     "sample_quintuple",
+    "stack_quintuples",
     "normalize_finite_variance",
-    "normalize_length_deterministic",
     "normalize_stable_zero_mean",
     "normalize_heavy",
     "normalize_drift",
@@ -58,7 +65,13 @@ _ZERO_MEAN_TOL = 1e-9
 
 @dataclass(frozen=True)
 class QuintupleSample:
-    """One exact-in-law draw of the majorant shape statistics."""
+    """Exact-in-law draws of the majorant shape statistics.
+
+    The per-draw fields (``upsilon`` through ``truncation_error_bound``)
+    are scalars for one draw, or equal-length 1-d arrays for a batch of
+    draws sharing ``horizon`` and ``cutoff``.  Only single draws carry
+    ``sticks`` and ``xis``.
+    """
 
     upsilon: float
     h_prime: int
@@ -75,7 +88,9 @@ class QuintupleSample:
 
 @dataclass(frozen=True)
 class NormalizedStat:
-    """Left-hand-side coordinates of one limit theorem at finite horizon."""
+    """Left-hand-side coordinates of one limit theorem at finite horizon:
+    ``coords`` has shape ``(k,)`` for one draw and ``(n, k)`` for a batch
+    of ``n`` draws."""
 
     regime: str
     coords: np.ndarray
@@ -144,6 +159,23 @@ def sample_quintuple(model, T, rng, cutoff=DEFAULT_CUTOFF, keep_sticks=False):
     )
 
 
+_PER_DRAW = ("upsilon", "h_prime", "final", "sup", "gamma", "excess", "truncation_error_bound")
+
+
+def stack_quintuples(records):
+    """Batch record of single draws or batches taken at one horizon and
+    cutoff, concatenated in the given order."""
+    head = records[0]
+    if any(r.horizon != head.horizon or r.cutoff != head.cutoff for r in records):
+        raise ParameterError("stacked quintuples must share one horizon and cutoff")
+
+    def column(name):
+        vals = [getattr(r, name) for r in records]
+        return np.concatenate(vals) if np.ndim(vals[0]) else np.array(vals)
+
+    return QuintupleSample(*map(column, _PER_DRAW), horizon=head.horizon, cutoff=head.cutoff)
+
+
 def _remainder_bound(model, s):
     """Reported bound on the remainder-splitting bias: twice the mean
     absolute increment over duration ``s`` where the mean exists, twice the
@@ -199,22 +231,17 @@ def normalize_finite_variance(model, q: QuintupleSample, centering="stochastic")
     th = theta(model, T)
     center = q.h_prime if centering == "stochastic" else lt
     c1 = ((q.upsilon - T) - 0.5 * var * center + th) / math.sqrt(lt)
-    coords = np.array(
+    coords = np.stack(
         [
             c1,
             (q.h_prime - lt) / math.sqrt(lt),
             q.sup / math.sqrt(T),
             q.final / math.sqrt(T),
             q.gamma / T,
-        ]
+        ],
+        axis=-1,
     )
     return NormalizedStat("finite-variance", coords, T, repr(model), centering)
-
-
-def normalize_length_deterministic(model, q: QuintupleSample):
-    """Single deterministically-centered length coordinate."""
-    stat = normalize_finite_variance(model, q, centering="deterministic")
-    return NormalizedStat("length-deterministic", stat.coords[:1].copy(), q.horizon, repr(model))
 
 
 def normalize_stable_zero_mean(model, q: QuintupleSample):
@@ -225,13 +252,14 @@ def normalize_stable_zero_mean(model, q: QuintupleSample):
     _require_zero_mean(model)
     T = q.horizon
     a_t = norming(model, T)
-    coords = np.array(
+    coords = np.stack(
         [
             (q.upsilon - T) * T / a_t**2,
             q.sup / a_t,
             q.final / a_t,
             q.gamma / T,
-        ]
+        ],
+        axis=-1,
     )
     return NormalizedStat("stable-zero-mean", coords, T, repr(model))
 
@@ -251,7 +279,7 @@ def normalize_heavy(model, q: QuintupleSample):
         raise RegimeError(f"statistic needs attraction index in (0, 1), got {alpha}")
     T = q.horizon
     a_t = norming(model, T)
-    coords = np.array(
+    coords = np.stack(
         [
             q.upsilon / a_t,
             q.sup / a_t,
@@ -261,7 +289,8 @@ def normalize_heavy(model, q: QuintupleSample):
             (q.final - q.sup) / a_t,
             q.final / a_t,
             (T - q.gamma) / T,
-        ]
+        ],
+        axis=-1,
     )
     return NormalizedStat("heavy", coords, T, repr(model))
 
@@ -289,13 +318,11 @@ def normalize_drift(model, q: QuintupleSample, case):
     a_t = norming(model, T)
     length_fluct = (q.upsilon - math.sqrt(1.0 + mu * mu) * T) / a_t
     if case == "a":
-        coords = np.array(
-            [length_fluct, (q.sup - mu * T) / a_t, (q.final - mu * T) / a_t]
+        coords = np.stack(
+            [length_fluct, (q.sup - mu * T) / a_t, (q.final - mu * T) / a_t], axis=-1
         )
         return NormalizedStat("drift-a", coords, T, repr(model))
-    coords = np.array(
-        [length_fluct, q.sup, (q.final - mu * T) / a_t, q.gamma]
-    )
+    coords = np.stack([length_fluct, q.sup, (q.final - mu * T) / a_t, q.gamma], axis=-1)
     return NormalizedStat("drift-b", coords, T, repr(model))
 
 

@@ -144,15 +144,20 @@ def test_regime_mismatch_rejected_before_sampling():
 # determinism
 # ---------------------------------------------------------------------------
 
-def test_report_deterministic_across_runs_and_workers():
-    cfg1 = cp_identity_cfg(workers=1)
-    cfg2 = cp_identity_cfg(workers=1)
-    cfg3 = cp_identity_cfg(workers=2)
-    body1 = report_csv_body(run(cfg1))
-    body2 = report_csv_body(run(cfg2))
-    body3 = report_csv_body(run(cfg3))
-    assert body1 == body2
-    assert body1 == body3
+def _report_tree(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_report_deterministic_across_runs_and_workers(tmp_path):
+    # whole written trees, report.json and its provenance included, agree
+    # across repeats, output directories and worker counts
+    trees = []
+    for name, workers in (("a", 1), ("b", 1), ("c", 2)):
+        cfg = cp_identity_cfg(workers=workers, out=str(tmp_path / name))
+        write_report(run(cfg), cfg.out)
+        trees.append(_report_tree(tmp_path / name))
+    assert "report.json" in trees[0] and "samples/rep_draws.csv" in trees[0]
+    assert trees[0] == trees[1] == trees[2]
 
 
 def test_seed_changes_report():

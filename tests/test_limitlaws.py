@@ -254,3 +254,7 @@ def test_envelope_limit_validation():
         sample_limit_envelopes("d", g)
     with pytest.raises(ParameterError):
         sample_limit_envelopes("b", g, alpha=2.5)
+    with pytest.raises(ParameterError):
+        draw_limit_envelopes_stable(0.5, 10, g)
+    with pytest.raises(ParameterError):
+        draw_limit_envelopes_stable(1.5, 10, g, eps=2.0)

@@ -15,12 +15,12 @@ from levyhull.models import (
 )
 from levyhull.sbrep import (
     compute_sigma_t,
-    normalize_length_deterministic,
     normalize_finite_variance,
     normalize_stable_zero_mean,
     normalize_heavy,
     normalize_drift,
     sample_quintuple,
+    stack_quintuples,
 )
 
 
@@ -136,10 +136,47 @@ def test_finite_variance_limit_normalization_identities():
         rhs = sto.coords[0] + 0.5 * var * sto.coords[1]
         assert lhs == pytest.approx(rhs, abs=1e-9)
         assert det.coords[1:] == pytest.approx(sto.coords[1:])
-        c2 = normalize_length_deterministic(model, q)
-        assert c2.coords[0] == det.coords[0]
-        assert sto.coords.shape == (5,)
-        assert c2.coords.shape == (1,)
+        assert det.coords[0] == pytest.approx(
+            ((q.upsilon - 1e4) - 0.5 * var * math.log(1e4)) / math.sqrt(math.log(1e4))
+        )
+        assert sto.coords.shape == det.coords.shape == (5,)
+
+
+@pytest.mark.parametrize(
+    "model, T, normalize",
+    [
+        (BrownianDrift(1.0), 1e4, lambda m, q: normalize_finite_variance(m, q, "stochastic")),
+        (BrownianDrift(1.0), 1e4, lambda m, q: normalize_finite_variance(m, q, "deterministic")),
+        (StableProcess(1.5), 1e3, normalize_stable_zero_mean),
+        (StableProcess(0.5), 100.0, normalize_heavy),
+        (BrownianDrift(1.0, mu=0.5), 1e3, lambda m, q: normalize_drift(m, q, "a")),
+        (StableProcess(1.5, mu=-1.0), 1e3, lambda m, q: normalize_drift(m, q, "b")),
+    ],
+    ids=["fv-stochastic", "fv-deterministic", "stable", "heavy", "drift-a", "drift-b"],
+)
+def test_batch_normalization_matches_per_draw(model, T, normalize):
+    # the batch record runs the scalar arithmetic elementwise: row i of the
+    # batch coordinates is the single-draw coordinate vector of draw i, bit
+    # for bit
+    draws = draw_many(model, T, 50, seed=24)
+    batch = stack_quintuples(draws)
+    assert batch.upsilon.shape == batch.h_prime.shape == (50,)
+    assert (batch.horizon, batch.cutoff) == (T, draws[0].cutoff)
+    coords = normalize(model, batch).coords
+    singles = [normalize(model, q).coords for q in draws]
+    assert coords.shape == (50, singles[0].size)
+    for row, single in zip(coords, singles):
+        assert (row == single).all()
+    # stacking batches concatenates them in order
+    halves = stack_quintuples([stack_quintuples(draws[:20]), stack_quintuples(draws[20:])])
+    assert (normalize(model, halves).coords == coords).all()
+
+
+def test_stack_quintuples_refuses_mixed_horizons():
+    g = rng(25)
+    qs = [sample_quintuple(BrownianDrift(1.0), T, g) for T in (10.0, 20.0)]
+    with pytest.raises(ParameterError):
+        stack_quintuples(qs)
 
 
 def test_finite_variance_limit_deterministic_variance_near_limit():
