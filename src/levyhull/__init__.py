@@ -48,7 +48,7 @@ from .sbrep import (
     sample_quintuple,
     stack_quintuples,
 )
-from .stats import KsResult, TailFitResult, ks_two_sample, mean_ci, tail_slope
+from .stats import KsResult, TailFitResult, ks_two_sample, tail_slope
 from .sticks import StickBreak, big_sticks, sample_sticks, tau
 
 __version__ = "0.1.0"

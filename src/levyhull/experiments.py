@@ -19,6 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import scipy
@@ -124,13 +125,22 @@ def _quintuple_block(index, n, *, model, T, cutoff, seed, tag):
     return stack_quintuples([sample_quintuple(model, T, g, cutoff=cutoff) for _ in range(n)])
 
 
+class HullStats(NamedTuple):
+    """Hull statistics of a batch of exact jump paths, one entry per path."""
+
+    upsilon: np.ndarray
+    final: np.ndarray
+    sup: np.ndarray
+    gamma: np.ndarray
+
+
 def _hull_block(index, n, *, model, T, seed, tag):
     g = substream(seed, tag, index)
-    out = np.empty((n, 4))
+    out = np.empty((n, len(HullStats._fields)))
     for k in range(n):
         path = sample_path(model, T, EXACT_JUMPS, g)
         s = shape_stats(merge_collinear(concave_majorant(path)), T)
-        out[k] = (s.upsilon, s.final, s.sup, s.gamma)
+        out[k] = [getattr(s, name) for name in HullStats._fields]
     return out
 
 
@@ -151,9 +161,9 @@ def _draw_record_table(q):
 
 
 def draw_hull_stats(model, T, reps, seed, tag, workers=1):
-    """Hull statistics of exact jump paths: (upsilon, final, sup, gamma)."""
+    """:class:`HullStats` of ``reps`` exact jump paths."""
     worker = partial(_hull_block, model=model, T=T, seed=seed, tag=tag)
-    return np.vstack(_collect_blocks(worker, reps, workers))
+    return HullStats(*np.vstack(_collect_blocks(worker, reps, workers)).T)
 
 
 def _row_ks(T, name, ks, level=0.01):
@@ -225,10 +235,10 @@ def _exp_verify_identity(cfg: ExperimentConfig) -> RunReport:
     T = cfg.t_grid[-1]
     hull = draw_hull_stats(model, T, cfg.reps, cfg.seed, "identity-hull", cfg.workers)
     quin = draw_quintuples(model, T, cfg.reps, cfg.seed, "identity-rep", cfg.cutoff, cfg.workers)
-    for hcol, name in enumerate(("upsilon", "final", "sup", "gamma")):
-        ks = ks_two_sample(hull[:, hcol], getattr(quin, name))
+    for name in HullStats._fields:
+        ks = ks_two_sample(getattr(hull, name), getattr(quin, name))
         rep.rows.append(_row_ks(T, f"identity_ks_{name}", ks))
-        rep.samples[f"hull_{name}"] = hull[:, hcol]
+        rep.samples[f"hull_{name}"] = getattr(hull, name)
         rep.samples[f"rep_{name}"] = getattr(quin, name)
     rep.tables["rep_draws"] = _draw_record_table(quin)
     return rep

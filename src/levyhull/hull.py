@@ -178,11 +178,3 @@ def shape_stats(faces: Sequence[Face], T: float) -> MajorantSummary:
 def faces_to_rows(faces: Sequence[Face]):
     """Rows (length, height, slope) for CSV serialization."""
     return [(f.length, f.height, f.slope) for f in faces]
-
-
-def write_faces_csv(faces: Sequence[Face], path):
-    """Serialize a face sequence to CSV with columns l, h, slope."""
-    with open(path, "w") as fh:
-        fh.write("l,h,slope\n")
-        for l, h, s in faces_to_rows(faces):
-            fh.write(f"{float(l)!r},{float(h)!r},{float(s)!r}\n")

@@ -13,12 +13,18 @@ of length ``L_N`` and a per-draw truncation figure is reported:
   series weight exponent.  The omitted mass is heavy-tailed with infinite
   mean, so no almost-sure bound exists; the envelope constant is sized so
   refinement stays below the figure except with probability well under
-  1e-4 per draw.
+  1e-4 per draw.  For index below 1 (``p > 1``) the figure also carries
+  ``L_N + 1e-12`` for the argmax shares, which move by up to ``L_N`` and
+  by rounding.
 
-Scalar samplers interleave the draws per stick (uniform first, then the
-driving variable), so rerunning with a smaller ``eps`` on a fresh stream
-with the same seed extends the same record; the batch samplers vectorize
-across draws.
+Each series is a row reduction of one :func:`~levyhull.sticks.stick_matrix`
+record per batch.  The record grows in blocks of columns: a block's
+uniforms, then that block's driving variables (Gaussian or stable), then
+the next block; the remainder's variable is drawn last.  A smaller ``eps``
+on a fresh stream with the same seed therefore appends blocks to the same
+record, which is what the refinement checks compare.  The
+``sample_limit_*`` functions are one-draw views of the ``draw_limit_*``
+batches.
 """
 from __future__ import annotations
 
@@ -68,221 +74,149 @@ def _check_eps(eps):
         raise ParameterError(f"eps must lie in (0, 1), got {eps}")
 
 
+def _series(n, eps, rng, draw, terms):
+    """Row sums of a stick-breaking series on the unit interval.
+
+    ``draw(shape)`` gives one driving variable per stick and
+    ``terms(ell, x)`` maps sticks and their variables to ``k`` summand
+    arrays shaped like ``ell``.  Sticks come from :func:`stick_matrix` cut
+    at ``eps``, each block's variables drawn right after its uniforms; the
+    remainder enters last as one more stick.  Returns the ``(k, n)`` sums
+    and the remainder.
+    """
+    sums = 0.0
+
+    def drive(ell):
+        nonlocal sums
+        x = draw(ell.T.shape).T   # column-major like the sticks, so the terms run on one layout
+        sums = sums + np.array([y.sum(axis=-1) for y in terms(ell, x)])
+
+    _, rem = stick_matrix(n, 1.0, eps, rng, drive)
+    drive(rem[:, None])
+    return sums, rem
+
+
 # ---------------------------------------------------------------------------
 # finite-variance limit: (sigma^2/sqrt2 Z1, Z2, sigma Bbar, sigma B1, rho)
 # ---------------------------------------------------------------------------
 
-def sample_limit_finite_variance(sigma, rng, eps=DEFAULT_EPS):
-    """Quintuple limit of the finite-variance regime.
-
-    Z1, Z2 are independent standard normals; the Brownian triple
-    (running maximum, endpoint, argmax time) comes from the Gaussian
-    stick-breaking series with the remainder folded in as one Gaussian
-    term of variance ``L_N``, which keeps the endpoint coordinate exact.
-    """
-    if not sigma > 0.0:
-        raise ParameterError(f"sigma must be > 0, got {sigma}")
-    _check_eps(eps)
-    z1 = rng.standard_normal()
-    z2 = rng.standard_normal()
-    L = 1.0
-    sup = fin = pos = tot = 0.0
-    while L >= eps:
-        ell = rng.random() * L
-        L -= ell
-        x = math.sqrt(ell) * rng.standard_normal()
-        fin += x
-        tot += ell
-        if x > 0.0:
-            sup += x
-            pos += ell
-    x = math.sqrt(L) * rng.standard_normal()
-    fin += x
-    tot += L
-    if x > 0.0:
-        sup += x
-        pos += L
-    rho = pos / tot
-    coords = np.array([sigma**2 / math.sqrt(2.0) * z1, z2, sigma * sup, sigma * fin, rho])
-    return LimitSample("finite-variance", coords, eps, 8.0 * math.sqrt(L))
+def _gaussian_terms(ell, z):
+    x = np.sqrt(ell) * z
+    up = x > 0.0
+    return np.where(up, x, 0.0), x, ell * up, ell
 
 
 def draw_limit_finite_variance(sigma, n, rng, eps=DEFAULT_EPS):
-    """Vectorized batch of finite-variance limit draws; returns (coords, bounds)."""
+    """Batch of ``n`` finite-variance quintuple limit draws; returns
+    ``(coords, bounds)`` with ``coords`` of shape ``(n, 5)``.
+
+    Z1, Z2 are independent standard normals drawn first; the Brownian
+    triple (running maximum, endpoint, argmax time) comes from the Gaussian
+    stick-breaking series with the remainder folded in as one Gaussian term
+    of variance ``L_N``, which keeps the endpoint coordinate exact.
+    """
     if not sigma > 0.0:
         raise ParameterError(f"sigma must be > 0, got {sigma}")
     _check_eps(eps)
     z1 = rng.standard_normal(n)
     z2 = rng.standard_normal(n)
-    ell, rem = stick_matrix(n, 1.0, eps, rng)
-    x = np.sqrt(ell) * rng.standard_normal(ell.shape)
-    xr = np.sqrt(rem) * rng.standard_normal(n)
-    pos_x = x > 0.0
-    sup = np.where(pos_x, x, 0.0).sum(axis=1) + np.where(xr > 0.0, xr, 0.0)
-    fin = x.sum(axis=1) + xr
-    pos = (ell * pos_x).sum(axis=1) + rem * (xr > 0.0)
-    tot = ell.sum(axis=1) + rem
-    rho = pos / tot
+    (sup, fin, pos, tot), rem = _series(n, eps, rng, rng.standard_normal, _gaussian_terms)
     coords = np.column_stack(
-        [sigma**2 / math.sqrt(2.0) * z1, z2, sigma * sup, sigma * fin, rho]
+        [sigma**2 / math.sqrt(2.0) * z1, z2, sigma * sup, sigma * fin, pos / tot]
     )
     return coords, 8.0 * np.sqrt(rem)
 
 
+def sample_limit_finite_variance(sigma, rng, eps=DEFAULT_EPS):
+    """One draw of :func:`draw_limit_finite_variance`."""
+    coords, bound = draw_limit_finite_variance(sigma, 1, rng, eps)
+    return LimitSample("finite-variance", coords[0], eps, float(bound[0]))
+
+
 # ---------------------------------------------------------------------------
-# zero-mean stable limit, index in (1, 2)
+# stable series: zero-mean index in (1, 2), heavy index in (0, 1)
 # ---------------------------------------------------------------------------
 
-def sample_limit_stable_zero_mean(alpha, rng, eps=DEFAULT_EPS):
-    """Quadruple limit of the zero-mean infinite-variance regime: the
-    quadratic length series plus the supremum/endpoint/argmax series, all
-    driven by one stick sequence."""
-    if not 1.0 < alpha < 2.0:
-        raise ParameterError(f"alpha must lie in (1, 2), got {alpha}")
-    _check_eps(eps)
+def _stable_series(alpha, beta, n, rng, eps):
+    """One stick/stable sequence reduced to ``(quad, pos, neg, share, rem)``:
+    the quadratic series ``sum ell^(2/alpha - 1) S^2 / 2``, the positive
+    and negative parts of ``sum ell^(1/alpha) S`` (both nonnegative), the
+    length share of sticks with ``S > 0``, and the remainder."""
     p_len = 2.0 / alpha - 1.0
-    p_pos = 1.0 / alpha
-    L = 1.0
-    q = sup = fin = pos = tot = 0.0
-    while L >= eps:
-        ell = rng.random() * L
-        L -= ell
-        s = float(stable_standard(alpha, 0.0, rng))
-        q += 0.5 * ell**p_len * s * s
-        w = ell**p_pos * s
-        fin += w
-        if s > 0.0:
-            sup += w
-            pos += ell
-        tot += ell
-    s = float(stable_standard(alpha, 0.0, rng))
-    q += 0.5 * L**p_len * s * s
-    w = L**p_pos * s
-    fin += w
-    if s > 0.0:
-        sup += w
-        pos += L
-    tot += L
-    coords = np.array([q, sup, fin, pos / tot])
-    return LimitSample("stable-zero-mean", coords, eps, STABLE_ENVELOPE * L**p_len)
+    p = 1.0 / alpha
+
+    def terms(ell, s):
+        w = ell**p * s
+        up = s > 0.0
+        return ell**p_len * s * s, np.where(up, w, 0.0), np.where(up, 0.0, -w), ell * up, ell
+
+    (quad, pos, neg, pos_len, tot), rem = _series(
+        n, eps, rng, lambda shape: stable_standard(alpha, beta, rng, shape), terms
+    )
+    return 0.5 * quad, pos, neg, pos_len / tot, rem
+
+
+def _check_alpha(alpha, lo, hi):
+    if not lo < alpha < hi:
+        raise ParameterError(f"alpha must lie in ({lo:g}, {hi:g}), got {alpha}")
 
 
 def draw_limit_stable_zero_mean(alpha, n, rng, eps=DEFAULT_EPS, beta=0.0):
-    """Vectorized batch of zero-mean stable limit draws; returns (coords, bounds)."""
-    if not 1.0 < alpha < 2.0:
-        raise ParameterError(f"alpha must lie in (1, 2), got {alpha}")
+    """Batch of zero-mean infinite-variance limit quadruples (quadratic
+    length series, supremum, endpoint, argmax share), all driven by one
+    stick sequence per draw; returns ``(coords, bounds)``."""
+    _check_alpha(alpha, 1.0, 2.0)
     _check_eps(eps)
-    ell, rem = stick_matrix(n, 1.0, eps, rng)
-    s = stable_standard(alpha, beta, rng, ell.shape)
-    sr = stable_standard(alpha, beta, rng, n)
-    return _stable_series_coords(alpha, ell, rem, s, sr)
+    quad, pos, neg, share, rem = _stable_series(alpha, beta, n, rng, eps)
+    coords = np.column_stack([quad, pos, pos - neg, share])
+    return coords, STABLE_ENVELOPE * rem ** (2.0 / alpha - 1.0)
 
 
-def _stable_series_coords(alpha, ell, rem, s, sr):
-    p_len = 2.0 / alpha - 1.0
-    p_pos = 1.0 / alpha
-    q = 0.5 * ((ell**p_len * s * s).sum(axis=1) + rem**p_len * sr * sr)
-    w = ell**p_pos * s
-    wr = rem**p_pos * sr
-    sup = np.where(s > 0.0, w, 0.0).sum(axis=1) + np.where(sr > 0.0, wr, 0.0)
-    fin = w.sum(axis=1) + wr
-    pos = (ell * (s > 0.0)).sum(axis=1) + rem * (sr > 0.0)
-    tot = ell.sum(axis=1) + rem
-    coords = np.column_stack([q, sup, fin, pos / tot])
-    return coords, STABLE_ENVELOPE * rem**p_len
+def sample_limit_stable_zero_mean(alpha, rng, eps=DEFAULT_EPS):
+    """One draw of :func:`draw_limit_stable_zero_mean`."""
+    coords, bound = draw_limit_stable_zero_mean(alpha, 1, rng, eps)
+    return LimitSample("stable-zero-mean", coords[0], eps, float(bound[0]))
 
 
 def perpetuity_tail_constant(alpha):
     """Tail-equivalence constant ``2^(1 - alpha/2) / (2 - alpha)`` of the
     quadratic length series relative to a squared stable draw."""
-    if not 1.0 < alpha < 2.0:
-        raise ParameterError(f"alpha must lie in (1, 2), got {alpha}")
+    _check_alpha(alpha, 1.0, 2.0)
     return 2.0 ** (1.0 - alpha / 2.0) / (2.0 - alpha)
 
 
-# ---------------------------------------------------------------------------
-# heavy limit, index in (0, 1): joint majorant/minorant vectors
-# ---------------------------------------------------------------------------
-
-def sample_limit_heavy(alpha, rng, eps=DEFAULT_EPS, beta=0.0):
-    """Joint eight-coordinate limit driven by one stick/stable sequence.
+def draw_limit_heavy(alpha, n, rng, eps=DEFAULT_EPS, beta=0.0):
+    """Batch of joint eight-coordinate heavy-index limit draws; returns
+    ``(coords, bounds)``.
 
     Coordinates 1-4 are the majorant block (twice-sup-minus-endpoint,
     supremum, endpoint, argmax share); 5-8 the minorant block with the
     infimum as the negative-part series and the complementary time share.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
+    _check_alpha(alpha, 0.0, 1.0)
     _check_eps(eps)
-    p = 1.0 / alpha
-    L = 1.0
-    pos_sum = neg_sum = pos_t = tot = 0.0
-    while L >= eps:
-        ell = rng.random() * L
-        L -= ell
-        s = float(stable_standard(alpha, beta, rng))
-        w = ell**p * s
-        if s > 0.0:
-            pos_sum += w
-            pos_t += ell
-        else:
-            neg_sum -= w
-        tot += ell
-    s = float(stable_standard(alpha, beta, rng))
-    w = L**p * s
-    if s > 0.0:
-        pos_sum += w
-        pos_t += L
-    else:
-        neg_sum -= w
-    tot += L
-    fin = pos_sum - neg_sum
-    share = pos_t / tot
-    coords = np.array(
-        [
-            pos_sum + neg_sum,   # 2*sup - final
-            pos_sum,             # sup
-            fin,                 # final
-            share,               # argmax time
-            pos_sum + neg_sum,   # final - 2*inf equals the same series
-            -neg_sum,            # inf
-            fin,
-            1.0 - share,
-        ]
-    )
-    return LimitSample("heavy", coords, eps, HEAVY_ENVELOPE * L**p)
-
-
-def draw_limit_heavy(alpha, n, rng, eps=DEFAULT_EPS, beta=0.0):
-    """Vectorized batch of heavy-index limit draws; returns (coords, bounds)."""
-    if not 0.0 < alpha < 1.0:
-        raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
-    _check_eps(eps)
-    p = 1.0 / alpha
-    ell, rem = stick_matrix(n, 1.0, eps, rng)
-    s = stable_standard(alpha, beta, rng, ell.shape)
-    sr = stable_standard(alpha, beta, rng, n)
-    w = ell**p * s
-    wr = rem**p * sr
-    pos_sum = np.where(s > 0.0, w, 0.0).sum(axis=1) + np.where(sr > 0.0, wr, 0.0)
-    neg_sum = np.where(s < 0.0, -w, 0.0).sum(axis=1) + np.where(sr < 0.0, -wr, 0.0)
-    pos_t = (ell * (s > 0.0)).sum(axis=1) + rem * (sr > 0.0)
-    tot = ell.sum(axis=1) + rem
-    fin = pos_sum - neg_sum
-    share = pos_t / tot
+    _, pos, neg, share, rem = _stable_series(alpha, beta, n, rng, eps)
+    fin = pos - neg
     coords = np.column_stack(
         [
-            pos_sum + neg_sum,
-            pos_sum,
-            fin,
-            share,
-            pos_sum + neg_sum,
-            -neg_sum,
+            pos + neg,   # 2*sup - final
+            pos,         # sup
+            fin,         # final
+            share,       # argmax time
+            pos + neg,   # final - 2*inf equals the same series
+            -neg,        # inf
             fin,
             1.0 - share,
         ]
     )
-    return coords, HEAVY_ENVELOPE * rem**p
+    # the argmax shares move by at most the remainder's length, plus rounding
+    return coords, HEAVY_ENVELOPE * rem ** (1.0 / alpha) + rem + 1e-12
+
+
+def sample_limit_heavy(alpha, rng, eps=DEFAULT_EPS, beta=0.0):
+    """One draw of :func:`draw_limit_heavy`."""
+    coords, bound = draw_limit_heavy(alpha, 1, rng, eps, beta)
+    return LimitSample("heavy", coords[0], eps, float(bound[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -329,9 +263,6 @@ def sample_limit_envelopes(case, rng, eps=DEFAULT_EPS, sigma=1.0, alpha=1.5):
     Case "c" (index in (0, 1)): one scalar times (1, 1, 1).
     """
     if case == "a":
-        if not sigma > 0.0:
-            raise ParameterError(f"sigma must be > 0, got {sigma}")
-        _check_eps(eps)
         while True:
             coords, bound = draw_limit_finite_variance(sigma, 1, rng, eps)
             sup, fin, rho = coords[0, 2] / sigma, coords[0, 3] / sigma, coords[0, 4]
@@ -346,9 +277,6 @@ def sample_limit_envelopes(case, rng, eps=DEFAULT_EPS, sigma=1.0, alpha=1.5):
         coords, bound = draw_limit_envelopes_stable(alpha, 1, rng, eps)
         return LimitSample("envelopes-b", coords[0], eps, float(bound[0]))
     if case == "c":
-        if not 0.0 < alpha < 1.0:
-            raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
-        _check_eps(eps)
         coords, bound = draw_limit_heavy(alpha, 1, rng, eps)
         v = coords[0, 0]  # 2*sup - final
         return LimitSample("envelopes-c", np.array([v, v, v]), eps, float(bound[0]))
@@ -356,20 +284,9 @@ def sample_limit_envelopes(case, rng, eps=DEFAULT_EPS, sigma=1.0, alpha=1.5):
 
 
 def draw_limit_envelopes_stable(alpha, n, rng, eps=DEFAULT_EPS):
-    """Vectorized case-b triples; returns (coords, bounds)."""
-    if not 1.0 < alpha < 2.0:
-        raise ParameterError(f"alpha must lie in (1, 2), got {alpha}")
+    """Batch of case-b (hut, majorant, tent) triples; returns (coords, bounds)."""
+    _check_alpha(alpha, 1.0, 2.0)
     _check_eps(eps)
-    p = 1.0 / alpha
-    p_len = 2.0 / alpha - 1.0
-    ell, rem = stick_matrix(n, 1.0, eps, rng)
-    s = stable_standard(alpha, 0.0, rng, ell.shape)
-    sr = stable_standard(alpha, 0.0, rng, n)
-    w = ell**p * s
-    wr = rem**p * sr
-    pos = np.where(s > 0.0, w, 0.0).sum(axis=1) + np.where(sr > 0.0, wr, 0.0)
-    neg = np.where(s < 0.0, -w, 0.0).sum(axis=1) + np.where(sr < 0.0, -wr, 0.0)
-    hut = 0.5 * (pos**2 + neg**2)
-    maj = 0.5 * ((ell**p_len * s * s).sum(axis=1) + rem**p_len * sr * sr)
-    tent = pos + neg
-    return np.column_stack([hut, maj, tent]), STABLE_ENVELOPE * rem**p_len
+    quad, pos, neg, _, rem = _stable_series(alpha, 0.0, n, rng, eps)
+    coords = np.column_stack([0.5 * (pos**2 + neg**2), quad, pos + neg])
+    return coords, STABLE_ENVELOPE * rem ** (2.0 / alpha - 1.0)

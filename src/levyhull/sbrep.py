@@ -39,10 +39,10 @@ import numpy as np
 from .errors import ParameterError, RegimeError, TruncationError
 from .models import (
     StableProcess,
-    levy_tail_second_moment,
     norming,
     sample_increment,
     theta,
+    truncated_variance,
 )
 
 __all__ = [
@@ -337,8 +337,7 @@ def compute_sigma_t(model, T, sticks, xis, kappa=1.0):
         raise ParameterError(f"kappa must be >= 1, got {kappa}")
     if not T > math.e:
         raise RegimeError("diagnostic needs T > e so that log T > 1")
-    var = _require_finite_variance(model)
-    sigma1 = var - float(levy_tail_second_moment(model, kappa))
+    sigma1 = float(truncated_variance(model, 1.0, kappa))
     if not sigma1 > 0.0:
         raise RegimeError(
             f"kappa={kappa} truncates the whole variance (sigma_1^2 = {sigma1})"
@@ -349,5 +348,5 @@ def compute_sigma_t(model, T, sticks, xis, kappa=1.0):
     if not big.any():
         return 0.0
     tb, xb = t[big], x[big]
-    sig2 = var - levy_tail_second_moment(model, kappa * np.sqrt(tb))
+    sig2 = truncated_variance(model, tb, kappa)
     return float((xb * xb / tb - sig2).sum() / (2.0 * math.sqrt(math.log(T))))

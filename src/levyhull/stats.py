@@ -1,13 +1,12 @@
 """Statistical machinery for the verification suite: empirical CDFs, the
-two-sample Kolmogorov-Smirnov test with asymptotic p-values, normal
-confidence intervals, and heavy-tail slope estimation."""
+two-sample Kolmogorov-Smirnov test with asymptotic p-values, variance
+standard errors, and heavy-tail slope estimation."""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import SampleSizeError
 
@@ -18,10 +17,8 @@ __all__ = [
     "ks_two_sample",
     "ks_distance_to_cdf",
     "kolmogorov_pvalue",
-    "mean_ci",
     "variance_se",
     "tail_slope",
-    "hill_tail_index",
 ]
 
 _MIN_KS_SIZE = 35
@@ -103,16 +100,6 @@ def ks_distance_to_cdf(x, cdf):
     return float(max(hi.max(), lo.max()))
 
 
-def mean_ci(samples, level=0.95):
-    """Sample mean and normal-approximation half-width at the given level."""
-    x = np.asarray(samples, dtype=float)
-    if x.size < 2:
-        raise SampleSizeError("need at least 2 points for a confidence interval")
-    z = float(ndtri(0.5 + level / 2.0))
-    se = x.std(ddof=1) / math.sqrt(x.size)
-    return float(x.mean()), z * se
-
-
 def variance_se(samples):
     """Sample variance and its large-sample standard error
     ``sqrt((m4 - s^4) / n)``."""
@@ -154,21 +141,3 @@ def tail_slope(samples, q_lo=0.99, q_hi=0.9999) -> TailFitResult:
     resid = ly - intercept - slope * lx
     se = math.sqrt(resid @ resid / max(k - 2, 1) / sxx)
     return TailFitResult(float(slope), float(intercept), q_lo, q_hi, se, int(k))
-
-
-def hill_tail_index(samples, q_lo=0.99) -> TailFitResult:
-    """Hill estimator over exceedances of the ``q_lo`` quantile, reported in
-    the same form as :func:`tail_slope` (slope estimates ``-a``)."""
-    x = np.sort(np.asarray(samples, dtype=float))
-    n = x.size
-    k = int(n * (1.0 - q_lo))
-    if k < 50:
-        raise SampleSizeError(f"only {k} exceedances above quantile {q_lo}; need >= 50")
-    top = x[n - k :]
-    x0 = x[n - k - 1]
-    if x0 <= 0.0:
-        raise SampleSizeError("Hill estimator needs a positive tail threshold")
-    logs = np.log(top / x0)
-    a_hat = 1.0 / logs.mean()
-    se = a_hat / math.sqrt(k)
-    return TailFitResult(-float(a_hat), 0.0, q_lo, 1.0, float(se), k)

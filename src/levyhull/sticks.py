@@ -17,6 +17,9 @@ import numpy as np
 
 from .errors import ParameterError, TruncationError
 
+# columns per block of :func:`stick_matrix`
+BLOCK = 16
+
 __all__ = [
     "StickBreak",
     "sample_sticks",
@@ -99,49 +102,50 @@ def big_sticks(sb: StickBreak) -> np.ndarray:
 # vectorized stick machinery
 # ---------------------------------------------------------------------------
 
-def stick_matrix(n_rows, T, cutoff, rng, block=16):
+def stick_matrix(n_rows, T, cutoff, rng, drive=None):
     """Scaled stick lengths for ``n_rows`` independent records.
 
-    Columns are appended in blocks until every row satisfies
-    ``T * L < cutoff``; rows that stopped earlier simply carry extra
-    (finer) sticks, which is harmless for every consumer here: sums over
-    the full sequence only gain accuracy and threshold counts are
-    unaffected because late sticks sit below the cutoff.  Returns
-    ``(t, rem)`` where ``t`` has shape (n_rows, K) in scaled units and
-    ``rem`` is the final scaled remainder per row.
+    Sticks are drawn in blocks of :data:`BLOCK` columns: one uniform per
+    row and column, then, when given, ``drive(t_block)`` on that block's
+    scaled sticks, shape ``(n_rows, BLOCK)``.  The drive draws the block's
+    driving variables from the same ``rng`` and keeps them itself.  Blocks
+    are appended until every row satisfies ``T * L < cutoff``, so a smaller
+    cutoff on the same stream only appends blocks: the record and the drive
+    draws at ``cutoff`` are a column prefix of those at any finer cutoff.
+    The caller draws the remainder's variable after the call.
+
+    Rows that stopped earlier carry extra (finer) sticks, which is harmless
+    for every consumer here: sums over the full sequence only gain accuracy
+    and threshold counts are unaffected because late sticks sit below the
+    cutoff.  Returns ``(t, rem)`` where ``t`` has shape (n_rows, K) in
+    scaled units and ``rem`` is the final scaled remainder per row.
     """
     if not cutoff > 0.0:
         raise ParameterError(f"cutoff must be > 0, got {cutoff}")
-    cols = []
+    blocks = []   # column-major: row sums add the sticks in order
     L = np.ones(n_rows)
     while True:
-        v = rng.random((n_rows, block))
-        for j in range(block):
+        v = rng.random((n_rows, BLOCK))
+        cols = np.empty((BLOCK, n_rows))
+        for j in range(BLOCK):
             ell = v[:, j] * L
-            cols.append(ell)
+            cols[j] = T * ell
             L = L - ell
+        if drive is not None:
+            drive(cols.T)
+        blocks.append(cols)
         if (T * L < cutoff).all():
             break
-    t = np.array(cols).T * T
-    return t, T * L
+    return np.vstack(blocks).T, T * L
 
 
 def tau_gset_counts(T, reps, rng):
-    """Per-replication (tau, |big-stick set|) counts, memory-light."""
-    L = np.ones(reps)
-    tau_c = np.zeros(reps, dtype=np.int64)
-    gset_c = np.zeros(reps, dtype=np.int64)
-    inv_t = 1.0 / T
-    while True:
-        active = T * L >= 1.0
-        if not active.any():
-            break
-        v = rng.random(reps)
-        ell = v * L
-        gset_c += (T * ell >= 1.0) & active
-        L = L - ell
-        tau_c += (L >= inv_t) & active
-    return tau_c, gset_c
+    """Per-replication (tau, |big-stick set|) counts off a record cut at 1."""
+    t, rem = stick_matrix(reps, T, 1.0, rng)
+    # scaled remainders after each stick but the last, summed from the small end
+    after = np.cumsum(t[:, :0:-1], axis=1)
+    after += rem[:, None]
+    return np.count_nonzero(after >= 1.0, axis=1), np.count_nonzero(t >= 1.0, axis=1)
 
 
 # ---------------------------------------------------------------------------

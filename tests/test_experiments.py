@@ -7,13 +7,17 @@ import pytest
 from levyhull.config import config_from_mapping, load_config
 from levyhull.errors import ConfigError, PathError
 from levyhull.experiments import (
+    HullStats,
+    draw_hull_stats,
     emit_plot_data,
     load_report,
     report_csv_body,
     run,
     write_report,
 )
-from levyhull.models import CompoundPoissonDrift, Gaussian
+from levyhull.hull import concave_majorant, merge_collinear, shape_stats
+from levyhull.models import EXACT_JUMPS, CompoundPoissonDrift, Gaussian, sample_path
+from levyhull.rng import substream
 
 
 def cp_identity_cfg(**over):
@@ -160,6 +164,15 @@ def test_report_deterministic_across_runs_and_workers(tmp_path):
     assert trees[0] == trees[1] == trees[2]
 
 
+def test_hull_stats_name_the_path_statistics():
+    model = CompoundPoissonDrift(1.0, Gaussian(0.0, 1.0), mu=0.2)
+    hull = draw_hull_stats(model, 8.0, 3, 5, "t")
+    g = substream(5, "t", 0)
+    for k in range(3):
+        s = shape_stats(merge_collinear(concave_majorant(sample_path(model, 8.0, EXACT_JUMPS, g))), 8.0)
+        assert [getattr(hull, f)[k] for f in HullStats._fields] == [s.upsilon, s.final, s.sup, s.gamma]
+
+
 def test_seed_changes_report():
     a = report_csv_body(run(cp_identity_cfg(seed=1)))
     b = report_csv_body(run(cp_identity_cfg(seed=2)))
@@ -212,16 +225,6 @@ def test_write_report_serializes_every_experiment(tmp_path):
         path = write_report(rep, tmp_path / f"r{i}")
         loaded = load_report(path)
         assert loaded.rows == rep.rows
-
-
-def test_faces_csv_interface(tmp_path):
-    from levyhull.hull import Face, write_faces_csv
-
-    path = tmp_path / "faces.csv"
-    write_faces_csv([Face(2.0, 1.0), Face(1.0, -2.0)], path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "l,h,slope"
-    assert lines[1] == "2.0,1.0,0.5"
 
 
 def test_emit_plot_kinds(tmp_path):

@@ -1,5 +1,6 @@
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -20,3 +21,10 @@ def test_every_exported_name_exists(name):
 
 def test_package_module_list_is_complete():
     assert {"levyhull.sbrep", "levyhull.experiments", "levyhull.limitlaws"} <= set(MODULES)
+
+
+def test_readme_quick_tour_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    tour = readme.split("## Library quick tour", 1)[1]
+    code = tour.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})

@@ -8,6 +8,7 @@ from levyhull.errors import ParameterError
 from levyhull.limitlaws import (
     draw_limit_envelopes_stable,
     draw_limit_finite_variance,
+    draw_limit_heavy,
     draw_limit_stable_zero_mean,
     perpetuity_tail_constant,
     sample_limit_envelopes,
@@ -63,12 +64,21 @@ def test_finite_variance_limit_endpoint_is_exactly_normal():
 
 
 def test_finite_variance_limit_refinement_stays_within_reported_bound():
-    for i in range(300):
-        a = sample_limit_finite_variance(1.0, rng(100 + i), eps=1e-4)
-        b = sample_limit_finite_variance(1.0, rng(100 + i), eps=5e-5)
-        assert a.coords[0] == b.coords[0] and a.coords[1] == b.coords[1]
-        delta = np.abs(a.coords[2:] - b.coords[2:]).max()
-        assert delta <= a.truncation_bound
+    # records grow in blocks of sticks and a batch is as wide as its slowest
+    # row, so halving eps extends few records; eps = 1e-12 extends nearly all
+    for fine in (5e-5, 1e-12):
+        for i in range(300):
+            a = sample_limit_finite_variance(1.0, rng(100 + i), eps=1e-4)
+            b = sample_limit_finite_variance(1.0, rng(100 + i), eps=fine)
+            assert a.coords[0] == b.coords[0] and a.coords[1] == b.coords[1]
+            delta = np.abs(a.coords[2:] - b.coords[2:]).max()
+            assert delta <= a.truncation_bound
+        for seed in range(10):
+            a, bound = draw_limit_finite_variance(1.0, 64, rng(seed), eps=1e-4)
+            b, _ = draw_limit_finite_variance(1.0, 64, rng(seed), eps=fine)
+            assert (a[:, :2] == b[:, :2]).all()
+            assert (np.abs(a[:, 2:] - b[:, 2:]).max(axis=1) <= bound).all()
+    assert not np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -101,11 +111,17 @@ def test_stable_limit_matches_finite_horizon_sampler_coords_2_to_4():
 
 
 def test_stable_limit_refinement_stays_within_reported_bound():
-    for i in range(300):
-        a = sample_limit_stable_zero_mean(1.5, rng(200 + i), eps=1e-4)
-        b = sample_limit_stable_zero_mean(1.5, rng(200 + i), eps=5e-5)
-        delta = np.abs(a.coords - b.coords).max()
-        assert delta <= a.truncation_bound
+    for fine in (5e-5, 1e-12):
+        for i in range(300):
+            a = sample_limit_stable_zero_mean(1.5, rng(200 + i), eps=1e-4)
+            b = sample_limit_stable_zero_mean(1.5, rng(200 + i), eps=fine)
+            delta = np.abs(a.coords - b.coords).max()
+            assert delta <= a.truncation_bound
+        for seed in range(10):
+            a, bound = draw_limit_stable_zero_mean(1.5, 64, rng(seed), eps=1e-4)
+            b, _ = draw_limit_stable_zero_mean(1.5, 64, rng(seed), eps=fine)
+            assert (np.abs(a - b).max(axis=1) <= bound).all()
+    assert not np.array_equal(a, b)
 
 
 def test_perpetuity_tail_constant_values():
@@ -171,11 +187,17 @@ def test_heavy_limit_one_sided_positive():
 
 
 def test_heavy_limit_refinement_stays_within_reported_bound():
-    for i in range(300):
-        a = sample_limit_heavy(0.5, rng(300 + i), eps=1e-4)
-        b = sample_limit_heavy(0.5, rng(300 + i), eps=5e-5)
-        delta = np.abs(a.coords - b.coords).max()
-        assert delta <= a.truncation_bound
+    for fine in (5e-5, 1e-12):
+        for i in range(300):
+            a = sample_limit_heavy(0.5, rng(300 + i), eps=1e-4)
+            b = sample_limit_heavy(0.5, rng(300 + i), eps=fine)
+            delta = np.abs(a.coords - b.coords).max()
+            assert delta <= a.truncation_bound
+        for seed in range(10):
+            a, bound = draw_limit_heavy(0.5, 64, rng(seed), eps=1e-4)
+            b, _ = draw_limit_heavy(0.5, 64, rng(seed), eps=fine)
+            assert (np.abs(a - b).max(axis=1) <= bound).all()
+    assert not np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,9 @@ from scipy import stats as sps
 from levyhull.errors import SampleSizeError
 from levyhull.stats import (
     ecdf,
-    hill_tail_index,
     kolmogorov_pvalue,
     ks_distance_to_cdf,
     ks_two_sample,
-    mean_ci,
     tail_slope,
     variance_se,
 )
@@ -96,31 +94,6 @@ def test_ks_distance_to_cdf():
     assert d2 < 0.01
 
 
-def test_mean_ci():
-    mean, hw = mean_ci(np.full(50, 3.25))
-    assert mean == 3.25 and hw == 0.0
-    # the 95 percent z value
-    x = rng(8).standard_normal(1000)
-    _, hw = mean_ci(x, 0.95)
-    se = x.std(ddof=1) / math.sqrt(x.size)
-    assert hw / se == pytest.approx(1.959964, abs=1e-6)
-    with pytest.raises(SampleSizeError):
-        mean_ci([1.0])
-
-
-def test_mean_ci_coverage_exponential():
-    g = rng(9)
-    misses = 0
-    runs = 200
-    for _ in range(runs):
-        x = g.exponential(1.0, 10_000)
-        mean, hw = mean_ci(x, 0.95)
-        se = hw / 1.959964
-        if abs(mean - 1.0) > 3.0 * se:
-            misses += 1
-    assert misses <= 3  # 3-sigma coverage is ~99.7 percent
-
-
 def test_variance_se():
     x = rng(10).standard_normal(100_000)
     s2, se = variance_se(x)
@@ -166,11 +139,3 @@ def test_tail_slope_window_errors():
         tail_slope(g.random(1000))  # default window holds < 50 points
     with pytest.raises(SampleSizeError):
         tail_slope(g.random(100_000), q_lo=0.9, q_hi=0.5)
-
-
-def test_hill_cross_check():
-    g = rng(15)
-    a = 1.4
-    x = g.random(500_000) ** (-1.0 / a)
-    fit = hill_tail_index(x, q_lo=0.99)
-    assert abs(fit.slope + a) < 0.1

@@ -190,3 +190,24 @@ def test_stick_matrix_rows_complete():
     t, rem = stick_matrix(500, 50.0, 1e-3, g)
     assert (rem < 1e-3).all()
     assert (t > 0.0).all()
+
+
+def test_driven_record_extends_under_a_finer_cutoff():
+    # blocks of uniforms and drive draws interleave, so a finer cutoff on the
+    # same stream only appends columns to both
+    def record(seed, cutoff):
+        g = rng(seed)
+        drawn = []
+        t, _ = stick_matrix(20, 20.0, cutoff, g, lambda tb: drawn.append(g.standard_normal(tb.shape)))
+        return t, np.hstack(drawn)
+
+    extended = 0
+    for seed in range(20):
+        t1, x1 = record(seed, 1e-3)
+        t2, x2 = record(seed, 1e-5)
+        k = t1.shape[1]
+        assert x1.shape == t1.shape and x2.shape == t2.shape and t2.shape[1] >= k
+        assert (t2[:, :k] == t1).all()
+        assert (x2[:, :k] == x1).all()
+        extended += t2.shape[1] > k
+    assert extended > 0
