@@ -49,6 +49,5 @@ from .sbrep import (
     stack_quintuples,
 )
 from .stats import KsResult, TailFitResult, ks_two_sample, tail_slope
-from .sticks import StickBreak, big_sticks, sample_sticks, tau
 
 __version__ = "0.1.0"

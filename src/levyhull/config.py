@@ -21,6 +21,7 @@ are numbers, bare strings, or comma/space separated number lists.
 """
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,7 +40,7 @@ from .models import (
 )
 from .sbrep import DEFAULT_CUTOFF
 
-__all__ = ["ExperimentConfig", "EXPERIMENTS", "load_config", "config_from_mapping"]
+__all__ = ["ExperimentConfig", "EXPERIMENTS", "MODELS", "JUMPS", "load_config", "config_from_mapping"]
 
 EXPERIMENTS = (
     "sb-props",
@@ -53,6 +54,25 @@ EXPERIMENTS = (
     "hull-props",
 )
 
+# kind -> class per block; a class's constructor parameters are its keys
+MODELS = {"brownian": BrownianDrift, "cp": CompoundPoissonDrift, "stable": StableProcess}
+JUMPS = {
+    "two-point": TwoPoint,
+    "gaussian": Gaussian,
+    "pareto": Pareto,
+    "point-mass": PointMass,
+    "log-pareto": LogCorrectedPareto,
+}
+_JUMP_FIELD = "jump"            # the model parameter built from the model.jump block
+_ALIASES = {"mean_": "mean"}    # parameter name -> configuration key
+
+
+def _param_keys(cls):
+    """Configuration key -> constructor parameter of a model or jump class."""
+    names = inspect.signature(cls).parameters
+    return {_ALIASES.get(name, name): name for name in names if name != _JUMP_FIELD}
+
+
 _KNOWN_KEYS = {
     "experiment",
     "T_grid",
@@ -64,21 +84,9 @@ _KNOWN_KEYS = {
     "out",
     "checks",
     "model.kind",
-    "model.sigma",
-    "model.mu",
-    "model.rate",
-    "model.alpha",
-    "model.beta",
-    "model.scale",
     "model.jump.kind",
-    "model.jump.p_up",
-    "model.jump.up",
-    "model.jump.down",
-    "model.jump.mean",
-    "model.jump.sd",
-    "model.jump.tail_index",
-    "model.jump.scale",
-    "model.jump.x",
+    *(f"model.{k}" for cls in MODELS.values() for k in _param_keys(cls)),
+    *(f"model.jump.{k}" for cls in JUMPS.values() for k in _param_keys(cls)),
 }
 
 
@@ -167,59 +175,30 @@ def _flatten(mapping, prefix=""):
     return flat
 
 
-_JUMPS = {
-    "two-point": (TwoPoint, ("p_up", "up", "down")),
-    "gaussian": (Gaussian, ("mean", "sd")),
-    "pareto": (Pareto, ("tail_index", "scale", "p_up")),
-    "point-mass": (PointMass, ("x",)),
-    "log-pareto": (LogCorrectedPareto, ()),
-}
-
-
-def _build_jump(flat):
-    kind = flat.get("model.jump.kind")
-    if kind is None:
-        raise ConfigError("compound Poisson model needs model.jump.kind")
-    if kind not in _JUMPS:
-        raise ConfigError(f"unknown jump kind {kind!r}; choose from {sorted(_JUMPS)}")
-    cls, fields = _JUMPS[kind]
-    kwargs = {}
-    for name in fields:
-        key = f"model.jump.{name}"
-        if key in flat:
-            kwargs[name if name != "mean" else "mean_"] = float(flat[key])
+def _build(flat, block, table, noun):
+    """Instance of ``table[flat[block + "kind"]]`` from the block's keys;
+    parameters the block leaves out take the class defaults."""
+    kind = flat[f"{block}kind"]
+    if not isinstance(kind, str) or kind not in table:
+        raise ConfigError(f"unknown {noun} kind {kind!r}; choose from {sorted(table)}")
+    cls = table[kind]
+    kwargs = {name: _number(flat, block + key) for key, name in _param_keys(cls).items()
+              if block + key in flat}
+    if _JUMP_FIELD in inspect.signature(cls).parameters:
+        if "model.jump.kind" not in flat:
+            raise ConfigError(f"model kind {kind!r} needs model.jump.kind")
+        kwargs[_JUMP_FIELD] = _build(flat, "model.jump.", JUMPS, "jump")
     try:
         return cls(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"jump law {kind!r}: {exc}") from None
+    except TypeError as exc:  # a parameter without a default is missing
+        raise ConfigError(f"{noun} kind {kind!r}: {exc}") from None
 
 
-def _build_model(flat):
-    kind = flat.get("model.kind")
-    if kind is None:
-        return None
+def _number(flat, key):
     try:
-        if kind == "brownian":
-            return BrownianDrift(
-                sigma=float(flat.get("model.sigma", 1.0)),
-                mu=float(flat.get("model.mu", 0.0)),
-            )
-        if kind == "cp":
-            return CompoundPoissonDrift(
-                rate=float(flat.get("model.rate", 1.0)),
-                jump=_build_jump(flat),
-                mu=float(flat.get("model.mu", 0.0)),
-            )
-        if kind == "stable":
-            return StableProcess(
-                alpha=float(flat["model.alpha"]),
-                beta=float(flat.get("model.beta", 0.0)),
-                scale=float(flat.get("model.scale", 1.0)),
-                mu=float(flat.get("model.mu", 0.0)),
-            )
-    except KeyError as exc:
-        raise ConfigError(f"model kind {kind!r} is missing parameter {exc}") from None
-    raise ConfigError(f"unknown model kind {kind!r}; choose brownian, cp or stable")
+        return float(flat[key])
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be a number, got {flat[key]!r}") from None
 
 
 def config_from_mapping(mapping) -> ExperimentConfig:
@@ -236,7 +215,7 @@ def config_from_mapping(mapping) -> ExperimentConfig:
         grid = [grid]
     kwargs = dict(
         experiment=str(flat["experiment"]),
-        model=_build_model(flat),
+        model=_build(flat, "model.", MODELS, "model") if "model.kind" in flat else None,
         t_grid=tuple(float(t) for t in grid),
         reps=int(flat.get("reps", 1000)),
     )

@@ -13,6 +13,15 @@ Stable draws use the parametrization whose characteristic function is
 which is continuous in alpha away from 1; alpha == 1 is rejected at
 construction.  At alpha == 2 a standard draw is N(0, 2), so the unit-scale
 process has variance ``2 * t``.
+
+Each model class is the one place that knows its rules: its increment
+(``increment``), its norming (``norming``), its Levy measure
+(``levy_measure``) and its moments and attraction index.  Each jump law
+likewise carries its own pieces of the centering integral Theta: its atoms
+or its kink points and its closed form or quadrature.  The free functions
+below check their arguments and delegate.  A new model or jump law is
+therefore one class here plus one entry in ``config.MODELS`` or
+``config.JUMPS``; its constructor parameters are its configuration keys.
 """
 from __future__ import annotations
 
@@ -63,8 +72,53 @@ _EE = math.exp(math.e)
 # jump distributions
 # ---------------------------------------------------------------------------
 
+class _JumpLaw:
+    """Pieces of the centering integral shared by the jump laws.
+
+    A jump law gives ``theta(T)``, half of ``E[J^2 log+(min(T, J^2))]``,
+    and ``theta_time_side(root_t)``, the same quantity as
+    ``int_1^root_t G(u) / u du`` with ``G`` the tail second moment.  By
+    default the time side is a quadrature split at :meth:`kinks`.
+    """
+
+    def kinks(self):
+        """Points where the tail second moment is not smooth."""
+        return ()
+
+    def attraction_alpha(self):
+        if math.isfinite(self.second_moment()):
+            return 2.0
+        raise RegimeError("attraction index is not defined for these jumps")
+
+    def theta_time_side(self, root_t):
+        kinks = [k for k in self.kinks() if 1.0 < k < root_t]
+        val, _ = integrate.quad(
+            lambda u: float(self.second_moment_tail(u)) / u,
+            1.0,
+            root_t,
+            points=kinks or None,
+            limit=200,
+            epsabs=1e-13,
+            epsrel=1e-11,
+        )
+        return val
+
+
+class _AtomicJump(_JumpLaw):
+    """Jump law with finitely many atoms ``(x, p)``: both forms of the
+    centering integral in closed form."""
+
+    def theta(self, T):
+        return 0.5 * sum(p * x**2 * _logplus_min(T, x) for x, p in self.atoms())
+
+    def theta_time_side(self, root_t):
+        return sum(
+            p * x * x * math.log(min(root_t, abs(x))) for x, p in self.atoms() if abs(x) > 1.0
+        )
+
+
 @dataclass(frozen=True)
-class TwoPoint:
+class TwoPoint(_AtomicJump):
     """Jump of size ``up`` with probability ``p_up``, else ``down``."""
 
     p_up: float
@@ -99,9 +153,12 @@ class TwoPoint:
         dn_part = (1.0 - self.p_up) * self.down**2 * (-self.down > u)
         return up_part + dn_part
 
+    def atoms(self):
+        return [(self.up, self.p_up), (self.down, 1.0 - self.p_up)]
+
 
 @dataclass(frozen=True)
-class Gaussian:
+class Gaussian(_JumpLaw):
     mean_: float
     sd: float
 
@@ -136,9 +193,19 @@ class Gaussian:
         )
         return np.maximum(self.second_moment() - inner, 0.0)
 
+    def theta(self, T):
+        root_t = math.sqrt(T)
+
+        def integrand(x):
+            return 0.5 * x * x * _logplus_min(T, x) * float(_phi_pdf((x - self.mean_) / self.sd)) / self.sd
+
+        return _quad_sum(
+            integrand, ((-math.inf, -root_t), (-root_t, -1.0), (1.0, root_t), (root_t, math.inf))
+        )
+
 
 @dataclass(frozen=True)
-class Pareto:
+class Pareto(_JumpLaw):
     """Two-sided Pareto: |J| = scale * U^(-1/tail_index), sign up w.p. p_up."""
 
     tail_index: float
@@ -184,9 +251,28 @@ class Pareto:
         tail = np.where(u <= s, full, s**a * a / (a - 2.0) * np.maximum(u, s) ** (2.0 - a))
         return tail
 
+    def kinks(self):
+        return (self.scale,)
+
+    def attraction_alpha(self):
+        if self.tail_index < 2.0:
+            return self.tail_index
+        return super().attraction_alpha()
+
+    def theta(self, T):
+        a, s = self.tail_index, self.scale
+
+        def integrand(x):
+            return 0.5 * x * x * _logplus_min(T, x) * a * s**a * x ** (-a - 1.0)
+
+        # two-sided law: both signs carry |x|, so one side covers the mass
+        lo, root_t = max(s, 1.0), math.sqrt(T)
+        edges = [lo, root_t, math.inf] if root_t > lo else [lo, math.inf]
+        return _quad_sum(integrand, zip(edges[:-1], edges[1:]))
+
 
 @dataclass(frozen=True)
-class PointMass:
+class PointMass(_AtomicJump):
     x: float
 
     def __post_init__(self):
@@ -209,8 +295,11 @@ class PointMass:
         u = np.asarray(u, dtype=float)
         return self.x**2 * (abs(self.x) > u)
 
+    def atoms(self):
+        return [(self.x, 1.0)]
 
-class LogCorrectedPareto:
+
+class LogCorrectedPareto(_JumpLaw):
     """Symmetric jump law with density proportional to
     ``|x|^-3 (log|x|)^-1 (log log|x|)^-2`` on ``|x| > e^e``.
 
@@ -250,6 +339,29 @@ class LogCorrectedPareto:
         u = np.asarray(u, dtype=float)
         return (2.0 / self._norm) / np.log(np.log(np.maximum(u, _EE)))
 
+    def kinks(self):
+        return (_EE,)
+
+    def theta(self, T):
+        # density (1/Z)|x|^-3 (log|x|)^-1 (loglog|x|)^-2 on |x| > e^e; by
+        # symmetry integrate one side and double.  For x <= sqrt(T) the
+        # weight is 2 log x, cancelling the (log x)^-1 factor.
+        root_t = math.sqrt(T)
+        total = 0.0
+        if root_t > _EE:
+            val, _ = integrate.quad(
+                lambda w: 1.0 / math.log(w) ** 2,  # w = log x
+                math.e,
+                math.log(root_t),
+                epsabs=1e-13,
+                epsrel=1e-11,
+            )
+            total += 2.0 * val
+            total += math.log(T) / math.log(math.log(root_t))
+        else:
+            total += math.log(T) / 1.0  # loglog(e^e) == 1
+        return total / self._norm
+
 
 def _lcp_normalizer():
     # total mass of the unnormalized two-sided density
@@ -272,13 +384,25 @@ def _phi_cdf(z):
     return 0.5 * (1.0 + _erf(z / math.sqrt(2.0)))
 
 
+def _quad_sum(f, pieces):
+    total = 0.0
+    for a, b in pieces:
+        val, _ = integrate.quad(f, a, b, limit=200, epsabs=1e-13, epsrel=1e-11)
+        total += val
+    return total
+
+
+def _logplus_min(T, x):
+    return max(0.0, math.log(min(T, x * x)))
+
+
 # ---------------------------------------------------------------------------
 # Levy models
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class BrownianDrift:
-    sigma: float
+    sigma: float = 1.0
     mu: float = 0.0
 
     def __post_init__(self):
@@ -294,16 +418,27 @@ class BrownianDrift:
     def attraction_alpha(self):
         return 2.0
 
+    def increment(self, t, rng):
+        return self.mu * t + self.sigma * math.sqrt(t) * rng.standard_normal()
+
+    def norming(self, T):
+        return math.sqrt(T)
+
+    def levy_measure(self):
+        return None
+
 
 @dataclass(frozen=True)
 class CompoundPoissonDrift:
-    rate: float
-    jump: object
+    rate: float = 1.0
+    jump: object = None
     mu: float = 0.0
 
     def __post_init__(self):
         if not self.rate > 0.0:
             raise ParameterError(f"rate must be > 0, got {self.rate}")
+        if self.jump is None:
+            raise ParameterError("compound Poisson model needs a jump law")
 
     def mean_rate(self):
         jm = self.jump.mean()
@@ -315,11 +450,23 @@ class CompoundPoissonDrift:
         return self.rate * self.jump.second_moment()
 
     def attraction_alpha(self):
-        if isinstance(self.jump, Pareto) and self.jump.tail_index < 2.0:
-            return self.jump.tail_index
-        if math.isfinite(self.jump.second_moment()):
-            return 2.0
-        raise RegimeError("attraction index is not defined for these jumps")
+        return self.jump.attraction_alpha()
+
+    def increment(self, t, rng):
+        n = rng.poisson(self.rate * t)
+        jumps = self.jump.sample_sum(n, rng) if n else 0.0
+        return self.mu * t + jumps
+
+    def norming(self, T):
+        # below index 2 only Pareto jumps are attracted; their norming takes
+        # the slowly varying part as one
+        a = self.attraction_alpha()
+        if a < 2.0:
+            return self.jump.scale * (self.rate * T) ** (1.0 / a)
+        return math.sqrt(T)
+
+    def levy_measure(self):
+        return self.rate, self.jump
 
 
 @dataclass(frozen=True)
@@ -354,16 +501,17 @@ class StableProcess:
     def attraction_alpha(self):
         return self.alpha
 
+    def increment(self, t, rng):
+        s = stable_standard(self.alpha, self.beta, rng)
+        return self.mu * t + self.scale * t ** (1.0 / self.alpha) * float(s)
 
-def _levy_measure(model):
-    """(rate, jump_law) pair, or None when the Levy measure vanishes."""
-    if isinstance(model, CompoundPoissonDrift):
-        return model.rate, model.jump
-    if isinstance(model, BrownianDrift):
-        return None
-    if isinstance(model, StableProcess):
+    def norming(self, T):
+        if self.alpha == 2.0:
+            return self.scale * math.sqrt(2.0 * T)
+        return self.scale * T ** (1.0 / self.alpha)
+
+    def levy_measure(self):
         raise RegimeError("stable jump measures have an infinite second moment")
-    raise ParameterError(f"unknown model {model!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -393,16 +541,7 @@ def sample_increment(model, t, rng):
     """One draw distributed exactly as X_t under the model."""
     if not t > 0.0:
         raise ParameterError(f"increment duration must be > 0, got {t}")
-    if isinstance(model, BrownianDrift):
-        return model.mu * t + model.sigma * math.sqrt(t) * rng.standard_normal()
-    if isinstance(model, CompoundPoissonDrift):
-        n = rng.poisson(model.rate * t)
-        jumps = model.jump.sample_sum(n, rng) if n else 0.0
-        return model.mu * t + jumps
-    if isinstance(model, StableProcess):
-        s = stable_standard(model.alpha, model.beta, rng)
-        return model.mu * t + model.scale * t ** (1.0 / model.alpha) * float(s)
-    raise ParameterError(f"unknown model {model!r}")
+    return model.increment(t, rng)
 
 
 @dataclass(frozen=True)
@@ -503,18 +642,7 @@ def norming(model, T):
     """
     if not T > 0.0:
         raise ParameterError(f"horizon must be > 0, got {T}")
-    if isinstance(model, StableProcess):
-        if model.alpha == 2.0:
-            return model.scale * math.sqrt(2.0 * T)
-        return model.scale * T ** (1.0 / model.alpha)
-    if isinstance(model, CompoundPoissonDrift):
-        a = model.attraction_alpha()
-        if a < 2.0:
-            return model.jump.scale * (model.rate * T) ** (1.0 / a)
-        return math.sqrt(T)
-    if isinstance(model, BrownianDrift):
-        return math.sqrt(T)
-    raise ParameterError(f"unknown model {model!r}")
+    return model.norming(T)
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +651,7 @@ def norming(model, T):
 
 def levy_tail_second_moment(model, u):
     """Integral of x^2 against the jump measure over { |x| > u } (strict)."""
-    lm = _levy_measure(model)
+    lm = model.levy_measure()
     if lm is None:
         return np.zeros_like(np.asarray(u, dtype=float)) + 0.0
     rate, jump = lm
@@ -542,14 +670,11 @@ def truncated_variance(model, t, kappa=1.0):
 def theta(model, T):
     """Centering correction: half the integral of
     ``x^2 * log+(min(T, x^2))`` against the jump measure."""
-    _check_theta_args(model, T)
-    lm = _levy_measure(model)
-    if lm is None:
+    jumps = _finite_jump_measure(model, T)
+    if jumps is None:
         return 0.0
-    rate, jump = lm
-    if not math.isfinite(jump.second_moment()):
-        raise DivergentIntegralError("jump measure has infinite second moment")
-    return rate * _theta_jump(jump, T)
+    rate, jump = jumps
+    return rate * jump.theta(T)
 
 
 @lru_cache(maxsize=1024)
@@ -557,112 +682,20 @@ def theta_fubini(model, T):
     """Same quantity through the time-side form
     ``(1/2) * int_1^T t^-1 * (tail second moment at sqrt(t)) dt``;
     provided as an independent cross-check of :func:`theta`."""
-    _check_theta_args(model, T)
-    lm = _levy_measure(model)
-    if lm is None:
+    jumps = _finite_jump_measure(model, T)
+    if jumps is None or T == 1.0:
         return 0.0
-    rate, jump = lm
-    if not math.isfinite(jump.second_moment()):
-        raise DivergentIntegralError("jump measure has infinite second moment")
-    if T == 1.0:
-        return 0.0
+    rate, jump = jumps
     # substitute t = u^2: (1/2) int_1^T G(sqrt(t))/t dt = int_1^sqrt(T) G(u)/u du
-    root_t = math.sqrt(T)
-    if isinstance(jump, (PointMass, TwoPoint)):
-        atoms = [(jump.x, 1.0)] if isinstance(jump, PointMass) else [
-            (jump.up, jump.p_up),
-            (jump.down, 1.0 - jump.p_up),
-        ]
-        total = 0.0
-        for x, p in atoms:
-            ax = abs(x)
-            if ax > 1.0:
-                total += p * x * x * math.log(min(root_t, ax))
-        return rate * total
-    kinks = [k for k in _tail_kinks(jump) if 1.0 < k < root_t]
-    val, _ = integrate.quad(
-        lambda u: float(jump.second_moment_tail(u)) / u,
-        1.0,
-        root_t,
-        points=kinks or None,
-        limit=200,
-        epsabs=1e-13,
-        epsrel=1e-11,
-    )
-    return rate * val
+    return rate * jump.theta_time_side(math.sqrt(T))
 
 
-def _check_theta_args(model, T):
+def _finite_jump_measure(model, T):
+    """The model's ``(rate, jump)`` pair, or None, after the argument checks
+    that both forms of the centering integral share."""
     if not T >= 1.0:
         raise ParameterError(f"the centering integral needs T >= 1, got {T}")
-
-
-def _tail_kinks(jump):
-    if isinstance(jump, Pareto):
-        return [jump.scale]
-    if isinstance(jump, LogCorrectedPareto):
-        return [_EE]
-    return []
-
-
-def _theta_jump(jump, T):
-    """Half of E[J^2 log+(min(T, J^2))] for one normalized jump."""
-    root_t = math.sqrt(T)
-    if isinstance(jump, PointMass):
-        return 0.5 * jump.x**2 * _logplus_min(T, jump.x)
-    if isinstance(jump, TwoPoint):
-        return 0.5 * (
-            jump.p_up * jump.up**2 * _logplus_min(T, jump.up)
-            + (1.0 - jump.p_up) * jump.down**2 * _logplus_min(T, jump.down)
-        )
-    if isinstance(jump, Gaussian):
-        def integrand(x):
-            return 0.5 * x * x * _logplus_min(T, x) * float(_phi_pdf((x - jump.mean_) / jump.sd)) / jump.sd
-
-        pieces = 0.0
-        for lo, hi in ((-math.inf, -root_t), (-root_t, -1.0), (1.0, root_t), (root_t, math.inf)):
-            val, _ = integrate.quad(integrand, lo, hi, limit=200, epsabs=1e-13, epsrel=1e-11)
-            pieces += val
-        return pieces
-    if isinstance(jump, Pareto):
-        def integrand(x):
-            return 0.5 * x * x * _logplus_min(T, x) * jump.tail_index * jump.scale**jump.tail_index * x ** (-jump.tail_index - 1.0)
-
-        lo = max(jump.scale, 1.0)
-        pts = [p for p in (root_t,) if p > lo]
-        val, _ = integrate.quad(integrand, lo, math.inf, points=None, limit=200,
-                                epsabs=1e-13, epsrel=1e-11) if not pts else _quad_split(integrand, lo, pts)
-        return val  # two-sided law: both signs carry |x|, handled by symmetry
-    if isinstance(jump, LogCorrectedPareto):
-        # density (1/Z)|x|^-3 (log|x|)^-1 (loglog|x|)^-2 on |x| > e^e; by
-        # symmetry integrate one side and double.  For x <= sqrt(T) the
-        # weight is 2 log x, cancelling the (log x)^-1 factor.
-        z = jump._norm
-        total = 0.0
-        if root_t > _EE:
-            val, _ = integrate.quad(
-                lambda w: 1.0 / math.log(w) ** 2,  # w = log x
-                math.e,
-                math.log(root_t),
-                epsabs=1e-13,
-                epsrel=1e-11,
-            )
-            total += 2.0 * val
-            total += math.log(T) / math.log(math.log(root_t))
-        else:
-            total += math.log(T) / 1.0  # loglog(e^e) == 1
-        return total / z
-    raise ParameterError(f"unknown jump law {jump!r}")
-
-
-def _quad_split(f, lo, pts):
-    edges = [lo, *pts, math.inf]
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        val, _ = integrate.quad(f, a, b, limit=200, epsabs=1e-13, epsrel=1e-11)
-        total += val
-    return total, 0.0
-
-
-def _logplus_min(T, x):
-    return max(0.0, math.log(min(T, x * x)))
+    jumps = model.levy_measure()
+    if jumps is not None and not math.isfinite(jumps[1].second_moment()):
+        raise DivergentIntegralError("jump measure has infinite second moment")
+    return jumps

@@ -14,9 +14,9 @@ pseudo-face.  Consequences:
 * the big-stick count is exact whenever ``cutoff <= 1``;
 * length, supremum and supremum time carry a remainder-splitting bias whose
   expected size is bounded by twice the mean absolute increment over the
-  remainder, reported per draw in ``truncation_error_bound`` (for stable
-  models with undefined mean the reported figure is a scale proxy, not an
-  expectation bound).
+  remainder, reported per draw in ``truncation_error_bound`` (for models
+  with infinite variance the reported figure is a scale proxy built from
+  the norming, not an expectation bound).
 
 The time of the supremum is returned as ``T`` times the positive-slope
 share of the accumulated length, which keeps its endpoint atoms at exactly
@@ -38,7 +38,6 @@ import numpy as np
 
 from .errors import ParameterError, RegimeError, TruncationError
 from .models import (
-    StableProcess,
     norming,
     sample_increment,
     theta,
@@ -51,6 +50,7 @@ __all__ = [
     "NormalizedStat",
     "sample_quintuple",
     "stack_quintuples",
+    "require_finite_variance",
     "normalize_finite_variance",
     "normalize_stable_zero_mean",
     "normalize_heavy",
@@ -178,21 +178,19 @@ def stack_quintuples(records):
 
 def _remainder_bound(model, s):
     """Reported bound on the remainder-splitting bias: twice the mean
-    absolute increment over duration ``s`` where the mean exists, twice the
-    typical scale otherwise."""
+    absolute increment over duration ``s`` when the variance is finite;
+    otherwise, where the second (for index below one also the first) moment
+    is missing, the scale proxy ``2 (|mu| s + 4 a_s)`` with ``a_s`` the
+    norming, and no finite figure for a model without one."""
     if s <= 0.0:
         return 0.0
-    if isinstance(model, StableProcess):
-        drift = abs(model.mu) * s
-        if model.alpha == 2.0:
-            spread = model.scale * math.sqrt(2.0 * s)
-        else:
-            # no second (for alpha < 1: first) moment; scale proxy
-            spread = 4.0 * model.scale * s ** (1.0 / model.alpha)
-        return 2.0 * (drift + spread)
-    drift = abs(model.mean_rate()) * s
     var = model.variance_rate()
-    return 2.0 * (drift + math.sqrt(var * s))
+    if math.isfinite(var):
+        return 2.0 * (abs(model.mean_rate()) * s + math.sqrt(var * s))
+    try:
+        return 2.0 * (abs(model.mu) * s + 4.0 * norming(model, s))
+    except RegimeError:  # no attraction index, e.g. Pareto jumps of index 2
+        return math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +204,16 @@ def _require_zero_mean(model):
         )
 
 
-def _require_finite_variance(model):
+def require_finite_variance(model, T):
+    """The finite-variance regime rule at horizon ``T``: zero mean, finite
+    positive variance and ``T > e``.  Raises :class:`RegimeError`; returns
+    the variance rate."""
+    _require_zero_mean(model)
     var = model.variance_rate()
     if not (math.isfinite(var) and var > 0.0):
         raise RegimeError(f"statistic needs finite positive variance, got {var}")
+    if not T > math.e:
+        raise RegimeError("normalization needs T > e so that log T > 1")
     return var
 
 
@@ -222,11 +226,8 @@ def normalize_finite_variance(model, q: QuintupleSample, centering="stochastic")
     """
     if centering not in ("stochastic", "deterministic"):
         raise ParameterError(f"unknown centering {centering!r}")
-    _require_zero_mean(model)
-    var = _require_finite_variance(model)
     T = q.horizon
-    if not T > math.e:
-        raise RegimeError("normalization needs T > e so that log T > 1")
+    var = require_finite_variance(model, T)
     lt = math.log(T)
     th = theta(model, T)
     center = q.h_prime if centering == "stochastic" else lt

@@ -15,16 +15,15 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ParameterError, TruncationError
+from .errors import ParameterError
 
 # columns per block of :func:`stick_matrix`
 BLOCK = 16
 
+# rows per record of the Monte Carlo reductions, which bounds their memory
+CHUNK = 20_000
+
 __all__ = [
-    "StickBreak",
-    "sample_sticks",
-    "tau",
-    "big_sticks",
     "CompensationEntry",
     "COMPENSATION_CATALOG",
     "compensation_estimate",
@@ -32,70 +31,6 @@ __all__ = [
     "stick_matrix",
     "tau_gset_counts",
 ]
-
-
-@dataclass(frozen=True)
-class StickBreak:
-    """Truncated stick-breaking record on [0, T].
-
-    ``uniforms[n]``, ``lengths[n]`` and ``remainders[n + 1]`` hold V_{n+1},
-    the unit-interval stick, and the remainder after it; ``remainders[0]``
-    is 1.  Scaled sticks are ``T * lengths``.
-    """
-
-    uniforms: np.ndarray
-    lengths: np.ndarray
-    remainders: np.ndarray
-    horizon: float
-    cutoff: float
-
-    @property
-    def n_sticks(self) -> int:
-        return len(self.lengths)
-
-    @property
-    def scaled(self) -> np.ndarray:
-        return self.horizon * self.lengths
-
-    @property
-    def scaled_remainder(self) -> float:
-        return self.horizon * float(self.remainders[-1])
-
-
-def _check_cutoff(cutoff):
-    if not 0.0 < cutoff <= 1.0:
-        raise ParameterError(f"cutoff must lie in (0, 1], got {cutoff}")
-
-
-def sample_sticks(T, cutoff, rng) -> StickBreak:
-    """Generate sticks until the scaled remainder drops below the cutoff."""
-    if not T > 0.0:
-        raise ParameterError(f"horizon must be > 0, got {T}")
-    _check_cutoff(cutoff)
-    vs, ells, rems = [], [], [1.0]
-    L = 1.0
-    while T * L >= cutoff:
-        v = rng.random()
-        ell = v * L
-        L -= ell
-        vs.append(v)
-        ells.append(ell)
-        rems.append(L)
-    return StickBreak(np.array(vs), np.array(ells), np.array(rems), T, cutoff)
-
-
-def tau(sb: StickBreak) -> int:
-    """Number of remainders of size at least 1/T (Poisson(log T) for T > 1)."""
-    if sb.cutoff > 1.0:
-        raise TruncationError("tau needs a record generated with cutoff <= 1")
-    return int(np.count_nonzero(sb.remainders[1:] >= 1.0 / sb.horizon))
-
-
-def big_sticks(sb: StickBreak) -> np.ndarray:
-    """1-based indices of sticks with scaled length at least 1."""
-    if sb.cutoff > 1.0:
-        raise TruncationError("big sticks need a record generated with cutoff <= 1")
-    return np.flatnonzero(sb.horizon * sb.lengths >= 1.0) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -139,13 +74,28 @@ def stick_matrix(n_rows, T, cutoff, rng, drive=None):
     return np.vstack(blocks).T, T * L
 
 
+def _chunked(reps, T, cutoff, rng, reduce):
+    """``reduce(t, rem)`` over records of at most :data:`CHUNK` rows drawn
+    in turn from ``rng``, concatenated along the last axis."""
+    return np.concatenate(
+        [reduce(*stick_matrix(min(CHUNK, reps - done), T, cutoff, rng))
+         for done in range(0, reps, CHUNK)],
+        axis=-1,
+    )
+
+
 def tau_gset_counts(T, reps, rng):
-    """Per-replication (tau, |big-stick set|) counts off a record cut at 1."""
-    t, rem = stick_matrix(reps, T, 1.0, rng)
-    # scaled remainders after each stick but the last, summed from the small end
-    after = np.cumsum(t[:, :0:-1], axis=1)
-    after += rem[:, None]
-    return np.count_nonzero(after >= 1.0, axis=1), np.count_nonzero(t >= 1.0, axis=1)
+    """Per-replication counts off records cut at 1: tau, the number of
+    scaled remainders of size at least 1 (Poisson(log T) for T > 1), and
+    the size of the big-stick set, the sticks of scaled length at least 1."""
+
+    def counts(t, rem):
+        # scaled remainders after each stick but the last, summed from the small end
+        after = np.cumsum(t[:, :0:-1], axis=1)
+        after += rem[:, None]
+        return np.stack([np.count_nonzero(after >= 1.0, axis=1), np.count_nonzero(t >= 1.0, axis=1)])
+
+    return tuple(_chunked(reps, T, 1.0, rng, counts))
 
 
 # ---------------------------------------------------------------------------
@@ -208,17 +158,15 @@ def compensation_estimate(entry, T, reps, rng):
     # a record cut at the support floor evaluates the series exactly; the
     # telescoping identity is exact at any cutoff once the remainder folds in
     cutoff = entry.support_floor if entry.support_floor > 0.0 else 1.0
-    vals = np.empty(reps)
-    done = 0
-    while done < reps:
-        chunk = min(reps - done, 20_000)
-        t, rem = stick_matrix(chunk, T, cutoff, rng)
+
+    def series(t, rem):
         mask = t >= max(entry.support_floor, 1e-300)
         contrib = np.where(mask, entry.func(np.where(mask, t, 1.0)), 0.0).sum(axis=1)
         if entry.include_remainder:
             contrib += entry.func(rem)
-        vals[done : done + chunk] = contrib
-        done += chunk
+        return contrib
+
+    vals = _chunked(reps, T, cutoff, rng, series)
     se = vals.std(ddof=1) / math.sqrt(reps)
     return float(vals.mean()), float(se)
 
@@ -230,15 +178,13 @@ def big_stick_power_sum(q, T, reps, rng):
         raise ParameterError(f"power must be > 0, got {q}")
     if not T > 0.0:
         raise ParameterError(f"horizon must be > 0, got {T}")
-    vals = np.empty(reps)
-    done = 0
-    while done < reps:
-        chunk = min(reps - done, 20_000)
-        t, _ = stick_matrix(chunk, T, 1.0, rng)
+
+    def power_sum(t, rem):
         big = t >= 1.0
         tq = np.zeros_like(t)
         np.power(t, -q, out=tq, where=big)
-        vals[done : done + chunk] = (tq * big).sum(axis=1)
-        done += chunk
+        return (tq * big).sum(axis=1)
+
+    vals = _chunked(reps, T, 1.0, rng, power_sum)
     se = vals.std(ddof=1) / math.sqrt(reps) if reps > 1 else 0.0
     return float(vals.mean()), float(se)

@@ -16,7 +16,18 @@ from levyhull.experiments import (
     write_report,
 )
 from levyhull.hull import concave_majorant, merge_collinear, shape_stats
-from levyhull.models import EXACT_JUMPS, CompoundPoissonDrift, Gaussian, sample_path
+from levyhull.models import (
+    EXACT_JUMPS,
+    BrownianDrift,
+    CompoundPoissonDrift,
+    Gaussian,
+    LogCorrectedPareto,
+    Pareto,
+    PointMass,
+    StableProcess,
+    TwoPoint,
+    sample_path,
+)
 from levyhull.rng import substream
 
 
@@ -142,6 +153,89 @@ def test_regime_mismatch_rejected_before_sampling():
                 }
             )
         )
+    # log T = 0 at the first horizon: the finite-variance rule needs T > e
+    with pytest.raises(ConfigError):
+        run(
+            config_from_mapping(
+                {
+                    "experiment": "compare-length",
+                    "model": {"kind": "brownian", "sigma": 1},
+                    "T_grid": [1, 100],
+                    "reps": 200,
+                }
+            )
+        )
+
+
+def test_verify_heavy_runs_on_pareto_jumps():
+    # infinite mean: the per-draw truncation figure comes from the norming
+    report = run(
+        config_from_mapping(
+            {
+                "experiment": "verify-heavy",
+                "model": {"kind": "cp", "jump": {"kind": "pareto", "tail_index": 0.5, "scale": 1}},
+                "T_grid": [100],
+                "reps": 200,
+                "seed": 5,
+            }
+        )
+    )
+    header, draws = report.tables["rep_draws"]
+    bounds = draws[:, header.index("truncation_bound")]
+    assert bounds.size == 200 and np.isfinite(bounds).all()
+
+
+@pytest.mark.parametrize(
+    "model, expected",
+    [
+        ({"kind": "brownian"}, BrownianDrift(1.0, 0.0)),
+        ({"kind": "brownian", "sigma": 2, "mu": -0.5}, BrownianDrift(2.0, -0.5)),
+        ({"kind": "cp", "jump": {"kind": "point-mass", "x": 2}}, CompoundPoissonDrift(1.0, PointMass(2.0), 0.0)),
+        (
+            {"kind": "cp", "rate": 3, "mu": 0.1, "jump": {"kind": "gaussian", "mean": 0.5, "sd": 2}},
+            CompoundPoissonDrift(3.0, Gaussian(0.5, 2.0), 0.1),
+        ),
+        (
+            {"kind": "cp", "jump": {"kind": "two-point", "p_up": 0.3, "up": 1, "down": -2}},
+            CompoundPoissonDrift(1.0, TwoPoint(0.3, 1.0, -2.0)),
+        ),
+        (
+            {"kind": "cp", "jump": {"kind": "pareto", "tail_index": 1.5, "scale": 0.5}},
+            CompoundPoissonDrift(1.0, Pareto(1.5, 0.5, 0.5)),
+        ),
+        (
+            {"kind": "cp", "jump": {"kind": "pareto", "tail_index": 0.5, "scale": 1, "p_up": 0.7}},
+            CompoundPoissonDrift(1.0, Pareto(0.5, 1.0, 0.7)),
+        ),
+        ({"kind": "cp", "jump": {"kind": "log-pareto"}}, CompoundPoissonDrift(1.0, LogCorrectedPareto())),
+        ({"kind": "stable", "alpha": 1.5}, StableProcess(1.5, 0.0, 1.0, 0.0)),
+        (
+            {"kind": "stable", "alpha": 0.5, "beta": -0.3, "scale": 2, "mu": 1},
+            StableProcess(0.5, -0.3, 2.0, 1.0),
+        ),
+    ],
+)
+def test_every_config_kind_builds_its_model(model, expected):
+    cfg = config_from_mapping({"experiment": "sb-props", "T_grid": [2.0], "reps": 200, "model": model})
+    assert cfg.model == expected
+    assert type(cfg.model) is type(expected)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        {"kind": "stable"},                                    # alpha has no default
+        {"kind": "cp"},                                        # no jump block
+        {"kind": "cp", "jump": {"kind": "cauchy"}},
+        {"kind": "cp", "jump": {"kind": "gaussian", "sd": 1}},  # mean has no default
+        {"kind": "cp", "jump": {"kind": "gaussian", "mean_": 0, "sd": 1}},  # field name, not key
+        {"kind": "brownian", "sigma": "wide"},
+        {"kind": "brownian", "jump": 1},
+    ],
+)
+def test_config_model_errors(model):
+    with pytest.raises(ConfigError):
+        config_from_mapping({"experiment": "sb-props", "T_grid": [2.0], "reps": 200, "model": model})
 
 
 # ---------------------------------------------------------------------------

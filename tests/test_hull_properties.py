@@ -1,0 +1,89 @@
+"""Property-based checks of the hull invariants on arbitrary path records.
+
+Paths mix lattice values (exact ties and collinear stretches) with general
+floats, on time grids of arbitrary positive gaps; exact jump records add
+pre-jump values that the majorant must also dominate.
+"""
+import math
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, strategies as st  # noqa: E402
+
+from levyhull.hull import Face, concave_majorant, convex_minorant, merge_collinear  # noqa: E402
+from levyhull.models import EXACT_JUMPS, GRID, PathSkeleton  # noqa: E402
+
+values_st = st.one_of(
+    st.integers(-40, 40).map(lambda k: k / 4.0),
+    st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False),
+)
+gaps_st = st.one_of(st.integers(1, 8).map(float), st.floats(0.01, 10.0))
+
+
+@st.composite
+def paths(draw):
+    n = draw(st.integers(2, 25))
+    times = np.concatenate([[0.0], np.cumsum(draw(st.lists(gaps_st, min_size=n - 1, max_size=n - 1)))])
+    values = np.array([0.0] + draw(st.lists(values_st, min_size=n - 1, max_size=n - 1)))
+    if not draw(st.booleans()):
+        return PathSkeleton(times, values, float(times[-1]), GRID)
+    pre = np.array([0.0] + draw(st.lists(values_st, min_size=n - 2, max_size=n - 2)) + [values[-1]])
+    return PathSkeleton(times, values, float(times[-1]), EXACT_JUMPS, pre)
+
+
+def transformed(path, f):
+    """The path record with ``f(times, values)`` applied to both value rows."""
+    pre = None if path.pre_values is None else f(path.times, path.pre_values)
+    return PathSkeleton(path.times, f(path.times, path.values), path.horizon, path.exactness, pre)
+
+
+def eval_faces(faces, times):
+    xs = np.concatenate([[0.0], np.cumsum([f.length for f in faces])])
+    ys = np.concatenate([[0.0], np.cumsum([f.height for f in faces])])
+    return np.interp(times, xs, ys)
+
+
+@given(paths())
+def test_majorant_dominates_pre_and_post_jump_points(path):
+    env = eval_faces(concave_majorant(path), path.times)
+    tol = 1e-9 * max(1.0, float(np.abs(path.values).max()))
+    assert (env >= path.values - tol).all()
+    if path.pre_values is not None:
+        assert (env >= path.pre_values - tol).all()
+
+
+@given(paths())
+def test_slopes_strictly_fall_after_merging(path):
+    slopes = [f.slope for f in merge_collinear(concave_majorant(path))]
+    assert all(b < a for a, b in zip(slopes, slopes[1:]))
+
+
+@given(paths())
+def test_horizon_is_conserved(path):
+    for faces in (concave_majorant(path), merge_collinear(concave_majorant(path))):
+        assert all(f.length > 0.0 for f in faces)
+        assert math.fsum(f.length for f in faces) == pytest.approx(path.horizon, rel=1e-12)
+
+
+@given(paths())
+def test_merge_collinear_is_idempotent(path):
+    once = merge_collinear(concave_majorant(path))
+    assert merge_collinear(once) == once
+
+
+@given(paths())
+def test_minorant_is_the_negated_majorant_of_the_negated_path(path):
+    neg = concave_majorant(transformed(path, lambda t, v: -v))
+    assert convex_minorant(path) == [Face(f.length, -f.height) for f in neg]
+
+
+@given(paths(), st.integers(-8, 8).map(lambda k: k / 4.0))
+def test_linear_drift_shifts_every_slope(path, c):
+    base = merge_collinear(concave_majorant(path))
+    drifted = merge_collinear(concave_majorant(transformed(path, lambda t, v: v + c * t)))
+    assert len(drifted) == len(base)
+    for f, g in zip(base, drifted):
+        assert g.length == pytest.approx(f.length, abs=1e-9)
+        assert g.slope == pytest.approx(f.slope + c, abs=1e-9)

@@ -10,8 +10,10 @@ from levyhull.models import (
     BrownianDrift,
     CompoundPoissonDrift,
     Gaussian,
+    Pareto,
     PointMass,
     StableProcess,
+    norming,
 )
 from levyhull.sbrep import (
     compute_sigma_t,
@@ -121,8 +123,15 @@ def test_h_prime_stable_under_cutoff_refinement():
 def test_truncation_bound_reported():
     q = sample_quintuple(BrownianDrift(1.0), 30.0, rng(6))
     assert 0.0 < q.truncation_error_bound < 1.0
-    qs = sample_quintuple(StableProcess(0.7), 30.0, rng(7))
-    assert qs.truncation_error_bound > 0.0
+    qs = sample_quintuple(StableProcess(0.7), 30.0, rng(7), keep_sticks=True)
+    assert qs.truncation_error_bound == 2.0 * 4.0 * norming(StableProcess(0.7), qs.sticks[-1])
+    # infinite variance, with (index 1.5) or without (index 0.5) a mean
+    for a in (0.5, 1.5):
+        qp = sample_quintuple(CompoundPoissonDrift(1.0, Pareto(a, 1.0)), 30.0, rng(8))
+        assert 0.0 < qp.truncation_error_bound < math.inf
+    # index 2 has infinite variance and no norming here: the draw is still exact
+    q2 = sample_quintuple(CompoundPoissonDrift(1.0, Pareto(2.0, 1.0)), 30.0, rng(9))
+    assert q2.truncation_error_bound == math.inf and math.isfinite(q2.final)
 
 
 def test_finite_variance_limit_normalization_identities():

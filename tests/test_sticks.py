@@ -4,16 +4,13 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from levyhull.errors import ParameterError, TruncationError
+from levyhull.errors import ParameterError
 from levyhull.sticks import (
+    BLOCK,
     COMPENSATION_CATALOG,
-    StickBreak,
     big_stick_power_sum,
-    big_sticks,
     compensation_estimate,
-    sample_sticks,
     stick_matrix,
-    tau,
     tau_gset_counts,
 )
 
@@ -27,59 +24,75 @@ class HalvingRng:
         return np.full(size, 0.5)
 
 
+class RecordingRng:
+    """Stream that keeps every uniform block it hands out."""
+
+    def __init__(self, seed):
+        self.g = np.random.default_rng(seed)
+        self.blocks = []
+
+    def random(self, size=None):
+        v = self.g.random(size)
+        self.blocks.append(v)
+        return v
+
+
 def rng(seed=0):
     return np.random.default_rng(seed)
 
 
 def test_forced_halving_record():
-    sb = sample_sticks(8.0, 1.0, HalvingRng())
-    assert sb.n_sticks == 4
-    assert np.allclose(sb.lengths, [0.5, 0.25, 0.125, 0.0625])
-    assert np.allclose(sb.remainders, [1.0, 0.5, 0.25, 0.125, 0.0625])
-    assert 8.0 * sb.remainders[-1] == 0.5  # stop once below the cutoff
-    assert tau(sb) == 3                    # remainders >= 1/8, incl. the tie
-    assert list(big_sticks(sb)) == [1, 2, 3]
+    t, rem = stick_matrix(1, 8.0, 1.0, HalvingRng())
+    assert t.shape == (1, BLOCK)       # whole blocks; the first already stops
+    assert np.allclose(t[0, :4], [4.0, 2.0, 1.0, 0.5])
+    assert rem[0] == 8.0 * 0.5**BLOCK
+    tau_c, gset_c = tau_gset_counts(8.0, 1, HalvingRng())
+    assert tau_c[0] == 3                # remainders >= 1 (scaled), incl. the tie
+    assert gset_c[0] == 3               # sticks 4, 2 and 1
 
 
 def test_unit_horizon_needs_one_stick():
-    g = rng(1)
-    for _ in range(200):
-        sb = sample_sticks(1.0, 1.0, g)
-        assert sb.n_sticks == 1
-        assert tau(sb) == 0
-        assert big_sticks(sb).size == 0
+    t, _ = stick_matrix(200, 1.0, 1.0, rng(1))
+    assert (1.0 - t[:, 0] < 1.0).all()  # the first stick completes the record
+    tau_c, gset_c = tau_gset_counts(1.0, 200, rng(1))
+    assert (tau_c == 0).all() and (gset_c == 0).all()
 
 
 def test_short_horizon_has_no_big_sticks():
-    sb = sample_sticks(0.5, 1.0, rng(2))
-    assert sb.n_sticks == 0
-    assert big_sticks(sb).size == 0
-    assert tau(sb) == 0
-    assert sb.scaled_remainder == 0.5
+    t, rem = stick_matrix(50, 0.5, 1.0, rng(2))
+    assert (t < 1.0).all()
+    assert np.allclose(t.sum(axis=1) + rem, 0.5, rtol=0.0, atol=1e-15)
+    tau_c, gset_c = tau_gset_counts(0.5, 50, rng(2))
+    assert (tau_c == 0).all() and (gset_c == 0).all()
 
 
 def test_recursion_identities_every_draw():
-    g = rng(2)
-    for _ in range(50):
-        sb = sample_sticks(40.0, 1e-4, g)
-        assert np.all(sb.lengths == sb.uniforms * sb.remainders[:-1])
-        assert np.all(sb.remainders[1:] == sb.remainders[:-1] - sb.lengths)
-        assert np.all(np.diff(sb.remainders) < 0.0)
-        # unit mass up to accumulated rounding
-        assert abs(math.fsum(sb.lengths) + sb.remainders[-1] - 1.0) <= 1e-12
+    g = RecordingRng(2)
+    T = 40.0
+    t, rem = stick_matrix(50, T, 1e-4, g)
+    v = np.hstack(g.blocks)
+    assert v.shape == t.shape
+    L = np.ones(50)
+    for j in range(t.shape[1]):
+        ell = v[:, j] * L               # stick = uniform times the remainder before it
+        assert (t[:, j] == T * ell).all()
+        assert (L - ell < L).all()      # remainders strictly decrease
+        L = L - ell
+    assert (rem == T * L).all()
+    # unit mass up to accumulated rounding
+    for row, r in zip(t, rem):
+        assert abs(math.fsum(row) + r - T) <= 1e-12 * T
 
 
 def test_truncation_guards():
     with pytest.raises(ParameterError):
-        sample_sticks(1.0, 1.5, rng())
+        stick_matrix(10, 4.0, 0.0, rng())
     with pytest.raises(ParameterError):
-        sample_sticks(0.0, 0.5, rng())
-    sb = sample_sticks(4.0, 1.0, rng())
-    forged = StickBreak(sb.uniforms, sb.lengths, sb.remainders, sb.horizon, 2.0)
-    with pytest.raises(TruncationError):
-        tau(forged)
-    with pytest.raises(TruncationError):
-        big_sticks(forged)
+        big_stick_power_sum(1.0, 0.0, 200, rng())
+    with pytest.raises(ParameterError):
+        big_stick_power_sum(0.0, 4.0, 200, rng())
+    with pytest.raises(ParameterError):
+        compensation_estimate("inverse", 4.0, 50, rng())
 
 
 def test_stick_count_mean_matches_expected():
@@ -111,13 +124,28 @@ def test_tau_poisson_moments():
 
 
 def test_gset_subset_every_draw():
-    g = rng(7)
-    for _ in range(200):
-        sb = sample_sticks(math.exp(3), 1.0, g)
-        gs = big_sticks(sb)
-        assert gs.size <= tau(sb) + 1
-        if gs.size:
-            assert gs.max() <= tau(sb) + 1
+    # the counts reduce the record stick_matrix draws from the same stream
+    T = math.exp(3)
+    t, _ = stick_matrix(200, T, 1.0, rng(7))
+    tau_c, gset_c = tau_gset_counts(T, 200, rng(7))
+    big = t >= 1.0
+    assert (gset_c == big.sum(axis=1)).all()
+    assert (gset_c <= tau_c + 1).all()
+    # big-stick indices (1-based) lie in {1, ..., tau + 1}
+    last = np.where(big.any(axis=1), t.shape[1] - np.argmax(big[:, ::-1], axis=1), 0)
+    assert (last <= tau_c + 1).all()
+
+
+def test_counts_do_not_depend_on_the_chunk_split(monkeypatch):
+    # chunked counts equal the counts of the same rows drawn chunk by chunk
+    import levyhull.sticks as sticks
+
+    monkeypatch.setattr(sticks, "CHUNK", 300)
+    tau_c, gset_c = tau_gset_counts(math.exp(4), 1000, rng(16))
+    g = rng(16)
+    ref = [tau_gset_counts(math.exp(4), n, g) for n in (300, 300, 300, 100)]
+    assert (tau_c == np.concatenate([r[0] for r in ref])).all()
+    assert (gset_c == np.concatenate([r[1] for r in ref])).all()
 
 
 def test_gset_clt_at_large_horizon():
