@@ -10,15 +10,6 @@ from .hull import (
     merge_collinear,
     shape_stats,
 )
-from .limitlaws import (
-    LimitSample,
-    perpetuity_tail_constant,
-    sample_limit_envelopes,
-    sample_limit_finite_variance,
-    sample_limit_stable_zero_mean,
-    sample_limit_heavy,
-    sample_limit_drift,
-)
 from .models import (
     EXACT_JUMPS,
     BrownianDrift,

@@ -177,14 +177,20 @@ def _flatten(mapping, prefix=""):
 
 def _build(flat, block, table, noun):
     """Instance of ``table[flat[block + "kind"]]`` from the block's keys;
-    parameters the block leaves out take the class defaults."""
-    kind = flat[f"{block}kind"]
+    parameters the block leaves out take the class defaults, and a key the
+    kind does not take (another kind's) is an error."""
+    kind = flat.get(f"{block}kind")
     if not isinstance(kind, str) or kind not in table:
         raise ConfigError(f"unknown {noun} kind {kind!r}; choose from {sorted(table)}")
     cls = table[kind]
-    kwargs = {name: _number(flat, block + key) for key, name in _param_keys(cls).items()
-              if block + key in flat}
-    if _JUMP_FIELD in inspect.signature(cls).parameters:
+    keys = _param_keys(cls)
+    nested = _JUMP_FIELD in inspect.signature(cls).parameters
+    stray = sorted(k for k in flat if k.startswith(block) and k[len(block):] not in {"kind", *keys}
+                   and not (nested and k.startswith(f"{block}{_JUMP_FIELD}.")))
+    if stray:
+        raise ConfigError(f"{noun} kind {kind!r} takes no key {stray[0]!r}")
+    kwargs = {name: _number(flat, block + key) for key, name in keys.items() if block + key in flat}
+    if nested:
         if "model.jump.kind" not in flat:
             raise ConfigError(f"model kind {kind!r} needs model.jump.kind")
         kwargs[_JUMP_FIELD] = _build(flat, "model.jump.", JUMPS, "jump")
@@ -210,12 +216,13 @@ def config_from_mapping(mapping) -> ExperimentConfig:
         raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
     if "experiment" not in flat:
         raise ConfigError("configuration needs an 'experiment' key")
+    has_model = any(k.startswith("model.") for k in flat)   # a model block needs model.kind
     grid = flat.get("T_grid", 1.0)
     if not isinstance(grid, list):
         grid = [grid]
     kwargs = dict(
         experiment=str(flat["experiment"]),
-        model=_build(flat, "model.", MODELS, "model") if "model.kind" in flat else None,
+        model=_build(flat, "model.", MODELS, "model") if has_model else None,
         t_grid=tuple(float(t) for t in grid),
         reps=int(flat.get("reps", 1000)),
     )

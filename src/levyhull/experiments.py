@@ -35,7 +35,7 @@ from .hull import (
     merge_collinear,
     shape_stats,
 )
-from .limitlaws import draw_limit_stable_zero_mean, draw_limit_heavy, sample_limit_drift
+from .limitlaws import draw_limit_drift, draw_limit_heavy, draw_limit_stable_zero_mean
 from .models import (
     EXACT_JUMPS,
     BrownianDrift,
@@ -55,6 +55,7 @@ from .sbrep import (
     normalize_finite_variance,
     normalize_heavy,
     normalize_stable_zero_mean,
+    regime,
     require_finite_variance,
     sample_quintuple,
     stack_quintuples,
@@ -167,6 +168,11 @@ def draw_hull_stats(model, T, reps, seed, tag, workers=1):
     return HullStats(*np.vstack(_collect_blocks(worker, reps, workers)).T)
 
 
+def _row_check(T, name, value, threshold, passed):
+    """Row of a plain threshold check: no standard error, no p-value."""
+    return Row(T, name, value, math.nan, math.nan, threshold, passed)
+
+
 def _row_ks(T, name, ks, level=0.01):
     return Row(T, name, ks.statistic, ks.statistic, ks.p_value, f"p > {level}", ks.p_value > level)
 
@@ -212,7 +218,7 @@ def _exp_sb_props(cfg: ExperimentConfig) -> RunReport:
             se_e = excess.std(ddof=1) / math.sqrt(excess.size)
             rep.rows.append(_row_ci(T, "gset_excess", excess.mean(), se_e, 1.0))
             nested = float(np.mean(gset_c <= tau_c + 1))
-            rep.rows.append(Row(T, "gset_nested_share", nested, math.nan, math.nan, "== 1", nested == 1.0))
+            rep.rows.append(_row_check(T, "gset_nested_share", nested, "== 1", nested == 1.0))
     if cfg.checks in ("all", "compensation"):
         horizons = {"identity": 5.0, "invsqrt": 100.0, "inverse": math.e, "logover": 20.0}
         for k, (name, T0) in enumerate(sorted(horizons.items())):
@@ -245,21 +251,28 @@ def _exp_verify_identity(cfg: ExperimentConfig) -> RunReport:
     return rep
 
 
-def _finite_variance_regime(cfg):
-    """Variance rate of the model after the finite-variance regime rule at
-    every horizon of the grid (the grid increases, so its first horizon
-    decides), raised as a configuration error before any draw."""
+def _regime(cfg, *allowed):
+    """Regime of the configured model (:func:`~levyhull.sbrep.regime`),
+    which must be one of ``allowed``; the finite-variance regime must also
+    hold at every horizon of the grid (the grid increases, so its first
+    horizon decides).  Raised as a configuration error before any draw."""
+    if cfg.model is None:
+        raise ConfigError(f"{cfg.experiment} needs a model")
     try:
-        return require_finite_variance(cfg.model, cfg.t_grid[0])
+        name = regime(cfg.model)
+        if name not in allowed:
+            raise RegimeError(f"needs the {' or '.join(allowed)} regime, got {name}")
+        if name == "finite-variance":
+            require_finite_variance(cfg.model, cfg.t_grid[0])
     except RegimeError as exc:
         raise ConfigError(f"{cfg.experiment}: {exc}") from None
+    return name
 
 
 def _exp_verify_clt(cfg: ExperimentConfig) -> RunReport:
     model = cfg.model
-    if model is None:
-        raise ConfigError("verify-clt needs a model")
-    var = _finite_variance_regime(cfg)
+    _regime(cfg, "finite-variance")
+    var = model.variance_rate()
     if cfg.checks not in ("all", "trend", "independence"):
         raise ConfigError(
             f"verify-clt checks must be trend/independence/all, got {cfg.checks!r}"
@@ -274,7 +287,7 @@ def _exp_verify_clt(cfg: ExperimentConfig) -> RunReport:
         det1 = normalize_finite_variance(model, q, "deterministic").coords[:, 0]
         rep.samples[f"det_stat_T{k}"] = det1
         if cfg.checks in ("all", "trend"):
-            d = ks_distance_to_cdf(det1, lambda x: _phi(x / limit_sd))
+            d = ks_distance_to_cdf(det1, lambda x: ndtr(x / limit_sd))
             trend_ok = True if prev_d is None else d < prev_d
             rep.rows.append(
                 Row(T, "clt_ks_distance", d, d, math.nan,
@@ -287,46 +300,35 @@ def _exp_verify_clt(cfg: ExperimentConfig) -> RunReport:
             rep.rows.append(Row(T, "clt_ks_final", d, d, math.nan, "D < 0.1", d < 0.1))
             ratio = float(det1.var()) / (0.75 * var * var)
             rep.rows.append(
-                Row(T, "clt_variance_ratio", ratio, math.nan, math.nan,
-                    "within 15% of 1", abs(ratio - 1.0) < 0.15)
+                _row_check(T, "clt_variance_ratio", ratio,
+                           "within 15% of 1", abs(ratio - 1.0) < 0.15)
             )
         if cfg.checks in ("all", "independence"):
             for name, col in (("sup", 2), ("final", 3), ("gamma", 4)):
                 c = float(np.corrcoef(sto[:, 0], sto[:, col])[0, 1])
-                rep.rows.append(
-                    Row(T, f"fluct_corr_{name}", c, math.nan, math.nan,
-                        "|corr| < 0.1", abs(c) < 0.1)
-                )
+                rep.rows.append(_row_check(T, f"fluct_corr_{name}", c, "|corr| < 0.1", abs(c) < 0.1))
             # the two centerings differ by half the variance times the count
             # coordinate: an exact linear identity per draw
             recon = sto[:, 0] + 0.5 * var * sto[:, 1]
             err = float(np.abs(det1 - recon).max())
-            rep.rows.append(
-                Row(T, "centering_identity_max_err", err, math.nan, math.nan,
-                    "<= 1e-9", err <= 1e-9)
-            )
+            rep.rows.append(_row_check(T, "centering_identity_max_err", err, "<= 1e-9", err <= 1e-9))
             c_id = float(np.corrcoef(det1, recon)[0, 1])
             rep.rows.append(
-                Row(T, "centering_identity_corr", c_id, math.nan, math.nan,
-                    ">= 1 - 1e-9", c_id >= 1.0 - 1e-9)
+                _row_check(T, "centering_identity_corr", c_id,
+                           ">= 1 - 1e-9", c_id >= 1.0 - 1e-9)
             )
     return rep
 
 
 def _exp_verify_stable(cfg: ExperimentConfig) -> RunReport:
     model = cfg.model
-    if model is None:
-        raise ConfigError("verify-stable needs a model")
+    name = _regime(cfg, "stable-zero-mean", "drift-a", "drift-b")
+    if name == "drift-b" and len(cfg.t_grid) < 2:
+        raise ConfigError("negative-mean verify-stable needs at least two horizons")
     alpha = model.attraction_alpha()
-    try:
-        mean = model.mean_rate()
-    except RegimeError:
-        raise ConfigError("verify-stable needs attraction index above 1") from None
     rep = RunReport("verify-stable")
     T = cfg.t_grid[-1]
-    if mean == 0.0:
-        if not 1.0 < alpha < 2.0:
-            raise ConfigError("zero-mean verify-stable needs attraction index in (1, 2)")
+    if name == "stable-zero-mean":
         # the reference series uses unit-scale stable draws; exact stable
         # models match it through their norming, while merely attracted
         # models (Pareto-jump compound Poisson) carry an unknown limiting
@@ -340,9 +342,8 @@ def _exp_verify_stable(cfg: ExperimentConfig) -> RunReport:
         rep.tables["rep_draws"] = _draw_record_table(q)
         rep.tables["limit_draws"] = (("length", "sup", "final", "gamma"), coords)
         return rep
-    if mean > 0.0:
-        if not 1.0 < alpha <= 2.0:
-            raise ConfigError("drifted verify-stable needs attraction index in (1, 2]")
+    if name == "drift-a":
+        mean = model.mean_rate()
         q = draw_quintuples(model, T, cfg.reps, cfg.seed, "drift-a-rep", cfg.cutoff, cfg.workers)
         fluct = normalize_drift(model, q, "a").coords
         c1, c3 = fluct[:, 0], fluct[:, 2]
@@ -350,26 +351,17 @@ def _exp_verify_stable(cfg: ExperimentConfig) -> RunReport:
         slope = float(cov[0, 1] / cov[1, 1])
         target = mean / math.sqrt(1.0 + mean * mean)
         rep.rows.append(
-            Row(T, "drift_regression_slope", slope, math.nan, math.nan,
-                f"within 5% of {target:.6f}", abs(slope / target - 1.0) < 0.05)
+            _row_check(T, "drift_regression_slope", slope,
+                       f"within 5% of {target:.6f}", abs(slope / target - 1.0) < 0.05)
         )
-        g = substream(cfg.seed, "drift-a-limit", 0)
-        errs = []
-        for _ in range(min(cfg.reps, 2000)):
-            s = sample_limit_drift(alpha, mean, "a", g, scale=getattr(model, "scale", 1.0))
-            errs.append(abs(s.coords[0] - target * s.coords[1]))
-        err = float(max(errs))
-        rep.rows.append(
-            Row(T, "limit_rank_one_max_err", err, math.nan, math.nan, "<= 1e-12", err <= 1e-12)
-        )
+        lim = draw_limit_drift(alpha, mean, "a", min(cfg.reps, 2000),
+                               substream(cfg.seed, "drift-a-limit", 0), getattr(model, "scale", 1.0))
+        err = float(np.abs(lim[:, 0] - target * lim[:, 1]).max())
+        rep.rows.append(_row_check(T, "limit_rank_one_max_err", err, "<= 1e-12", err <= 1e-12))
         rep.samples["drift_length_fluct"] = c1
         rep.samples["drift_final_fluct"] = c3
         return rep
     # negative mean: the supremum and its time stabilize
-    if not 1.0 < alpha <= 2.0:
-        raise ConfigError("drifted verify-stable needs attraction index in (1, 2]")
-    if len(cfg.t_grid) < 2:
-        raise ConfigError("negative-mean verify-stable needs at least two horizons")
     t_lo, t_hi = cfg.t_grid[-2], cfg.t_grid[-1]
     sup_lo = draw_quintuples(model, t_lo, cfg.reps, cfg.seed, "drift-b-lo", cfg.cutoff, cfg.workers).sup
     sup_hi = draw_quintuples(model, t_hi, cfg.reps, cfg.seed, "drift-b-hi", cfg.cutoff, cfg.workers).sup
@@ -382,8 +374,7 @@ def _exp_verify_stable(cfg: ExperimentConfig) -> RunReport:
 
 def _exp_verify_heavy(cfg: ExperimentConfig) -> RunReport:
     model = cfg.model
-    if model is None or not 0.0 < model.attraction_alpha() < 1.0:
-        raise ConfigError("verify-heavy needs attraction index in (0, 1)")
+    _regime(cfg, "heavy")
     rep = RunReport("verify-heavy")
     T = cfg.t_grid[-1]
     q = draw_quintuples(model, T, cfg.reps, cfg.seed, "heavy-rep", cfg.cutoff, cfg.workers)
@@ -394,16 +385,15 @@ def _exp_verify_heavy(cfg: ExperimentConfig) -> RunReport:
     lo = 2.0 * q.sup - q.final
     slack = 1e-9 * norming(model, T)
     violations = int(np.count_nonzero((q.upsilon < lo - slack) | (q.upsilon > T + lo + slack)))
-    rep.rows.append(
-        Row(T, "sandwich_violations", float(violations), math.nan, math.nan, "== 0", violations == 0)
-    )
+    rep.rows.append(_row_check(T, "sandwich_violations", float(violations), "== 0", violations == 0))
     return rep
 
 
 def _exp_tail_index(cfg: ExperimentConfig) -> RunReport:
     model = cfg.model
-    if not isinstance(model, StableProcess) or not 1.0 < model.alpha < 2.0:
-        raise ConfigError("tail-index needs a stable model with index in (1, 2)")
+    if not isinstance(model, StableProcess):
+        raise ConfigError("tail-index needs a stable model")
+    _regime(cfg, "stable-zero-mean")
     alpha = model.alpha
     rep = RunReport("tail-index")
     draws = np.empty(cfg.reps)
@@ -443,9 +433,8 @@ def _exp_tail_index(cfg: ExperimentConfig) -> RunReport:
 
 def _exp_compare_length(cfg: ExperimentConfig) -> RunReport:
     model = cfg.model
-    if model is None:
-        raise ConfigError("compare-length needs a model")
-    var = _finite_variance_regime(cfg)
+    _regime(cfg, "finite-variance")
+    var = model.variance_rate()
     if len(cfg.t_grid) < 2:
         raise ConfigError("compare-length needs at least two horizons")
     rep = RunReport("compare-length")
@@ -459,30 +448,28 @@ def _exp_compare_length(cfg: ExperimentConfig) -> RunReport:
         sds.append(trio)
         ordered = trio[0] < trio[1] < trio[2]
         for name, val in zip(("hut", "majorant", "tent"), trio):
-            rep.rows.append(
-                Row(T, f"sd_{name}", val, math.nan, math.nan, "sd_hut < sd_majorant < sd_tent", ordered)
-            )
+            rep.rows.append(_row_check(T, f"sd_{name}", val, "sd_hut < sd_majorant < sd_tent", ordered))
     for (t0, s0), (t1, s1) in zip(zip(cfg.t_grid, sds), zip(cfg.t_grid[1:], sds[1:])):
         r_hut, r_maj, r_tent = (b / a for a, b in zip(s0, s1))
         root_t = math.sqrt(t1 / t0)
         root_log = math.sqrt(math.log(t1) / math.log(t0))
         rep.rows.append(
-            Row(t1, "ratio_hut", r_hut, math.nan, math.nan, "in [0.8, 1.3] (scale O(1))",
-                0.8 <= r_hut <= 1.3)
+            _row_check(t1, "ratio_hut", r_hut, "in [0.8, 1.3] (scale O(1))",
+                       0.8 <= r_hut <= 1.3)
         )
         rep.rows.append(
-            Row(t1, "ratio_majorant", r_maj, math.nan, math.nan,
-                f"within 25% of sqrt(log ratio) = {root_log:.3f}",
-                abs(r_maj / root_log - 1.0) <= 0.25)
+            _row_check(t1, "ratio_majorant", r_maj,
+                       f"within 25% of sqrt(log ratio) = {root_log:.3f}",
+                       abs(r_maj / root_log - 1.0) <= 0.25)
         )
         rep.rows.append(
-            Row(t1, "ratio_tent", r_tent, math.nan, math.nan,
-                f"within 15% of sqrt(T ratio) = {root_t:.3f}",
-                abs(r_tent / root_t - 1.0) <= 0.15)
+            _row_check(t1, "ratio_tent", r_tent,
+                       f"within 15% of sqrt(T ratio) = {root_t:.3f}",
+                       abs(r_tent / root_t - 1.0) <= 0.15)
         )
         rep.rows.append(
-            Row(t1, "ratio_ordering", r_tent - r_hut, math.nan, math.nan,
-                "ratio_hut < ratio_majorant < ratio_tent", r_hut < r_maj < r_tent)
+            _row_check(t1, "ratio_ordering", r_tent - r_hut,
+                       "ratio_hut < ratio_majorant < ratio_tent", r_hut < r_maj < r_tent)
         )
     return rep
 
@@ -500,16 +487,16 @@ def _exp_theta_scan(cfg: ExperimentConfig) -> RunReport:
         b = theta_fubini(model, T)
         rel = abs(a - b) / max(abs(a), 1e-300)
         rep.rows.append(
-            Row(T, "theta_forms_rel_err", rel, math.nan, math.nan, "<= 1e-8",
-                rel <= 1e-8 or (a == 0.0 and b == 0.0))
+            _row_check(T, "theta_forms_rel_err", rel, "<= 1e-8",
+                       rel <= 1e-8 or (a == 0.0 and b == 0.0))
         )
         ratio = a / math.log(T) if T > 1.0 else math.nan
         decreasing = True if prev_ratio is None else ratio < prev_ratio
         rep.rows.append(
-            Row(T, "theta_over_log", ratio, math.nan, math.nan,
-                "strictly decreasing along the grid", decreasing)
+            _row_check(T, "theta_over_log", ratio,
+                       "strictly decreasing along the grid", decreasing)
         )
-        rep.rows.append(Row(T, "theta", a, math.nan, math.nan, "reported", True))
+        rep.rows.append(_row_check(T, "theta", a, "reported", True))
         if not math.isnan(ratio):
             prev_ratio = ratio
     return rep
@@ -601,9 +588,7 @@ def _exp_hull_props(cfg: ExperimentConfig) -> RunReport:
         ("monotonicity_violations", mono),
         ("sandwich_violations", sand),
     ):
-        rep.rows.append(
-            Row(math.nan, name, float(count), math.nan, math.nan, "== 0", count == 0)
-        )
+        rep.rows.append(_row_check(math.nan, name, float(count), "== 0", count == 0))
     # ten-point brute-force equivalence
     g2 = substream(cfg.seed, "hull-oracle", 0)
     mismatches = 0
@@ -619,8 +604,8 @@ def _exp_hull_props(cfg: ExperimentConfig) -> RunReport:
         if not np.allclose(low, _envelope_oracle(times, values, False), atol=1e-12):
             mismatches += 1
     rep.rows.append(
-        Row(math.nan, "oracle_mismatches", float(mismatches), math.nan, math.nan,
-            f"== 0 over {n_oracle} ten-point paths", mismatches == 0)
+        _row_check(math.nan, "oracle_mismatches", float(mismatches),
+                   f"== 0 over {n_oracle} ten-point paths", mismatches == 0)
     )
     # one representative maximal-face set in the l/h/slope serialization
     gf = substream(cfg.seed, "hull-faces", 0)
@@ -644,10 +629,6 @@ _DISPATCH = {
     "theta-scan": _exp_theta_scan,
     "hull-props": _exp_hull_props,
 }
-
-
-def _phi(x):
-    return ndtr(np.asarray(x, dtype=float))
 
 
 def _config_hash(cfg: ExperimentConfig) -> str:

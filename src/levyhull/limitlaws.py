@@ -22,14 +22,11 @@ record per batch.  The record grows in blocks of columns: a block's
 uniforms, then that block's driving variables (Gaussian or stable), then
 the next block; the remainder's variable is drawn last.  A smaller ``eps``
 on a fresh stream with the same seed therefore appends blocks to the same
-record, which is what the refinement checks compare.  The
-``sample_limit_*`` functions are one-draw views of the ``draw_limit_*``
-batches.
+record, which is what the refinement checks compare.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,17 +35,10 @@ from .models import stable_standard
 from .sticks import stick_matrix
 
 __all__ = [
-    "LimitSample",
-    "sample_limit_finite_variance",
-    "sample_limit_stable_zero_mean",
-    "sample_limit_heavy",
-    "sample_limit_drift",
-    "sample_limit_envelopes",
-    "perpetuity_tail_constant",
     "draw_limit_finite_variance",
     "draw_limit_stable_zero_mean",
     "draw_limit_heavy",
-    "draw_limit_envelopes_stable",
+    "draw_limit_drift",
 ]
 
 DEFAULT_EPS = 1e-6
@@ -56,17 +46,6 @@ DEFAULT_EPS = 1e-6
 # multiplies the remainder scale L^p of heavy-tailed series; see module doc
 STABLE_ENVELOPE = 1e7
 HEAVY_ENVELOPE = 1e10
-
-
-@dataclass(frozen=True)
-class LimitSample:
-    """One draw of a limit vector with its truncation bookkeeping."""
-
-    regime: str
-    coords: np.ndarray
-    eps: float
-    truncation_bound: float
-    missing: tuple = ()
 
 
 def _check_eps(eps):
@@ -127,12 +106,6 @@ def draw_limit_finite_variance(sigma, n, rng, eps=DEFAULT_EPS):
     return coords, 8.0 * np.sqrt(rem)
 
 
-def sample_limit_finite_variance(sigma, rng, eps=DEFAULT_EPS):
-    """One draw of :func:`draw_limit_finite_variance`."""
-    coords, bound = draw_limit_finite_variance(sigma, 1, rng, eps)
-    return LimitSample("finite-variance", coords[0], eps, float(bound[0]))
-
-
 # ---------------------------------------------------------------------------
 # stable series: zero-mean index in (1, 2), heavy index in (0, 1)
 # ---------------------------------------------------------------------------
@@ -172,19 +145,6 @@ def draw_limit_stable_zero_mean(alpha, n, rng, eps=DEFAULT_EPS, beta=0.0):
     return coords, STABLE_ENVELOPE * rem ** (2.0 / alpha - 1.0)
 
 
-def sample_limit_stable_zero_mean(alpha, rng, eps=DEFAULT_EPS):
-    """One draw of :func:`draw_limit_stable_zero_mean`."""
-    coords, bound = draw_limit_stable_zero_mean(alpha, 1, rng, eps)
-    return LimitSample("stable-zero-mean", coords[0], eps, float(bound[0]))
-
-
-def perpetuity_tail_constant(alpha):
-    """Tail-equivalence constant ``2^(1 - alpha/2) / (2 - alpha)`` of the
-    quadratic length series relative to a squared stable draw."""
-    _check_alpha(alpha, 1.0, 2.0)
-    return 2.0 ** (1.0 - alpha / 2.0) / (2.0 - alpha)
-
-
 def draw_limit_heavy(alpha, n, rng, eps=DEFAULT_EPS, beta=0.0):
     """Batch of joint eight-coordinate heavy-index limit draws; returns
     ``(coords, bounds)``.
@@ -213,24 +173,18 @@ def draw_limit_heavy(alpha, n, rng, eps=DEFAULT_EPS, beta=0.0):
     return coords, HEAVY_ENVELOPE * rem ** (1.0 / alpha) + rem + 1e-12
 
 
-def sample_limit_heavy(alpha, rng, eps=DEFAULT_EPS, beta=0.0):
-    """One draw of :func:`draw_limit_heavy`."""
-    coords, bound = draw_limit_heavy(alpha, 1, rng, eps, beta)
-    return LimitSample("heavy", coords[0], eps, float(bound[0]))
-
-
 # ---------------------------------------------------------------------------
 # nonzero-mean limit, index in (1, 2]
 # ---------------------------------------------------------------------------
 
-def sample_limit_drift(alpha, mu, case, rng, scale=1.0):
-    """Rank-one limit of the drift regime.
+def draw_limit_drift(alpha, mu, case, n, rng, scale=1.0):
+    """Batch of ``n`` rank-one drift-regime limit draws, one stable draw
+    each; returns ``coords`` only, as nothing is truncated.
 
-    Case "a": one stable draw through the coefficient vector
+    Case "a": the stable draw through the coefficient vector
     ``(mu / sqrt(1 + mu^2), 1, 1)``.  Case "b": the length and endpoint
-    coordinates carry the stable draw; the supremum and its time have no
-    closed-form limit law and are flagged as externally supplied
-    (``missing`` holds their 1-based positions, the entries are NaN).
+    coordinates carry the stable draw; the supremum and its time (columns
+    2 and 4, 1-based) have no closed-form limit law and are NaN.
     """
     if case not in ("a", "b"):
         raise ParameterError(f"case must be 'a' or 'b', got {case!r}")
@@ -240,53 +194,11 @@ def sample_limit_drift(alpha, mu, case, rng, scale=1.0):
         raise ParameterError("case 'b' needs mu < 0")
     if not (1.0 < alpha <= 2.0):
         raise ParameterError(f"alpha must lie in (1, 2], got {alpha}")
-    s = scale * float(stable_standard(alpha, 0.0, rng))
+    s = scale * np.asarray(stable_standard(alpha, 0.0, rng, n))
     coef = mu / math.sqrt(1.0 + mu * mu)
     if case == "a":
-        coords = np.array([coef * s, s, s])
-        return LimitSample("drift-a", coords, 0.0, 0.0)
-    coords = np.array([coef * s, math.nan, s, math.nan])
-    return LimitSample("drift-b", coords, 0.0, 0.0, missing=(2, 4))
-
-
-# ---------------------------------------------------------------------------
-# envelope-length comparison limits
-# ---------------------------------------------------------------------------
-
-def sample_limit_envelopes(case, rng, eps=DEFAULT_EPS, sigma=1.0, alpha=1.5):
-    """Limit triple (hut, majorant, tent) of the centered length comparison.
-
-    Case "a" (finite variance): the hut coordinate is the quadratic
-    functional of the Brownian triple, the majorant coordinate an
-    independent normal, the tent coordinate the linear functional.  Case
-    "b" (index in (1, 2)): three series off one stick/stable sequence.
-    Case "c" (index in (0, 1)): one scalar times (1, 1, 1).
-    """
-    if case == "a":
-        while True:
-            coords, bound = draw_limit_finite_variance(sigma, 1, rng, eps)
-            sup, fin, rho = coords[0, 2] / sigma, coords[0, 3] / sigma, coords[0, 4]
-            if 0.0 < rho < 1.0:
-                break  # an endpoint share would divide by zero; resample
-        z = rng.standard_normal()
-        hut = 0.5 * sigma**2 * (sup**2 / rho + (sup - fin) ** 2 / (1.0 - rho))
-        maj = math.sqrt(3.0) / 2.0 * sigma**2 * z
-        tent = sigma * (2.0 * sup - fin)
-        return LimitSample("envelopes-a", np.array([hut, maj, tent]), eps, float(bound[0]))
-    if case == "b":
-        coords, bound = draw_limit_envelopes_stable(alpha, 1, rng, eps)
-        return LimitSample("envelopes-b", coords[0], eps, float(bound[0]))
-    if case == "c":
-        coords, bound = draw_limit_heavy(alpha, 1, rng, eps)
-        v = coords[0, 0]  # 2*sup - final
-        return LimitSample("envelopes-c", np.array([v, v, v]), eps, float(bound[0]))
-    raise ParameterError(f"case must be one of 'a', 'b', 'c', got {case!r}")
-
-
-def draw_limit_envelopes_stable(alpha, n, rng, eps=DEFAULT_EPS):
-    """Batch of case-b (hut, majorant, tent) triples; returns (coords, bounds)."""
-    _check_alpha(alpha, 1.0, 2.0)
-    _check_eps(eps)
-    quad, pos, neg, _, rem = _stable_series(alpha, 0.0, n, rng, eps)
-    coords = np.column_stack([0.5 * (pos**2 + neg**2), quad, pos + neg])
-    return coords, STABLE_ENVELOPE * rem ** (2.0 / alpha - 1.0)
+        coords = np.column_stack([coef * s, s, s])
+    else:
+        nan = np.full(n, math.nan)
+        coords = np.column_stack([coef * s, nan, s, nan])
+    return coords

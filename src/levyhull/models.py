@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy import integrate
-from scipy.special import erf as _erf
+from scipy.special import ndtr
 
 from .errors import (
     DivergentIntegralError,
@@ -187,9 +187,9 @@ class Gaussian(_JumpLaw):
         a = (-u - m) / s
         b = (u - m) / s
         inner = (
-            m * m * (_phi_cdf(b) - _phi_cdf(a))
+            m * m * (ndtr(b) - ndtr(a))
             + 2.0 * m * s * (_phi_pdf(a) - _phi_pdf(b))
-            + s * s * ((_phi_cdf(b) - b * _phi_pdf(b)) - (_phi_cdf(a) - a * _phi_pdf(a)))
+            + s * s * ((ndtr(b) - b * _phi_pdf(b)) - (ndtr(a) - a * _phi_pdf(a)))
         )
         return np.maximum(self.second_moment() - inner, 0.0)
 
@@ -377,11 +377,6 @@ def _lcp_normalizer():
 
 def _phi_pdf(z):
     return np.exp(-0.5 * np.asarray(z) ** 2) / math.sqrt(2.0 * math.pi)
-
-
-def _phi_cdf(z):
-    z = np.asarray(z, dtype=float)
-    return 0.5 * (1.0 + _erf(z / math.sqrt(2.0)))
 
 
 def _quad_sum(f, pieces):

@@ -28,6 +28,10 @@ cutoff (equal-length 1-d arrays, as :func:`stack_quintuples` returns).  The
 ``normalize_*`` functions run the same arithmetic on either form: their
 ``coords`` have shape ``(k,)`` for one draw and ``(n, k)`` for a batch of
 ``n``, row ``i`` equal to the coordinates of draw ``i``.
+
+:func:`regime` is the one place that names a model's limit regime (from
+its attraction index and the sign of its mean); every ``normalize_*``
+and the experiments check a model through it.
 """
 from __future__ import annotations
 
@@ -50,6 +54,7 @@ __all__ = [
     "NormalizedStat",
     "sample_quintuple",
     "stack_quintuples",
+    "regime",
     "require_finite_variance",
     "normalize_finite_variance",
     "normalize_stable_zero_mean",
@@ -197,24 +202,36 @@ def _remainder_bound(model, s):
 # normalized statistics
 # ---------------------------------------------------------------------------
 
-def _require_zero_mean(model):
-    if abs(model.mean_rate()) > _ZERO_MEAN_TOL:
-        raise RegimeError(
-            f"statistic assumes a zero-mean model, got mean rate {model.mean_rate()}"
-        )
+def regime(model):
+    """Name of the model's limit regime: ``heavy`` for attraction index in
+    (0, 1); for index in (1, 2], ``drift-a`` or ``drift-b`` when the mean
+    is positive or negative (beyond ``_ZERO_MEAN_TOL``), otherwise
+    ``finite-variance`` at index 2 and ``stable-zero-mean`` below it.
+    Raises :class:`RegimeError` for any other model."""
+    alpha = model.attraction_alpha()
+    if 0.0 < alpha < 1.0:
+        return "heavy"
+    if not 1.0 < alpha <= 2.0:
+        raise RegimeError(f"no limit regime for attraction index {alpha}")
+    mean = model.mean_rate()
+    if abs(mean) > _ZERO_MEAN_TOL:
+        return "drift-a" if mean > 0.0 else "drift-b"
+    return "finite-variance" if alpha == 2.0 else "stable-zero-mean"
+
+
+def _require_regime(model, name):
+    got = regime(model)
+    if got != name:
+        raise RegimeError(f"statistic needs the {name} regime, got {got} for {model!r}")
 
 
 def require_finite_variance(model, T):
-    """The finite-variance regime rule at horizon ``T``: zero mean, finite
-    positive variance and ``T > e``.  Raises :class:`RegimeError`; returns
-    the variance rate."""
-    _require_zero_mean(model)
-    var = model.variance_rate()
-    if not (math.isfinite(var) and var > 0.0):
-        raise RegimeError(f"statistic needs finite positive variance, got {var}")
+    """The finite-variance regime at horizon ``T``, which also needs
+    ``T > e``.  Raises :class:`RegimeError`; returns the variance rate."""
+    _require_regime(model, "finite-variance")
     if not T > math.e:
         raise RegimeError("normalization needs T > e so that log T > 1")
-    return var
+    return model.variance_rate()
 
 
 def normalize_finite_variance(model, q: QuintupleSample, centering="stochastic"):
@@ -247,10 +264,7 @@ def normalize_finite_variance(model, q: QuintupleSample, centering="stochastic")
 
 def normalize_stable_zero_mean(model, q: QuintupleSample):
     """Zero-mean, infinite-variance coordinates for attraction index in (1, 2)."""
-    alpha = model.attraction_alpha()
-    if not 1.0 < alpha < 2.0:
-        raise RegimeError(f"statistic needs attraction index in (1, 2), got {alpha}")
-    _require_zero_mean(model)
+    _require_regime(model, "stable-zero-mean")
     T = q.horizon
     a_t = norming(model, T)
     coords = np.stack(
@@ -275,9 +289,7 @@ def normalize_heavy(model, q: QuintupleSample):
     each block is exact in law; the cross-block coupling is the
     construction's convention.
     """
-    alpha = model.attraction_alpha()
-    if not 0.0 < alpha < 1.0:
-        raise RegimeError(f"statistic needs attraction index in (0, 1), got {alpha}")
+    _require_regime(model, "heavy")
     T = q.horizon
     a_t = norming(model, T)
     coords = np.stack(
@@ -305,16 +317,8 @@ def normalize_drift(model, q: QuintupleSample, case):
     """
     if case not in ("a", "b"):
         raise ParameterError(f"case must be 'a' or 'b', got {case!r}")
+    _require_regime(model, f"drift-{case}")
     mu = model.mean_rate()
-    if mu == 0.0:
-        raise RegimeError("statistic assumes a nonzero mean")
-    if case == "a" and mu < 0.0:
-        raise RegimeError("case 'a' needs a positive mean")
-    if case == "b" and mu > 0.0:
-        raise RegimeError("case 'b' needs a negative mean")
-    alpha = model.attraction_alpha()
-    if not 1.0 < alpha <= 2.0:
-        raise RegimeError(f"statistic needs attraction index in (1, 2], got {alpha}")
     T = q.horizon
     a_t = norming(model, T)
     length_fluct = (q.upsilon - math.sqrt(1.0 + mu * mu) * T) / a_t

@@ -153,6 +153,32 @@ def test_regime_mismatch_rejected_before_sampling():
                 }
             )
         )
+    # Pareto jumps of index 2: no attraction index, so no limit regime
+    for experiment in ("verify-heavy", "verify-stable"):
+        with pytest.raises(ConfigError):
+            run(
+                config_from_mapping(
+                    {
+                        "experiment": experiment,
+                        "model": {"kind": "cp", "jump": {"kind": "pareto", "tail_index": 2, "scale": 1}},
+                        "T_grid": [1e3],
+                        "reps": 200,
+                    }
+                )
+            )
+    # |mean| <= 1e-9 is the zero-mean regime, as in the normalizers
+    report = run(
+        config_from_mapping(
+            {
+                "experiment": "verify-stable",
+                "model": {"kind": "stable", "alpha": 1.5, "mu": 5e-10},
+                "T_grid": [100],
+                "reps": 200,
+                "seed": 5,
+            }
+        )
+    )
+    assert [r.statistic for r in report.rows] == [f"stable_ks_{k}" for k in ("length", "sup", "final", "gamma")]
     # log T = 0 at the first horizon: the finite-variance rule needs T > e
     with pytest.raises(ConfigError):
         run(
@@ -231,6 +257,10 @@ def test_every_config_kind_builds_its_model(model, expected):
         {"kind": "cp", "jump": {"kind": "gaussian", "mean_": 0, "sd": 1}},  # field name, not key
         {"kind": "brownian", "sigma": "wide"},
         {"kind": "brownian", "jump": 1},
+        {"kind": "brownian", "alpha": 1.5},                    # another kind's key
+        {"kind": "stable", "alpha": 1.5, "jump": {"kind": "gaussian", "mean": 0, "sd": 1}},
+        {"kind": "cp", "jump": {"kind": "gaussian", "mean": 0, "sd": 1, "tail_index": 2}},
+        {"sigma": 1},                                          # no model.kind
     ],
 )
 def test_config_model_errors(model):

@@ -6,16 +6,10 @@ from scipy import stats as sps
 
 from levyhull.errors import ParameterError
 from levyhull.limitlaws import (
-    draw_limit_envelopes_stable,
+    draw_limit_drift,
     draw_limit_finite_variance,
     draw_limit_heavy,
     draw_limit_stable_zero_mean,
-    perpetuity_tail_constant,
-    sample_limit_envelopes,
-    sample_limit_finite_variance,
-    sample_limit_stable_zero_mean,
-    sample_limit_heavy,
-    sample_limit_drift,
 )
 from levyhull.models import StableProcess
 from levyhull.sbrep import normalize_stable_zero_mean, sample_quintuple
@@ -31,13 +25,11 @@ def rng(seed=0):
 # ---------------------------------------------------------------------------
 
 def test_finite_variance_limit_per_draw_ordering():
-    g = rng(1)
-    for _ in range(300):
-        s = sample_limit_finite_variance(1.3, g)
-        assert s.coords.shape == (5,)
-        assert s.coords[2] >= max(0.0, s.coords[3])   # sup >= final+
-        assert 0.0 <= s.coords[4] <= 1.0
-        assert s.truncation_bound > 0.0
+    c, bound = draw_limit_finite_variance(1.3, 300, rng(1))
+    assert c.shape == (300, 5)
+    assert (c[:, 2] >= np.maximum(0.0, c[:, 3])).all()   # sup >= final+
+    assert ((0.0 <= c[:, 4]) & (c[:, 4] <= 1.0)).all()
+    assert (bound > 0.0).all()
 
 
 def test_finite_variance_limit_sup_is_half_normal():
@@ -68,11 +60,10 @@ def test_finite_variance_limit_refinement_stays_within_reported_bound():
     # row, so halving eps extends few records; eps = 1e-12 extends nearly all
     for fine in (5e-5, 1e-12):
         for i in range(300):
-            a = sample_limit_finite_variance(1.0, rng(100 + i), eps=1e-4)
-            b = sample_limit_finite_variance(1.0, rng(100 + i), eps=fine)
-            assert a.coords[0] == b.coords[0] and a.coords[1] == b.coords[1]
-            delta = np.abs(a.coords[2:] - b.coords[2:]).max()
-            assert delta <= a.truncation_bound
+            a, bound = draw_limit_finite_variance(1.0, 1, rng(100 + i), eps=1e-4)
+            b, _ = draw_limit_finite_variance(1.0, 1, rng(100 + i), eps=fine)
+            assert a[0, 0] == b[0, 0] and a[0, 1] == b[0, 1]
+            assert np.abs(a[0, 2:] - b[0, 2:]).max() <= bound[0]
         for seed in range(10):
             a, bound = draw_limit_finite_variance(1.0, 64, rng(seed), eps=1e-4)
             b, _ = draw_limit_finite_variance(1.0, 64, rng(seed), eps=fine)
@@ -86,13 +77,11 @@ def test_finite_variance_limit_refinement_stays_within_reported_bound():
 # ---------------------------------------------------------------------------
 
 def test_stable_limit_per_draw_ordering():
-    g = rng(8)
-    for _ in range(300):
-        s = sample_limit_stable_zero_mean(1.5, g)
-        assert s.coords.shape == (4,)
-        assert s.coords[0] >= 0.0
-        assert s.coords[1] >= max(0.0, s.coords[2])
-        assert 0.0 <= s.coords[3] <= 1.0
+    c, _ = draw_limit_stable_zero_mean(1.5, 300, rng(8))
+    assert c.shape == (300, 4)
+    assert (c[:, 0] >= 0.0).all()
+    assert (c[:, 1] >= np.maximum(0.0, c[:, 2])).all()
+    assert ((0.0 <= c[:, 3]) & (c[:, 3] <= 1.0)).all()
 
 
 def test_stable_limit_matches_finite_horizon_sampler_coords_2_to_4():
@@ -113,25 +102,14 @@ def test_stable_limit_matches_finite_horizon_sampler_coords_2_to_4():
 def test_stable_limit_refinement_stays_within_reported_bound():
     for fine in (5e-5, 1e-12):
         for i in range(300):
-            a = sample_limit_stable_zero_mean(1.5, rng(200 + i), eps=1e-4)
-            b = sample_limit_stable_zero_mean(1.5, rng(200 + i), eps=fine)
-            delta = np.abs(a.coords - b.coords).max()
-            assert delta <= a.truncation_bound
+            a, bound = draw_limit_stable_zero_mean(1.5, 1, rng(200 + i), eps=1e-4)
+            b, _ = draw_limit_stable_zero_mean(1.5, 1, rng(200 + i), eps=fine)
+            assert np.abs(a - b).max() <= bound[0]
         for seed in range(10):
             a, bound = draw_limit_stable_zero_mean(1.5, 64, rng(seed), eps=1e-4)
             b, _ = draw_limit_stable_zero_mean(1.5, 64, rng(seed), eps=fine)
             assert (np.abs(a - b).max(axis=1) <= bound).all()
     assert not np.array_equal(a, b)
-
-
-def test_perpetuity_tail_constant_values():
-    assert perpetuity_tail_constant(1.5) == pytest.approx(2**0.25 / 0.5)
-    assert perpetuity_tail_constant(1.2) == pytest.approx(2**0.4 / 0.8)
-    assert perpetuity_tail_constant(1.99) == pytest.approx(100 * 2**0.005)
-    with pytest.raises(ParameterError):
-        perpetuity_tail_constant(2.0)
-    with pytest.raises(ParameterError):
-        perpetuity_tail_constant(1.0)
 
 
 def test_stable_limit_tail_exponent():
@@ -164,35 +142,29 @@ def test_stable_limit_perpetuity_identity():
 # ---------------------------------------------------------------------------
 
 def test_heavy_limit_identities_per_draw():
-    g = rng(13)
-    for _ in range(300):
-        s = sample_limit_heavy(0.5, g)
-        c = s.coords
-        assert c.shape == (8,)
-        assert c[0] == pytest.approx(2 * c[1] - c[2], rel=1e-9, abs=1e-12)
-        assert c[1] >= 0.0 >= c[5]
-        assert 0.0 <= c[3] <= 1.0 and 0.0 <= c[7] <= 1.0
-        assert c[3] + c[7] == pytest.approx(1.0)
-        assert c[1] >= c[2]                       # sup >= final
-        assert c[4] == pytest.approx(c[2] - 2 * c[5], rel=1e-9, abs=1e-12)
+    c, _ = draw_limit_heavy(0.5, 300, rng(13))
+    assert c.shape == (300, 8)
+    assert c[:, 0] == pytest.approx(2 * c[:, 1] - c[:, 2], rel=1e-9, abs=1e-12)
+    assert ((c[:, 1] >= 0.0) & (c[:, 5] <= 0.0)).all()
+    assert ((0.0 <= c[:, [3, 7]]) & (c[:, [3, 7]] <= 1.0)).all()
+    assert c[:, 3] + c[:, 7] == pytest.approx(np.ones(300))
+    assert (c[:, 1] >= c[:, 2]).all()             # sup >= final
+    assert c[:, 4] == pytest.approx(c[:, 2] - 2 * c[:, 5], rel=1e-9, abs=1e-12)
 
 
 def test_heavy_limit_one_sided_positive():
-    g = rng(14)
-    for _ in range(100):
-        s = sample_limit_heavy(0.5, g, beta=1.0)
-        # spectrally positive, index < 1: increasing process, no negative part
-        assert s.coords[5] == 0.0
-        assert s.coords[1] == pytest.approx(s.coords[2])
+    c, _ = draw_limit_heavy(0.5, 100, rng(14), beta=1.0)
+    # spectrally positive, index < 1: increasing process, no negative part
+    assert (c[:, 5] == 0.0).all()
+    assert c[:, 1] == pytest.approx(c[:, 2])
 
 
 def test_heavy_limit_refinement_stays_within_reported_bound():
     for fine in (5e-5, 1e-12):
         for i in range(300):
-            a = sample_limit_heavy(0.5, rng(300 + i), eps=1e-4)
-            b = sample_limit_heavy(0.5, rng(300 + i), eps=fine)
-            delta = np.abs(a.coords - b.coords).max()
-            assert delta <= a.truncation_bound
+            a, bound = draw_limit_heavy(0.5, 1, rng(300 + i), eps=1e-4)
+            b, _ = draw_limit_heavy(0.5, 1, rng(300 + i), eps=fine)
+            assert np.abs(a - b).max() <= bound[0]
         for seed in range(10):
             a, bound = draw_limit_heavy(0.5, 64, rng(seed), eps=1e-4)
             b, _ = draw_limit_heavy(0.5, 64, rng(seed), eps=fine)
@@ -205,78 +177,34 @@ def test_heavy_limit_refinement_stays_within_reported_bound():
 # ---------------------------------------------------------------------------
 
 def test_drift_limit_case_a_rank_one():
-    g = rng(15)
     mu = 1.0
     coef = mu / math.sqrt(2.0)
-    for _ in range(200):
-        s = sample_limit_drift(2.0, mu, "a", g)
-        assert s.coords.shape == (3,)
-        assert s.coords[0] == coef * s.coords[1]
-        assert s.coords[1] == s.coords[2]
+    c = draw_limit_drift(2.0, mu, "a", 200, rng(15))
+    assert c.shape == (200, 3)
+    assert (c[:, 0] == coef * c[:, 1]).all()
+    assert (c[:, 1] == c[:, 2]).all()
 
 
 def test_drift_limit_case_a_alpha2_gaussian():
-    g = rng(21)
-    draws = np.array([sample_limit_drift(2.0, 1.0, "a", g).coords[1] for _ in range(40_000)])
-    res = sps.kstest(draws, sps.norm(scale=math.sqrt(2.0)).cdf)
+    c = draw_limit_drift(2.0, 1.0, "a", 40_000, rng(21))
+    res = sps.kstest(c[:, 1], sps.norm(scale=math.sqrt(2.0)).cdf)
     assert res.pvalue > 0.01
 
 
 def test_drift_limit_case_b_flags_external_coordinates():
-    g = rng(18)
-    s = sample_limit_drift(1.5, -2.0, "b", g)
-    assert s.coords.shape == (4,)
-    assert s.missing == (2, 4)
-    assert np.isnan(s.coords[1]) and np.isnan(s.coords[3])
-    assert s.coords[0] == pytest.approx(-2.0 / math.sqrt(5.0) * s.coords[2])
+    c = draw_limit_drift(1.5, -2.0, "b", 1, rng(18))
+    assert c.shape == (1, 4)
+    assert np.isnan(c[:, [1, 3]]).all() and not np.isnan(c[:, [0, 2]]).any()
+    assert c[0, 0] == pytest.approx(-2.0 / math.sqrt(5.0) * c[0, 2])
 
 
 def test_drift_limit_case_sign_validation():
     g = rng(19)
     with pytest.raises(ParameterError):
-        sample_limit_drift(1.5, -1.0, "a", g)
+        draw_limit_drift(1.5, -1.0, "a", 1, g)
     with pytest.raises(ParameterError):
-        sample_limit_drift(1.5, 1.0, "b", g)
+        draw_limit_drift(1.5, 1.0, "b", 1, g)
     with pytest.raises(ParameterError):
-        sample_limit_drift(0.5, 1.0, "a", g)
-
-
-# ---------------------------------------------------------------------------
-# envelope-length comparison limits
-# ---------------------------------------------------------------------------
-
-def test_envelope_limit_case_a_nonnegative_hut():
-    g = rng(20)
-    sigma = 1.1
-    for _ in range(200):
-        s = sample_limit_envelopes("a", g, sigma=sigma)
-        hut, maj, tent = s.coords
-        sup = None  # hut bound below uses only nonnegativity of its parts
-        assert hut >= 0.0
-        assert s.coords.shape == (3,)
-
-
-def test_envelope_limit_case_b_cauchy_schwarz_ordering():
-    coords, _ = draw_limit_envelopes_stable(1.5, 2000, rng(21))
-    assert (coords[:, 0] <= coords[:, 1] + 1e-12).all()
-    assert (coords[:, 1] >= 0.0).all()
-
-
-def test_envelope_limit_case_c_rank_one():
-    g = rng(22)
-    for _ in range(100):
-        s = sample_limit_envelopes("c", g, alpha=0.5)
-        assert s.coords[0] == s.coords[1] == s.coords[2]
-        assert s.coords[0] >= 0.0
-
-
-def test_envelope_limit_validation():
-    g = rng(23)
+        draw_limit_drift(0.5, 1.0, "a", 1, g)
     with pytest.raises(ParameterError):
-        sample_limit_envelopes("d", g)
-    with pytest.raises(ParameterError):
-        sample_limit_envelopes("b", g, alpha=2.5)
-    with pytest.raises(ParameterError):
-        draw_limit_envelopes_stable(0.5, 10, g)
-    with pytest.raises(ParameterError):
-        draw_limit_envelopes_stable(1.5, 10, g, eps=2.0)
+        draw_limit_drift(1.5, 1.0, "c", 1, g)

@@ -21,6 +21,7 @@ from levyhull.sbrep import (
     normalize_stable_zero_mean,
     normalize_heavy,
     normalize_drift,
+    regime,
     sample_quintuple,
     stack_quintuples,
 )
@@ -214,6 +215,28 @@ def test_finite_variance_centering_with_jump_measure():
     )
     assert -0.1 < det.mean() < 0.30
     assert abs(det.var() / 0.75 - 1.0) < 0.2
+
+
+@pytest.mark.parametrize(
+    "model, expected",
+    [
+        (BrownianDrift(), "finite-variance"),
+        (StableProcess(2.0), "finite-variance"),
+        (BrownianDrift(mu=0.5), "drift-a"),
+        (StableProcess(1.5, mu=-1.0), "drift-b"),
+        (StableProcess(1.5), "stable-zero-mean"),
+        (CompoundPoissonDrift(1.0, Pareto(1.5, 1.0)), "stable-zero-mean"),
+        (StableProcess(0.5), "heavy"),
+        (CompoundPoissonDrift(1.0, Pareto(0.5, 1.0)), "heavy"),
+    ],
+)
+def test_regime_names_the_limit_regime(model, expected):
+    assert regime(model) == expected
+
+
+def test_regime_rejects_a_model_outside_every_regime():
+    with pytest.raises(RegimeError):
+        regime(CompoundPoissonDrift(1.0, Pareto(2.0, 1.0)))
 
 
 def test_finite_variance_limit_regime_errors():
