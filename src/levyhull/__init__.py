@@ -4,11 +4,12 @@ concave majorants of Levy processes."""
 from .config import ExperimentConfig, load_config
 from .hull import (
     Face,
-    MajorantSummary,
+    QuintupleSample,
     concave_majorant,
     convex_minorant,
     merge_collinear,
     shape_stats,
+    stack_quintuples,
 )
 from .models import (
     EXACT_JUMPS,
@@ -30,14 +31,12 @@ from .models import (
 from .rng import master_stream, substream
 from .sbrep import (
     NormalizedStat,
-    QuintupleSample,
     compute_sigma_t,
     normalize_finite_variance,
     normalize_stable_zero_mean,
     normalize_heavy,
     normalize_drift,
     sample_quintuple,
-    stack_quintuples,
 )
 from .stats import KsResult, TailFitResult, ks_two_sample, tail_slope
 

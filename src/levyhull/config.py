@@ -189,7 +189,8 @@ def _build(flat, block, table, noun):
                    and not (nested and k.startswith(f"{block}{_JUMP_FIELD}.")))
     if stray:
         raise ConfigError(f"{noun} kind {kind!r} takes no key {stray[0]!r}")
-    kwargs = {name: _number(flat, block + key) for key, name in keys.items() if block + key in flat}
+    kwargs = {name: _number(block + key, flat[block + key])
+              for key, name in keys.items() if block + key in flat}
     if nested:
         if "model.jump.kind" not in flat:
             raise ConfigError(f"model kind {kind!r} needs model.jump.kind")
@@ -200,11 +201,20 @@ def _build(flat, block, table, noun):
         raise ConfigError(f"{noun} kind {kind!r}: {exc}") from None
 
 
-def _number(flat, key):
+def _number(key, value, cast=float):
+    """``value`` of configuration key ``key`` as a float, or as an int when
+    ``cast`` is ``int`` and the value is integral (``1e3`` reads as 1000)."""
     try:
-        return float(flat[key])
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be a number, got {flat[key]!r}") from None
+        x = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{key} must be a number, got {value!r}") from None
+    if cast is float:
+        return x
+    if isinstance(value, int):
+        return int(value)   # exact beyond 2**53, as a 64-bit seed needs
+    if not x.is_integer():
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(x)
 
 
 def config_from_mapping(mapping) -> ExperimentConfig:
@@ -223,19 +233,15 @@ def config_from_mapping(mapping) -> ExperimentConfig:
     kwargs = dict(
         experiment=str(flat["experiment"]),
         model=_build(flat, "model.", MODELS, "model") if has_model else None,
-        t_grid=tuple(float(t) for t in grid),
-        reps=int(flat.get("reps", 1000)),
+        t_grid=tuple(_number("T_grid", t) for t in grid),
+        reps=_number("reps", flat.get("reps", 1000), int),
     )
-    for key, cast in (
-        ("cutoff", float),
-        ("eps", float),
-        ("seed", int),
-        ("workers", int),
-        ("out", str),
-        ("checks", str),
-    ):
+    for key, cast in (("cutoff", float), ("eps", float), ("seed", int), ("workers", int)):
         if key in flat:
-            kwargs[key] = cast(flat[key])
+            kwargs[key] = _number(key, flat[key], cast)
+    for key in ("out", "checks"):
+        if key in flat:
+            kwargs[key] = str(flat[key])
     return ExperimentConfig(**kwargs)
 
 

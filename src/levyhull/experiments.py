@@ -19,7 +19,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 import scipy
@@ -34,6 +33,7 @@ from .hull import (
     faces_to_rows,
     merge_collinear,
     shape_stats,
+    stack_quintuples,
 )
 from .limitlaws import draw_limit_drift, draw_limit_heavy, draw_limit_stable_zero_mean
 from .models import (
@@ -58,7 +58,6 @@ from .sbrep import (
     regime,
     require_finite_variance,
     sample_quintuple,
-    stack_quintuples,
 )
 from .sticks import (
     COMPENSATION_CATALOG,
@@ -122,34 +121,28 @@ def _collect_blocks(worker, total, workers):
         return [fut.result() for fut in futures]
 
 
-def _quintuple_block(index, n, *, model, T, cutoff, seed, tag):
+def _block(index, n, *, draw, seed, tag):
+    """Batch record of ``n`` calls of ``draw(rng)`` on the block's substream."""
     g = substream(seed, tag, index)
-    return stack_quintuples([sample_quintuple(model, T, g, cutoff=cutoff) for _ in range(n)])
+    return stack_quintuples(draw(g) for _ in range(n))
 
 
-class HullStats(NamedTuple):
-    """Hull statistics of a batch of exact jump paths, one entry per path."""
-
-    upsilon: np.ndarray
-    final: np.ndarray
-    sup: np.ndarray
-    gamma: np.ndarray
-
-
-def _hull_block(index, n, *, model, T, seed, tag):
-    g = substream(seed, tag, index)
-    out = np.empty((n, len(HullStats._fields)))
-    for k in range(n):
-        path = sample_path(model, T, EXACT_JUMPS, g)
-        s = shape_stats(merge_collinear(concave_majorant(path)), T)
-        out[k] = [getattr(s, name) for name in HullStats._fields]
-    return out
+def _hull_draw(model, T, rng):
+    return shape_stats(merge_collinear(concave_majorant(sample_path(model, T, EXACT_JUMPS, rng))), T)
 
 
 def draw_quintuples(model, T, reps, seed, tag, cutoff, workers=1):
-    """Batch :class:`~levyhull.sbrep.QuintupleSample` of ``reps`` draws."""
-    worker = partial(_quintuple_block, model=model, T=T, cutoff=cutoff, seed=seed, tag=tag)
-    return stack_quintuples(_collect_blocks(worker, reps, workers))
+    """Batch :class:`~levyhull.hull.QuintupleSample` of ``reps``
+    stick-breaking draws."""
+    draw = partial(sample_quintuple, model, T, cutoff=cutoff)
+    return stack_quintuples(_collect_blocks(partial(_block, draw=draw, seed=seed, tag=tag), reps, workers))
+
+
+def draw_hull_stats(model, T, reps, seed, tag, workers=1):
+    """Batch :class:`~levyhull.hull.QuintupleSample` of the majorants of
+    ``reps`` exact jump paths."""
+    draw = partial(_hull_draw, model, T)
+    return stack_quintuples(_collect_blocks(partial(_block, draw=draw, seed=seed, tag=tag), reps, workers))
 
 
 def _draw_record_table(q):
@@ -160,12 +153,6 @@ def _draw_record_table(q):
     )
     header = ("T", "upsilon", "h_prime", "final", "sup", "gamma", "truncation_bound")
     return header, cols
-
-
-def draw_hull_stats(model, T, reps, seed, tag, workers=1):
-    """:class:`HullStats` of ``reps`` exact jump paths."""
-    worker = partial(_hull_block, model=model, T=T, seed=seed, tag=tag)
-    return HullStats(*np.vstack(_collect_blocks(worker, reps, workers)).T)
 
 
 def _row_check(T, name, value, threshold, passed):
@@ -242,7 +229,7 @@ def _exp_verify_identity(cfg: ExperimentConfig) -> RunReport:
     T = cfg.t_grid[-1]
     hull = draw_hull_stats(model, T, cfg.reps, cfg.seed, "identity-hull", cfg.workers)
     quin = draw_quintuples(model, T, cfg.reps, cfg.seed, "identity-rep", cfg.cutoff, cfg.workers)
-    for name in HullStats._fields:
+    for name in ("upsilon", "final", "sup", "gamma"):
         ks = ks_two_sample(getattr(hull, name), getattr(quin, name))
         rep.rows.append(_row_ks(T, f"identity_ks_{name}", ks))
         rep.samples[f"hull_{name}"] = getattr(hull, name)
@@ -441,7 +428,7 @@ def _exp_compare_length(cfg: ExperimentConfig) -> RunReport:
     sds = []
     for k, T in enumerate(cfg.t_grid):
         q = draw_quintuples(model, T, cfg.reps, cfg.seed, f"cmp-{k}", cfg.cutoff, cfg.workers)
-        hut = np.hypot(q.gamma, q.sup) + np.hypot(T - q.gamma, q.sup - q.final) - T
+        hut = q.hut_length - T
         maj = (q.upsilon - T) - 0.5 * var * math.log(T) + theta(model, T)
         tent = 2.0 * q.sup - q.final
         trio = (float(hut.std(ddof=1)), float(maj.std(ddof=1)), float(tent.std(ddof=1)))
@@ -692,24 +679,22 @@ def write_report(report: RunReport, outdir) -> Path:
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.csv").write_text(report_csv_body(report))
-    sample_paths = {}
-    if report.samples or report.tables:
-        sdir = out / "samples"
-        sdir.mkdir(exist_ok=True)
-        for name, vec in sorted(report.samples.items()):
-            rel = f"samples/{name}.csv"
-            with open(out / rel, "w") as fh:
-                fh.write("value\n")
-                fh.writelines(repr(float(v)) + "\n" for v in np.asarray(vec))
-            sample_paths[name] = rel
-    table_paths = {}
-    for name, (header, mat) in sorted(report.tables.items()):
+    # a sample vector is written as the one-column table headed "value"
+    files = [("samples", name, ("value",), np.reshape(vec, (-1, 1)))
+             for name, vec in sorted(report.samples.items())]
+    files += [("tables", name, *table) for name, table in sorted(report.tables.items())]
+    if files:
+        (out / "samples").mkdir(exist_ok=True)
+    paths = {"samples": {}, "tables": {}}
+    for kind, name, header, mat in files:
         rel = f"samples/{name}.csv"
+        arr = np.asarray(mat, dtype=float)
         with open(out / rel, "w") as fh:
             fh.write(",".join(header) + "\n")
-            for row in np.asarray(mat):
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
-        table_paths[name] = rel
+            for start in range(0, len(arr), 256):   # chunks of rows, never a copy of the whole table
+                cells = map(repr, arr[start : start + 256].ravel().tolist())
+                fh.write("\n".join(map(",".join, zip(*[cells] * arr.shape[1]))) + "\n")
+        paths[kind][name] = rel
     payload = {
         "schema": REPORT_SCHEMA,
         "experiment": report.experiment,
@@ -726,8 +711,8 @@ def write_report(report: RunReport, outdir) -> Path:
             }
             for r in report.rows
         ],
-        "samples": sample_paths,
-        "tables": table_paths,
+        "samples": paths["samples"],
+        "tables": paths["tables"],
         "provenance": report.provenance,
     }
     path = out / "report.json"
@@ -753,22 +738,18 @@ def load_report(json_path) -> RunReport:
         )
         for r in payload["rows"]
     ]
-    samples = {}
-    for name, rel in payload.get("samples", {}).items():
-        with open(path.parent / rel) as fh:
-            next(fh)
-            samples[name] = np.array([float(line) for line in fh])
-    tables = {}
-    for name, rel in payload.get("tables", {}).items():
-        with open(path.parent / rel) as fh:
-            header = tuple(next(fh).rstrip("\n").split(","))
-            mat = np.array([[float(v) for v in line.split(",")] for line in fh])
-        tables[name] = (header, mat)
+    files = {"samples": {}, "tables": {}}
+    for kind, entries in files.items():
+        for name, rel in payload.get(kind, {}).items():
+            with open(path.parent / rel) as fh:
+                header = tuple(next(fh).rstrip("\n").split(","))
+                mat = np.array([[float(v) for v in line.split(",")] for line in fh])
+            entries[name] = (header, mat.reshape(-1, len(header)))
     return RunReport(
         payload["experiment"],
         rows=rows,
-        samples=samples,
-        tables=tables,
+        samples={name: mat[:, 0] for name, (_, mat) in files["samples"].items()},
+        tables=files["tables"],
         provenance=payload.get("provenance", {}),
     )
 

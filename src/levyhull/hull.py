@@ -1,6 +1,5 @@
 """Concave majorant / convex minorant of a path record, face merging, and
-shape statistics (graph length, supremum, time of supremum, final value,
-face count, hut and tent lengths).
+the shape statistics of a face set.
 
 The hull pass is a monotone chain over time-sorted candidate points with
 cross-product orientation tests.  Only strict orientation violations pop a
@@ -8,6 +7,18 @@ vertex; exact ties survive the chain and are concatenated downstream by
 :func:`merge_collinear`, so tie-breaking inside the chain is immaterial.
 For exact jump records both the pre- and post-jump value enter the
 candidate set, which makes the majorant dominate the full cadlag path.
+
+A :class:`QuintupleSample` holds the shape statistics (graph length,
+big-face count, final value, supremum, time of supremum) of one face set,
+or of a batch of them at one horizon and cutoff (equal-length 1-d arrays,
+as :func:`stack_quintuples` returns).  Both samplers end in
+:func:`reduce_faces`, whose sums do not depend on the face order: the hull
+of an exact path (:func:`shape_stats`, faces in slope order, zero cutoff
+and truncation bound) and the stick-breaking construction
+(:func:`~levyhull.sbrep.sample_quintuple`, sticks paired with their
+increments).  The time of the supremum is ``T`` times the positive-slope
+share of the summed length, which keeps its endpoint atoms at exactly 0
+and T in floating point.
 """
 from __future__ import annotations
 
@@ -17,16 +28,18 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import PathError
+from .errors import ParameterError, PathError
 from .models import EXACT_JUMPS, PathSkeleton
 
 __all__ = [
     "Face",
-    "MajorantSummary",
+    "QuintupleSample",
     "concave_majorant",
     "convex_minorant",
     "merge_collinear",
+    "reduce_faces",
     "shape_stats",
+    "stack_quintuples",
     "faces_to_rows",
 ]
 
@@ -49,19 +62,80 @@ class Face(NamedTuple):
 
 
 @dataclass(frozen=True)
-class MajorantSummary:
-    """Shape statistics of a slope-ordered maximal-face sequence."""
+class QuintupleSample:
+    """Shape statistics of one face set, or of a batch of them.
 
-    faces: tuple
+    The per-draw fields (``upsilon`` through ``truncation_error_bound``)
+    are scalars for one draw, or equal-length 1-d arrays for a batch of
+    draws sharing ``horizon`` and ``cutoff``.  Only single draws carry the
+    face lengths ``sticks`` and heights ``xis``.
+    """
+
+    upsilon: float                 # graph length of the majorant
+    h_prime: int                   # faces of length >= 1
+    final: float                   # value at the horizon
+    sup: float                     # supremum of the majorant
+    gamma: float                   # time the supremum is attained (first attainment)
+    excess: float                  # upsilon minus the summed length
+    truncation_error_bound: float
     horizon: float
-    upsilon: float          # graph length of the majorant
-    excess: float           # upsilon minus the summed horizontal length
-    sup: float              # supremum of the majorant
-    gamma: float            # time the supremum is attained (first attainment)
-    final: float            # value at the horizon
-    h_count: int            # maximal faces of length >= 1
-    hut_length: float       # two-segment envelope below the majorant
-    tent_length: float      # three-segment envelope above the majorant
+    cutoff: float
+    sticks: Sequence[float] | None = None   # face lengths, as given
+    xis: Sequence[float] | None = None      # face heights, as given
+
+    @property
+    def hut_length(self):
+        """Two-segment envelope below the majorant, through the supremum."""
+        T = self.horizon
+        return np.hypot(self.gamma, self.sup) + np.hypot(T - self.gamma, self.sup - self.final)
+
+    @property
+    def tent_length(self):
+        """Three-segment envelope above the majorant."""
+        return self.horizon + 2.0 * self.sup - self.final
+
+
+_PER_DRAW = ("upsilon", "h_prime", "final", "sup", "gamma", "excess", "truncation_error_bound")
+
+
+def stack_quintuples(records):
+    """Batch record of single draws or batches taken at one horizon and
+    cutoff, concatenated in the given order.  ``records`` may be a
+    generator: each record is let go once read, so a block of single draws
+    never holds all of their faces at once."""
+    keys, rows = set(), []
+    for r in records:
+        keys.add((r.horizon, r.cutoff))
+        rows.append([getattr(r, name) for name in _PER_DRAW])
+    if len(keys) != 1:
+        raise ParameterError("stacked quintuples must share one horizon and cutoff")
+    (horizon, cutoff), = keys
+    columns = (np.concatenate(c) if np.ndim(c[0]) else np.array(c) for c in zip(*rows))
+    return QuintupleSample(*columns, horizon=horizon, cutoff=cutoff)
+
+
+def reduce_faces(lengths, heights, T, cutoff=0.0, truncation_error_bound=0.0):
+    """Single-draw record of the faces ``(lengths[i], heights[i])`` of a
+    majorant on [0, T], in any order.
+
+    The supremum time uses the first-attainment convention: faces of
+    height exactly zero do not count towards it.
+    """
+    total = pos_len = sup = final = excess = 0.0
+    big = 0
+    for t, x in zip(lengths, heights):
+        total += t
+        final += x
+        excess += x * x / (t + math.hypot(t, x))
+        if x > 0.0:
+            pos_len += t
+            sup += x
+        if t >= 1.0:
+            big += 1
+    if abs(total - T) > 1e-9 * max(T, 1.0):
+        raise PathError(f"faces do not conserve the horizon: sum {total} vs T {T}")
+    return QuintupleSample(total + excess, big, final, sup, T * (pos_len / total), excess,
+                           truncation_error_bound, T, cutoff, lengths, heights)
 
 
 def _candidates(path: PathSkeleton, upper: bool):
@@ -130,49 +204,15 @@ def merge_collinear(faces: Sequence[Face], slope_tol: float = DEFAULT_SLOPE_TOL)
     return merged
 
 
-def shape_stats(faces: Sequence[Face], T: float) -> MajorantSummary:
-    """Shape statistics of a majorant given by maximal faces.
-
-    The supremum time uses the first-attainment convention: faces of slope
-    exactly zero are excluded.  To keep the endpoint atoms exact in floating
-    point, gamma is computed as ``T`` times the positive-slope share of the
-    total length (an all-positive face set gives gamma == T bit-for-bit).
-    """
+def shape_stats(faces: Sequence[Face], T: float) -> QuintupleSample:
+    """Exact :class:`QuintupleSample` (zero cutoff and truncation bound) of
+    a majorant given by its faces; see :func:`reduce_faces`."""
     if not faces:
         raise PathError("empty face sequence")
-    total = pos_len = sup = final = excess = 0.0
-    h_count = 0
-    for f in faces:
-        if not f.length > 0.0:
-            raise PathError(f"face length must be > 0, got {f.length}")
-        total += f.length
-        final += f.height
-        excess += f.height * f.height / (f.length + math.hypot(f.length, f.height))
-        if f.height > 0.0:
-            pos_len += f.length
-            sup += f.height
-        if f.length >= 1.0:
-            h_count += 1
-    if abs(total - T) > 1e-9 * max(T, 1.0):
-        raise PathError(
-            f"faces do not conserve the horizon: sum {total} vs T {T}"
-        )
-    gamma = T * (pos_len / total)
-    upsilon = total + excess
-    hut = math.hypot(gamma, sup) + math.hypot(T - gamma, sup - final)
-    tent = T + 2.0 * sup - final
-    return MajorantSummary(
-        faces=tuple(faces),
-        horizon=T,
-        upsilon=upsilon,
-        excess=excess,
-        sup=sup,
-        gamma=gamma,
-        final=final,
-        h_count=h_count,
-        hut_length=hut,
-        tent_length=tent,
-    )
+    lengths, heights = zip(*faces)
+    if not all(t > 0.0 for t in lengths):
+        raise PathError(f"face lengths must be > 0, got {lengths}")
+    return reduce_faces(lengths, heights, T)
 
 
 def faces_to_rows(faces: Sequence[Face]):

@@ -110,23 +110,26 @@ def draw_limit_finite_variance(sigma, n, rng, eps=DEFAULT_EPS):
 # stable series: zero-mean index in (1, 2), heavy index in (0, 1)
 # ---------------------------------------------------------------------------
 
-def _stable_series(alpha, beta, n, rng, eps):
+def _stable_series(alpha, beta, n, rng, eps, quadratic):
     """One stick/stable sequence reduced to ``(quad, pos, neg, share, rem)``:
-    the quadratic series ``sum ell^(2/alpha - 1) S^2 / 2``, the positive
-    and negative parts of ``sum ell^(1/alpha) S`` (both nonnegative), the
-    length share of sticks with ``S > 0``, and the remainder."""
+    the quadratic series ``sum ell^(2/alpha - 1) S^2 / 2`` (None unless
+    ``quadratic``), the positive and negative parts of
+    ``sum ell^(1/alpha) S`` (both nonnegative), the length share of sticks
+    with ``S > 0``, and the remainder."""
     p_len = 2.0 / alpha - 1.0
     p = 1.0 / alpha
 
     def terms(ell, s):
         w = ell**p * s
         up = s > 0.0
-        return ell**p_len * s * s, np.where(up, w, 0.0), np.where(up, 0.0, -w), ell * up, ell
+        parts = (np.where(up, w, 0.0), np.where(up, 0.0, -w), ell * up, ell)
+        return (ell**p_len * s * s, *parts) if quadratic else parts
 
-    (quad, pos, neg, pos_len, tot), rem = _series(
+    sums, rem = _series(
         n, eps, rng, lambda shape: stable_standard(alpha, beta, rng, shape), terms
     )
-    return 0.5 * quad, pos, neg, pos_len / tot, rem
+    pos, neg, pos_len, tot = sums[-4:]
+    return (0.5 * sums[0] if quadratic else None), pos, neg, pos_len / tot, rem
 
 
 def _check_alpha(alpha, lo, hi):
@@ -140,7 +143,7 @@ def draw_limit_stable_zero_mean(alpha, n, rng, eps=DEFAULT_EPS, beta=0.0):
     stick sequence per draw; returns ``(coords, bounds)``."""
     _check_alpha(alpha, 1.0, 2.0)
     _check_eps(eps)
-    quad, pos, neg, share, rem = _stable_series(alpha, beta, n, rng, eps)
+    quad, pos, neg, share, rem = _stable_series(alpha, beta, n, rng, eps, quadratic=True)
     coords = np.column_stack([quad, pos, pos - neg, share])
     return coords, STABLE_ENVELOPE * rem ** (2.0 / alpha - 1.0)
 
@@ -155,7 +158,7 @@ def draw_limit_heavy(alpha, n, rng, eps=DEFAULT_EPS, beta=0.0):
     """
     _check_alpha(alpha, 0.0, 1.0)
     _check_eps(eps)
-    _, pos, neg, share, rem = _stable_series(alpha, beta, n, rng, eps)
+    _, pos, neg, share, rem = _stable_series(alpha, beta, n, rng, eps, quadratic=False)
     fin = pos - neg
     coords = np.column_stack(
         [

@@ -18,16 +18,12 @@ pseudo-face.  Consequences:
   with infinite variance the reported figure is a scale proxy built from
   the norming, not an expectation bound).
 
-The time of the supremum is returned as ``T`` times the positive-slope
-share of the accumulated length, which keeps its endpoint atoms at exactly
-0 and T in floating point.
-
-A :class:`QuintupleSample` holds either one draw (scalar fields, as
-:func:`sample_quintuple` returns) or a batch of draws at one horizon and
-cutoff (equal-length 1-d arrays, as :func:`stack_quintuples` returns).  The
-``normalize_*`` functions run the same arithmetic on either form: their
-``coords`` have shape ``(k,)`` for one draw and ``(n, k)`` for a batch of
-``n``, row ``i`` equal to the coordinates of draw ``i``.
+Each draw is :func:`~levyhull.hull.reduce_faces` of its sticks and their
+increments, so a :class:`~levyhull.hull.QuintupleSample` of the
+stick-breaking construction has the fields of the hull of an exact path.
+The ``normalize_*`` functions take one draw or a batch: their ``coords``
+have shape ``(k,)`` for one draw and ``(n, k)`` for a batch of ``n``, row
+``i`` equal to the coordinates of draw ``i``.
 
 :func:`regime` is the one place that names a model's limit regime (from
 its attraction index and the sign of its mean); every ``normalize_*``
@@ -41,19 +37,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, RegimeError, TruncationError
-from .models import (
-    norming,
-    sample_increment,
-    theta,
-    truncated_variance,
-)
+from .hull import QuintupleSample, reduce_faces
+from .models import norming, sample_increment, theta, truncated_variance
 
 __all__ = [
     "DEFAULT_CUTOFF",
-    "QuintupleSample",
     "NormalizedStat",
     "sample_quintuple",
-    "stack_quintuples",
     "regime",
     "require_finite_variance",
     "normalize_finite_variance",
@@ -69,29 +59,6 @@ _ZERO_MEAN_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class QuintupleSample:
-    """Exact-in-law draws of the majorant shape statistics.
-
-    The per-draw fields (``upsilon`` through ``truncation_error_bound``)
-    are scalars for one draw, or equal-length 1-d arrays for a batch of
-    draws sharing ``horizon`` and ``cutoff``.  Only single draws carry
-    ``sticks`` and ``xis``.
-    """
-
-    upsilon: float
-    h_prime: int
-    final: float
-    sup: float
-    gamma: float
-    excess: float                  # upsilon minus the accumulated length
-    truncation_error_bound: float
-    horizon: float
-    cutoff: float
-    sticks: np.ndarray | None = None   # scaled sticks incl. the remainder
-    xis: np.ndarray | None = None      # increments incl. the remainder's
-
-
-@dataclass(frozen=True)
 class NormalizedStat:
     """Left-hand-side coordinates of one limit theorem at finite horizon:
     ``coords`` has shape ``(k,)`` for one draw and ``(n, k)`` for a batch
@@ -104,8 +71,9 @@ class NormalizedStat:
     centering: str = ""
 
 
-def sample_quintuple(model, T, rng, cutoff=DEFAULT_CUTOFF, keep_sticks=False):
-    """Draw the quintuple through the stick-breaking construction."""
+def sample_quintuple(model, T, rng, cutoff=DEFAULT_CUTOFF):
+    """Draw the quintuple through the stick-breaking construction; the
+    record carries the sticks and their increments."""
     if not T > 0.0:
         raise ParameterError(f"horizon must be > 0, got {T}")
     if not cutoff > 0.0:
@@ -115,70 +83,19 @@ def sample_quintuple(model, T, rng, cutoff=DEFAULT_CUTOFF, keep_sticks=False):
             "cutoff > 1 makes the big-face count inexact; use cutoff <= 1"
         )
     L = 1.0
-    total = pos_len = sup = final = excess = 0.0
-    h_prime = 0
     ts: list[float] = []
     xs: list[float] = []
     while T * L >= cutoff:
-        v = rng.random()
-        ell = v * L
+        ell = rng.random() * L
         L -= ell
         t = T * ell
-        xi = sample_increment(model, t, rng)
-        if keep_sticks:
-            ts.append(t)
-            xs.append(xi)
-        total += t
-        final += xi
-        excess += xi * xi / (t + math.hypot(t, xi))
-        if xi > 0.0:
-            pos_len += t
-            sup += xi
-        if t >= 1.0:
-            h_prime += 1
+        ts.append(t)
+        xs.append(sample_increment(model, t, rng))
     rem = T * L
     if rem > 0.0:
-        xi = sample_increment(model, rem, rng)
-        if keep_sticks:
-            ts.append(rem)
-            xs.append(xi)
-        total += rem
-        final += xi
-        excess += xi * xi / (rem + math.hypot(rem, xi))
-        if xi > 0.0:
-            pos_len += rem
-            sup += xi
-    gamma = T * (pos_len / total)
-    return QuintupleSample(
-        upsilon=total + excess,
-        h_prime=h_prime,
-        final=final,
-        sup=sup,
-        gamma=gamma,
-        excess=excess,
-        truncation_error_bound=_remainder_bound(model, rem),
-        horizon=T,
-        cutoff=cutoff,
-        sticks=np.array(ts) if keep_sticks else None,
-        xis=np.array(xs) if keep_sticks else None,
-    )
-
-
-_PER_DRAW = ("upsilon", "h_prime", "final", "sup", "gamma", "excess", "truncation_error_bound")
-
-
-def stack_quintuples(records):
-    """Batch record of single draws or batches taken at one horizon and
-    cutoff, concatenated in the given order."""
-    head = records[0]
-    if any(r.horizon != head.horizon or r.cutoff != head.cutoff for r in records):
-        raise ParameterError("stacked quintuples must share one horizon and cutoff")
-
-    def column(name):
-        vals = [getattr(r, name) for r in records]
-        return np.concatenate(vals) if np.ndim(vals[0]) else np.array(vals)
-
-    return QuintupleSample(*map(column, _PER_DRAW), horizon=head.horizon, cutoff=head.cutoff)
+        ts.append(rem)
+        xs.append(sample_increment(model, rem, rng))
+    return reduce_faces(ts, xs, T, cutoff, _remainder_bound(model, rem))
 
 
 def _remainder_bound(model, s):
@@ -331,15 +248,18 @@ def normalize_drift(model, q: QuintupleSample, case):
     return NormalizedStat("drift-b", coords, T, repr(model))
 
 
-def compute_sigma_t(model, T, sticks, xis, kappa=1.0):
-    """Big-stick variance-mismatch diagnostic.
+def compute_sigma_t(model, q: QuintupleSample, kappa=1.0):
+    """Big-stick variance-mismatch diagnostic of one draw ``q``.
 
     Sums ``xi^2 / t - sigma_t^2`` over sticks of scaled length at least 1
     and divides by twice the root of log T; ``sigma_t^2`` is the model
     variance minus the jump second moment beyond ``kappa * sqrt(t)``.
     """
+    if q.sticks is None:
+        raise ParameterError("diagnostic needs a single draw with its sticks")
     if not kappa >= 1.0:
         raise ParameterError(f"kappa must be >= 1, got {kappa}")
+    T = q.horizon
     if not T > math.e:
         raise RegimeError("diagnostic needs T > e so that log T > 1")
     sigma1 = float(truncated_variance(model, 1.0, kappa))
@@ -347,8 +267,7 @@ def compute_sigma_t(model, T, sticks, xis, kappa=1.0):
         raise RegimeError(
             f"kappa={kappa} truncates the whole variance (sigma_1^2 = {sigma1})"
         )
-    t = np.asarray(sticks, dtype=float)
-    x = np.asarray(xis, dtype=float)
+    t, x = np.asarray(q.sticks, dtype=float), np.asarray(q.xis, dtype=float)
     big = t >= 1.0
     if not big.any():
         return 0.0

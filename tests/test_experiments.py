@@ -7,15 +7,15 @@ import pytest
 from levyhull.config import config_from_mapping, load_config
 from levyhull.errors import ConfigError, PathError
 from levyhull.experiments import (
-    HullStats,
     draw_hull_stats,
+    draw_quintuples,
     emit_plot_data,
     load_report,
     report_csv_body,
     run,
     write_report,
 )
-from levyhull.hull import concave_majorant, merge_collinear, shape_stats
+from levyhull.hull import QuintupleSample, concave_majorant, merge_collinear, shape_stats
 from levyhull.models import (
     EXACT_JUMPS,
     BrownianDrift,
@@ -116,6 +116,16 @@ def test_config_errors():
         config_from_mapping(
             {"experiment": "sb-props", "T_grid": [1], "reps": 200, "model": {"kind": "martian"}}
         )
+    # top-level values that are not numbers, and integer keys given a fraction
+    base = {"experiment": "sb-props", "T_grid": [1], "reps": 200}
+    for key, value in (("seed", "abc"), ("reps", "lots"), ("T_grid", [2, "x"]), ("reps", 100.7),
+                       ("workers", 1.5), ("cutoff", "small"), ("eps", [1]), ("seed", math.nan)):
+        with pytest.raises(ConfigError, match=key):
+            config_from_mapping({**base, key: value})
+    # an integral float is an integer, and a 64-bit seed stays exact
+    cfg = config_from_mapping({**base, "seed": 1e3, "reps": 200.0})
+    assert (cfg.seed, cfg.reps) == (1000, 200) and type(cfg.seed) is int
+    assert config_from_mapping({**base, "seed": 2**64 - 1}).seed == 2**64 - 1
 
 
 def test_regime_mismatch_rejected_before_sampling():
@@ -291,10 +301,14 @@ def test_report_deterministic_across_runs_and_workers(tmp_path):
 def test_hull_stats_name_the_path_statistics():
     model = CompoundPoissonDrift(1.0, Gaussian(0.0, 1.0), mu=0.2)
     hull = draw_hull_stats(model, 8.0, 3, 5, "t")
+    # the stick-breaking batch record: exact hulls have no cutoff or truncation
+    assert type(hull) is type(draw_quintuples(model, 8.0, 3, 5, "t", 1e-3)) is QuintupleSample
+    assert (hull.horizon, hull.cutoff) == (8.0, 0.0) and (hull.truncation_error_bound == 0.0).all()
     g = substream(5, "t", 0)
+    names = ("upsilon", "h_prime", "final", "sup", "gamma", "excess")
     for k in range(3):
         s = shape_stats(merge_collinear(concave_majorant(sample_path(model, 8.0, EXACT_JUMPS, g))), 8.0)
-        assert [getattr(hull, f)[k] for f in HullStats._fields] == [s.upsilon, s.final, s.sup, s.gamma]
+        assert [getattr(hull, f)[k] for f in names] == [getattr(s, f) for f in names]
 
 
 def test_seed_changes_report():
@@ -497,3 +511,9 @@ def test_cli_reports_config_errors(tmp_path, capsys):
     code = main(["run", "--config", str(cfg)])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+    # values that are not numbers are configuration errors too, not tracebacks
+    for body in ("seed = abc\nreps = 200\nT_grid = 100", "reps = lots\nT_grid = 100",
+                 "reps = 200\nT_grid = 2, x", "reps = 100.7\nT_grid = 100"):
+        cfg.write_text(f"experiment = sb-props\n{body}\n")
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "error:" in capsys.readouterr().err

@@ -132,7 +132,10 @@ def test_shape_stats_example():
     assert s.final == 1.0
     assert s.tent_length == pytest.approx(6.0)
     assert s.hut_length == pytest.approx(2 * math.sqrt(5))
-    assert s.h_count == 2
+    assert s.h_prime == 2
+    # an exact face set: no cutoff, no truncation, the faces kept in order
+    assert (s.cutoff, s.truncation_error_bound) == (0.0, 0.0)
+    assert list(s.sticks) == [1.0, 2.0] and list(s.xis) == [2.0, -1.0]
 
 
 def test_shape_stats_single_face():

@@ -12,7 +12,13 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
-from levyhull.hull import Face, concave_majorant, convex_minorant, merge_collinear  # noqa: E402
+from levyhull.hull import (  # noqa: E402
+    Face,
+    concave_majorant,
+    convex_minorant,
+    merge_collinear,
+    shape_stats,
+)
 from levyhull.models import EXACT_JUMPS, GRID, PathSkeleton  # noqa: E402
 
 values_st = st.one_of(
@@ -87,3 +93,25 @@ def test_linear_drift_shifts_every_slope(path, c):
     for f, g in zip(base, drifted):
         assert g.length == pytest.approx(f.length, abs=1e-9)
         assert g.slope == pytest.approx(f.slope + c, abs=1e-9)
+
+
+face_sets = st.lists(
+    st.builds(Face, st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(0.01, 10.0)), values_st),
+    min_size=1,
+    max_size=20,
+)
+
+
+@given(face_sets.flatmap(lambda faces: st.tuples(st.just(faces), st.permutations(faces))))
+def test_shape_stats_ignore_the_face_order(pair):
+    # every sum is order-free, which lets slope-ordered hull faces and
+    # stick-ordered stick-breaking faces share one reduction; rounding may
+    # differ, relative to the summed magnitudes
+    faces, shuffled = pair
+    T = math.fsum(f.length for f in faces)
+    a, b = shape_stats(faces, T), shape_stats(shuffled, T)
+    assert a.h_prime == b.h_prime
+    scale = T + math.fsum(abs(f.height) for f in faces)
+    for name in ("upsilon", "excess", "final", "sup", "gamma", "hut_length", "tent_length"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert math.isclose(x, y, rel_tol=1e-12, abs_tol=1e-12 * scale), name

@@ -1,10 +1,12 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from scipy import stats as sps
 
 from levyhull.errors import ParameterError, RegimeError, TruncationError
+from levyhull.hull import reduce_faces, stack_quintuples
 from levyhull.limitlaws import draw_limit_finite_variance
 from levyhull.models import (
     BrownianDrift,
@@ -23,7 +25,6 @@ from levyhull.sbrep import (
     normalize_drift,
     regime,
     sample_quintuple,
-    stack_quintuples,
 )
 
 
@@ -31,9 +32,9 @@ def rng(seed=0):
     return np.random.default_rng(seed)
 
 
-def draw_many(model, T, n, seed, cutoff=1e-3, keep=False):
+def draw_many(model, T, n, seed, cutoff=1e-3):
     g = rng(seed)
-    return [sample_quintuple(model, T, g, cutoff=cutoff, keep_sticks=keep) for _ in range(n)]
+    return [sample_quintuple(model, T, g, cutoff=cutoff) for _ in range(n)]
 
 
 def test_guards():
@@ -93,12 +94,15 @@ def test_all_positive_increments_pin_gamma_and_sup():
 
 def test_final_value_conservation():
     model = CompoundPoissonDrift(1.0, Gaussian(0.0, 1.0), mu=0.2)
-    for q in draw_many(model, 15.0, 100, seed=5, keep=True):
+    for q in draw_many(model, 15.0, 100, seed=5):
         acc = 0.0
         for x in q.xis:
             acc += x
         assert q.final == acc
-        assert q.sticks.sum() == pytest.approx(15.0, abs=1e-9)
+        assert math.fsum(q.sticks) == pytest.approx(15.0, abs=1e-9)
+        # a draw is the shape statistics of its own sticks, bit for bit
+        r = reduce_faces(list(q.sticks), list(q.xis), 15.0, q.cutoff, q.truncation_error_bound)
+        assert all(np.array_equal(getattr(r, f.name), getattr(q, f.name)) for f in fields(q))
 
 
 def test_h_prime_stable_under_cutoff_refinement():
@@ -124,7 +128,7 @@ def test_h_prime_stable_under_cutoff_refinement():
 def test_truncation_bound_reported():
     q = sample_quintuple(BrownianDrift(1.0), 30.0, rng(6))
     assert 0.0 < q.truncation_error_bound < 1.0
-    qs = sample_quintuple(StableProcess(0.7), 30.0, rng(7), keep_sticks=True)
+    qs = sample_quintuple(StableProcess(0.7), 30.0, rng(7))
     assert qs.truncation_error_bound == 2.0 * 4.0 * norming(StableProcess(0.7), qs.sticks[-1])
     # infinite variance, with (index 1.5) or without (index 0.5) a mean
     for a in (0.5, 1.5):
@@ -177,6 +181,9 @@ def test_batch_normalization_matches_per_draw(model, T, normalize):
     assert coords.shape == (50, singles[0].size)
     for row, single in zip(coords, singles):
         assert (row == single).all()
+    # so do the envelope lengths
+    assert (batch.hut_length == [q.hut_length for q in draws]).all()
+    assert (batch.tent_length == [q.tent_length for q in draws]).all()
     # stacking batches concatenates them in order
     halves = stack_quintuples([stack_quintuples(draws[:20]), stack_quintuples(draws[20:])])
     assert (normalize(model, halves).coords == coords).all()
@@ -313,31 +320,35 @@ def test_drift_limit_case_validation():
 
 def test_sigma_t_constant_variance_for_brownian():
     model = BrownianDrift(1.2)
-    q = sample_quintuple(model, 200.0, rng(20), keep_sticks=True)
-    val = compute_sigma_t(model, 200.0, q.sticks, q.xis)
-    big = q.sticks >= 1.0
-    manual = (q.xis[big] ** 2 / q.sticks[big] - 1.2**2).sum() / (2 * math.sqrt(math.log(200.0)))
+    q = sample_quintuple(model, 200.0, rng(20))
+    val = compute_sigma_t(model, q)
+    t, x = np.array(q.sticks), np.array(q.xis)
+    big = t >= 1.0
+    manual = (x[big] ** 2 / t[big] - 1.2**2).sum() / (2 * math.sqrt(math.log(200.0)))
     assert val == pytest.approx(manual)
 
 
 def test_sigma_t_point_mass_closed_form():
     model = CompoundPoissonDrift(1.0, PointMass(1.0), 0.0)
-    q = sample_quintuple(model, 100.0, rng(21), keep_sticks=True)
+    q = sample_quintuple(model, 100.0, rng(21))
     # with kappa = 1 the unit jump never leaves the strict truncation window
     # on sticks of length >= 1, so sigma_t^2 stays the full variance
-    val = compute_sigma_t(model, 100.0, q.sticks, q.xis, kappa=1.0)
-    big = q.sticks >= 1.0
-    manual = (q.xis[big] ** 2 / q.sticks[big] - 1.0).sum() / (2 * math.sqrt(math.log(100.0)))
+    val = compute_sigma_t(model, q, kappa=1.0)
+    t, x = np.array(q.sticks), np.array(q.xis)
+    big = t >= 1.0
+    manual = (x[big] ** 2 / t[big] - 1.0).sum() / (2 * math.sqrt(math.log(100.0)))
     assert val == pytest.approx(manual)
 
 
 def test_sigma_t_bad_kappa():
     model = CompoundPoissonDrift(1.0, PointMass(2.0), 0.0)
-    q = sample_quintuple(model, 100.0, rng(22), keep_sticks=True)
+    q = sample_quintuple(model, 100.0, rng(22))
     with pytest.raises(RegimeError):
-        compute_sigma_t(model, 100.0, q.sticks, q.xis, kappa=1.0)
+        compute_sigma_t(model, q, kappa=1.0)
     with pytest.raises(ParameterError):
-        compute_sigma_t(model, 100.0, q.sticks, q.xis, kappa=0.5)
+        compute_sigma_t(model, q, kappa=0.5)
+    with pytest.raises(ParameterError):   # a batch record keeps no sticks
+        compute_sigma_t(model, stack_quintuples([q]))
 
 
 def test_sigma_t_conditional_clt():
@@ -349,7 +360,6 @@ def test_sigma_t_conditional_clt():
     g = rng(23)
     vals = np.empty(2500)
     for i in range(vals.size):
-        q = sample_quintuple(model, T, g, cutoff=1.0, keep_sticks=True)
-        vals[i] = compute_sigma_t(model, T, q.sticks, q.xis)
+        vals[i] = compute_sigma_t(model, sample_quintuple(model, T, g, cutoff=1.0))
     res = sps.kstest(vals, sps.norm(scale=math.sqrt(0.5)).cdf)
     assert res.pvalue > 0.01
