@@ -492,24 +492,17 @@ def _exp_theta_scan(cfg: ExperimentConfig) -> RunReport:
 # hull-props path battery ----------------------------------------------------
 
 def _envelope_oracle(times, values, upper=True):
-    """Cubic-cost concave/convex envelope through two-point interpolation;
-    independent of the monotone chain."""
-    n = len(times)
-    best = np.array(values, dtype=float)
-    for k in range(n):
-        for i in range(n):
-            if times[i] > times[k]:
-                continue
-            for j in range(n):
-                if times[j] < times[k] or times[i] == times[j]:
-                    continue
-                lam = (times[k] - times[i]) / (times[j] - times[i])
-                v = (1.0 - lam) * values[i] + lam * values[j]
-                if upper:
-                    best[k] = max(best[k], v)
-                else:
-                    best[k] = min(best[k], v)
-    return best
+    """Concave/convex envelope: the extreme two-point interpolation over all
+    (i, j, k) with ``t_i <= t_k <= t_j``; independent of the monotone chain."""
+    t, v = np.asarray(times, dtype=float), np.asarray(values, dtype=float)
+    ti, tj, tk = t[:, None, None], t[None, :, None], t[None, None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = (tk - ti) / (tj - ti)
+        cand = (1.0 - lam) * v[:, None, None] + lam * v[None, :, None]
+    keep = (ti <= tk) & (tk <= tj) & (ti != tj)
+    if upper:
+        return np.maximum(v, np.where(keep, cand, -np.inf).max(axis=(0, 1)))
+    return np.minimum(v, np.where(keep, cand, np.inf).min(axis=(0, 1)))
 
 
 def _random_battery_path(g):

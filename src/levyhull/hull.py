@@ -8,6 +8,12 @@ vertex; exact ties survive the chain and are concatenated downstream by
 For exact jump records both the pre- and post-jump value enter the
 candidate set, which makes the majorant dominate the full cadlag path.
 
+The chain, faces, merge and shape statistics run on plain Python floats,
+one ``tolist()`` per path: indexing a numpy array with an int makes a new
+``np.float64``, six per orientation test, which was most of the hull time.
+IEEE arithmetic on Python floats gives the same bits, so the faces are
+unchanged; their fields are ``float``.
+
 A :class:`QuintupleSample` holds the shape statistics (graph length,
 big-face count, final value, supremum, time of supremum) of one face set,
 or of a batch of them at one horizon and cutoff (equal-length 1-d arrays,
@@ -139,16 +145,11 @@ def reduce_faces(lengths, heights, T, cutoff=0.0, truncation_error_bound=0.0):
 
 
 def _candidates(path: PathSkeleton, upper: bool):
-    t = np.asarray(path.times, dtype=float)
+    """Candidate times and values as float lists (the record checks the times)."""
+    v = path.values
     if path.exactness == EXACT_JUMPS and path.pre_values is not None:
-        v = np.maximum(path.values, path.pre_values) if upper else np.minimum(
-            path.values, path.pre_values
-        )
-    else:
-        v = np.asarray(path.values, dtype=float)
-    if np.any(np.diff(t) <= 0.0):
-        raise PathError("path times must be strictly increasing without duplicates")
-    return t, v
+        v = (np.maximum if upper else np.minimum)(v, path.pre_values)
+    return np.asarray(path.times, dtype=float).tolist(), np.asarray(v, dtype=float).tolist()
 
 
 def _chain(t, v, upper: bool):
@@ -168,24 +169,18 @@ def _chain(t, v, upper: bool):
 
 
 def _faces_from_vertices(t, v, idx):
-    return [
-        Face(t[j] - t[i], v[j] - v[i]) for i, j in zip(idx[:-1], idx[1:])
-    ]
+    return [Face(t[j] - t[i], v[j] - v[i]) for i, j in zip(idx[:-1], idx[1:])]
 
 
 def concave_majorant(path: PathSkeleton):
     """Faces of the smallest concave function dominating the path record,
     from (0, 0) to (T, X_T), slopes non-increasing."""
-    if len(path.times) < 2:
-        raise PathError("need at least two path points")
     t, v = _candidates(path, upper=True)
     return _faces_from_vertices(t, v, _chain(t, v, upper=True))
 
 
 def convex_minorant(path: PathSkeleton):
     """Mirror image: faces of the largest convex function below the path."""
-    if len(path.times) < 2:
-        raise PathError("need at least two path points")
     t, v = _candidates(path, upper=False)
     return _faces_from_vertices(t, v, _chain(t, v, upper=False))
 

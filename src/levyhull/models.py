@@ -30,7 +30,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
+# scipy.integrate is imported by the quadratures that use it, to keep it out
+# of the package import.  scipy.special stays: verify-clt calls ndtr, so
+# deferring it would only move its import into that run's wall time.
 from scipy.special import ndtr
 
 from .errors import (
@@ -91,6 +93,7 @@ class _JumpLaw:
         raise RegimeError("attraction index is not defined for these jumps")
 
     def theta_time_side(self, root_t):
+        from scipy import integrate
         kinks = [k for k in self.kinks() if 1.0 < k < root_t]
         val, _ = integrate.quad(
             lambda u: float(self.second_moment_tail(u)) / u,
@@ -349,6 +352,7 @@ class LogCorrectedPareto(_JumpLaw):
         root_t = math.sqrt(T)
         total = 0.0
         if root_t > _EE:
+            from scipy import integrate
             val, _ = integrate.quad(
                 lambda w: 1.0 / math.log(w) ** 2,  # w = log x
                 math.e,
@@ -365,6 +369,7 @@ class LogCorrectedPareto(_JumpLaw):
 
 def _lcp_normalizer():
     # total mass of the unnormalized two-sided density
+    from scipy import integrate
     val, _ = integrate.quad(
         lambda x: x**-3 / (math.log(x) * math.log(math.log(x)) ** 2),
         _EE,
@@ -380,6 +385,7 @@ def _phi_pdf(z):
 
 
 def _quad_sum(f, pieces):
+    from scipy import integrate
     total = 0.0
     for a, b in pieces:
         val, _ = integrate.quad(f, a, b, limit=200, epsabs=1e-13, epsrel=1e-11)
@@ -557,10 +563,10 @@ class PathSkeleton:
     pre_values: np.ndarray | None = None
 
     def __post_init__(self):
-        t = self.times
+        t = np.asarray(self.times)
         if len(t) < 2 or t[0] != 0.0 or t[-1] != self.horizon:
             raise ParameterError("path record must run from time 0 to the horizon")
-        if np.any(np.diff(t) <= 0.0):
+        if (t[1:] <= t[:-1]).any():
             raise ParameterError("path times must be strictly increasing")
         if self.values[0] != 0.0:
             raise ParameterError("path must start at value 0")
@@ -594,17 +600,19 @@ def _sample_cp_exact(model, T, rng):
     n = rng.poisson(model.rate * T)
     s = np.sort(rng.random(n)) * T
     jumps = model.jump.sample(n, rng)
-    cum = np.cumsum(jumps) if n else np.empty(0)
-    prev = np.concatenate(([0.0], cum[:-1])) if n else np.empty(0)
-    times = np.concatenate(([0.0], s, [T]))
-    final = model.mu * T + (cum[-1] if n else 0.0)
-    values = np.concatenate(([0.0], model.mu * s + cum, [final]))
-    pre = np.concatenate(([0.0], model.mu * s + prev, [final]))
+    # rows: times, post- and pre-jump values, filled in place (fewer numpy calls)
+    rec = np.zeros((3, n + 2))
+    rec[0, 1:-1] = s
+    rec[0, -1] = T
+    walk = np.zeros(n + 1)  # jump sum up to each point, starting at 0
+    np.cumsum(jumps, out=walk[1:])
+    drift = model.mu * s
+    np.add(drift, walk[1:], out=rec[1, 1:-1])
+    np.add(drift, walk[:-1], out=rec[2, 1:-1])
+    rec[1:, -1] = model.mu * T + walk[-1]
     if n and s[-1] == T:  # jump exactly at the horizon: keep times strict
-        times = times[:-1]
-        values = values[:-1]
-        pre = pre[:-1]
-    return PathSkeleton(times, values, T, EXACT_JUMPS, pre)
+        rec = rec[:, :-1]
+    return PathSkeleton(rec[0], rec[1], T, EXACT_JUMPS, rec[2])
 
 
 def _sample_grid(model, T, h, rng):

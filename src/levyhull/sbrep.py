@@ -103,16 +103,19 @@ def _remainder_bound(model, s):
     absolute increment over duration ``s`` when the variance is finite;
     otherwise, where the second (for index below one also the first) moment
     is missing, the scale proxy ``2 (|mu| s + 4 a_s)`` with ``a_s`` the
-    norming, and no finite figure for a model without one."""
+    norming.  Pareto jumps of index exactly 2 have none; their ``a_s`` is
+    the log-corrected ``scale * sqrt(rate s * max(1, log(rate s)))``."""
     if s <= 0.0:
         return 0.0
     var = model.variance_rate()
     if math.isfinite(var):
         return 2.0 * (abs(model.mean_rate()) * s + math.sqrt(var * s))
     try:
-        return 2.0 * (abs(model.mu) * s + 4.0 * norming(model, s))
-    except RegimeError:  # no attraction index, e.g. Pareto jumps of index 2
-        return math.inf
+        a_s = norming(model, s)
+    except RegimeError:  # compound Poisson with Pareto jumps of index 2
+        lam = model.rate * s
+        a_s = model.jump.scale * math.sqrt(lam * max(1.0, math.log(lam)))
+    return 2.0 * (abs(model.mu) * s + 4.0 * a_s)
 
 
 # ---------------------------------------------------------------------------

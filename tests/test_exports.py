@@ -1,5 +1,8 @@
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,6 +24,14 @@ def test_every_exported_name_exists(name):
 
 def test_package_module_list_is_complete():
     assert {"levyhull.sbrep", "levyhull.experiments", "levyhull.limitlaws"} <= set(MODULES)
+
+
+def test_package_import_leaves_scipy_integrate_unloaded():
+    # only the quadratures need it; they import it when called
+    code = "import sys, levyhull, levyhull.experiments; print('scipy.integrate' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(levyhull.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_readme_quick_tour_runs():

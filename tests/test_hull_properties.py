@@ -12,6 +12,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
+from levyhull.experiments import _envelope_oracle  # noqa: E402
 from levyhull.hull import (  # noqa: E402
     Face,
     concave_majorant,
@@ -36,6 +37,22 @@ def paths(draw):
     if not draw(st.booleans()):
         return PathSkeleton(times, values, float(times[-1]), GRID)
     pre = np.array([0.0] + draw(st.lists(values_st, min_size=n - 2, max_size=n - 2)) + [values[-1]])
+    return PathSkeleton(times, values, float(times[-1]), EXACT_JUMPS, pre)
+
+
+@st.composite
+def lattice_jump_paths(draw):
+    """Exact compound Poisson records with drift whose jump times, jump
+    sizes and drift lie on lattices, so that ties and collinear runs of
+    pre- and post-jump points are common."""
+    n = draw(st.integers(0, 12))
+    gaps = draw(st.lists(st.integers(1, 4).map(lambda k: k / 2.0), min_size=n + 1, max_size=n + 1))
+    jumps = draw(st.lists(st.integers(-6, 6).map(lambda k: k / 4.0), min_size=n, max_size=n))
+    mu = draw(st.integers(-4, 4).map(lambda k: k / 4.0))
+    times = np.concatenate([[0.0], np.cumsum(gaps)])
+    walk = np.concatenate([[0.0], np.cumsum(jumps)])  # jump sum after each jump
+    values = mu * times + np.append(walk, walk[-1])
+    pre = mu * times + np.concatenate([[0.0], walk])
     return PathSkeleton(times, values, float(times[-1]), EXACT_JUMPS, pre)
 
 
@@ -93,6 +110,15 @@ def test_linear_drift_shifts_every_slope(path, c):
     for f, g in zip(base, drifted):
         assert g.length == pytest.approx(f.length, abs=1e-9)
         assert g.slope == pytest.approx(f.slope + c, abs=1e-9)
+
+
+@given(lattice_jump_paths())
+def test_exact_jump_hulls_match_the_envelope_oracle(path):
+    for hull, upper, pick in ((concave_majorant, True, np.maximum), (convex_minorant, False, np.minimum)):
+        faces = hull(path)
+        assert all(type(f.length) is float and type(f.height) is float for f in faces)
+        oracle = _envelope_oracle(path.times, pick(path.values, path.pre_values), upper)
+        np.testing.assert_allclose(eval_faces(faces, path.times), oracle, rtol=0.0, atol=1e-12)
 
 
 face_sets = st.lists(

@@ -134,9 +134,11 @@ def test_truncation_bound_reported():
     for a in (0.5, 1.5):
         qp = sample_quintuple(CompoundPoissonDrift(1.0, Pareto(a, 1.0)), 30.0, rng(8))
         assert 0.0 < qp.truncation_error_bound < math.inf
-    # index 2 has infinite variance and no norming here: the draw is still exact
+    # index 2 has infinite variance and no norming: a log-corrected scale
     q2 = sample_quintuple(CompoundPoissonDrift(1.0, Pareto(2.0, 1.0)), 30.0, rng(9))
-    assert q2.truncation_error_bound == math.inf and math.isfinite(q2.final)
+    assert 0.0 < q2.truncation_error_bound < math.inf and math.isfinite(q2.final)
+    rem = q2.sticks[-1]
+    assert q2.truncation_error_bound == 8.0 * math.sqrt(rem * max(1.0, math.log(rem)))
 
 
 def test_finite_variance_limit_normalization_identities():
