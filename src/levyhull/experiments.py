@@ -35,7 +35,12 @@ from .hull import (
     shape_stats,
     stack_quintuples,
 )
-from .limitlaws import draw_limit_drift, draw_limit_heavy, draw_limit_stable_zero_mean
+from .limitlaws import (
+    draw_limit_drift,
+    draw_limit_heavy,
+    draw_limit_quadratic,
+    draw_limit_stable_zero_mean,
+)
 from .models import (
     EXACT_JUMPS,
     BrownianDrift,
@@ -104,16 +109,10 @@ class RunReport:
 # block-parallel drawing
 # ---------------------------------------------------------------------------
 
-def _blocks(total):
-    full, rest = divmod(total, BLOCK)
-    sizes = [BLOCK] * full + ([rest] if rest else [])
-    return list(enumerate(sizes))
-
-
 def _collect_blocks(worker, total, workers):
     """Run ``worker(block_index, block_size)`` over all blocks; returns the
     results in block order."""
-    plan = _blocks(total)
+    plan = list(enumerate(min(BLOCK, total - lo) for lo in range(0, total, BLOCK)))
     if workers <= 1:
         return [worker(i, n) for i, n in plan]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -384,15 +383,10 @@ def _exp_tail_index(cfg: ExperimentConfig) -> RunReport:
     alpha = model.alpha
     rep = RunReport("tail-index")
     draws = np.empty(cfg.reps)
-    done = 0
     block = 50_000
-    k = 0
-    while done < cfg.reps:
-        n = min(block, cfg.reps - done)
-        coords, _ = draw_limit_stable_zero_mean(alpha, n, substream(cfg.seed, "tail-q", k), cfg.eps)
-        draws[done : done + n] = coords[:, 0]
-        done += n
-        k += 1
+    for k, lo in enumerate(range(0, cfg.reps, block)):
+        g = substream(cfg.seed, "tail-q", k)
+        draws[lo : lo + block], _ = draw_limit_quadratic(alpha, min(block, cfg.reps - lo), g, cfg.eps)
     fit = tail_slope(draws)
     target = -alpha / 2.0
     rep.rows.append(

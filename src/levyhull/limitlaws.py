@@ -23,6 +23,14 @@ uniforms, then that block's driving variables (Gaussian or stable), then
 the next block; the remainder's variable is drawn last.  A smaller ``eps``
 on a fresh stream with the same seed therefore appends blocks to the same
 record, which is what the refinement checks compare.
+
+A record is as long as its slowest row, and the padding sticks stay in
+the sums.  Stopping each row at its own cutoff instead, with its remainder
+as one stick (alpha = 1.5, eps = 1e-6, 5e4 rows, three seeds), lowers the
+quadratic series in 87 % of rows by a median 0.025 (median Q is about
+4.5), a KS distance of 0.0134-0.0137 (p about 2e-4): the summand
+``ell^(2/alpha - 1)`` is concave, so one remainder stick under-weights
+the mass it stands for, and the padding hides that for most rows.
 """
 from __future__ import annotations
 
@@ -37,6 +45,7 @@ from .sticks import stick_matrix
 __all__ = [
     "draw_limit_finite_variance",
     "draw_limit_stable_zero_mean",
+    "draw_limit_quadratic",
     "draw_limit_heavy",
     "draw_limit_drift",
 ]
@@ -110,26 +119,26 @@ def draw_limit_finite_variance(sigma, n, rng, eps=DEFAULT_EPS):
 # stable series: zero-mean index in (1, 2), heavy index in (0, 1)
 # ---------------------------------------------------------------------------
 
-def _stable_series(alpha, beta, n, rng, eps, quadratic):
-    """One stick/stable sequence reduced to ``(quad, pos, neg, share, rem)``:
-    the quadratic series ``sum ell^(2/alpha - 1) S^2 / 2`` (None unless
-    ``quadratic``), the positive and negative parts of
-    ``sum ell^(1/alpha) S`` (both nonnegative), the length share of sticks
-    with ``S > 0``, and the remainder."""
-    p_len = 2.0 / alpha - 1.0
-    p = 1.0 / alpha
+def _quadratic(ell, s, alpha):
+    """Summand of the quadratic series ``sum ell^(2/alpha - 1) S^2``."""
+    return (ell ** (2.0 / alpha - 1.0) * s * s,)
 
-    def terms(ell, s):
-        w = ell**p * s
-        up = s > 0.0
-        parts = (np.where(up, w, 0.0), np.where(up, 0.0, -w), ell * up, ell)
-        return (ell**p_len * s * s, *parts) if quadratic else parts
 
-    sums, rem = _series(
-        n, eps, rng, lambda shape: stable_standard(alpha, beta, rng, shape), terms
+def _signed(ell, s, alpha):
+    """Summands of the positive and negative parts of ``sum ell^(1/alpha) S``
+    (both nonnegative), of the length with ``S > 0`` and of the total length."""
+    w = ell ** (1.0 / alpha) * s
+    up = s > 0.0
+    return np.where(up, w, 0.0), np.where(up, 0.0, -w), ell * up, ell
+
+
+def _stable_series(alpha, beta, n, rng, eps, *terms):
+    """:func:`_series` of the summands of each of ``terms``, driven by
+    standard stable draws of index ``alpha`` and skewness ``beta``."""
+    return _series(
+        n, eps, rng, lambda shape: stable_standard(alpha, beta, rng, shape),
+        lambda ell, s: (y for f in terms for y in f(ell, s, alpha)),
     )
-    pos, neg, pos_len, tot = sums[-4:]
-    return (0.5 * sums[0] if quadratic else None), pos, neg, pos_len / tot, rem
 
 
 def _check_alpha(alpha, lo, hi):
@@ -143,9 +152,19 @@ def draw_limit_stable_zero_mean(alpha, n, rng, eps=DEFAULT_EPS, beta=0.0):
     stick sequence per draw; returns ``(coords, bounds)``."""
     _check_alpha(alpha, 1.0, 2.0)
     _check_eps(eps)
-    quad, pos, neg, share, rem = _stable_series(alpha, beta, n, rng, eps, quadratic=True)
-    coords = np.column_stack([quad, pos, pos - neg, share])
+    (q, pos, neg, pos_len, tot), rem = _stable_series(alpha, beta, n, rng, eps, _quadratic, _signed)
+    coords = np.column_stack([0.5 * q, pos, pos - neg, pos_len / tot])
     return coords, STABLE_ENVELOPE * rem ** (2.0 / alpha - 1.0)
+
+
+def draw_limit_quadratic(alpha, n, rng, eps=DEFAULT_EPS, beta=0.0):
+    """Batch of the quadratic length series alone: column 0 and the bounds
+    of :func:`draw_limit_stable_zero_mean` on the same stream, bit for bit,
+    without the other three series; returns ``(q, bounds)``."""
+    _check_alpha(alpha, 1.0, 2.0)
+    _check_eps(eps)
+    (q,), rem = _stable_series(alpha, beta, n, rng, eps, _quadratic)
+    return 0.5 * q, STABLE_ENVELOPE * rem ** (2.0 / alpha - 1.0)
 
 
 def draw_limit_heavy(alpha, n, rng, eps=DEFAULT_EPS, beta=0.0):
@@ -158,7 +177,8 @@ def draw_limit_heavy(alpha, n, rng, eps=DEFAULT_EPS, beta=0.0):
     """
     _check_alpha(alpha, 0.0, 1.0)
     _check_eps(eps)
-    _, pos, neg, share, rem = _stable_series(alpha, beta, n, rng, eps, quadratic=False)
+    (pos, neg, pos_len, tot), rem = _stable_series(alpha, beta, n, rng, eps, _signed)
+    share = pos_len / tot
     fin = pos - neg
     coords = np.column_stack(
         [

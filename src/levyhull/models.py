@@ -66,6 +66,8 @@ __all__ = [
 EXACT_JUMPS = "exact-jumps"
 GRID = "grid"
 
+CMS_PIECE = 4096   # elements per piece of the array transform of stable_standard
+
 # Support floor of the log-corrected jump law: exp(exp(1)).
 _EE = math.exp(math.e)
 
@@ -521,21 +523,37 @@ class StableProcess:
 
 def stable_standard(alpha, beta, rng, size=None):
     """Standard strictly stable draw(s) via the Chambers-Mallows-Stuck
-    transform; ``size=None`` returns a scalar."""
+    transform; ``size=None`` returns a scalar.
+
+    Outside the Gaussian case an array of draws overwrites its uniforms,
+    :data:`CMS_PIECE` elements at a time, so the uniforms and exponentials
+    are its only full-size arrays.  Each piece evaluates the whole-array
+    expression operation for operation, so every draw keeps its bits.
+    """
     u = (rng.random(size) - 0.5) * math.pi
-    w = rng.exponential(1.0, size)
+    w = rng.standard_exponential(size)
     if alpha == 2.0 and beta == 0.0:
         # exact reduction: 2 sin(U) sqrt(W) ~ N(0, 2)
         return 2.0 * np.sin(u) * np.sqrt(w)
     tb = beta * math.tan(math.pi * alpha / 2.0)
     b0 = math.atan(tb) / alpha
     s0 = (1.0 + tb * tb) ** (1.0 / (2.0 * alpha))
-    return (
-        s0
-        * np.sin(alpha * (u + b0))
-        / np.cos(u) ** (1.0 / alpha)
-        * (np.cos(u - alpha * (u + b0)) / w) ** ((1.0 - alpha) / alpha)
-    )
+    if size is None:   # numpy scalars may round apart from the array loops
+        return (
+            s0
+            * np.sin(alpha * (u + b0))
+            / np.cos(u) ** (1.0 / alpha)
+            * (np.cos(u - alpha * (u + b0)) / w) ** ((1.0 - alpha) / alpha)
+        )
+    flat_u, flat_w = u.reshape(-1), w.reshape(-1)
+    for lo in range(0, flat_u.size, CMS_PIECE):
+        x, e = flat_u[lo : lo + CMS_PIECE], flat_w[lo : lo + CMS_PIECE]
+        # at beta = 0 the shift b0 and the factor s0 are exact no-ops
+        a = alpha * (x + b0) if b0 else alpha * x
+        c = (np.cos(x - a) / e) ** ((1.0 - alpha) / alpha)
+        s = s0 * np.sin(a) if s0 != 1.0 else np.sin(a)
+        x[:] = s / np.cos(x) ** (1.0 / alpha) * c
+    return u
 
 
 def sample_increment(model, t, rng):
@@ -568,6 +586,9 @@ class PathSkeleton:
             raise ParameterError("path record must run from time 0 to the horizon")
         if (t[1:] <= t[:-1]).any():
             raise ParameterError("path times must be strictly increasing")
+        pre = self.pre_values
+        if len(self.values) != len(t) or (pre is not None and len(pre) != len(t)):
+            raise ParameterError("path values and pre-jump values must have one entry per time")
         if self.values[0] != 0.0:
             raise ParameterError("path must start at value 0")
         if self.exactness not in (EXACT_JUMPS, GRID):

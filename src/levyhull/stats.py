@@ -123,17 +123,17 @@ def tail_slope(samples, q_lo=0.99, q_hi=0.9999) -> TailFitResult:
         raise SampleSizeError(f"need 0 < q_lo < q_hi < 1, got {q_lo}, {q_hi}")
     x = np.sort(np.asarray(samples, dtype=float))
     n = x.size
-    ranks = np.arange(1, n + 1)
-    level = ranks / n
-    sf = (n - ranks) / n
-    sel = (level >= q_lo) & (level <= q_hi) & (sf > 0.0) & (x > 0.0)
-    if sel.sum() < 50:
-        raise SampleSizeError(
-            f"tail window [{q_lo}, {q_hi}] holds {int(sel.sum())} points; need >= 50"
-        )
-    lx = np.log(x[sel])
-    ly = np.log(sf[sel])
-    k = lx.size
+    # the ranks r < n with q_lo <= r / n <= q_hi form one run, which starts
+    # and ends within one of the rounded products q * n
+    lo = next((r for r in range(max(math.ceil(q_lo * n) - 1, 1), n) if r / n >= q_lo), n)
+    hi = next((r for r in range(min(math.floor(q_hi * n) + 1, n - 1), 0, -1) if r / n <= q_hi), 0)
+    ranks = np.arange(lo, hi + 1)
+    keep = x[lo - 1 : hi] > 0.0
+    k = int(keep.sum())
+    if k < 50:
+        raise SampleSizeError(f"tail window [{q_lo}, {q_hi}] holds {k} points; need >= 50")
+    lx = np.log(x[lo - 1 : hi][keep])
+    ly = np.log((n - ranks[keep]) / n)
     mx = lx.mean()
     sxx = ((lx - mx) ** 2).sum()
     slope = ((lx - mx) * ly).sum() / sxx

@@ -20,6 +20,8 @@ from .errors import ParameterError
 # columns per block of :func:`stick_matrix`
 BLOCK = 16
 
+ROWS = 4096   # rows per slice of the column loop of stick_matrix
+
 # rows per record of the Monte Carlo reductions, which bounds their memory
 CHUNK = 20_000
 
@@ -49,23 +51,28 @@ def stick_matrix(n_rows, T, cutoff, rng, drive=None):
     draws at ``cutoff`` are a column prefix of those at any finer cutoff.
     The caller draws the remainder's variable after the call.
 
-    Rows that stopped earlier carry extra (finer) sticks, which is harmless
-    for every consumer here: sums over the full sequence only gain accuracy
-    and threshold counts are unaffected because late sticks sit below the
-    cutoff.  Returns ``(t, rem)`` where ``t`` has shape (n_rows, K) in
-    scaled units and ``rem`` is the final scaled remainder per row.
+    Rows that stopped earlier carry extra (finer) sticks.  Threshold counts
+    ignore them, as they sit below the cutoff; the limit series do not, and
+    stopping each row at its own cutoff measurably changes their law (see
+    :mod:`levyhull.limitlaws`).  Returns ``(t, rem)`` where ``t`` has shape
+    (n_rows, K) in scaled units and ``rem`` is the final scaled remainder.
     """
     if not cutoff > 0.0:
         raise ParameterError(f"cutoff must be > 0, got {cutoff}")
     blocks = []   # column-major: row sums add the sticks in order
     L = np.ones(n_rows)
     while True:
-        v = rng.random((n_rows, BLOCK))
         cols = np.empty((BLOCK, n_rows))
-        for j in range(BLOCK):
-            ell = v[:, j] * L
-            cols[j] = T * ell
-            L = L - ell
+        # drawn a row slice at a time, the row-major uniforms keep their stream
+        # order and stay in cache; each row's arithmetic is a column loop's
+        for lo in range(0, n_rows, ROWS):
+            v = rng.random((min(ROWS, n_rows - lo), BLOCK))
+            left = L[lo : lo + ROWS]
+            for j in range(BLOCK):
+                ell = cols[j, lo : lo + ROWS]
+                np.multiply(v[:, j], left, out=ell)
+                left -= ell
+                ell *= T
         if drive is not None:
             drive(cols.T)
         blocks.append(cols)

@@ -164,6 +164,24 @@ def test_malformed_paths_rejected():
         skeleton([0, 1], [1, 2])               # nonzero start
 
 
+def test_short_values_rejected():
+    with pytest.raises(ParameterError, match="one entry per time"):
+        skeleton([0.0, 1.0, 2.0], [0.0, 1.0])
+
+
+def test_long_values_rejected():
+    # the extra value used to be ignored: the majorant came out as [Face(2.0, 3.0)]
+    with pytest.raises(ParameterError, match="one entry per time"):
+        skeleton([0.0, 1.0, 2.0], [0.0, 1.0, 3.0, 5.0])
+
+
+def test_mismatched_pre_values_rejected():
+    times, values = np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 3.0])
+    for pre in ([0.0, 1.0], [0.0, 1.0, 2.0, 3.0]):
+        with pytest.raises(ParameterError, match="one entry per time"):
+            PathSkeleton(times, values, 2.0, EXACT_JUMPS, np.array(pre))
+
+
 def test_elementary_sandwich_every_draw():
     g = rng(3)
     model = BrownianDrift(1.0)

@@ -9,11 +9,13 @@ from levyhull.limitlaws import (
     draw_limit_drift,
     draw_limit_finite_variance,
     draw_limit_heavy,
+    draw_limit_quadratic,
     draw_limit_stable_zero_mean,
 )
 from levyhull.models import StableProcess
 from levyhull.sbrep import normalize_stable_zero_mean, sample_quintuple
 from levyhull.stats import tail_slope
+from levyhull.sticks import ROWS
 
 
 def rng(seed=0):
@@ -110,6 +112,17 @@ def test_stable_limit_refinement_stays_within_reported_bound():
             b, _ = draw_limit_stable_zero_mean(1.5, 64, rng(seed), eps=fine)
             assert (np.abs(a - b).max(axis=1) <= bound).all()
     assert not np.array_equal(a, b)
+
+
+def test_quadratic_series_alone_is_column_zero_bit_for_bit():
+    # batch sizes below and above the row slice of the stick loop
+    for n in (1, 300, ROWS + 17):
+        for seed in (0, 1, 2):
+            for alpha, beta in ((1.5, 0.0), (1.2, 0.5)):
+                coords, bounds = draw_limit_stable_zero_mean(alpha, n, rng(seed), beta=beta)
+                q, q_bounds = draw_limit_quadratic(alpha, n, rng(seed), beta=beta)
+                assert np.array_equal(q, coords[:, 0])
+                assert np.array_equal(q_bounds, bounds)
 
 
 def test_stable_limit_tail_exponent():

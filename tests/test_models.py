@@ -10,6 +10,7 @@ from levyhull.errors import (
     UnsupportedExactnessError,
 )
 from levyhull.models import (
+    CMS_PIECE,
     EXACT_JUMPS,
     BrownianDrift,
     CompoundPoissonDrift,
@@ -278,3 +279,30 @@ def test_stable_standard_symmetry():
     g = rng(41)
     x = stable_standard(1.5, 0.0, g, 50_000)
     assert abs(np.mean(np.sign(x))) < 0.02
+
+
+@pytest.mark.parametrize(
+    "alpha, beta", [(1.5, 0.0), (0.7, 0.0), (1.5, 0.5), (0.6, -0.8), (1.2, 1.0), (2.0, 0.0), (2.0, 0.4)]
+)
+def test_stable_standard_arrays_match_the_textbook_transform(alpha, beta):
+    # the piecewise in-place evaluation keeps every bit of the plain expression
+    def textbook(g, size):
+        u = (g.random(size) - 0.5) * math.pi
+        w = g.exponential(1.0, size)
+        if alpha == 2.0 and beta == 0.0:
+            return 2.0 * np.sin(u) * np.sqrt(w)
+        tb = beta * math.tan(math.pi * alpha / 2.0)
+        b0 = math.atan(tb) / alpha
+        s0 = (1.0 + tb * tb) ** (1.0 / (2.0 * alpha))
+        return (
+            s0
+            * np.sin(alpha * (u + b0))
+            / np.cos(u) ** (1.0 / alpha)
+            * (np.cos(u - alpha * (u + b0)) / w) ** ((1.0 - alpha) / alpha)
+        )
+
+    for size in ((3, 7), 20001, (2, CMS_PIECE + 5)):
+        x = stable_standard(alpha, beta, rng(43), size)
+        ref = textbook(rng(43), size)
+        assert x.shape == ref.shape
+        assert np.array_equal(x, ref)

@@ -139,3 +139,28 @@ def test_tail_slope_window_errors():
         tail_slope(g.random(1000))  # default window holds < 50 points
     with pytest.raises(SampleSizeError):
         tail_slope(g.random(100_000), q_lo=0.9, q_hi=0.5)
+
+
+def test_tail_slope_window_matches_a_full_rank_mask():
+    # the rank-bound window selects what a mask over every order statistic
+    # selects, so the fit keeps its bits
+    def masked(samples, q_lo, q_hi):
+        x = np.sort(samples)
+        n = x.size
+        ranks = np.arange(1, n + 1)
+        sf = (n - ranks) / n
+        sel = (ranks / n >= q_lo) & (ranks / n <= q_hi) & (sf > 0.0) & (x > 0.0)
+        lx, ly = np.log(x[sel]), np.log(sf[sel])
+        mx = lx.mean()
+        sxx = ((lx - mx) ** 2).sum()
+        slope = ((lx - mx) * ly).sum() / sxx
+        intercept = ly.mean() - slope * mx
+        resid = ly - intercept - slope * lx
+        return slope, intercept, math.sqrt(resid @ resid / max(lx.size - 2, 1) / sxx), lx.size
+
+    g = rng(15)
+    for n, q_lo, q_hi in [(100_000, 0.99, 0.9999), (1000, 0.5, 0.99), (12_345, 0.3, 0.7),
+                          (4_000, 0.01, 0.99), (777, 1 / 3, 2 / 3), (1000, 0.9, 0.99999)]:
+        x = g.standard_normal(n) * g.random(n) ** -1.2   # a mixed-sign sample
+        fit = tail_slope(x, q_lo, q_hi)
+        assert (fit.slope, fit.intercept, fit.slope_se, fit.n_points) == masked(x, q_lo, q_hi)

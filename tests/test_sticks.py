@@ -8,6 +8,7 @@ from levyhull.errors import ParameterError
 from levyhull.sticks import (
     BLOCK,
     COMPENSATION_CATALOG,
+    ROWS,
     big_stick_power_sum,
     compensation_estimate,
     stick_matrix,
@@ -239,3 +240,21 @@ def test_driven_record_extends_under_a_finer_cutoff():
         assert (x2[:, :k] == x1).all()
         extended += t2.shape[1] > k
     assert extended > 0
+
+
+def test_row_sliced_loop_matches_a_per_column_loop():
+    # row counts below, at and not a multiple of the row slice: slicing
+    # keeps the stream order of the uniforms and each row's arithmetic
+    for n_rows in (1, 7, ROWS, 2 * ROWS + 123):
+        for T, cutoff in ((1.0, 1e-6), (37.5, 1e-2)):
+            drawn = []
+            t, rem = stick_matrix(n_rows, T, cutoff, rng(n_rows), drawn.append)
+            cols, L = [], np.ones(n_rows)
+            for v in rng(n_rows).random((t.shape[1] // BLOCK, n_rows, BLOCK)):
+                for j in range(BLOCK):
+                    ell = v[:, j] * L
+                    cols.append(T * ell)
+                    L = L - ell
+            assert np.array_equal(t, np.column_stack(cols))
+            assert np.array_equal(rem, T * L)
+            assert np.array_equal(np.hstack(drawn), t)
