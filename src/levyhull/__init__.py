@@ -28,10 +28,8 @@ from .models import (
     theta,
     theta_fubini,
 )
-from .rng import master_stream, substream
+from .rng import substream
 from .sbrep import (
-    NormalizedStat,
-    compute_sigma_t,
     normalize_finite_variance,
     normalize_stable_zero_mean,
     normalize_heavy,

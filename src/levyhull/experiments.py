@@ -70,7 +70,7 @@ from .sticks import (
     compensation_estimate,
     tau_gset_counts,
 )
-from .stats import ks_distance_to_cdf, ks_two_sample, tail_slope, variance_se
+from .stats import _tail_points, ks_distance_to_cdf, ks_two_sample, tail_slope, variance_se
 
 __all__ = ["Row", "RunReport", "run", "write_report", "emit_plot_data", "load_report"]
 
@@ -154,9 +154,10 @@ def _draw_record_table(q):
     return header, cols
 
 
-def _row_check(T, name, value, threshold, passed):
-    """Row of a plain threshold check: no standard error, no p-value."""
-    return Row(T, name, value, math.nan, math.nan, threshold, passed)
+def _row_check(T, name, value, threshold, passed, se_or_d=math.nan):
+    """Row of a threshold check without a p-value; ``se_or_d`` is the
+    value's standard error or KS distance, if it has one."""
+    return Row(T, name, value, se_or_d, math.nan, threshold, passed)
 
 
 def _row_ks(T, name, ks, level=0.01):
@@ -175,11 +176,8 @@ def _rows_coordinate_ks(rep, T, prefix, finite, limit):
 
 def _row_ci(T, name, est, se, target, mult=3.0):
     est, se = float(est), float(se)
-    tol = mult * se
-    return Row(
-        T, name, est, se, math.nan,
-        f"|value - {target:g}| <= {mult:g}*SE", bool(abs(est - target) <= max(tol, 1e-9)),
-    )
+    return _row_check(T, name, est, f"|value - {target:g}| <= {mult:g}*SE",
+                      bool(abs(est - target) <= max(mult * se, 1e-9)), se)
 
 
 # ---------------------------------------------------------------------------
@@ -269,21 +267,20 @@ def _exp_verify_clt(cfg: ExperimentConfig) -> RunReport:
     grid = cfg.t_grid if cfg.checks in ("all", "trend") else cfg.t_grid[-1:]
     for k, T in enumerate(grid):
         q = draw_quintuples(model, T, cfg.reps, cfg.seed, f"clt-{k}", cfg.cutoff, cfg.workers)
-        sto = normalize_finite_variance(model, q, "stochastic").coords
-        det1 = normalize_finite_variance(model, q, "deterministic").coords[:, 0]
+        sto = normalize_finite_variance(model, q, "stochastic")
+        det1 = normalize_finite_variance(model, q, "deterministic")[:, 0]
         rep.samples[f"det_stat_T{k}"] = det1
         if cfg.checks in ("all", "trend"):
             d = ks_distance_to_cdf(det1, lambda x: ndtr(x / limit_sd))
             trend_ok = True if prev_d is None else d < prev_d
             rep.rows.append(
-                Row(T, "clt_ks_distance", d, d, math.nan,
-                    "strictly decreasing along the grid", trend_ok)
+                _row_check(T, "clt_ks_distance", d, "strictly decreasing along the grid", trend_ok, d)
             )
             prev_d = d
         if T != grid[-1]:
             continue
         if cfg.checks in ("all", "trend"):
-            rep.rows.append(Row(T, "clt_ks_final", d, d, math.nan, "D < 0.1", d < 0.1))
+            rep.rows.append(_row_check(T, "clt_ks_final", d, "D < 0.1", d < 0.1, d))
             ratio = float(det1.var()) / (0.75 * var * var)
             rep.rows.append(
                 _row_check(T, "clt_variance_ratio", ratio,
@@ -321,7 +318,7 @@ def _exp_verify_stable(cfg: ExperimentConfig) -> RunReport:
         # scale constant and are expected to miss the KS thresholds; a model
         # without a skewness parameter is compared with the symmetric law
         q = draw_quintuples(model, T, cfg.reps, cfg.seed, "stable-rep", cfg.cutoff, cfg.workers)
-        finite = normalize_stable_zero_mean(model, q).coords
+        finite = normalize_stable_zero_mean(model, q)
         coords, _ = draw_limit_stable_zero_mean(alpha, cfg.reps, substream(cfg.seed, "stable-limit", 0),
                                                 cfg.eps, beta=getattr(model, "beta", 0.0))
         _rows_coordinate_ks(rep, T, "stable", finite, coords)
@@ -331,7 +328,7 @@ def _exp_verify_stable(cfg: ExperimentConfig) -> RunReport:
     if name == "drift-a":
         mean = model.mean_rate()
         q = draw_quintuples(model, T, cfg.reps, cfg.seed, "drift-a-rep", cfg.cutoff, cfg.workers)
-        fluct = normalize_drift(model, q, "a").coords
+        fluct = normalize_drift(model, q, "a")
         c1, c3 = fluct[:, 0], fluct[:, 2]
         cov = np.cov(c1, c3)
         slope = float(cov[0, 1] / cov[1, 1])
@@ -366,7 +363,7 @@ def _exp_verify_heavy(cfg: ExperimentConfig) -> RunReport:
     q = draw_quintuples(model, T, cfg.reps, cfg.seed, "heavy-rep", cfg.cutoff, cfg.workers)
     coords, _ = draw_limit_heavy(model.attraction_alpha(), cfg.reps, substream(cfg.seed, "heavy-limit", 0),
                                  cfg.eps, beta=getattr(model, "beta", 0.0))
-    _rows_coordinate_ks(rep, T, "heavy", normalize_heavy(model, q).coords, coords)
+    _rows_coordinate_ks(rep, T, "heavy", normalize_heavy(model, q), coords)
     rep.tables["rep_draws"] = _draw_record_table(q)
     lo = 2.0 * q.sup - q.final
     slack = 1e-9 * norming(model, T)
@@ -390,8 +387,8 @@ def _exp_tail_index(cfg: ExperimentConfig) -> RunReport:
     fit = tail_slope(draws)
     target = -alpha / 2.0
     rep.rows.append(
-        Row(math.nan, "tail_slope", fit.slope, fit.slope_se, math.nan,
-            f"within 0.1 of {target}", abs(fit.slope - target) <= 0.1)
+        _row_check(math.nan, "tail_slope", fit.slope, f"within 0.1 of {target}",
+                   abs(fit.slope - target) <= 0.1, fit.slope_se)
     )
     # perpetuity reconstruction: one stick and one stable draw on top of an
     # independent copy must reproduce the law
@@ -760,12 +757,8 @@ def emit_plot_data(report: RunReport, kind: str, outdir) -> list:
         name = next((n for n in report.samples if n in ("q_draws", "tail_draws")), None)
         if name is None:
             raise PathError("report holds no tail sample (expected 'q_draws')")
-        x = np.sort(report.samples[name])
-        fit = tail_slope(x)
-        n = x.size
-        sel = slice(int(n * fit.q_lo), int(n * fit.q_hi))
-        lx = np.log(x[sel])
-        lsf = np.log(1.0 - (np.arange(n)[sel] + 1) / (n + 1.0))
+        fit = tail_slope(report.samples[name])
+        lx, lsf = _tail_points(report.samples[name], fit.q_lo, fit.q_hi)
         path = out / "tail_loglog.csv"
         with open(path, "w") as fh:
             fh.write("log_x,log_sf,fit\n")

@@ -73,8 +73,7 @@ class QuintupleSample:
 
     The per-draw fields (``upsilon`` through ``truncation_error_bound``)
     are scalars for one draw, or equal-length 1-d arrays for a batch of
-    draws sharing ``horizon`` and ``cutoff``.  Only single draws carry the
-    face lengths ``sticks`` and heights ``xis``.
+    draws sharing ``horizon`` and ``cutoff``.
     """
 
     upsilon: float                 # graph length of the majorant
@@ -86,8 +85,6 @@ class QuintupleSample:
     truncation_error_bound: float
     horizon: float
     cutoff: float
-    sticks: Sequence[float] | None = None   # face lengths, as given
-    xis: Sequence[float] | None = None      # face heights, as given
 
     @property
     def hut_length(self):
@@ -107,8 +104,7 @@ _PER_DRAW = ("upsilon", "h_prime", "final", "sup", "gamma", "excess", "truncatio
 def stack_quintuples(records):
     """Batch record of single draws or batches taken at one horizon and
     cutoff, concatenated in the given order.  ``records`` may be a
-    generator: each record is let go once read, so a block of single draws
-    never holds all of their faces at once."""
+    generator."""
     keys, rows = set(), []
     for r in records:
         keys.add((r.horizon, r.cutoff))
@@ -141,7 +137,7 @@ def reduce_faces(lengths, heights, T, cutoff=0.0, truncation_error_bound=0.0):
     if abs(total - T) > 1e-9 * max(T, 1.0):
         raise PathError(f"faces do not conserve the horizon: sum {total} vs T {T}")
     return QuintupleSample(total + excess, big, final, sup, T * (pos_len / total), excess,
-                           truncation_error_bound, T, cutoff, lengths, heights)
+                           truncation_error_bound, T, cutoff)
 
 
 def _candidates(path: PathSkeleton, upper: bool):

@@ -58,8 +58,6 @@ __all__ = [
     "norming",
     "theta",
     "theta_fubini",
-    "levy_tail_second_moment",
-    "truncated_variance",
     "stable_standard",
 ]
 
@@ -111,7 +109,7 @@ class _JumpLaw:
 
 class _AtomicJump(_JumpLaw):
     """Jump law with finitely many atoms ``(x, p)``: both forms of the
-    centering integral in closed form."""
+    centering integral in closed form, so no tail second moment."""
 
     def theta(self, T):
         return 0.5 * sum(p * x**2 * _logplus_min(T, x) for x, p in self.atoms())
@@ -150,13 +148,6 @@ class TwoPoint(_AtomicJump):
 
     def second_moment(self):
         return self.p_up * self.up**2 + (1.0 - self.p_up) * self.down**2
-
-    def second_moment_tail(self, u):
-        """E[J^2; |J| > u] (strict tail)."""
-        u = np.asarray(u, dtype=float)
-        up_part = self.p_up * self.up**2 * (self.up > u)
-        dn_part = (1.0 - self.p_up) * self.down**2 * (-self.down > u)
-        return up_part + dn_part
 
     def atoms(self):
         return [(self.up, self.p_up), (self.down, 1.0 - self.p_up)]
@@ -295,10 +286,6 @@ class PointMass(_AtomicJump):
 
     def second_moment(self):
         return self.x**2
-
-    def second_moment_tail(self, u):
-        u = np.asarray(u, dtype=float)
-        return self.x**2 * (abs(self.x) > u)
 
     def atoms(self):
         return [(self.x, 1.0)]
@@ -672,23 +659,6 @@ def norming(model, T):
 # ---------------------------------------------------------------------------
 # the centering integral Theta
 # ---------------------------------------------------------------------------
-
-def levy_tail_second_moment(model, u):
-    """Integral of x^2 against the jump measure over { |x| > u } (strict)."""
-    lm = model.levy_measure()
-    if lm is None:
-        return np.zeros_like(np.asarray(u, dtype=float)) + 0.0
-    rate, jump = lm
-    return rate * jump.second_moment_tail(u)
-
-
-def truncated_variance(model, t, kappa=1.0):
-    """Variance of X_1 minus the jump second moment beyond |x| > kappa*sqrt(t)."""
-    var = model.variance_rate()
-    if not math.isfinite(var):
-        raise RegimeError("truncated variance needs a finite-variance model")
-    return var - levy_tail_second_moment(model, kappa * np.sqrt(np.asarray(t, float)))
-
 
 @lru_cache(maxsize=1024)
 def theta(model, T):

@@ -11,14 +11,9 @@ import zlib
 
 import numpy as np
 
-__all__ = ["master_stream", "substream"]
+__all__ = ["substream"]
 
 _MASK64 = (1 << 64) - 1
-
-
-def master_stream(seed: int) -> np.random.Generator:
-    """Single stream keyed by the master seed alone."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed & _MASK64)))
 
 
 def substream(seed: int, tag: str, index: int) -> np.random.Generator:

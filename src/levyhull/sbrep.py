@@ -21,9 +21,9 @@ pseudo-face.  Consequences:
 Each draw is :func:`~levyhull.hull.reduce_faces` of its sticks and their
 increments, so a :class:`~levyhull.hull.QuintupleSample` of the
 stick-breaking construction has the fields of the hull of an exact path.
-The ``normalize_*`` functions take one draw or a batch: their ``coords``
-have shape ``(k,)`` for one draw and ``(n, k)`` for a batch of ``n``, row
-``i`` equal to the coordinates of draw ``i``.
+The ``normalize_*`` functions take one draw or a batch and return its
+coordinate array: shape ``(k,)`` for one draw and ``(n, k)`` for a batch
+of ``n``, row ``i`` equal to the coordinates of draw ``i``.
 
 :func:`regime` is the one place that names a model's limit regime (from
 its attraction index and the sign of its mean); every ``normalize_*``
@@ -32,17 +32,15 @@ and the experiments check a model through it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError, RegimeError, TruncationError
 from .hull import QuintupleSample, reduce_faces
-from .models import norming, sample_increment, theta, truncated_variance
+from .models import norming, sample_increment, theta
 
 __all__ = [
     "DEFAULT_CUTOFF",
-    "NormalizedStat",
     "sample_quintuple",
     "regime",
     "require_finite_variance",
@@ -50,7 +48,6 @@ __all__ = [
     "normalize_stable_zero_mean",
     "normalize_heavy",
     "normalize_drift",
-    "compute_sigma_t",
 ]
 
 DEFAULT_CUTOFF = 1e-3
@@ -58,22 +55,10 @@ DEFAULT_CUTOFF = 1e-3
 _ZERO_MEAN_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class NormalizedStat:
-    """Left-hand-side coordinates of one limit theorem at finite horizon:
-    ``coords`` has shape ``(k,)`` for one draw and ``(n, k)`` for a batch
-    of ``n`` draws."""
-
-    regime: str
-    coords: np.ndarray
-    horizon: float
-    model: str
-    centering: str = ""
-
-
 def sample_quintuple(model, T, rng, cutoff=DEFAULT_CUTOFF):
-    """Draw the quintuple through the stick-breaking construction; the
-    record carries the sticks and their increments."""
+    """Draw the quintuple through the stick-breaking construction: the
+    record of :func:`~levyhull.hull.reduce_faces` of the sticks and their
+    increments."""
     if not T > 0.0:
         raise ParameterError(f"horizon must be > 0, got {T}")
     if not cutoff > 0.0:
@@ -169,7 +154,7 @@ def normalize_finite_variance(model, q: QuintupleSample, centering="stochastic")
     th = theta(model, T)
     center = q.h_prime if centering == "stochastic" else lt
     c1 = ((q.upsilon - T) - 0.5 * var * center + th) / math.sqrt(lt)
-    coords = np.stack(
+    return np.stack(
         [
             c1,
             (q.h_prime - lt) / math.sqrt(lt),
@@ -179,7 +164,6 @@ def normalize_finite_variance(model, q: QuintupleSample, centering="stochastic")
         ],
         axis=-1,
     )
-    return NormalizedStat("finite-variance", coords, T, repr(model), centering)
 
 
 def normalize_stable_zero_mean(model, q: QuintupleSample):
@@ -187,7 +171,7 @@ def normalize_stable_zero_mean(model, q: QuintupleSample):
     _require_regime(model, "stable-zero-mean")
     T = q.horizon
     a_t = norming(model, T)
-    coords = np.stack(
+    return np.stack(
         [
             (q.upsilon - T) * T / a_t**2,
             q.sup / a_t,
@@ -196,7 +180,6 @@ def normalize_stable_zero_mean(model, q: QuintupleSample):
         ],
         axis=-1,
     )
-    return NormalizedStat("stable-zero-mean", coords, T, repr(model))
 
 
 def normalize_heavy(model, q: QuintupleSample):
@@ -212,7 +195,7 @@ def normalize_heavy(model, q: QuintupleSample):
     _require_regime(model, "heavy")
     T = q.horizon
     a_t = norming(model, T)
-    coords = np.stack(
+    return np.stack(
         [
             q.upsilon / a_t,
             q.sup / a_t,
@@ -225,7 +208,6 @@ def normalize_heavy(model, q: QuintupleSample):
         ],
         axis=-1,
     )
-    return NormalizedStat("heavy", coords, T, repr(model))
 
 
 def normalize_drift(model, q: QuintupleSample, case):
@@ -243,37 +225,7 @@ def normalize_drift(model, q: QuintupleSample, case):
     a_t = norming(model, T)
     length_fluct = (q.upsilon - math.sqrt(1.0 + mu * mu) * T) / a_t
     if case == "a":
-        coords = np.stack(
+        return np.stack(
             [length_fluct, (q.sup - mu * T) / a_t, (q.final - mu * T) / a_t], axis=-1
         )
-        return NormalizedStat("drift-a", coords, T, repr(model))
-    coords = np.stack([length_fluct, q.sup, (q.final - mu * T) / a_t, q.gamma], axis=-1)
-    return NormalizedStat("drift-b", coords, T, repr(model))
-
-
-def compute_sigma_t(model, q: QuintupleSample, kappa=1.0):
-    """Big-stick variance-mismatch diagnostic of one draw ``q``.
-
-    Sums ``xi^2 / t - sigma_t^2`` over sticks of scaled length at least 1
-    and divides by twice the root of log T; ``sigma_t^2`` is the model
-    variance minus the jump second moment beyond ``kappa * sqrt(t)``.
-    """
-    if q.sticks is None:
-        raise ParameterError("diagnostic needs a single draw with its sticks")
-    if not kappa >= 1.0:
-        raise ParameterError(f"kappa must be >= 1, got {kappa}")
-    T = q.horizon
-    if not T > math.e:
-        raise RegimeError("diagnostic needs T > e so that log T > 1")
-    sigma1 = float(truncated_variance(model, 1.0, kappa))
-    if not sigma1 > 0.0:
-        raise RegimeError(
-            f"kappa={kappa} truncates the whole variance (sigma_1^2 = {sigma1})"
-        )
-    t, x = np.asarray(q.sticks, dtype=float), np.asarray(q.xis, dtype=float)
-    big = t >= 1.0
-    if not big.any():
-        return 0.0
-    tb, xb = t[big], x[big]
-    sig2 = truncated_variance(model, tb, kappa)
-    return float((xb * xb / tb - sig2).sum() / (2.0 * math.sqrt(math.log(T))))
+    return np.stack([length_fluct, q.sup, (q.final - mu * T) / a_t, q.gamma], axis=-1)

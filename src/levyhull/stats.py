@@ -111,14 +111,10 @@ def variance_se(samples):
     return float(s2), float(math.sqrt(max(m4 - s2 * s2, 0.0) / x.size))
 
 
-def tail_slope(samples, q_lo=0.99, q_hi=0.9999) -> TailFitResult:
-    """Least-squares slope of ``log(1 - ECDF)`` against ``log x`` over the
-    order statistics between the two upper quantiles.
-
-    For a survival function ``c * x^-a`` the slope estimates ``-a``.  The
-    window is quantile-based, so the slope is invariant under positive
-    scaling of the sample.
-    """
+def _tail_points(samples, q_lo, q_hi):
+    """The ``(log x, log(1 - ECDF))`` points that :func:`tail_slope` fits:
+    the positive order statistics of ranks ``r`` with
+    ``q_lo <= r / n <= q_hi``, at survival ``(n - r) / n``."""
     if not 0.0 < q_lo < q_hi < 1.0:
         raise SampleSizeError(f"need 0 < q_lo < q_hi < 1, got {q_lo}, {q_hi}")
     x = np.sort(np.asarray(samples, dtype=float))
@@ -132,8 +128,19 @@ def tail_slope(samples, q_lo=0.99, q_hi=0.9999) -> TailFitResult:
     k = int(keep.sum())
     if k < 50:
         raise SampleSizeError(f"tail window [{q_lo}, {q_hi}] holds {k} points; need >= 50")
-    lx = np.log(x[lo - 1 : hi][keep])
-    ly = np.log((n - ranks[keep]) / n)
+    return np.log(x[lo - 1 : hi][keep]), np.log((n - ranks[keep]) / n)
+
+
+def tail_slope(samples, q_lo=0.99, q_hi=0.9999) -> TailFitResult:
+    """Least-squares slope of ``log(1 - ECDF)`` against ``log x`` over the
+    order statistics between the two upper quantiles.
+
+    For a survival function ``c * x^-a`` the slope estimates ``-a``.  The
+    window is quantile-based, so the slope is invariant under positive
+    scaling of the sample.
+    """
+    lx, ly = _tail_points(samples, q_lo, q_hi)
+    k = lx.size
     mx = lx.mean()
     sxx = ((lx - mx) ** 2).sum()
     slope = ((lx - mx) * ly).sum() / sxx

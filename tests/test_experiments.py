@@ -29,6 +29,7 @@ from levyhull.models import (
     sample_path,
 )
 from levyhull.rng import substream
+from levyhull.stats import tail_slope
 
 
 def cp_identity_cfg(**over):
@@ -426,6 +427,10 @@ def test_emit_tail_loglog_slope_matches_synthetic_tail(tmp_path):
     lx, lsf = data[:, 0], data[:, 1]
     slope = np.polyfit(lx, lsf, 1)[0]
     assert abs(slope + a) < 0.05
+    # the emitted points are the ones the reported fit used
+    fit = tail_slope(draws)
+    assert len(data) == fit.n_points
+    assert abs(slope - fit.slope) < 1e-9
 
 
 def test_emit_scaling_table(tmp_path):

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import pkgutil
@@ -20,6 +21,19 @@ def test_every_exported_name_exists(name):
     mod = importlib.import_module(name)
     missing = [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
     assert missing == []
+
+
+def test_root_reexports_only_exported_names():
+    # a name a module retires from its ``__all__`` cannot linger at the root
+    tree = ast.parse(Path(levyhull.__file__).read_text())
+    stale = [
+        f"{node.module}.{alias.name}"
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if alias.name not in importlib.import_module(f"levyhull.{node.module}").__all__
+    ]
+    assert stale == []
 
 
 def test_package_module_list_is_complete():

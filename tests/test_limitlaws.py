@@ -93,7 +93,7 @@ def test_stable_limit_matches_finite_horizon_sampler_coords_2_to_4():
     T, n = 1e4, 8000
     g = rng(909)
     finite = np.array(
-        [normalize_stable_zero_mean(model, sample_quintuple(model, T, g)).coords for _ in range(n)]
+        [normalize_stable_zero_mean(model, sample_quintuple(model, T, g)) for _ in range(n)]
     )
     coords, _ = draw_limit_stable_zero_mean(1.5, n, rng(910))
     for k in (1, 2, 3):

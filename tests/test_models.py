@@ -20,14 +20,12 @@ from levyhull.models import (
     PointMass,
     StableProcess,
     TwoPoint,
-    levy_tail_second_moment,
     norming,
     sample_increment,
     sample_path,
     stable_standard,
     theta,
     theta_fubini,
-    truncated_variance,
 )
 
 
@@ -264,15 +262,6 @@ def test_theta_divergent_measure():
 def test_theta_needs_t_at_least_one():
     with pytest.raises(ParameterError):
         theta(BrownianDrift(1.0), 0.5)
-
-
-def test_truncated_variance_point_mass_boundary():
-    # kappa * sqrt(t) >= |x| leaves the full variance for t >= 1 (strict tail)
-    m = CompoundPoissonDrift(1.0, PointMass(1.0), 0.0)
-    vals = truncated_variance(m, np.array([1.0, 4.0]), kappa=1.0)
-    assert np.allclose(vals, 1.0)
-    assert truncated_variance(m, 0.25, kappa=1.0) == pytest.approx(0.0)
-    assert float(levy_tail_second_moment(m, 0.999)) == pytest.approx(1.0)
 
 
 def test_stable_standard_symmetry():

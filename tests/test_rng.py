@@ -1,6 +1,6 @@
 import numpy as np
 
-from levyhull.rng import master_stream, substream
+from levyhull.rng import substream
 
 
 def test_substream_reproducible():
@@ -14,7 +14,3 @@ def test_substreams_distinct():
     assert not np.array_equal(base, substream(42, "demo", 1).random(8))
     assert not np.array_equal(base, substream(42, "other", 0).random(8))
     assert not np.array_equal(base, substream(43, "demo", 0).random(8))
-
-
-def test_master_stream():
-    assert master_stream(7).random() == master_stream(7).random()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from levyhull import sbrep
 from levyhull.errors import ParameterError, RegimeError, TruncationError
 from levyhull.hull import reduce_faces, stack_quintuples
 from levyhull.limitlaws import draw_limit_finite_variance
@@ -18,7 +19,6 @@ from levyhull.models import (
     norming,
 )
 from levyhull.sbrep import (
-    compute_sigma_t,
     normalize_finite_variance,
     normalize_stable_zero_mean,
     normalize_heavy,
@@ -92,16 +92,36 @@ def test_all_positive_increments_pin_gamma_and_sup():
         assert q.sup == q.final
 
 
-def test_final_value_conservation():
+@pytest.fixture
+def increments(monkeypatch):
+    """The ``(t, xi)`` pairs that ``sample_quintuple`` draws, in order,
+    recorded through ``sbrep``'s own binding of ``sample_increment``."""
+    pairs = []
+    inner = sbrep.sample_increment
+
+    def record(model, t, rng):
+        x = inner(model, t, rng)
+        pairs.append((t, x))
+        return x
+
+    monkeypatch.setattr(sbrep, "sample_increment", record)
+    return pairs
+
+
+def test_final_value_conservation(increments):
     model = CompoundPoissonDrift(1.0, Gaussian(0.0, 1.0), mu=0.2)
-    for q in draw_many(model, 15.0, 100, seed=5):
+    g = rng(5)
+    for _ in range(100):
+        increments.clear()
+        q = sample_quintuple(model, 15.0, g)
+        sticks, xis = zip(*increments)
         acc = 0.0
-        for x in q.xis:
+        for x in xis:
             acc += x
         assert q.final == acc
-        assert math.fsum(q.sticks) == pytest.approx(15.0, abs=1e-9)
+        assert math.fsum(sticks) == pytest.approx(15.0, abs=1e-9)
         # a draw is the shape statistics of its own sticks, bit for bit
-        r = reduce_faces(list(q.sticks), list(q.xis), 15.0, q.cutoff, q.truncation_error_bound)
+        r = reduce_faces(list(sticks), list(xis), 15.0, q.cutoff, q.truncation_error_bound)
         assert all(np.array_equal(getattr(r, f.name), getattr(q, f.name)) for f in fields(q))
 
 
@@ -125,11 +145,12 @@ def test_h_prime_stable_under_cutoff_refinement():
     assert np.mean(deltas) <= np.mean(bounds)
 
 
-def test_truncation_bound_reported():
+def test_truncation_bound_reported(increments):
     q = sample_quintuple(BrownianDrift(1.0), 30.0, rng(6))
     assert 0.0 < q.truncation_error_bound < 1.0
     qs = sample_quintuple(StableProcess(0.7), 30.0, rng(7))
-    assert qs.truncation_error_bound == 2.0 * 4.0 * norming(StableProcess(0.7), qs.sticks[-1])
+    rem = increments[-1][0]   # the last stick of the draw is its remainder
+    assert qs.truncation_error_bound == 2.0 * 4.0 * norming(StableProcess(0.7), rem)
     # infinite variance, with (index 1.5) or without (index 0.5) a mean
     for a in (0.5, 1.5):
         qp = sample_quintuple(CompoundPoissonDrift(1.0, Pareto(a, 1.0)), 30.0, rng(8))
@@ -137,7 +158,7 @@ def test_truncation_bound_reported():
     # index 2 has infinite variance and no norming: a log-corrected scale
     q2 = sample_quintuple(CompoundPoissonDrift(1.0, Pareto(2.0, 1.0)), 30.0, rng(9))
     assert 0.0 < q2.truncation_error_bound < math.inf and math.isfinite(q2.final)
-    rem = q2.sticks[-1]
+    rem = increments[-1][0]
     assert q2.truncation_error_bound == 8.0 * math.sqrt(rem * max(1.0, math.log(rem)))
 
 
@@ -148,29 +169,29 @@ def test_finite_variance_limit_normalization_identities():
         sto = normalize_finite_variance(model, q, "stochastic")
         det = normalize_finite_variance(model, q, "deterministic")
         # linear identity between the two centerings, exact per draw
-        lhs = det.coords[0]
-        rhs = sto.coords[0] + 0.5 * var * sto.coords[1]
+        lhs = det[0]
+        rhs = sto[0] + 0.5 * var * sto[1]
         assert lhs == pytest.approx(rhs, abs=1e-9)
-        assert det.coords[1:] == pytest.approx(sto.coords[1:])
-        assert det.coords[0] == pytest.approx(
+        assert det[1:] == pytest.approx(sto[1:])
+        assert det[0] == pytest.approx(
             ((q.upsilon - 1e4) - 0.5 * var * math.log(1e4)) / math.sqrt(math.log(1e4))
         )
-        assert sto.coords.shape == det.coords.shape == (5,)
+        assert sto.shape == det.shape == (5,)
 
 
 @pytest.mark.parametrize(
-    "model, T, normalize",
+    "model, T, normalize, k",
     [
-        (BrownianDrift(1.0), 1e4, lambda m, q: normalize_finite_variance(m, q, "stochastic")),
-        (BrownianDrift(1.0), 1e4, lambda m, q: normalize_finite_variance(m, q, "deterministic")),
-        (StableProcess(1.5), 1e3, normalize_stable_zero_mean),
-        (StableProcess(0.5), 100.0, normalize_heavy),
-        (BrownianDrift(1.0, mu=0.5), 1e3, lambda m, q: normalize_drift(m, q, "a")),
-        (StableProcess(1.5, mu=-1.0), 1e3, lambda m, q: normalize_drift(m, q, "b")),
+        (BrownianDrift(1.0), 1e4, lambda m, q: normalize_finite_variance(m, q, "stochastic"), 5),
+        (BrownianDrift(1.0), 1e4, lambda m, q: normalize_finite_variance(m, q, "deterministic"), 5),
+        (StableProcess(1.5), 1e3, normalize_stable_zero_mean, 4),
+        (StableProcess(0.5), 100.0, normalize_heavy, 8),
+        (BrownianDrift(1.0, mu=0.5), 1e3, lambda m, q: normalize_drift(m, q, "a"), 3),
+        (StableProcess(1.5, mu=-1.0), 1e3, lambda m, q: normalize_drift(m, q, "b"), 4),
     ],
     ids=["fv-stochastic", "fv-deterministic", "stable", "heavy", "drift-a", "drift-b"],
 )
-def test_batch_normalization_matches_per_draw(model, T, normalize):
+def test_batch_normalization_matches_per_draw(model, T, normalize, k):
     # the batch record runs the scalar arithmetic elementwise: row i of the
     # batch coordinates is the single-draw coordinate vector of draw i, bit
     # for bit
@@ -178,9 +199,10 @@ def test_batch_normalization_matches_per_draw(model, T, normalize):
     batch = stack_quintuples(draws)
     assert batch.upsilon.shape == batch.h_prime.shape == (50,)
     assert (batch.horizon, batch.cutoff) == (T, draws[0].cutoff)
-    coords = normalize(model, batch).coords
-    singles = [normalize(model, q).coords for q in draws]
-    assert coords.shape == (50, singles[0].size)
+    coords = normalize(model, batch)
+    singles = [normalize(model, q) for q in draws]
+    assert isinstance(coords, np.ndarray) and coords.shape == (50, k)
+    assert all(isinstance(c, np.ndarray) and c.shape == (k,) for c in singles)
     for row, single in zip(coords, singles):
         assert (row == single).all()
     # so do the envelope lengths
@@ -188,7 +210,7 @@ def test_batch_normalization_matches_per_draw(model, T, normalize):
     assert (batch.tent_length == [q.tent_length for q in draws]).all()
     # stacking batches concatenates them in order
     halves = stack_quintuples([stack_quintuples(draws[:20]), stack_quintuples(draws[20:])])
-    assert (normalize(model, halves).coords == coords).all()
+    assert (normalize(model, halves) == coords).all()
 
 
 def test_stack_quintuples_refuses_mixed_horizons():
@@ -202,7 +224,7 @@ def test_finite_variance_limit_deterministic_variance_near_limit():
     # slow log-scale convergence: 15 percent tolerance at T = 1e6
     model = BrownianDrift(1.0)
     qs = draw_many(model, 1e6, 10_000, seed=9)
-    det = np.array([normalize_finite_variance(model, q, "deterministic").coords[0] for q in qs])
+    det = np.array([normalize_finite_variance(model, q, "deterministic")[0] for q in qs])
     assert abs(det.var() / 0.75 - 1.0) < 0.15
 
 
@@ -218,7 +240,7 @@ def test_finite_variance_centering_with_jump_measure():
     g = rng(777)
     det = np.array(
         [
-            normalize_finite_variance(model, sample_quintuple(model, T, g), "deterministic").coords[0]
+            normalize_finite_variance(model, sample_quintuple(model, T, g), "deterministic")[0]
             for _ in range(4000)
         ]
     )
@@ -264,12 +286,12 @@ def test_stable_limit_coordinates():
     a_t = model.scale * T ** (1 / 1.5)
     for q in draw_many(model, T, 200, seed=11):
         st = normalize_stable_zero_mean(model, q)
-        assert st.coords.shape == (4,)
-        assert st.coords[0] >= 0.0            # the length exceeds the horizon
-        assert 0.0 <= st.coords[3] <= 1.0
+        assert st.shape == (4,)
+        assert st[0] >= 0.0            # the length exceeds the horizon
+        assert 0.0 <= st[3] <= 1.0
         # definitional scalings
-        assert st.coords[0] == pytest.approx((q.upsilon - T) * T / a_t**2)
-        assert st.coords[1] == pytest.approx(q.sup / a_t)
+        assert st[0] == pytest.approx((q.upsilon - T) * T / a_t**2)
+        assert st[1] == pytest.approx(q.sup / a_t)
     drifted = StableProcess(1.5, mu=1.0)
     with pytest.raises(RegimeError):
         normalize_stable_zero_mean(drifted, sample_quintuple(drifted, T, rng(12)))
@@ -283,11 +305,11 @@ def test_heavy_limit_coordinates():
     T = 100.0
     for q in draw_many(model, T, 100, seed=14):
         st = normalize_heavy(model, q)
-        assert st.coords.shape == (8,)
-        assert st.coords[1] >= 0.0 >= st.coords[5]           # sup and inf
-        assert st.coords[3] + st.coords[7] == pytest.approx(1.0)
-        assert st.coords[0] == st.coords[4]                   # shared length
-        assert st.coords[1] >= st.coords[2]                   # sup >= final
+        assert st.shape == (8,)
+        assert st[1] >= 0.0 >= st[5]           # sup and inf
+        assert st[3] + st[7] == pytest.approx(1.0)
+        assert st[0] == st[4]                   # shared length
+        assert st[1] >= st[2]                   # sup >= final
 
 
 def test_drift_limit_drift_only_limit_degenerates():
@@ -296,7 +318,7 @@ def test_drift_limit_drift_only_limit_degenerates():
     model = CompoundPoissonDrift(1e-12, PointMass(1.0), mu=2.0)
     for q in draw_many(model, 1e4, 50, seed=15):
         st = normalize_drift(model, q, "a")
-        assert abs(st.coords[0]) < 1e-6
+        assert abs(st[0]) < 1e-6
 
 
 def test_drift_limit_case_b_sup_stabilizes():
@@ -311,57 +333,10 @@ def test_drift_limit_case_validation():
     model = StableProcess(1.5, mu=-1.0)
     q = sample_quintuple(model, 100.0, rng(18))
     st = normalize_drift(model, q, "b")
-    assert st.coords.shape == (4,)
+    assert st.shape == (4,)
     with pytest.raises(RegimeError):
         normalize_drift(model, q, "a")
     zero = StableProcess(1.5)
     qz = sample_quintuple(zero, 100.0, rng(19))
     with pytest.raises(RegimeError):
         normalize_drift(zero, qz, "a")
-
-
-def test_sigma_t_constant_variance_for_brownian():
-    model = BrownianDrift(1.2)
-    q = sample_quintuple(model, 200.0, rng(20))
-    val = compute_sigma_t(model, q)
-    t, x = np.array(q.sticks), np.array(q.xis)
-    big = t >= 1.0
-    manual = (x[big] ** 2 / t[big] - 1.2**2).sum() / (2 * math.sqrt(math.log(200.0)))
-    assert val == pytest.approx(manual)
-
-
-def test_sigma_t_point_mass_closed_form():
-    model = CompoundPoissonDrift(1.0, PointMass(1.0), 0.0)
-    q = sample_quintuple(model, 100.0, rng(21))
-    # with kappa = 1 the unit jump never leaves the strict truncation window
-    # on sticks of length >= 1, so sigma_t^2 stays the full variance
-    val = compute_sigma_t(model, q, kappa=1.0)
-    t, x = np.array(q.sticks), np.array(q.xis)
-    big = t >= 1.0
-    manual = (x[big] ** 2 / t[big] - 1.0).sum() / (2 * math.sqrt(math.log(100.0)))
-    assert val == pytest.approx(manual)
-
-
-def test_sigma_t_bad_kappa():
-    model = CompoundPoissonDrift(1.0, PointMass(2.0), 0.0)
-    q = sample_quintuple(model, 100.0, rng(22))
-    with pytest.raises(RegimeError):
-        compute_sigma_t(model, q, kappa=1.0)
-    with pytest.raises(ParameterError):
-        compute_sigma_t(model, q, kappa=0.5)
-    with pytest.raises(ParameterError):   # a batch record keeps no sticks
-        compute_sigma_t(model, stack_quintuples([q]))
-
-
-def test_sigma_t_conditional_clt():
-    # the diagnostic converges to N(0, sigma^4 / 2) slowly (skew falls like
-    # 1/sqrt(log T)), so the check runs at a very large horizon where the
-    # residual skew sits inside the KS resolution of 2500 draws
-    model = BrownianDrift(1.0)
-    T = math.exp(200.0)
-    g = rng(23)
-    vals = np.empty(2500)
-    for i in range(vals.size):
-        vals[i] = compute_sigma_t(model, sample_quintuple(model, T, g, cutoff=1.0))
-    res = sps.kstest(vals, sps.norm(scale=math.sqrt(0.5)).cdf)
-    assert res.pvalue > 0.01
