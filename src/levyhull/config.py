@@ -73,6 +73,8 @@ def _param_keys(cls):
     return {_ALIASES.get(name, name): name for name in names if name != _JUMP_FIELD}
 
 
+# top-level keys; every model.* key goes to _build, which rejects the keys
+# its kind does not take
 _KNOWN_KEYS = {
     "experiment",
     "T_grid",
@@ -83,10 +85,6 @@ _KNOWN_KEYS = {
     "workers",
     "out",
     "checks",
-    "model.kind",
-    "model.jump.kind",
-    *(f"model.{k}" for cls in MODELS.values() for k in _param_keys(cls)),
-    *(f"model.jump.{k}" for cls in JUMPS.values() for k in _param_keys(cls)),
 }
 
 
@@ -181,7 +179,8 @@ def _build(flat, block, table, noun):
     kind does not take (another kind's) is an error."""
     kind = flat.get(f"{block}kind")
     if not isinstance(kind, str) or kind not in table:
-        raise ConfigError(f"unknown {noun} kind {kind!r}; choose from {sorted(table)}")
+        given = sorted(k for k in flat if k.startswith(block))
+        raise ConfigError(f"unknown {noun} kind {kind!r} (keys {given}); choose from {sorted(table)}")
     cls = table[kind]
     keys = _param_keys(cls)
     nested = _JUMP_FIELD in inspect.signature(cls).parameters
@@ -192,8 +191,6 @@ def _build(flat, block, table, noun):
     kwargs = {name: _number(block + key, flat[block + key])
               for key, name in keys.items() if block + key in flat}
     if nested:
-        if "model.jump.kind" not in flat:
-            raise ConfigError(f"model kind {kind!r} needs model.jump.kind")
         kwargs[_JUMP_FIELD] = _build(flat, "model.jump.", JUMPS, "jump")
     try:
         return cls(**kwargs)
@@ -221,7 +218,7 @@ def config_from_mapping(mapping) -> ExperimentConfig:
     flat = _flatten(mapping)
     if "t_grid" in flat:  # accepted alias
         flat["T_grid"] = flat.pop("t_grid")
-    unknown = set(flat) - _KNOWN_KEYS
+    unknown = {k for k in flat if not k.startswith("model.")} - _KNOWN_KEYS
     if unknown:
         raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
     if "experiment" not in flat:

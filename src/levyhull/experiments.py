@@ -64,12 +64,7 @@ from .sbrep import (
     require_finite_variance,
     sample_quintuple,
 )
-from .sticks import (
-    COMPENSATION_CATALOG,
-    big_stick_power_sum,
-    compensation_estimate,
-    tau_gset_counts,
-)
+from .sticks import compensation_estimate, tau_gset_counts
 from .stats import _tail_points, ks_distance_to_cdf, ks_two_sample, tail_slope, variance_se
 
 __all__ = ["Row", "RunReport", "run", "write_report", "emit_plot_data", "load_report"]
@@ -184,6 +179,22 @@ def _row_ci(T, name, est, se, target, mult=3.0):
 # experiments
 # ---------------------------------------------------------------------------
 
+# criterion 02: row, substream tag and index, f, floor, horizon T and the
+# exact value of E sum f(t_n) over the sticks >= floor, the integral of
+# f(t)/t over [floor, T]
+_COMPENSATION_ROWS = (
+    ("compensation_identity", "sb-props-comp", 0, lambda t: t, 0.0, 5.0, 5.0),
+    ("compensation_inverse", "sb-props-comp", 1, lambda t: 1.0 / t, 1.0, math.e, 1.0 - 1.0 / math.e),
+    ("compensation_invsqrt", "sb-props-comp", 2, lambda t: t**-0.5, 1.0, 100.0,
+     2.0 * (1.0 - 100.0**-0.5)),
+    ("compensation_logover", "sb-props-comp", 3, lambda t: np.log(t) / t, 1.0, 20.0,
+     1.0 - (1.0 + math.log(20.0)) / 20.0),
+    ("power_sum_q1", "sb-props-pow", 0, lambda t: np.power(t, -1.0), 1.0, 1e6, 1.0 - 1e6**-1.0),
+    ("power_sum_q2", "sb-props-pow", 1, lambda t: np.power(t, -2.0), 1.0, 1e4,
+     (1.0 - 1e4**-2.0) / 2.0),
+)
+
+
 def _exp_sb_props(cfg: ExperimentConfig) -> RunReport:
     rep = RunReport("sb-props")
     if cfg.checks not in ("all", "tau", "compensation"):
@@ -204,17 +215,9 @@ def _exp_sb_props(cfg: ExperimentConfig) -> RunReport:
             nested = float(np.mean(gset_c <= tau_c + 1))
             rep.rows.append(_row_check(T, "gset_nested_share", nested, "== 1", nested == 1.0))
     if cfg.checks in ("all", "compensation"):
-        horizons = {"identity": 5.0, "invsqrt": 100.0, "inverse": math.e, "logover": 20.0}
-        for k, (name, T0) in enumerate(sorted(horizons.items())):
-            g = substream(cfg.seed, "sb-props-comp", k)
-            entry = COMPENSATION_CATALOG[name]
-            mean, se = compensation_estimate(entry, T0, cfg.reps, g)
-            rep.rows.append(_row_ci(T0, f"compensation_{name}", mean, se, entry.integral(T0)))
-        for k, (q, T0) in enumerate(((1.0, 1e6), (2.0, 1e4))):
-            g = substream(cfg.seed, "sb-props-pow", k)
-            mean, se = big_stick_power_sum(q, T0, cfg.reps, g)
-            target = (1.0 - T0**-q) / q
-            rep.rows.append(_row_ci(T0, f"power_sum_q{q:g}", mean, se, target))
+        for name, tag, k, f, floor, T0, exact in _COMPENSATION_ROWS:
+            mean, se = compensation_estimate(f, floor, T0, cfg.reps, substream(cfg.seed, tag, k))
+            rep.rows.append(_row_ci(T0, name, mean, se, exact))
     return rep
 
 
@@ -328,7 +331,7 @@ def _exp_verify_stable(cfg: ExperimentConfig) -> RunReport:
     if name == "drift-a":
         mean = model.mean_rate()
         q = draw_quintuples(model, T, cfg.reps, cfg.seed, "drift-a-rep", cfg.cutoff, cfg.workers)
-        fluct = normalize_drift(model, q, "a")
+        fluct = normalize_drift(model, q)
         c1, c3 = fluct[:, 0], fluct[:, 2]
         cov = np.cov(c1, c3)
         slope = float(cov[0, 1] / cov[1, 1])
@@ -337,7 +340,7 @@ def _exp_verify_stable(cfg: ExperimentConfig) -> RunReport:
             _row_check(T, "drift_regression_slope", slope,
                        f"within 5% of {target:.6f}", abs(slope / target - 1.0) < 0.05)
         )
-        lim = draw_limit_drift(alpha, mean, "a", min(cfg.reps, 2000),
+        lim = draw_limit_drift(alpha, mean, min(cfg.reps, 2000),
                                substream(cfg.seed, "drift-a-limit", 0), getattr(model, "scale", 1.0))
         err = float(np.abs(lim[:, 0] - target * lim[:, 1]).max())
         rep.rows.append(_row_check(T, "limit_rank_one_max_err", err, "<= 1e-12", err <= 1e-12))
@@ -518,7 +521,7 @@ def _random_battery_path(g):
     n = int(g.integers(3, 15))
     times = np.arange(n + 1, dtype=float)
     values = np.concatenate([[0.0], np.round(g.standard_normal(n) * 2.0) / 2.0]).cumsum()
-    return PathSkeleton(times, values, float(times[-1]), "grid")
+    return PathSkeleton(times, values, float(times[-1]))
 
 
 def _eval_faces(faces, times):
@@ -567,7 +570,7 @@ def _exp_hull_props(cfg: ExperimentConfig) -> RunReport:
     for _ in range(n_oracle):
         times = np.concatenate([[0.0], np.sort(g2.random(8)) * 0.8 + 0.1, [1.0]])
         values = np.concatenate([[0.0], g2.standard_normal(9)])
-        path = PathSkeleton(times, values, 1.0, "grid")
+        path = PathSkeleton(times, values, 1.0)
         env = _eval_faces(concave_majorant(path), times)
         if not np.allclose(env, _envelope_oracle(times, values, True), atol=1e-12):
             mismatches += 1
@@ -613,10 +616,7 @@ def _config_hash(cfg: ExperimentConfig) -> str:
 
 def run(cfg: ExperimentConfig) -> RunReport:
     """Execute one experiment; deterministic given (config, seed)."""
-    fn = _DISPATCH.get(cfg.experiment)
-    if fn is None:
-        raise ConfigError(f"unknown experiment {cfg.experiment!r}")
-    report = fn(cfg)
+    report = _DISPATCH[cfg.experiment](cfg)
     report.provenance = {
         "seed": cfg.seed,
         "config_hash": _config_hash(cfg),
@@ -754,11 +754,11 @@ def emit_plot_data(report: RunReport, kind: str, outdir) -> list:
     if kind == "qq":
         return _emit_pairs(report, out, _write_qq, "qq")
     if kind == "tail-loglog":
-        name = next((n for n in report.samples if n in ("q_draws", "tail_draws")), None)
-        if name is None:
+        q = report.samples.get("q_draws")
+        if q is None:
             raise PathError("report holds no tail sample (expected 'q_draws')")
-        fit = tail_slope(report.samples[name])
-        lx, lsf = _tail_points(report.samples[name], fit.q_lo, fit.q_hi)
+        fit = tail_slope(q)
+        lx, lsf = _tail_points(q, fit.q_lo, fit.q_hi)
         path = out / "tail_loglog.csv"
         with open(path, "w") as fh:
             fh.write("log_x,log_sf,fit\n")

@@ -35,7 +35,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ParameterError, PathError
-from .models import EXACT_JUMPS, PathSkeleton
+from .models import PathSkeleton
 
 __all__ = [
     "Face",
@@ -49,7 +49,7 @@ __all__ = [
     "faces_to_rows",
 ]
 
-DEFAULT_SLOPE_TOL = 1e-12
+SLOPE_TOL = 1e-12   # relative slope tolerance of merge_collinear
 
 
 class Face(NamedTuple):
@@ -61,10 +61,6 @@ class Face(NamedTuple):
     @property
     def slope(self) -> float:
         return self.height / self.length
-
-    @property
-    def arc(self) -> float:
-        return math.hypot(self.length, self.height)
 
 
 @dataclass(frozen=True)
@@ -143,7 +139,7 @@ def reduce_faces(lengths, heights, T, cutoff=0.0, truncation_error_bound=0.0):
 def _candidates(path: PathSkeleton, upper: bool):
     """Candidate times and values as float lists (the record checks the times)."""
     v = path.values
-    if path.exactness == EXACT_JUMPS and path.pre_values is not None:
+    if path.pre_values is not None:
         v = (np.maximum if upper else np.minimum)(v, path.pre_values)
     return np.asarray(path.times, dtype=float).tolist(), np.asarray(v, dtype=float).tolist()
 
@@ -181,14 +177,15 @@ def convex_minorant(path: PathSkeleton):
     return _faces_from_vertices(t, v, _chain(t, v, upper=False))
 
 
-def merge_collinear(faces: Sequence[Face], slope_tol: float = DEFAULT_SLOPE_TOL):
-    """Concatenate adjacent faces whose slopes agree to a relative tolerance
-    into maximal faces; the output slopes are strictly monotone beyond it."""
+def merge_collinear(faces: Sequence[Face]):
+    """Concatenate adjacent faces whose slopes agree to the relative
+    tolerance :data:`SLOPE_TOL` into maximal faces; the output slopes are
+    strictly monotone beyond it."""
     merged: list[Face] = []
     for f in faces:
         if merged:
             s_prev = merged[-1].slope
-            if abs(f.slope - s_prev) <= slope_tol * (1.0 + abs(s_prev)):
+            if abs(f.slope - s_prev) <= SLOPE_TOL * (1.0 + abs(s_prev)):
                 prev = merged.pop()
                 f = Face(prev.length + f.length, prev.height + f.height)
         merged.append(f)

@@ -200,28 +200,22 @@ def draw_limit_heavy(alpha, n, rng, eps=DEFAULT_EPS, beta=0.0):
 # nonzero-mean limit, index in (1, 2]
 # ---------------------------------------------------------------------------
 
-def draw_limit_drift(alpha, mu, case, n, rng, scale=1.0):
+def draw_limit_drift(alpha, mu, n, rng, scale=1.0):
     """Batch of ``n`` rank-one drift-regime limit draws, one stable draw
     each; returns ``coords`` only, as nothing is truncated.
 
-    Case "a": the stable draw through the coefficient vector
-    ``(mu / sqrt(1 + mu^2), 1, 1)``.  Case "b": the length and endpoint
-    coordinates carry the stable draw; the supremum and its time (columns
-    2 and 4, 1-based) have no closed-form limit law and are NaN.
+    ``mu > 0`` (``drift-a``): the stable draw through the coefficient
+    vector ``(mu / sqrt(1 + mu^2), 1, 1)``.  ``mu < 0`` (``drift-b``): the
+    length and endpoint coordinates carry the stable draw; the supremum and
+    its time (columns 2 and 4, 1-based) have no closed-form limit law and
+    are NaN.
     """
-    if case not in ("a", "b"):
-        raise ParameterError(f"case must be 'a' or 'b', got {case!r}")
-    if case == "a" and not mu > 0.0:
-        raise ParameterError("case 'a' needs mu > 0")
-    if case == "b" and not mu < 0.0:
-        raise ParameterError("case 'b' needs mu < 0")
+    if not (mu > 0.0 or mu < 0.0):
+        raise ParameterError(f"the drift limit needs mu != 0, got {mu}")
     if not (1.0 < alpha <= 2.0):
         raise ParameterError(f"alpha must lie in (1, 2], got {alpha}")
     s = scale * np.asarray(stable_standard(alpha, 0.0, rng, n))
     coef = mu / math.sqrt(1.0 + mu * mu)
-    if case == "a":
-        coords = np.column_stack([coef * s, s, s])
-    else:
-        nan = np.full(n, math.nan)
-        coords = np.column_stack([coef * s, nan, s, nan])
-    return coords
+    if mu > 0.0:
+        return np.column_stack([coef * s, s, s])
+    return np.column_stack([coef * s, np.full(n, math.nan), s, np.full(n, math.nan)])

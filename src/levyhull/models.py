@@ -62,7 +62,6 @@ __all__ = [
 ]
 
 EXACT_JUMPS = "exact-jumps"
-GRID = "grid"
 
 CMS_PIECE = 4096   # elements per piece of the array transform of stable_standard
 
@@ -554,17 +553,16 @@ def sample_increment(model, t, rng):
 class PathSkeleton:
     """Finite time-ordered record of one path.
 
-    ``times`` is strictly increasing from 0 to ``horizon``.  For exact jump
-    records (compound Poisson with drift) ``pre_values`` holds the
-    left-limit value at each time, so the full cadlag path is
-    reconstructible by linear interpolation between a post-jump value and
-    the next pre-jump value.
+    ``times`` is strictly increasing from 0 to ``horizon``.  A record is
+    an exact jump record (compound Poisson with drift) exactly when it has
+    ``pre_values``: the left-limit value at each time, so the full cadlag
+    path is reconstructible by linear interpolation between a post-jump
+    value and the next pre-jump value.  A grid record has none.
     """
 
     times: np.ndarray
     values: np.ndarray
     horizon: float
-    exactness: str
     pre_values: np.ndarray | None = None
 
     def __post_init__(self):
@@ -578,8 +576,6 @@ class PathSkeleton:
             raise ParameterError("path values and pre-jump values must have one entry per time")
         if self.values[0] != 0.0:
             raise ParameterError("path must start at value 0")
-        if self.exactness not in (EXACT_JUMPS, GRID):
-            raise ParameterError(f"unknown exactness tag {self.exactness!r}")
 
 
 def sample_path(model, T, resolution, rng):
@@ -620,7 +616,7 @@ def _sample_cp_exact(model, T, rng):
     rec[1:, -1] = model.mu * T + walk[-1]
     if n and s[-1] == T:  # jump exactly at the horizon: keep times strict
         rec = rec[:, :-1]
-    return PathSkeleton(rec[0], rec[1], T, EXACT_JUMPS, rec[2])
+    return PathSkeleton(rec[0], rec[1], T, rec[2])
 
 
 def _sample_grid(model, T, h, rng):
@@ -633,7 +629,7 @@ def _sample_grid(model, T, h, rng):
     durations = np.diff(times)
     incs = np.array([sample_increment(model, d, rng) for d in durations])
     values = np.concatenate(([0.0], np.cumsum(incs)))
-    return PathSkeleton(times, values, T, GRID)
+    return PathSkeleton(times, values, T)
 
 
 # ---------------------------------------------------------------------------

@@ -124,10 +124,12 @@ def regime(model):
     return "finite-variance" if alpha == 2.0 else "stable-zero-mean"
 
 
-def _require_regime(model, name):
+def _require_regime(model, *names):
+    """The model's regime, which must be one of ``names``."""
     got = regime(model)
-    if got != name:
-        raise RegimeError(f"statistic needs the {name} regime, got {got} for {model!r}")
+    if got not in names:
+        raise RegimeError(f"statistic needs the {' or '.join(names)} regime, got {got} for {model!r}")
+    return got
 
 
 def require_finite_variance(model, T):
@@ -210,21 +212,19 @@ def normalize_heavy(model, q: QuintupleSample):
     )
 
 
-def normalize_drift(model, q: QuintupleSample, case):
+def normalize_drift(model, q: QuintupleSample):
     """Nonzero-mean coordinates for attraction index in (1, 2].
 
-    Case "a" (positive mean) scales all three fluctuations; case "b"
-    (negative mean) leaves the supremum and its time unscaled since both
-    converge to almost-surely finite limits.
+    With a positive mean (``drift-a``) all three fluctuations are scaled;
+    with a negative mean (``drift-b``) the supremum and its time stay
+    unscaled since both converge to almost-surely finite limits.
     """
-    if case not in ("a", "b"):
-        raise ParameterError(f"case must be 'a' or 'b', got {case!r}")
-    _require_regime(model, f"drift-{case}")
+    name = _require_regime(model, "drift-a", "drift-b")
     mu = model.mean_rate()
     T = q.horizon
     a_t = norming(model, T)
     length_fluct = (q.upsilon - math.sqrt(1.0 + mu * mu) * T) / a_t
-    if case == "a":
+    if name == "drift-a":
         return np.stack(
             [length_fluct, (q.sup - mu * T) / a_t, (q.final - mu * T) / a_t], axis=-1
         )

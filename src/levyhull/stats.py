@@ -1,6 +1,6 @@
-"""Statistical machinery for the verification suite: empirical CDFs, the
-two-sample Kolmogorov-Smirnov test with asymptotic p-values, variance
-standard errors, and heavy-tail slope estimation."""
+"""Statistical machinery for the verification suite: the two-sample
+Kolmogorov-Smirnov test with asymptotic p-values, variance standard
+errors, and heavy-tail slope estimation."""
 from __future__ import annotations
 
 import math
@@ -13,7 +13,6 @@ from .errors import SampleSizeError
 __all__ = [
     "KsResult",
     "TailFitResult",
-    "ecdf",
     "ks_two_sample",
     "ks_distance_to_cdf",
     "kolmogorov_pvalue",
@@ -40,14 +39,6 @@ class TailFitResult:
     q_hi: float
     slope_se: float
     n_points: int
-
-
-def ecdf(samples):
-    """Sorted support points and right-continuous ECDF values at them."""
-    x = np.sort(np.asarray(samples, dtype=float))
-    if x.size == 0:
-        raise SampleSizeError("empty sample")
-    return x, np.arange(1, x.size + 1) / x.size
 
 
 def kolmogorov_pvalue(lam):

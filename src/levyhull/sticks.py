@@ -1,17 +1,20 @@
 """Uniform stick-breaking on [0, T]: truncated records, the big-stick index
-set, the remainder count tau, and Monte Carlo estimators for the point
-process identities.
+set, the remainder count tau, and one Monte Carlo estimator for the point
+process identity of the sticks.
 
 The record is generated until ``T * L_N < cutoff``.  With ``cutoff <= 1``
 both ``tau`` (remainders of size at least 1/T) and the big-stick set
 (scaled sticks of length at least 1) are complete, because every
 unrecorded stick has length below the cutoff.
+
+The scaled sticks form a point process on (0, T] with intensity dt/t, so
+``E sum_n f(t_n) = integral of f(t)/t over (0, T]``.
+:func:`compensation_estimate` estimates the left side for the sticks above
+a floor; criterion 02 checks it against closed forms of the right side.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -26,10 +29,7 @@ ROWS = 4096   # rows per slice of the column loop of stick_matrix
 CHUNK = 20_000
 
 __all__ = [
-    "CompensationEntry",
-    "COMPENSATION_CATALOG",
     "compensation_estimate",
-    "big_stick_power_sum",
     "stick_matrix",
     "tau_gset_counts",
 ]
@@ -105,93 +105,27 @@ def tau_gset_counts(T, reps, rng):
     return tuple(_chunked(reps, T, 1.0, rng, counts))
 
 
-# ---------------------------------------------------------------------------
-# compensation-formula catalog
-# ---------------------------------------------------------------------------
+def compensation_estimate(f, floor, T, reps, rng):
+    """Monte Carlo mean and standard error of ``sum_n f(t_n)`` over the
+    scaled sticks ``t_n >= floor``, whose exact value is the integral of
+    ``f(t)/t`` over [floor, T].
 
-@dataclass(frozen=True)
-class CompensationEntry:
-    """One test function with an analytic point-process expectation.
-
-    ``func`` is applied elementwise to scaled sticks at or above
-    ``support_floor``; sticks below the floor contribute zero, so a record
-    cut at ``cutoff <= support_floor`` evaluates the full series exactly.
-    The identity function is the one exception: its series telescopes to T,
-    so the scaled remainder is folded in to keep the evaluation exact.
+    A record cut at ``floor`` holds every such stick, so the series is
+    exact.  ``floor = 0`` cuts the record at 1 and adds ``f`` of the
+    scaled remainder, which is exact for the identity: its series
+    telescopes to ``T``.
     """
-
-    name: str
-    func: Callable[[np.ndarray], np.ndarray]
-    support_floor: float
-    integral: Callable[[float], float]
-    include_remainder: bool = False
-
-
-COMPENSATION_CATALOG = {
-    "identity": CompensationEntry(
-        "identity", lambda t: t, 0.0, lambda T: T, include_remainder=True
-    ),
-    "invsqrt": CompensationEntry(
-        "invsqrt",
-        lambda t: t**-0.5,
-        1.0,
-        lambda T: 2.0 * (1.0 - T**-0.5),
-    ),
-    "inverse": CompensationEntry(
-        "inverse", lambda t: 1.0 / t, 1.0, lambda T: 1.0 - 1.0 / T
-    ),
-    "logover": CompensationEntry(
-        "logover",
-        lambda t: np.log(t) / t,
-        1.0,
-        lambda T: 1.0 - (1.0 + math.log(T)) / T,
-    ),
-    "window": CompensationEntry(
-        "window",
-        lambda t: ((t >= 2.0) & (t <= 20.0)).astype(float),
-        2.0,
-        lambda T: math.log(min(T, 20.0) / 2.0) if T > 2.0 else 0.0,
-    ),
-}
-
-
-def compensation_estimate(entry, T, reps, rng):
-    """Monte Carlo mean and standard error of ``sum_n f(t_n)`` whose exact
-    value is ``integral(f(t)/t, 0..T)``; ``entry`` is a catalog entry."""
-    if isinstance(entry, str):
-        entry = COMPENSATION_CATALOG[entry]
     if reps < 100:
         raise ParameterError(f"need at least 100 replications, got {reps}")
-    # a record cut at the support floor evaluates the series exactly; the
-    # telescoping identity is exact at any cutoff once the remainder folds in
-    cutoff = entry.support_floor if entry.support_floor > 0.0 else 1.0
-
-    def series(t, rem):
-        mask = t >= max(entry.support_floor, 1e-300)
-        contrib = np.where(mask, entry.func(np.where(mask, t, 1.0)), 0.0).sum(axis=1)
-        if entry.include_remainder:
-            contrib += entry.func(rem)
-        return contrib
-
-    vals = _chunked(reps, T, cutoff, rng, series)
-    se = vals.std(ddof=1) / math.sqrt(reps)
-    return float(vals.mean()), float(se)
-
-
-def big_stick_power_sum(q, T, reps, rng):
-    """Monte Carlo mean and SE of ``sum over big sticks of t^-q``; the
-    exact expectation is ``(1 - T^-q) / q`` for T >= 1."""
-    if not q > 0.0:
-        raise ParameterError(f"power must be > 0, got {q}")
     if not T > 0.0:
         raise ParameterError(f"horizon must be > 0, got {T}")
 
-    def power_sum(t, rem):
-        big = t >= 1.0
-        tq = np.zeros_like(t)
-        np.power(t, -q, out=tq, where=big)
-        return (tq * big).sum(axis=1)
+    def series(t, rem):
+        mask = t >= max(floor, 1e-300)
+        total = np.where(mask, f(np.where(mask, t, 1.0)), 0.0).sum(axis=1)
+        if floor == 0.0:
+            total += f(rem)
+        return total
 
-    vals = _chunked(reps, T, 1.0, rng, power_sum)
-    se = vals.std(ddof=1) / math.sqrt(reps) if reps > 1 else 0.0
-    return float(vals.mean()), float(se)
+    vals = _chunked(reps, T, floor if floor > 0.0 else 1.0, rng, series)
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(reps))

@@ -1,9 +1,11 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
+from levyhull import config, experiments
 from levyhull.config import config_from_mapping, load_config
 from levyhull.errors import ConfigError, PathError
 from levyhull.experiments import (
@@ -127,6 +129,18 @@ def test_config_errors():
     cfg = config_from_mapping({**base, "seed": 1e3, "reps": 200.0})
     assert (cfg.seed, cfg.reps) == (1000, 200) and type(cfg.seed) is int
     assert config_from_mapping({**base, "seed": 2**64 - 1}).seed == 2**64 - 1
+    # a misspelt model or jump key, the kind key included, is named in the error
+    jump = {"kind": "gaussian", "mean": 0.0, "sd": 1.0}
+    for model, key in (({"kind": "brownian", "sigmaa": 1.0}, "model.sigmaa"),
+                       ({"knd": "brownian"}, "model.knd"),
+                       ({"kind": "cp", "jump": {**jump, "sdd": 1.0}}, "model.jump.sdd"),
+                       ({"kind": "cp", "jump": {"knd": "gaussian"}}, "model.jump.knd")):
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            config_from_mapping({**base, "model": model})
+
+
+def test_every_configured_experiment_has_a_runner():
+    assert set(config.EXPERIMENTS) == set(experiments._DISPATCH)
 
 
 def test_regime_mismatch_rejected_before_sampling():

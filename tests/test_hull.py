@@ -14,7 +14,6 @@ from levyhull.hull import (
 )
 from levyhull.models import (
     EXACT_JUMPS,
-    GRID,
     BrownianDrift,
     CompoundPoissonDrift,
     Gaussian,
@@ -31,7 +30,7 @@ def rng(seed=0):
 def skeleton(times, values):
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
-    return PathSkeleton(times, values, float(times[-1]), GRID)
+    return PathSkeleton(times, values, float(times[-1]))
 
 
 def envelope_oracle(times, values, upper=True):
@@ -178,7 +177,7 @@ def test_mismatched_pre_values_rejected():
     times, values = np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 3.0])
     for pre in ([0.0, 1.0], [0.0, 1.0, 2.0, 3.0]):
         with pytest.raises(ParameterError, match="one entry per time"):
-            PathSkeleton(times, values, 2.0, EXACT_JUMPS, np.array(pre))
+            PathSkeleton(times, values, 2.0, np.array(pre))
 
 
 def test_elementary_sandwich_every_draw():

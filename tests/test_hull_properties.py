@@ -20,7 +20,7 @@ from levyhull.hull import (  # noqa: E402
     merge_collinear,
     shape_stats,
 )
-from levyhull.models import EXACT_JUMPS, GRID, PathSkeleton  # noqa: E402
+from levyhull.models import PathSkeleton  # noqa: E402
 
 values_st = st.one_of(
     st.integers(-40, 40).map(lambda k: k / 4.0),
@@ -35,9 +35,9 @@ def paths(draw):
     times = np.concatenate([[0.0], np.cumsum(draw(st.lists(gaps_st, min_size=n - 1, max_size=n - 1)))])
     values = np.array([0.0] + draw(st.lists(values_st, min_size=n - 1, max_size=n - 1)))
     if not draw(st.booleans()):
-        return PathSkeleton(times, values, float(times[-1]), GRID)
+        return PathSkeleton(times, values, float(times[-1]))
     pre = np.array([0.0] + draw(st.lists(values_st, min_size=n - 2, max_size=n - 2)) + [values[-1]])
-    return PathSkeleton(times, values, float(times[-1]), EXACT_JUMPS, pre)
+    return PathSkeleton(times, values, float(times[-1]), pre)
 
 
 @st.composite
@@ -53,13 +53,13 @@ def lattice_jump_paths(draw):
     walk = np.concatenate([[0.0], np.cumsum(jumps)])  # jump sum after each jump
     values = mu * times + np.append(walk, walk[-1])
     pre = mu * times + np.concatenate([[0.0], walk])
-    return PathSkeleton(times, values, float(times[-1]), EXACT_JUMPS, pre)
+    return PathSkeleton(times, values, float(times[-1]), pre)
 
 
 def transformed(path, f):
     """The path record with ``f(times, values)`` applied to both value rows."""
     pre = None if path.pre_values is None else f(path.times, path.pre_values)
-    return PathSkeleton(path.times, f(path.times, path.values), path.horizon, path.exactness, pre)
+    return PathSkeleton(path.times, f(path.times, path.values), path.horizon, pre)
 
 
 def eval_faces(faces, times):

@@ -192,20 +192,20 @@ def test_heavy_limit_refinement_stays_within_reported_bound():
 def test_drift_limit_case_a_rank_one():
     mu = 1.0
     coef = mu / math.sqrt(2.0)
-    c = draw_limit_drift(2.0, mu, "a", 200, rng(15))
+    c = draw_limit_drift(2.0, mu, 200, rng(15))
     assert c.shape == (200, 3)
     assert (c[:, 0] == coef * c[:, 1]).all()
     assert (c[:, 1] == c[:, 2]).all()
 
 
 def test_drift_limit_case_a_alpha2_gaussian():
-    c = draw_limit_drift(2.0, 1.0, "a", 40_000, rng(21))
+    c = draw_limit_drift(2.0, 1.0, 40_000, rng(21))
     res = sps.kstest(c[:, 1], sps.norm(scale=math.sqrt(2.0)).cdf)
     assert res.pvalue > 0.01
 
 
 def test_drift_limit_case_b_flags_external_coordinates():
-    c = draw_limit_drift(1.5, -2.0, "b", 1, rng(18))
+    c = draw_limit_drift(1.5, -2.0, 1, rng(18))
     assert c.shape == (1, 4)
     assert np.isnan(c[:, [1, 3]]).all() and not np.isnan(c[:, [0, 2]]).any()
     assert c[0, 0] == pytest.approx(-2.0 / math.sqrt(5.0) * c[0, 2])
@@ -213,11 +213,11 @@ def test_drift_limit_case_b_flags_external_coordinates():
 
 def test_drift_limit_case_sign_validation():
     g = rng(19)
+    # the sign of mu picks the case; a zero (or NaN) mu has none
+    for mu in (0.0, -0.0, math.nan):
+        with pytest.raises(ParameterError):
+            draw_limit_drift(1.5, mu, 1, g)
     with pytest.raises(ParameterError):
-        draw_limit_drift(1.5, -1.0, "a", 1, g)
-    with pytest.raises(ParameterError):
-        draw_limit_drift(1.5, 1.0, "b", 1, g)
-    with pytest.raises(ParameterError):
-        draw_limit_drift(0.5, 1.0, "a", 1, g)
-    with pytest.raises(ParameterError):
-        draw_limit_drift(1.5, 1.0, "c", 1, g)
+        draw_limit_drift(0.5, 1.0, 1, g)
+    assert draw_limit_drift(1.5, 1.0, 1, g).shape == (1, 3)
+    assert draw_limit_drift(1.5, -1.0, 1, g).shape == (1, 4)

@@ -152,7 +152,7 @@ def test_exact_jump_record_point_mass():
     path = sample_path(m, 10.0, EXACT_JUMPS, g)
     n_jumps = len(path.times) - 2
     assert path.values[-1] == pytest.approx(n_jumps)
-    assert path.exactness == EXACT_JUMPS
+    assert path.pre_values is not None   # an exact jump record
     # post-jump value exceeds the pre-jump value by exactly one jump
     assert np.allclose(path.values[1:-1] - path.pre_values[1:-1], 1.0)
 

@@ -186,8 +186,8 @@ def test_finite_variance_limit_normalization_identities():
         (BrownianDrift(1.0), 1e4, lambda m, q: normalize_finite_variance(m, q, "deterministic"), 5),
         (StableProcess(1.5), 1e3, normalize_stable_zero_mean, 4),
         (StableProcess(0.5), 100.0, normalize_heavy, 8),
-        (BrownianDrift(1.0, mu=0.5), 1e3, lambda m, q: normalize_drift(m, q, "a"), 3),
-        (StableProcess(1.5, mu=-1.0), 1e3, lambda m, q: normalize_drift(m, q, "b"), 4),
+        (BrownianDrift(1.0, mu=0.5), 1e3, normalize_drift, 3),
+        (StableProcess(1.5, mu=-1.0), 1e3, normalize_drift, 4),
     ],
     ids=["fv-stochastic", "fv-deterministic", "stable", "heavy", "drift-a", "drift-b"],
 )
@@ -317,7 +317,7 @@ def test_drift_limit_drift_only_limit_degenerates():
     # centered length coordinate collapses to zero
     model = CompoundPoissonDrift(1e-12, PointMass(1.0), mu=2.0)
     for q in draw_many(model, 1e4, 50, seed=15):
-        st = normalize_drift(model, q, "a")
+        st = normalize_drift(model, q)
         assert abs(st[0]) < 1e-6
 
 
@@ -330,13 +330,12 @@ def test_drift_limit_case_b_sup_stabilizes():
 
 
 def test_drift_limit_case_validation():
-    model = StableProcess(1.5, mu=-1.0)
-    q = sample_quintuple(model, 100.0, rng(18))
-    st = normalize_drift(model, q, "b")
-    assert st.shape == (4,)
-    with pytest.raises(RegimeError):
-        normalize_drift(model, q, "a")
+    # the sign of the mean picks the case: three coordinates for a positive
+    # mean, four for a negative one, and a zero mean has no drift regime
+    for mu, k in ((1.0, 3), (-1.0, 4)):
+        model = StableProcess(1.5, mu=mu)
+        assert normalize_drift(model, sample_quintuple(model, 100.0, rng(18))).shape == (k,)
     zero = StableProcess(1.5)
     qz = sample_quintuple(zero, 100.0, rng(19))
     with pytest.raises(RegimeError):
-        normalize_drift(zero, qz, "a")
+        normalize_drift(zero, qz)

@@ -6,7 +6,6 @@ from scipy import stats as sps
 
 from levyhull.errors import SampleSizeError
 from levyhull.stats import (
-    ecdf,
     kolmogorov_pvalue,
     ks_distance_to_cdf,
     ks_two_sample,
@@ -99,13 +98,6 @@ def test_variance_se():
     s2, se = variance_se(x)
     assert abs(s2 - 1.0) <= 3.0 * se
     assert se == pytest.approx(math.sqrt(2.0 / x.size), rel=0.1)
-
-
-def test_ecdf_shape():
-    x, f = ecdf([3.0, 1.0, 2.0])
-    assert list(x) == [1.0, 2.0, 3.0]
-    assert list(f) == [pytest.approx(1 / 3), pytest.approx(2 / 3), 1.0]
-    assert np.all(np.diff(f) >= 0.0)
 
 
 def test_tail_slope_pareto_oracle():

@@ -2,14 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 from scipy import stats as sps
 
 from levyhull.errors import ParameterError
+from levyhull.experiments import _COMPENSATION_ROWS
 from levyhull.sticks import (
     BLOCK,
-    COMPENSATION_CATALOG,
     ROWS,
-    big_stick_power_sum,
     compensation_estimate,
     stick_matrix,
     tau_gset_counts,
@@ -88,12 +88,11 @@ def test_recursion_identities_every_draw():
 def test_truncation_guards():
     with pytest.raises(ParameterError):
         stick_matrix(10, 4.0, 0.0, rng())
+    for T in (0.0, -1.0):
+        with pytest.raises(ParameterError):
+            compensation_estimate(np.reciprocal, 1.0, T, 200, rng())
     with pytest.raises(ParameterError):
-        big_stick_power_sum(1.0, 0.0, 200, rng())
-    with pytest.raises(ParameterError):
-        big_stick_power_sum(0.0, 4.0, 200, rng())
-    with pytest.raises(ParameterError):
-        compensation_estimate("inverse", 4.0, 50, rng())
+        compensation_estimate(np.reciprocal, 1.0, 4.0, 50, rng())
 
 
 def test_stick_count_mean_matches_expected():
@@ -160,42 +159,50 @@ def test_gset_clt_at_large_horizon():
     assert d.pvalue > 0.01
 
 
-def test_compensation_catalog_targets():
+def test_compensation_targets():
     g = rng(10)
     cases = (
-        ("identity", 5.0),
-        ("invsqrt", 100.0),
-        ("inverse", math.e),
-        ("logover", 20.0),
-        ("window", 50.0),   # indicator form: integral log(20/2)
+        ("identity", lambda t: t, 0.0, 5.0, 5.0),
+        ("invsqrt", lambda t: t**-0.5, 1.0, 100.0, 1.8),
+        ("inverse", lambda t: 1.0 / t, 1.0, math.e, 1.0 - math.exp(-1.0)),
+        ("logover", lambda t: np.log(t) / t, 1.0, 20.0, 1.0 - (1.0 + math.log(20.0)) / 20.0),
+        # indicator of [2, 20]: integral log(20/2)
+        ("window", lambda t: ((t >= 2.0) & (t <= 20.0)).astype(float), 2.0, 50.0, math.log(10.0)),
     )
-    for name, T in cases:
-        entry = COMPENSATION_CATALOG[name]
-        mean, se = compensation_estimate(entry, T, 30_000, g)
-        target = entry.integral(T)
+    for name, f, floor, T, target in cases:
+        mean, se = compensation_estimate(f, floor, T, 30_000, g)
         assert abs(mean - target) <= max(3.0 * se, 1e-9), (name, mean, target, se)
-    assert COMPENSATION_CATALOG["window"].integral(50.0) == pytest.approx(math.log(10.0))
 
 
 def test_compensation_known_values():
-    assert COMPENSATION_CATALOG["invsqrt"].integral(100.0) == pytest.approx(1.8)
-    assert COMPENSATION_CATALOG["inverse"].integral(math.e) == pytest.approx(1 - math.exp(-1))
+    exact = {row[0]: row[-1] for row in _COMPENSATION_ROWS}
+    assert exact["compensation_invsqrt"] == pytest.approx(1.8)
+    assert exact["compensation_inverse"] == pytest.approx(1 - math.exp(-1))
+    assert exact["power_sum_q1"] == pytest.approx(1 - 1e-6)
+
+
+def test_compensation_table_closed_forms_match_quadrature():
+    # each row of criterion 02 states the integral of f(t)/t over [floor, T]
+    assert len(_COMPENSATION_ROWS) == 6
+    for name, _, _, f, floor, T, exact in _COMPENSATION_ROWS:
+        value, _ = integrate.quad(lambda t: f(t) / t, floor, T, epsabs=0.0, epsrel=1e-12, limit=200)
+        assert exact == pytest.approx(value, rel=1e-9, abs=0.0), name
 
 
 def test_identity_sum_is_exact_per_draw():
     g = rng(11)
-    mean, se = compensation_estimate("identity", 5.0, 200, g)
+    mean, se = compensation_estimate(lambda t: t, 0.0, 5.0, 200, g)
     assert abs(mean - 5.0) < 1e-12
     assert se < 1e-13
 
 
 def test_big_stick_power_sums():
     g = rng(12)
-    mean, se = big_stick_power_sum(1.0, 1e6, 30_000, g)
+    mean, se = compensation_estimate(lambda t: np.power(t, -1.0), 1.0, 1e6, 30_000, g)
     assert abs(mean - (1 - 1e-6)) <= 3.0 * se
-    mean2, se2 = big_stick_power_sum(2.0, 1e4, 30_000, g)
+    mean2, se2 = compensation_estimate(lambda t: np.power(t, -2.0), 1.0, 1e4, 30_000, g)
     assert abs(mean2 - 0.5 * (1 - 1e-8)) <= 3.0 * se2
-    mean3, _ = big_stick_power_sum(1.0, 1.0, 500, g)
+    mean3, _ = compensation_estimate(lambda t: np.power(t, -1.0), 1.0, 1.0, 500, g)
     assert mean3 == 0.0
 
 
