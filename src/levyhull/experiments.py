@@ -22,7 +22,6 @@ from pathlib import Path
 
 import numpy as np
 import scipy
-from scipy.special import ndtr
 
 from . import __version__
 from .config import ExperimentConfig
@@ -48,6 +47,7 @@ from .models import (
     Gaussian,
     PathSkeleton,
     StableProcess,
+    _phi_cdf,
     norming,
     sample_path,
     stable_standard,
@@ -274,7 +274,7 @@ def _exp_verify_clt(cfg: ExperimentConfig) -> RunReport:
         det1 = normalize_finite_variance(model, q, "deterministic")[:, 0]
         rep.samples[f"det_stat_T{k}"] = det1
         if cfg.checks in ("all", "trend"):
-            d = ks_distance_to_cdf(det1, lambda x: ndtr(x / limit_sd))
+            d = ks_distance_to_cdf(det1, lambda x: _phi_cdf(x / limit_sd))
             trend_ok = True if prev_d is None else d < prev_d
             rep.rows.append(
                 _row_check(T, "clt_ks_distance", d, "strictly decreasing along the grid", trend_ok, d)

@@ -31,9 +31,8 @@ from functools import lru_cache
 
 import numpy as np
 # scipy.integrate is imported by the quadratures that use it, to keep it out
-# of the package import.  scipy.special stays: verify-clt calls ndtr, so
-# deferring it would only move its import into that run's wall time.
-from scipy.special import ndtr
+# of the package import.  The normal CDF is math.erfc (see _phi_cdf), so the
+# package import loads no scipy submodule.
 
 from .errors import (
     DivergentIntegralError,
@@ -182,9 +181,9 @@ class Gaussian(_JumpLaw):
         a = (-u - m) / s
         b = (u - m) / s
         inner = (
-            m * m * (ndtr(b) - ndtr(a))
+            m * m * (_phi_cdf(b) - _phi_cdf(a))
             + 2.0 * m * s * (_phi_pdf(a) - _phi_pdf(b))
-            + s * s * ((ndtr(b) - b * _phi_pdf(b)) - (ndtr(a) - a * _phi_pdf(a)))
+            + s * s * ((_phi_cdf(b) - b * _phi_pdf(b)) - (_phi_cdf(a) - a * _phi_pdf(a)))
         )
         return np.maximum(self.second_moment() - inner, 0.0)
 
@@ -370,6 +369,15 @@ def _lcp_normalizer():
 
 def _phi_pdf(z):
     return np.exp(-0.5 * np.asarray(z) ** 2) / math.sqrt(2.0 * math.pi)
+
+
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def _phi_cdf(x):
+    """Standard normal CDF ``0.5 * erfc(-x / sqrt(2))`` as float64 with the
+    shape of ``x`` (0-d for a float)."""
+    return 0.5 * np.asarray(_erfc(-np.asarray(x, dtype=float) / math.sqrt(2.0)), dtype=float)
 
 
 def _quad_sum(f, pieces):

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SampleSizeError
+from .errors import ParameterError, SampleSizeError
 
 __all__ = [
     "KsResult",
@@ -44,7 +44,9 @@ class TailFitResult:
 def kolmogorov_pvalue(lam):
     """Asymptotic Kolmogorov survival value
     ``2 * sum_k (-1)^(k-1) exp(-2 k^2 lam^2)``, truncated once terms drop
-    below 1e-12; clipped to [0, 1]."""
+    below 1e-12; clipped to [0, 1].  NaN gives NaN."""
+    if math.isnan(lam):
+        return math.nan
     if lam <= 0.0:
         return 1.0
     total = 0.0
@@ -60,11 +62,23 @@ def kolmogorov_pvalue(lam):
     return min(1.0, max(0.0, 2.0 * total))
 
 
+def _sorted_sample(x, name):
+    """``x`` sorted as float64; a NaN raises :class:`ParameterError`, since
+    the ECDF of a sample holding one is undefined (``±inf`` is kept)."""
+    x = np.sort(np.asarray(x, dtype=float))
+    if x.size and np.isnan(x[-1]):  # np.sort puts NaN last
+        raise ParameterError(
+            f"{name} holds {int(np.isnan(x).sum())} NaN value(s) among {x.size} points"
+        )
+    return x
+
+
 def ks_two_sample(x, y) -> KsResult:
     """Two-sample KS test: exact sup-distance between the step ECDFs by a
-    merged scan, asymptotic p-value at ``D * sqrt(nm / (n + m))``."""
-    x = np.sort(np.asarray(x, dtype=float))
-    y = np.sort(np.asarray(y, dtype=float))
+    merged scan, asymptotic p-value at ``D * sqrt(nm / (n + m))``.  A NaN in
+    either sample raises :class:`ParameterError`."""
+    x = _sorted_sample(x, "x")
+    y = _sorted_sample(y, "y")
     n, m = x.size, y.size
     if n < _MIN_KS_SIZE or m < _MIN_KS_SIZE:
         raise SampleSizeError(
@@ -80,8 +94,9 @@ def ks_two_sample(x, y) -> KsResult:
 
 
 def ks_distance_to_cdf(x, cdf):
-    """Sup-distance between the sample ECDF and a given continuous CDF."""
-    x = np.sort(np.asarray(x, dtype=float))
+    """Sup-distance between the sample ECDF and a given continuous CDF.  A
+    NaN in the sample raises :class:`ParameterError`."""
+    x = _sorted_sample(x, "x")
     n = x.size
     if n < 1:
         raise SampleSizeError("empty sample")

@@ -40,12 +40,31 @@ def test_package_module_list_is_complete():
     assert {"levyhull.sbrep", "levyhull.experiments", "levyhull.limitlaws"} <= set(MODULES)
 
 
-def test_package_import_leaves_scipy_integrate_unloaded():
-    # only the quadratures need it; they import it when called
-    code = "import sys, levyhull, levyhull.experiments; print('scipy.integrate' in sys.modules)"
+def _loaded_after(code):
+    """Which of ``scipy.integrate`` and ``scipy.special`` a fresh interpreter
+    holds after running ``code``."""
+    probe = f"{code}\nimport sys; print(*(m in sys.modules for m in ('scipy.integrate', 'scipy.special')))"
     env = dict(os.environ, PYTHONPATH=str(Path(levyhull.__file__).resolve().parents[1]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    return out.stdout.split()[-2:]
+
+
+def test_package_import_leaves_scipy_integrate_unloaded():
+    # only the quadratures need scipy.integrate; they import it when called.
+    # scipy.special is not needed at all: the normal CDF is math.erfc
+    assert _loaded_after("import levyhull, levyhull.experiments") == ["False", "False"]
+
+
+def test_verify_clt_run_leaves_scipy_special_unloaded():
+    # the CDF that verify-clt evaluates must not pull the import into the run
+    code = (
+        "from levyhull.config import config_from_mapping\n"
+        "from levyhull.experiments import run\n"
+        "rep = run(config_from_mapping({'experiment': 'verify-clt', 'checks': 'trend',\n"
+        "    'model': {'kind': 'brownian', 'sigma': 1, 'mu': 0}, 'T_grid': [1e3], 'reps': 200, 'seed': 5}))\n"
+        "assert any(r.statistic == 'clt_ks_distance' for r in rep.rows)"
+    )
+    assert _loaded_after(code)[1] == "False"
 
 
 def test_readme_quick_tour_runs():

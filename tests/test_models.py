@@ -10,6 +10,7 @@ from levyhull.errors import (
     UnsupportedExactnessError,
 )
 from levyhull.models import (
+    _phi_cdf,
     CMS_PIECE,
     EXACT_JUMPS,
     BrownianDrift,
@@ -241,6 +242,24 @@ def test_theta_forms_agree(jump):
         a = theta(m, T)
         b = theta_fubini(m, T)
         assert a == pytest.approx(b, rel=1e-8, abs=1e-12)
+
+
+def test_phi_cdf_matches_scipy_ndtr():
+    from scipy.special import ndtr
+
+    x = np.linspace(-40.0, 40.0, 800_001)
+    assert np.abs(_phi_cdf(x) - ndtr(x)).max() <= 2.3e-16
+    # relative agreement deep in the lower tail; below about -37.5 ndtr
+    # flushes to 0 while erfc still gives subnormals
+    lo = np.linspace(-37.0, -5.0, 320_001)
+    assert np.abs(_phi_cdf(lo) / ndtr(lo) - 1.0).max() <= 1e-12
+    edge = _phi_cdf(np.array([np.inf, -np.inf, np.nan]))
+    assert edge[0] == 1.0 and edge[1] == 0.0 and np.isnan(edge[2])
+    assert _phi_cdf(np.zeros((2, 3))).shape == (2, 3)
+    # the quadrature integrands pass floats
+    v = _phi_cdf(0.3)
+    assert np.ndim(v) == 0 and v.dtype == np.float64
+    assert float(v) == pytest.approx(float(ndtr(0.3)), abs=2.3e-16)
 
 
 def test_theta_monotone_and_log_bounded():

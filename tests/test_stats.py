@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from levyhull.errors import SampleSizeError
+from levyhull.errors import ParameterError, SampleSizeError
 from levyhull.stats import (
     kolmogorov_pvalue,
     ks_distance_to_cdf,
@@ -83,6 +83,38 @@ def test_kolmogorov_pvalue_endpoints():
     assert kolmogorov_pvalue(10.0) < 1e-12
     # around the median of the Kolmogorov law
     assert 0.2 < kolmogorov_pvalue(1.0) < 0.3
+
+
+def test_kolmogorov_pvalue_of_nan_is_nan():
+    # the series loop would otherwise run to its 100,000-term cap and give 0
+    assert math.isnan(kolmogorov_pvalue(math.nan))
+
+
+def test_ks_two_sample_rejects_nan():
+    x = rng(11).standard_normal(101)
+    y = rng(12).standard_normal(101)
+    bad = x.copy()
+    bad[[3, 50]] = np.nan
+    with pytest.raises(ParameterError, match="2 NaN"):
+        ks_two_sample(bad, y)
+    with pytest.raises(ParameterError, match="2 NaN"):
+        ks_two_sample(y, bad)
+    # the ECDF of an infinite value is well defined
+    # and only the order of the points enters the statistic
+    inf = x.copy()
+    inf[[0, 1]] = [np.inf, -np.inf]
+    big = x.copy()
+    big[[0, 1]] = [1e300, -1e300]
+    assert ks_two_sample(inf, y) == ks_two_sample(big, y)
+
+
+def test_ks_distance_to_cdf_rejects_nan():
+    x = np.linspace(0.005, 0.995, 101)
+    x[7] = np.nan
+    with pytest.raises(ParameterError, match="1 NaN"):
+        ks_distance_to_cdf(x, lambda v: v)
+    x[7] = np.inf
+    assert ks_distance_to_cdf(x, lambda v: np.clip(v, 0.0, 1.0)) < 0.02
 
 
 def test_ks_distance_to_cdf():
