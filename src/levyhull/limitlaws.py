@@ -22,7 +22,10 @@ record per batch.  The record grows in blocks of columns: a block's
 uniforms, then that block's driving variables (Gaussian or stable), then
 the next block; the remainder's variable is drawn last.  A smaller ``eps``
 on a fresh stream with the same seed therefore appends blocks to the same
-record, which is what the refinement checks compare.
+record, which is what the refinement checks compare.  The summands are
+added column by column, left to right within a block, and then block by
+block, so a batch holds its record, one block of driving variables and
+row accumulators, but no summand array of the record's size.
 
 A record is as long as its slowest row, and the padding sticks stay in
 the sums.  Stopping each row at its own cutoff instead, with its remainder
@@ -66,18 +69,25 @@ def _series(n, eps, rng, draw, terms):
     """Row sums of a stick-breaking series on the unit interval.
 
     ``draw(shape)`` gives one driving variable per stick and
-    ``terms(ell, x)`` maps sticks and their variables to ``k`` summand
-    arrays shaped like ``ell``.  Sticks come from :func:`stick_matrix` cut
-    at ``eps``, each block's variables drawn right after its uniforms; the
-    remainder enters last as one more stick.  Returns the ``(k, n)`` sums
-    and the remainder.
+    ``terms(ell, x)`` maps one column of sticks and their variables to
+    ``k`` summand columns.  Sticks come from :func:`stick_matrix` cut at
+    ``eps``, each block's variables drawn right after its uniforms; the
+    remainder enters last as one more stick.  Each block's summands are
+    added column by column, left to right, into ``k`` row accumulators of
+    length ``n``, which are then added to the totals, so no summand array
+    is larger than a column.  Returns the ``(k, n)`` sums and the
+    remainder.
     """
     sums = 0.0
 
     def drive(ell):
         nonlocal sums
-        x = draw(ell.T.shape).T   # column-major like the sticks, so the terms run on one layout
-        sums = sums + np.array([y.sum(axis=-1) for y in terms(ell, x)])
+        cols = zip(ell.T, draw(ell.T.shape))   # one row per column, like the sticks
+        block = np.array(terms(*next(cols)))
+        for col in cols:
+            for acc, y in zip(block, terms(*col)):
+                acc += y
+        sums = sums + block
 
     _, rem = stick_matrix(n, 1.0, eps, rng, drive)
     drive(rem[:, None])
@@ -137,7 +147,7 @@ def _stable_series(alpha, beta, n, rng, eps, *terms):
     standard stable draws of index ``alpha`` and skewness ``beta``."""
     return _series(
         n, eps, rng, lambda shape: stable_standard(alpha, beta, rng, shape),
-        lambda ell, s: (y for f in terms for y in f(ell, s, alpha)),
+        lambda ell, s: [y for f in terms for y in f(ell, s, alpha)],
     )
 
 

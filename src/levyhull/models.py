@@ -519,29 +519,38 @@ def stable_standard(alpha, beta, rng, size=None):
     """Standard strictly stable draw(s) via the Chambers-Mallows-Stuck
     transform; ``size=None`` returns a scalar.
 
-    Outside the Gaussian case an array of draws overwrites its uniforms,
-    :data:`CMS_PIECE` elements at a time, so the uniforms and exponentials
-    are its only full-size arrays.  Each piece evaluates the whole-array
-    expression operation for operation, so every draw keeps its bits.
+    An array of draws overwrites its uniforms, the only full-size array it
+    makes: each piece of :data:`CMS_PIECE` uniforms draws its exponentials
+    and is transformed in place.  The exponentials of all pieces are the
+    same stream as one full draw after the uniforms, and each piece
+    evaluates the whole-array expression operation for operation, so every
+    draw keeps its bits.
     """
-    u = (rng.random(size) - 0.5) * math.pi
-    w = rng.standard_exponential(size)
-    if alpha == 2.0 and beta == 0.0:
-        # exact reduction: 2 sin(U) sqrt(W) ~ N(0, 2)
-        return 2.0 * np.sin(u) * np.sqrt(w)
+    gaussian = alpha == 2.0 and beta == 0.0   # exact reduction: 2 sin(U) sqrt(W) ~ N(0, 2)
     tb = beta * math.tan(math.pi * alpha / 2.0)
     b0 = math.atan(tb) / alpha
     s0 = (1.0 + tb * tb) ** (1.0 / (2.0 * alpha))
     if size is None:   # numpy scalars may round apart from the array loops
+        u = (rng.random() - 0.5) * math.pi
+        w = rng.standard_exponential()
+        if gaussian:
+            return 2.0 * np.sin(u) * np.sqrt(w)
         return (
             s0
             * np.sin(alpha * (u + b0))
             / np.cos(u) ** (1.0 / alpha)
             * (np.cos(u - alpha * (u + b0)) / w) ** ((1.0 - alpha) / alpha)
         )
-    flat_u, flat_w = u.reshape(-1), w.reshape(-1)
-    for lo in range(0, flat_u.size, CMS_PIECE):
-        x, e = flat_u[lo : lo + CMS_PIECE], flat_w[lo : lo + CMS_PIECE]
+    u = rng.random(size)
+    u -= 0.5
+    u *= math.pi
+    flat = u.reshape(-1)   # a view: the array is fresh and contiguous
+    for lo in range(0, flat.size, CMS_PIECE):
+        x = flat[lo : lo + CMS_PIECE]
+        e = rng.standard_exponential(x.size)
+        if gaussian:
+            x[:] = 2.0 * np.sin(x) * np.sqrt(e)
+            continue
         # at beta = 0 the shift b0 and the factor s0 are exact no-ops
         a = alpha * (x + b0) if b0 else alpha * x
         c = (np.cos(x - a) / e) ** ((1.0 - alpha) / alpha)

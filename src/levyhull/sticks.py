@@ -39,6 +39,20 @@ __all__ = [
 # vectorized stick machinery
 # ---------------------------------------------------------------------------
 
+def _capacity(n_rows, T, cutoff):
+    """Columns to reserve for a record: whole blocks holding the stick count
+    that a row exceeds with probability at most ``1e-6 / n_rows``.  A row
+    needs ``1 + Poisson(log(T / cutoff))`` sticks: the scaled remainders
+    at or above the cutoff are the points of a rate-one Poisson process
+    on the log scale, up to ``log(T / cutoff)``."""
+    lam = math.log(T) - math.log(cutoff) if T > cutoff else 0.0
+    m, tail = 0, 1.0   # P(Poisson >= m)
+    while n_rows * tail > 1e-6:
+        tail -= math.exp(m * math.log(lam) - lam - math.lgamma(m + 1)) if lam else 1.0
+        m += 1
+    return BLOCK * -(-max(m, 1) // BLOCK)
+
+
 def stick_matrix(n_rows, T, cutoff, rng, drive=None):
     """Scaled stick lengths for ``n_rows`` independent records.
 
@@ -51,6 +65,13 @@ def stick_matrix(n_rows, T, cutoff, rng, drive=None):
     draws at ``cutoff`` are a column prefix of those at any finer cutoff.
     The caller draws the remainder's variable after the call.
 
+    Each block is written straight into one record buffer, and the drive
+    receives a view of it, so the record is never copied.  The buffer
+    reserves the columns of :func:`_capacity`; a batch that runs past them
+    (at most one in a million) doubles it, copying the columns written so
+    far.  Reserved columns that are never written are never touched, so
+    they take no resident memory.
+
     Rows that stopped earlier carry extra (finer) sticks.  Threshold counts
     ignore them, as they sit below the cutoff; the limit series do not, and
     stopping each row at its own cutoff measurably changes their law (see
@@ -59,10 +80,16 @@ def stick_matrix(n_rows, T, cutoff, rng, drive=None):
     """
     if not cutoff > 0.0:
         raise ParameterError(f"cutoff must be > 0, got {cutoff}")
-    blocks = []   # column-major: row sums add the sticks in order
+    # one row per column: row sums of the transposed view add the sticks in order
+    buf = np.empty((_capacity(n_rows, T, cutoff), n_rows))
+    k = 0   # columns written
     L = np.ones(n_rows)
     while True:
-        cols = np.empty((BLOCK, n_rows))
+        if k == len(buf):
+            grown = np.empty((2 * k, n_rows))
+            grown[:k] = buf
+            buf = grown
+        cols = buf[k : k + BLOCK]
         # drawn a row slice at a time, the row-major uniforms keep their stream
         # order and stay in cache; each row's arithmetic is a column loop's
         for lo in range(0, n_rows, ROWS):
@@ -75,10 +102,10 @@ def stick_matrix(n_rows, T, cutoff, rng, drive=None):
                 ell *= T
         if drive is not None:
             drive(cols.T)
-        blocks.append(cols)
+        k += BLOCK
         if (T * L < cutoff).all():
             break
-    return np.vstack(blocks).T, T * L
+    return buf[:k].T, T * L
 
 
 def _chunked(reps, T, cutoff, rng, reduce):

@@ -6,16 +6,20 @@ from scipy import stats as sps
 
 from levyhull.errors import ParameterError
 from levyhull.limitlaws import (
+    _gaussian_terms,
+    _quadratic,
+    _series,
+    _signed,
     draw_limit_drift,
     draw_limit_finite_variance,
     draw_limit_heavy,
     draw_limit_quadratic,
     draw_limit_stable_zero_mean,
 )
-from levyhull.models import StableProcess
+from levyhull.models import StableProcess, stable_standard
 from levyhull.sbrep import normalize_stable_zero_mean, sample_quintuple
 from levyhull.stats import tail_slope
-from levyhull.sticks import ROWS
+from levyhull.sticks import BLOCK, ROWS, stick_matrix
 
 
 def rng(seed=0):
@@ -123,6 +127,41 @@ def test_quadratic_series_alone_is_column_zero_bit_for_bit():
                 q, q_bounds = draw_limit_quadratic(alpha, n, rng(seed), beta=beta)
                 assert np.array_equal(q, coords[:, 0])
                 assert np.array_equal(q_bounds, bounds)
+
+
+def _block_column_sums(n, eps, g, draw, terms):
+    """Reference for the series sums: the driven record of stick_matrix,
+    each block's columns added left to right, then the block sums (the
+    remainder last, as a one-column block) added in turn."""
+    xs = []
+    t, rem = stick_matrix(n, 1.0, eps, g, lambda block: xs.append(draw(block.T.shape)))
+    xs.append(draw((1, n)))
+    blocks = [t[:, lo : lo + BLOCK] for lo in range(0, t.shape[1], BLOCK)] + [rem[:, None]]
+    total = 0.0
+    for ell, x in zip(blocks, xs):
+        acc = terms(ell[:, 0], x[0])
+        for j in range(1, ell.shape[1]):
+            acc = [a + y for a, y in zip(acc, terms(ell[:, j], x[j]))]
+        total = total + np.array(acc)
+    return total, rem
+
+
+@pytest.mark.parametrize("n", [1, 2, 5000])
+def test_series_sums_each_block_column_by_column(n):
+    def stable(alpha):
+        return lambda g: lambda shape: stable_standard(alpha, 0.3, g, shape)
+
+    cases = (
+        (lambda g: g.standard_normal, _gaussian_terms),
+        (stable(1.5), lambda ell, s: [*_quadratic(ell, s, 1.5), *_signed(ell, s, 1.5)]),
+        (stable(0.7), lambda ell, s: _signed(ell, s, 0.7)),
+    )
+    for seed, (draw, terms) in enumerate(cases):
+        g, h = rng(seed), rng(seed)
+        sums, rem = _series(n, 1e-6, g, draw(g), terms)
+        ref, ref_rem = _block_column_sums(n, 1e-6, h, draw(h), terms)
+        assert np.array_equal(sums, ref)
+        assert np.array_equal(rem, ref_rem)
 
 
 def test_stable_limit_tail_exponent():

@@ -10,6 +10,7 @@ from levyhull.experiments import _COMPENSATION_ROWS
 from levyhull.sticks import (
     BLOCK,
     ROWS,
+    _capacity,
     compensation_estimate,
     stick_matrix,
     tau_gset_counts,
@@ -249,19 +250,54 @@ def test_driven_record_extends_under_a_finer_cutoff():
     assert extended > 0
 
 
+def _assert_matches_a_per_column_loop(n_rows, T, cutoff):
+    drawn = []
+    t, rem = stick_matrix(n_rows, T, cutoff, rng(n_rows), drawn.append)
+    cols, L = [], np.ones(n_rows)
+    for v in rng(n_rows).random((t.shape[1] // BLOCK, n_rows, BLOCK)):
+        for j in range(BLOCK):
+            ell = v[:, j] * L
+            cols.append(T * ell)
+            L = L - ell
+    assert np.array_equal(t, np.column_stack(cols))
+    assert np.array_equal(rem, T * L)
+    assert np.array_equal(np.hstack(drawn), t)
+
+
 def test_row_sliced_loop_matches_a_per_column_loop():
     # row counts below, at and not a multiple of the row slice: slicing
     # keeps the stream order of the uniforms and each row's arithmetic
     for n_rows in (1, 7, ROWS, 2 * ROWS + 123):
         for T, cutoff in ((1.0, 1e-6), (37.5, 1e-2)):
-            drawn = []
-            t, rem = stick_matrix(n_rows, T, cutoff, rng(n_rows), drawn.append)
-            cols, L = [], np.ones(n_rows)
-            for v in rng(n_rows).random((t.shape[1] // BLOCK, n_rows, BLOCK)):
-                for j in range(BLOCK):
-                    ell = v[:, j] * L
-                    cols.append(T * ell)
-                    L = L - ell
-            assert np.array_equal(t, np.column_stack(cols))
-            assert np.array_equal(rem, T * L)
-            assert np.array_equal(np.hstack(drawn), t)
+            _assert_matches_a_per_column_loop(n_rows, T, cutoff)
+
+
+def test_record_that_outgrows_its_capacity_keeps_every_bit(monkeypatch):
+    # a one-block reservation doubles four times for some 200 columns
+    import levyhull.sticks as sticks
+
+    monkeypatch.setattr(sticks, "_capacity", lambda n_rows, T, cutoff: BLOCK)
+    for n_rows in (1, 3, 5):
+        _assert_matches_a_per_column_loop(n_rows, 1.0, 1e-80)
+    t, _ = stick_matrix(3, 1.0, 1e-80, rng(3))
+    assert t.shape[1] > 8 * BLOCK
+
+
+def test_drive_blocks_are_views_of_the_returned_record():
+    blocks = []
+    t, _ = stick_matrix(300, 1.0, 1e-6, rng(17), blocks.append)
+    assert len(blocks) == t.shape[1] // BLOCK > 1
+    for b, block in enumerate(blocks):
+        assert np.shares_memory(block, t)
+        assert np.array_equal(block, t[:, b * BLOCK : (b + 1) * BLOCK])
+
+
+def test_capacity_covers_the_stick_count_law():
+    # a row needs 1 + Poisson(log(T / cutoff)) sticks
+    assert _capacity(1, 0.5, 1.0) == BLOCK   # one stick suffices
+    for n_rows, T, cutoff in ((50_000, 1.0, 1e-6), (20_000, math.exp(4), 1.0), (5, 1.0, 1e-80)):
+        cap = _capacity(n_rows, T, cutoff)
+        assert cap % BLOCK == 0
+        lam = math.log(T / cutoff)
+        assert n_rows * sps.poisson.sf(cap - 1, lam) <= 1e-6   # P(1 + N > cap)
+        assert n_rows * sps.poisson.sf(cap - BLOCK - 1, lam) > 1e-6   # one block fewer falls short
