@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
-from .limitlaws import DEFAULT_EPS
 from .models import (
     BrownianDrift,
     CompoundPoissonDrift,
@@ -43,9 +42,11 @@ from .sbrep import DEFAULT_CUTOFF
 __all__ = ["ExperimentConfig", "EXPERIMENTS", "MODELS", "JUMPS", "load_config", "config_from_mapping"]
 
 EXPERIMENTS = (
-    "sb-props",
+    "stick-counts",
+    "compensation",
     "verify-identity",
-    "verify-clt",
+    "clt-trend",
+    "clt-independence",
     "verify-stable",
     "verify-heavy",
     "tail-index",
@@ -80,11 +81,9 @@ _KNOWN_KEYS = {
     "T_grid",
     "reps",
     "cutoff",
-    "eps",
     "seed",
     "workers",
     "out",
-    "checks",
 }
 
 
@@ -95,11 +94,9 @@ class ExperimentConfig:
     t_grid: tuple
     reps: int
     cutoff: float = DEFAULT_CUTOFF
-    eps: float = DEFAULT_EPS
     seed: int = 0
     workers: int = 1
     out: str | None = None
-    checks: str = "all"
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
@@ -120,8 +117,6 @@ class ExperimentConfig:
             raise ConfigError("worker count must be >= 1")
         if not 0.0 < self.cutoff <= 1.0:
             raise ConfigError(f"cutoff must lie in (0, 1], got {self.cutoff}")
-        if not 0.0 < self.eps < 1.0:
-            raise ConfigError(f"eps must lie in (0, 1), got {self.eps}")
 
 
 def _parse_scalar(text):
@@ -216,8 +211,6 @@ def _number(key, value, cast=float):
 
 def config_from_mapping(mapping) -> ExperimentConfig:
     flat = _flatten(mapping)
-    if "t_grid" in flat:  # accepted alias
-        flat["T_grid"] = flat.pop("t_grid")
     unknown = {k for k in flat if not k.startswith("model.")} - _KNOWN_KEYS
     if unknown:
         raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
@@ -233,12 +226,11 @@ def config_from_mapping(mapping) -> ExperimentConfig:
         t_grid=tuple(_number("T_grid", t) for t in grid),
         reps=_number("reps", flat.get("reps", 1000), int),
     )
-    for key, cast in (("cutoff", float), ("eps", float), ("seed", int), ("workers", int)):
+    for key, cast in (("cutoff", float), ("seed", int), ("workers", int)):
         if key in flat:
             kwargs[key] = _number(key, flat[key], cast)
-    for key in ("out", "checks"):
-        if key in flat:
-            kwargs[key] = str(flat[key])
+    if "out" in flat:
+        kwargs["out"] = str(flat["out"])
     return ExperimentConfig(**kwargs)
 
 

@@ -15,6 +15,7 @@ import hashlib
 import io
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import partial
@@ -110,7 +111,8 @@ def _collect_blocks(worker, total, workers):
     plan = list(enumerate(min(BLOCK, total - lo) for lo in range(0, total, BLOCK)))
     if workers <= 1:
         return [worker(i, n) for i, n in plan]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # a forked pool starts all its processes at the first submit
+    with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
         futures = [pool.submit(worker, i, n) for i, n in plan]
         return [fut.result() for fut in futures]
 
@@ -195,29 +197,29 @@ _COMPENSATION_ROWS = (
 )
 
 
-def _exp_sb_props(cfg: ExperimentConfig) -> RunReport:
-    rep = RunReport("sb-props")
-    if cfg.checks not in ("all", "tau", "compensation"):
-        raise ConfigError(f"sb-props checks must be tau/compensation/all, got {cfg.checks!r}")
-    if cfg.checks in ("all", "tau"):
-        for k, T in enumerate(cfg.t_grid):
-            g = substream(cfg.seed, "sb-props-tau", k)
-            tau_c, gset_c = tau_gset_counts(T, cfg.reps, g)
-            lt = math.log(T)
-            x = tau_c.astype(float)
-            se_mean = x.std(ddof=1) / math.sqrt(x.size)
-            rep.rows.append(_row_ci(T, "tau_mean", x.mean(), se_mean, lt))
-            s2, se_var = variance_se(x)
-            rep.rows.append(_row_ci(T, "tau_var", s2, se_var, lt))
-            excess = (tau_c + 1 - gset_c).astype(float)
-            se_e = excess.std(ddof=1) / math.sqrt(excess.size)
-            rep.rows.append(_row_ci(T, "gset_excess", excess.mean(), se_e, 1.0))
-            nested = float(np.mean(gset_c <= tau_c + 1))
-            rep.rows.append(_row_check(T, "gset_nested_share", nested, "== 1", nested == 1.0))
-    if cfg.checks in ("all", "compensation"):
-        for name, tag, k, f, floor, T0, exact in _COMPENSATION_ROWS:
-            mean, se = compensation_estimate(f, floor, T0, cfg.reps, substream(cfg.seed, tag, k))
-            rep.rows.append(_row_ci(T0, name, mean, se, exact))
+def _exp_stick_counts(cfg: ExperimentConfig) -> RunReport:
+    rep = RunReport("stick-counts")
+    for k, T in enumerate(cfg.t_grid):
+        tau_c, gset_c = tau_gset_counts(T, cfg.reps, substream(cfg.seed, "sb-props-tau", k))
+        lt = math.log(T)
+        x = tau_c.astype(float)
+        se_mean = x.std(ddof=1) / math.sqrt(x.size)
+        rep.rows.append(_row_ci(T, "tau_mean", x.mean(), se_mean, lt))
+        s2, se_var = variance_se(x)
+        rep.rows.append(_row_ci(T, "tau_var", s2, se_var, lt))
+        excess = (tau_c + 1 - gset_c).astype(float)
+        se_e = excess.std(ddof=1) / math.sqrt(excess.size)
+        rep.rows.append(_row_ci(T, "gset_excess", excess.mean(), se_e, 1.0))
+        nested = float(np.mean(gset_c <= tau_c + 1))
+        rep.rows.append(_row_check(T, "gset_nested_share", nested, "== 1", nested == 1.0))
+    return rep
+
+
+def _exp_compensation(cfg: ExperimentConfig) -> RunReport:
+    rep = RunReport("compensation")
+    for name, tag, k, f, floor, T0, exact in _COMPENSATION_ROWS:
+        mean, se = compensation_estimate(f, floor, T0, cfg.reps, substream(cfg.seed, tag, k))
+        rep.rows.append(_row_ci(T0, name, mean, se, exact))
     return rep
 
 
@@ -256,53 +258,59 @@ def _regime(cfg, *allowed):
     return name
 
 
-def _exp_verify_clt(cfg: ExperimentConfig) -> RunReport:
-    model = cfg.model
+def _clt_draws(cfg, rep):
+    """Finite-variance draws, after the regime check: per horizon ``T`` of
+    the grid, ``(T, q, det)`` with ``q`` the stick-breaking batch on
+    substream ``clt-{k}`` and ``det`` its deterministic-centering length
+    coordinate, kept in ``rep`` as the sample ``det_stat_T{k}``."""
     _regime(cfg, "finite-variance")
-    var = model.variance_rate()
-    if cfg.checks not in ("all", "trend", "independence"):
-        raise ConfigError(
-            f"verify-clt checks must be trend/independence/all, got {cfg.checks!r}"
-        )
-    rep = RunReport("verify-clt")
+
+    def horizon(k, T):
+        q = draw_quintuples(cfg.model, T, cfg.reps, cfg.seed, f"clt-{k}", cfg.cutoff, cfg.workers)
+        det = normalize_finite_variance(cfg.model, q, "deterministic")[:, 0]
+        rep.samples[f"det_stat_T{k}"] = det
+        return T, q, det
+
+    return (horizon(k, T) for k, T in enumerate(cfg.t_grid))
+
+
+def _exp_clt_trend(cfg: ExperimentConfig) -> RunReport:
+    rep = RunReport("clt-trend")
+    draws = _clt_draws(cfg, rep)
+    var = cfg.model.variance_rate()
     limit_sd = math.sqrt(3.0) / 2.0 * var
     prev_d = None
-    grid = cfg.t_grid if cfg.checks in ("all", "trend") else cfg.t_grid[-1:]
-    for k, T in enumerate(grid):
-        q = draw_quintuples(model, T, cfg.reps, cfg.seed, f"clt-{k}", cfg.cutoff, cfg.workers)
-        sto = normalize_finite_variance(model, q, "stochastic")
-        det1 = normalize_finite_variance(model, q, "deterministic")[:, 0]
-        rep.samples[f"det_stat_T{k}"] = det1
-        if cfg.checks in ("all", "trend"):
-            d = ks_distance_to_cdf(det1, lambda x: _phi_cdf(x / limit_sd))
-            trend_ok = True if prev_d is None else d < prev_d
-            rep.rows.append(
-                _row_check(T, "clt_ks_distance", d, "strictly decreasing along the grid", trend_ok, d)
-            )
-            prev_d = d
-        if T != grid[-1]:
-            continue
-        if cfg.checks in ("all", "trend"):
-            rep.rows.append(_row_check(T, "clt_ks_final", d, "D < 0.1", d < 0.1, d))
-            ratio = float(det1.var()) / (0.75 * var * var)
-            rep.rows.append(
-                _row_check(T, "clt_variance_ratio", ratio,
-                           "within 15% of 1", abs(ratio - 1.0) < 0.15)
-            )
-        if cfg.checks in ("all", "independence"):
-            for name, col in (("sup", 2), ("final", 3), ("gamma", 4)):
-                c = float(np.corrcoef(sto[:, 0], sto[:, col])[0, 1])
-                rep.rows.append(_row_check(T, f"fluct_corr_{name}", c, "|corr| < 0.1", abs(c) < 0.1))
-            # the two centerings differ by half the variance times the count
-            # coordinate: an exact linear identity per draw
-            recon = sto[:, 0] + 0.5 * var * sto[:, 1]
-            err = float(np.abs(det1 - recon).max())
-            rep.rows.append(_row_check(T, "centering_identity_max_err", err, "<= 1e-9", err <= 1e-9))
-            c_id = float(np.corrcoef(det1, recon)[0, 1])
-            rep.rows.append(
-                _row_check(T, "centering_identity_corr", c_id,
-                           ">= 1 - 1e-9", c_id >= 1.0 - 1e-9)
-            )
+    for T, _, det in draws:
+        d = ks_distance_to_cdf(det, lambda x: _phi_cdf(x / limit_sd))
+        trend_ok = True if prev_d is None else d < prev_d
+        rep.rows.append(
+            _row_check(T, "clt_ks_distance", d, "strictly decreasing along the grid", trend_ok, d)
+        )
+        prev_d = d
+    rep.rows.append(_row_check(T, "clt_ks_final", d, "D < 0.1", d < 0.1, d))
+    ratio = float(det.var()) / (0.75 * var * var)
+    rep.rows.append(_row_check(T, "clt_variance_ratio", ratio, "within 15% of 1", abs(ratio - 1.0) < 0.15))
+    return rep
+
+
+def _exp_clt_independence(cfg: ExperimentConfig) -> RunReport:
+    rep = RunReport("clt-independence")
+    draws = _clt_draws(cfg, rep)
+    var = cfg.model.variance_rate()
+    for T, q, det in draws:
+        sto = normalize_finite_variance(cfg.model, q, "stochastic")
+        for name, col in (("sup", 2), ("final", 3), ("gamma", 4)):
+            c = float(np.corrcoef(sto[:, 0], sto[:, col])[0, 1])
+            rep.rows.append(_row_check(T, f"fluct_corr_{name}", c, "|corr| < 0.1", abs(c) < 0.1))
+        # the two centerings differ by half the variance times the count
+        # coordinate: an exact linear identity per draw
+        recon = sto[:, 0] + 0.5 * var * sto[:, 1]
+        err = float(np.abs(det - recon).max())
+        rep.rows.append(_row_check(T, "centering_identity_max_err", err, "<= 1e-9", err <= 1e-9))
+        c_id = float(np.corrcoef(det, recon)[0, 1])
+        rep.rows.append(
+            _row_check(T, "centering_identity_corr", c_id, ">= 1 - 1e-9", c_id >= 1.0 - 1e-9)
+        )
     return rep
 
 
@@ -323,7 +331,7 @@ def _exp_verify_stable(cfg: ExperimentConfig) -> RunReport:
         q = draw_quintuples(model, T, cfg.reps, cfg.seed, "stable-rep", cfg.cutoff, cfg.workers)
         finite = normalize_stable_zero_mean(model, q)
         coords, _ = draw_limit_stable_zero_mean(alpha, cfg.reps, substream(cfg.seed, "stable-limit", 0),
-                                                cfg.eps, beta=getattr(model, "beta", 0.0))
+                                                beta=getattr(model, "beta", 0.0))
         _rows_coordinate_ks(rep, T, "stable", finite, coords)
         rep.tables["rep_draws"] = _draw_record_table(q)
         rep.tables["limit_draws"] = (("length", "sup", "final", "gamma"), coords)
@@ -365,7 +373,7 @@ def _exp_verify_heavy(cfg: ExperimentConfig) -> RunReport:
     T = cfg.t_grid[-1]
     q = draw_quintuples(model, T, cfg.reps, cfg.seed, "heavy-rep", cfg.cutoff, cfg.workers)
     coords, _ = draw_limit_heavy(model.attraction_alpha(), cfg.reps, substream(cfg.seed, "heavy-limit", 0),
-                                 cfg.eps, beta=getattr(model, "beta", 0.0))
+                                 beta=getattr(model, "beta", 0.0))
     _rows_coordinate_ks(rep, T, "heavy", normalize_heavy(model, q), coords)
     rep.tables["rep_draws"] = _draw_record_table(q)
     lo = 2.0 * q.sup - q.final
@@ -380,13 +388,13 @@ def _exp_tail_index(cfg: ExperimentConfig) -> RunReport:
     if not isinstance(model, StableProcess):
         raise ConfigError("tail-index needs a stable model")
     _regime(cfg, "stable-zero-mean")
-    alpha = model.alpha
+    alpha, beta = model.alpha, model.beta
     rep = RunReport("tail-index")
     draws = np.empty(cfg.reps)
     block = 50_000
     for k, lo in enumerate(range(0, cfg.reps, block)):
         g = substream(cfg.seed, "tail-q", k)
-        draws[lo : lo + block], _ = draw_limit_quadratic(alpha, min(block, cfg.reps - lo), g, cfg.eps)
+        draws[lo : lo + block], _ = draw_limit_quadratic(alpha, min(block, cfg.reps - lo), g, beta=beta)
     fit = tail_slope(draws)
     target = -alpha / 2.0
     rep.rows.append(
@@ -400,7 +408,7 @@ def _exp_tail_index(cfg: ExperimentConfig) -> RunReport:
     q = draws[:n]
     q_prime = draws[n : 2 * n]
     ell1 = g.random(n)
-    s1 = np.asarray(stable_standard(alpha, 0.0, g, n))
+    s1 = np.asarray(stable_standard(alpha, beta, g, n))
     recon = (1.0 - ell1) ** (2.0 / alpha - 1.0) * q_prime + 0.5 * ell1 ** (
         2.0 / alpha - 1.0
     ) * s1 * s1
@@ -593,9 +601,11 @@ def _exp_hull_props(cfg: ExperimentConfig) -> RunReport:
 
 
 _DISPATCH = {
-    "sb-props": _exp_sb_props,
+    "stick-counts": _exp_stick_counts,
+    "compensation": _exp_compensation,
     "verify-identity": _exp_verify_identity,
-    "verify-clt": _exp_verify_clt,
+    "clt-trend": _exp_clt_trend,
+    "clt-independence": _exp_clt_independence,
     "verify-stable": _exp_verify_stable,
     "verify-heavy": _exp_verify_heavy,
     "tail-index": _exp_tail_index,

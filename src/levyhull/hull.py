@@ -77,7 +77,6 @@ class QuintupleSample:
     final: float                   # value at the horizon
     sup: float                     # supremum of the majorant
     gamma: float                   # time the supremum is attained (first attainment)
-    excess: float                  # upsilon minus the summed length
     truncation_error_bound: float
     horizon: float
     cutoff: float
@@ -94,7 +93,7 @@ class QuintupleSample:
         return self.horizon + 2.0 * self.sup - self.final
 
 
-_PER_DRAW = ("upsilon", "h_prime", "final", "sup", "gamma", "excess", "truncation_error_bound")
+_PER_DRAW = ("upsilon", "h_prime", "final", "sup", "gamma", "truncation_error_bound")
 
 
 def stack_quintuples(records):
@@ -132,7 +131,7 @@ def reduce_faces(lengths, heights, T, cutoff=0.0, truncation_error_bound=0.0):
             big += 1
     if abs(total - T) > 1e-9 * max(T, 1.0):
         raise PathError(f"faces do not conserve the horizon: sum {total} vs T {T}")
-    return QuintupleSample(total + excess, big, final, sup, T * (pos_len / total), excess,
+    return QuintupleSample(total + excess, big, final, sup, T * (pos_len / total),
                            truncation_error_bound, T, cutoff)
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 # scipy.integrate is imported by the quadratures that use it, to keep it out
@@ -289,6 +289,7 @@ class PointMass(_AtomicJump):
         return [(self.x, 1.0)]
 
 
+@dataclass(frozen=True)
 class LogCorrectedPareto(_JumpLaw):
     """Symmetric jump law with density proportional to
     ``|x|^-3 (log|x|)^-1 (log log|x|)^-2`` on ``|x| > e^e``.
@@ -298,18 +299,6 @@ class LogCorrectedPareto(_JumpLaw):
     where Z is the normalizing constant.  Sampling is intentionally
     unsupported; only moments are needed.
     """
-
-    def __init__(self):
-        self._norm = _lcp_normalizer()
-
-    def __repr__(self):
-        return "LogCorrectedPareto()"
-
-    def __eq__(self, other):
-        return isinstance(other, LogCorrectedPareto)
-
-    def __hash__(self):
-        return hash("LogCorrectedPareto")
 
     def sample(self, n, rng):
         raise UnsupportedExactnessError(
@@ -323,11 +312,11 @@ class LogCorrectedPareto(_JumpLaw):
         return 0.0
 
     def second_moment(self):
-        return 2.0 / self._norm
+        return 2.0 / _lcp_normalizer()
 
     def second_moment_tail(self, u):
         u = np.asarray(u, dtype=float)
-        return (2.0 / self._norm) / np.log(np.log(np.maximum(u, _EE)))
+        return (2.0 / _lcp_normalizer()) / np.log(np.log(np.maximum(u, _EE)))
 
     def kinks(self):
         return (_EE,)
@@ -351,9 +340,10 @@ class LogCorrectedPareto(_JumpLaw):
             total += math.log(T) / math.log(math.log(root_t))
         else:
             total += math.log(T) / 1.0  # loglog(e^e) == 1
-        return total / self._norm
+        return total / _lcp_normalizer()
 
 
+@cache
 def _lcp_normalizer():
     # total mass of the unnormalized two-sided density
     from scipy import integrate

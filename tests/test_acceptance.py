@@ -1,5 +1,5 @@
-"""Acceptance suite: one test per shipped verification criterion, each run
-at its stated scale and tolerance through the same experiment
+"""Acceptance suite: one test per shipped verification criterion, each
+running its config under ``configs/`` through the same experiment
 implementations the command-line runner dispatches to.
 
 Two sub-checks are marked as strict expected failures with a quantitative
@@ -7,145 +7,74 @@ reason: the convergence they probe is logarithmic and provably cannot meet
 the stated tolerance at the stated horizon (see the reason strings).  The
 checks are implemented faithfully and left red rather than loosened.
 """
-import math
 import time
+from pathlib import Path
 
 import pytest
 
-from levyhull.config import config_from_mapping
+from levyhull.config import load_config
 from levyhull.experiments import run
 
 from conftest import record_acceptance
 
-
-def _rows(report, prefix):
-    return [r for r in report.rows if r.statistic.startswith(prefix)]
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
-def _assert_rows(report, number, detail, exclude=()):
-    rows = [r for r in report.rows if not any(r.statistic.startswith(e) for e in exclude)]
-    bad = [r.statistic for r in rows if not r.passed]
+def _assert_rows(report, number, detail):
+    bad = [r.statistic for r in report.rows if not r.passed]
     record_acceptance(number, not bad, f"{detail}" + (f" (failing: {bad})" if bad else ""))
     assert not bad, f"failing rows: {bad}"
 
 
-# ---------------------------------------------------------------------------
-# shared full-scale runs
-# ---------------------------------------------------------------------------
-
 @pytest.fixture(scope="module")
-def clt_report():
-    cfg = config_from_mapping(
-        {
-            "experiment": "verify-clt",
-            "model": {"kind": "brownian", "sigma": 1, "mu": 0},
-            "T_grid": [1e3, 1e5, 1e7],
-            "reps": 10_000,
-            "seed": 20260411,
-        }
-    )
-    t0 = time.perf_counter()
-    report = run(cfg)
-    report.provenance["elapsed"] = time.perf_counter() - t0
-    return report
+def criterion():
+    """``criterion(n)`` is ``(report, elapsed seconds)`` of the shipped
+    ``configs/criterion{n:02d}_*.cfg``, run once per module."""
+    runs = {}
 
+    def get(number):
+        if number not in runs:
+            (path,) = CONFIGS.glob(f"criterion{number:02d}_*.cfg")
+            cfg = load_config(path)
+            t0 = time.perf_counter()
+            report = run(cfg)
+            runs[number] = (report, time.perf_counter() - t0)
+        return runs[number]
 
-@pytest.fixture(scope="module")
-def stable_report():
-    cfg = config_from_mapping(
-        {
-            "experiment": "verify-stable",
-            "model": {"kind": "stable", "alpha": 1.5, "beta": 0, "scale": 1, "mu": 0},
-            "T_grid": [1e5],
-            "reps": 10_000,
-            "seed": 20260412,
-        }
-    )
-    t0 = time.perf_counter()
-    report = run(cfg)
-    report.provenance["elapsed"] = time.perf_counter() - t0
-    return report
+    return get
 
 
 # ---------------------------------------------------------------------------
 # criteria
 # ---------------------------------------------------------------------------
 
-def test_criterion_01_stick_breaking_identities():
-    t0 = time.perf_counter()
-    report = run(
-        config_from_mapping(
-            {
-                "experiment": "sb-props",
-                "T_grid": [math.exp(2), math.exp(4), math.exp(6)],
-                "reps": 100_000,
-                "seed": 101,
-                "checks": "tau",
-            }
-        )
-    )
-    elapsed = time.perf_counter() - t0
+def test_criterion_01_stick_breaking_identities(criterion):
+    report, elapsed = criterion(1)
     _assert_rows(report, 1, f"stick count moments and big-stick excess ({elapsed:.1f}s)")
     assert elapsed < 30.0
 
 
-def test_criterion_02_compensation_formula():
-    t0 = time.perf_counter()
-    report = run(
-        config_from_mapping(
-            {
-                "experiment": "sb-props",
-                "T_grid": [1.0],
-                "reps": 100_000,
-                "seed": 102,
-                "checks": "compensation",
-            }
-        )
-    )
-    elapsed = time.perf_counter() - t0
+def test_criterion_02_compensation_formula(criterion):
+    report, elapsed = criterion(2)
     _assert_rows(report, 2, f"point-process compensation targets ({elapsed:.1f}s)")
     assert elapsed < 30.0
 
 
-def test_criterion_03_exact_in_law_cross_validation():
-    t0 = time.perf_counter()
-    report = run(
-        config_from_mapping(
-            {
-                "experiment": "verify-identity",
-                "model": {
-                    "kind": "cp",
-                    "rate": 1,
-                    "jump": {"kind": "gaussian", "mean": 0, "sd": 1},
-                    "mu": 0.2,
-                },
-                "T_grid": [50],
-                "reps": 10_000,
-                "seed": 103,
-                # a fine cutoff keeps the remainder-splitting bias of the
-                # length statistic below the KS resolution of 1e4 draws
-                "cutoff": 1e-4,
-            }
-        )
-    )
-    elapsed = time.perf_counter() - t0
+def test_criterion_03_exact_in_law_cross_validation(criterion):
+    report, elapsed = criterion(3)
     _assert_rows(report, 3, f"hull-vs-representation KS on all four statistics ({elapsed:.1f}s)")
     assert elapsed < 300.0
 
 
-def test_criterion_04_finite_variance_clt_trend(clt_report):
-    _assert_rows(
-        clt_report,
-        4,
-        f"deterministic-centering KS trend and variance "
-        f"({clt_report.provenance['elapsed']:.1f}s)",
-        exclude=("fluct_corr",),
-    )
-    assert clt_report.provenance["elapsed"] < 600.0
+def test_criterion_04_finite_variance_clt_trend(criterion):
+    report, elapsed = criterion(4)
+    _assert_rows(report, 4, f"deterministic-centering KS trend and variance ({elapsed:.1f}s)")
+    assert elapsed < 600.0
 
 
-def test_criterion_05_asymptotic_independence_final_gamma(clt_report):
-    rows = {r.statistic: r for r in clt_report.rows}
+def test_criterion_05_asymptotic_independence_final_gamma(criterion):
+    report, _ = criterion(5)
+    rows = {r.statistic: r for r in report.rows}
     ok = (
         rows["fluct_corr_final"].passed
         and rows["fluct_corr_gamma"].passed
@@ -170,13 +99,15 @@ def test_criterion_05_asymptotic_independence_final_gamma(clt_report):
         "horizon, kept faithful and red"
     ),
 )
-def test_criterion_05_sup_correlation_below_threshold(clt_report):
-    sup_row = next(r for r in clt_report.rows if r.statistic == "fluct_corr_sup")
+def test_criterion_05_sup_correlation_below_threshold(criterion):
+    report, _ = criterion(5)
+    sup_row = next(r for r in report.rows if r.statistic == "fluct_corr_sup")
     assert sup_row.passed
 
 
-def test_criterion_06_stable_limit_coords(stable_report):
-    rows = {r.statistic: r for r in stable_report.rows}
+def test_criterion_06_stable_limit_coords(criterion):
+    report, elapsed = criterion(6)
+    rows = {r.statistic: r for r in report.rows}
     length_row = rows["stable_ks_length"]
     others = [r for n, r in rows.items() if n != "stable_ks_length"]
     ok_others = all(r.passed for r in others)
@@ -184,12 +115,12 @@ def test_criterion_06_stable_limit_coords(stable_report):
         6,
         ok_others and length_row.passed,
         "zero-mean stable coordinates vs series sampler "
-        f"({stable_report.provenance['elapsed']:.1f}s); sup/final/gamma "
+        f"({elapsed:.1f}s); sup/final/gamma "
         f"{'pass' if ok_others else 'FAIL'}, length coordinate "
         f"p = {length_row.p_value:.2g} (threshold 0.01)",
     )
     assert ok_others
-    assert stable_report.provenance["elapsed"] < 600.0
+    assert elapsed < 600.0
 
 
 @pytest.mark.xfail(
@@ -201,118 +132,48 @@ def test_criterion_06_stable_limit_coords(stable_report):
         "two-sample test; infeasible at the stated horizon, kept faithful"
     ),
 )
-def test_criterion_06_stable_length_coordinate(stable_report):
-    row = next(r for r in stable_report.rows if r.statistic == "stable_ks_length")
+def test_criterion_06_stable_length_coordinate(criterion):
+    report, _ = criterion(6)
+    row = next(r for r in report.rows if r.statistic == "stable_ks_length")
     assert row.passed
 
 
-def test_criterion_07_tail_exponent_and_perpetuity():
-    t0 = time.perf_counter()
-    report = run(
-        config_from_mapping(
-            {
-                "experiment": "tail-index",
-                "model": {"kind": "stable", "alpha": 1.5},
-                "T_grid": [1.0],
-                "reps": 1_000_000,
-                "seed": 107,
-            }
-        )
-    )
-    elapsed = time.perf_counter() - t0
+def test_criterion_07_tail_exponent_and_perpetuity(criterion):
+    report, elapsed = criterion(7)
     _assert_rows(report, 7, f"tail slope -0.75 +/- 0.1 and perpetuity KS ({elapsed:.1f}s)")
     assert elapsed < 300.0
 
 
-def test_criterion_08_drift_regression():
-    t0 = time.perf_counter()
-    report = run(
-        config_from_mapping(
-            {
-                "experiment": "verify-stable",
-                "model": {"kind": "stable", "alpha": 2, "beta": 0, "scale": 1, "mu": 1},
-                "T_grid": [1e6],
-                "reps": 10_000,
-                "seed": 108,
-            }
-        )
-    )
-    elapsed = time.perf_counter() - t0
+def test_criterion_08_drift_regression(criterion):
+    report, elapsed = criterion(8)
     _assert_rows(
         report, 8,
         f"drift-regime regression slope 0.7071 within 5% and rank-one limit ({elapsed:.1f}s)",
     )
 
 
-def test_criterion_09_heavy_regime():
-    t0 = time.perf_counter()
-    report = run(
-        config_from_mapping(
-            {
-                "experiment": "verify-heavy",
-                "model": {"kind": "stable", "alpha": 0.5, "beta": 0, "scale": 1, "mu": 0},
-                "T_grid": [1e4],
-                "reps": 10_000,
-                "seed": 109,
-            }
-        )
-    )
-    elapsed = time.perf_counter() - t0
+def test_criterion_09_heavy_regime(criterion):
+    report, elapsed = criterion(9)
     _assert_rows(report, 9, f"heavy-regime KS and per-draw length sandwich ({elapsed:.1f}s)")
 
 
-def test_criterion_10_scaling_table():
-    t0 = time.perf_counter()
-    report = run(
-        config_from_mapping(
-            {
-                "experiment": "compare-length",
-                "model": {"kind": "brownian", "sigma": 1, "mu": 0},
-                "T_grid": [1e3, 1e5, 1e7],
-                "reps": 10_000,
-                "seed": 110,
-            }
-        )
-    )
-    elapsed = time.perf_counter() - t0
+def test_criterion_10_scaling_table(criterion):
+    report, elapsed = criterion(10)
     _assert_rows(
         report, 10, f"hut/majorant/tent fluctuation scales and orderings ({elapsed:.1f}s)"
     )
 
 
-def test_criterion_11_hull_invariants():
-    t0 = time.perf_counter()
-    report = run(
-        config_from_mapping(
-            {
-                "experiment": "hull-props",
-                "T_grid": [1.0],
-                "reps": 10_000,
-                "seed": 111,
-            }
-        )
-    )
-    elapsed = time.perf_counter() - t0
+def test_criterion_11_hull_invariants(criterion):
+    report, elapsed = criterion(11)
     _assert_rows(
         report, 11,
         f"hull invariants on 10^4 paths and ten-point brute-force equivalence ({elapsed:.1f}s)",
     )
 
 
-def test_criterion_12_theta_scan():
-    t0 = time.perf_counter()
-    report = run(
-        config_from_mapping(
-            {
-                "experiment": "theta-scan",
-                "model": {"kind": "cp", "rate": 1, "jump": {"kind": "log-pareto"}, "mu": 0},
-                "T_grid": [1e2, 1e4, 1e6],
-                "reps": 100,
-                "seed": 112,
-            }
-        )
-    )
-    elapsed = time.perf_counter() - t0
+def test_criterion_12_theta_scan(criterion):
+    report, elapsed = criterion(12)
     _assert_rows(
         report, 12,
         f"centering-integral form agreement and strictly falling log share ({elapsed:.1f}s)",

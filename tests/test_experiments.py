@@ -101,28 +101,32 @@ def test_flat_and_json_configs_agree(tmp_path):
 
 def test_grid_list_forms(tmp_path):
     p = tmp_path / "c.cfg"
-    p.write_text("experiment = sb-props\nT_grid = 1e2, 1e4 1e6\nreps = 200\n")
+    p.write_text("experiment = stick-counts\nT_grid = 1e2, 1e4 1e6\nreps = 200\n")
     cfg = load_config(p)
     assert cfg.t_grid == (100.0, 10000.0, 1000000.0)
 
 
 def test_config_errors():
+    # unknown experiments, the retired names of two split ones included
+    for name in ("nope", "sb-props", "verify-clt"):
+        with pytest.raises(ConfigError, match=name):
+            config_from_mapping({"experiment": name, "T_grid": [1], "reps": 200})
     with pytest.raises(ConfigError):
-        config_from_mapping({"experiment": "nope", "T_grid": [1], "reps": 200})
+        config_from_mapping({"experiment": "stick-counts", "T_grid": [1], "reps": 50})
     with pytest.raises(ConfigError):
-        config_from_mapping({"experiment": "sb-props", "T_grid": [1], "reps": 50})
-    with pytest.raises(ConfigError):
-        config_from_mapping({"experiment": "sb-props", "T_grid": [2, 1], "reps": 200})
-    with pytest.raises(ConfigError):
-        config_from_mapping({"experiment": "sb-props", "T_grid": [1], "reps": 200, "bogus": 1})
+        config_from_mapping({"experiment": "stick-counts", "T_grid": [2, 1], "reps": 200})
+    # unknown keys, the retired checks, eps and t_grid included, are named
+    for key in ("bogus", "checks", "eps", "t_grid"):
+        with pytest.raises(ConfigError, match=key):
+            config_from_mapping({"experiment": "stick-counts", "T_grid": [1], "reps": 200, key: 1})
     with pytest.raises(ConfigError):
         config_from_mapping(
-            {"experiment": "sb-props", "T_grid": [1], "reps": 200, "model": {"kind": "martian"}}
+            {"experiment": "stick-counts", "T_grid": [1], "reps": 200, "model": {"kind": "martian"}}
         )
     # top-level values that are not numbers, and integer keys given a fraction
-    base = {"experiment": "sb-props", "T_grid": [1], "reps": 200}
+    base = {"experiment": "stick-counts", "T_grid": [1], "reps": 200}
     for key, value in (("seed", "abc"), ("reps", "lots"), ("T_grid", [2, "x"]), ("reps", 100.7),
-                       ("workers", 1.5), ("cutoff", "small"), ("eps", [1]), ("seed", math.nan)):
+                       ("workers", 1.5), ("cutoff", "small"), ("seed", math.nan)):
         with pytest.raises(ConfigError, match=key):
             config_from_mapping({**base, key: value})
     # an integral float is an integer, and a 64-bit seed stays exact
@@ -149,13 +153,15 @@ def test_regime_mismatch_rejected_before_sampling():
         run(
             config_from_mapping(
                 {
-                    "experiment": "verify-clt",
+                    "experiment": "clt-trend",
                     "model": {"kind": "brownian", "sigma": 1, "mu": 0.5},
                     "T_grid": [1e3],
                     "reps": 200,
                 }
             )
         )
+    with pytest.raises(ConfigError):
+        run(config_from_mapping({"experiment": "clt-independence", "T_grid": [1e3], "reps": 200}))
     with pytest.raises(ConfigError):
         run(
             config_from_mapping(
@@ -267,7 +273,7 @@ def test_verify_heavy_runs_on_pareto_jumps():
     ],
 )
 def test_every_config_kind_builds_its_model(model, expected):
-    cfg = config_from_mapping({"experiment": "sb-props", "T_grid": [2.0], "reps": 200, "model": model})
+    cfg = config_from_mapping({"experiment": "stick-counts", "T_grid": [2.0], "reps": 200, "model": model})
     assert cfg.model == expected
     assert type(cfg.model) is type(expected)
 
@@ -290,7 +296,7 @@ def test_every_config_kind_builds_its_model(model, expected):
 )
 def test_config_model_errors(model):
     with pytest.raises(ConfigError):
-        config_from_mapping({"experiment": "sb-props", "T_grid": [2.0], "reps": 200, "model": model})
+        config_from_mapping({"experiment": "stick-counts", "T_grid": [2.0], "reps": 200, "model": model})
 
 
 # ---------------------------------------------------------------------------
@@ -320,10 +326,64 @@ def test_hull_stats_name_the_path_statistics():
     assert type(hull) is type(draw_quintuples(model, 8.0, 3, 5, "t", 1e-3)) is QuintupleSample
     assert (hull.horizon, hull.cutoff) == (8.0, 0.0) and (hull.truncation_error_bound == 0.0).all()
     g = substream(5, "t", 0)
-    names = ("upsilon", "h_prime", "final", "sup", "gamma", "excess")
+    names = ("upsilon", "h_prime", "final", "sup", "gamma")
     for k in range(3):
         s = shape_stats(merge_collinear(concave_majorant(sample_path(model, 8.0, EXACT_JUMPS, g))), 8.0)
         assert [getattr(hull, f)[k] for f in names] == [getattr(s, f) for f in names]
+
+
+def test_clt_experiments_share_their_draws():
+    # both read substream clt-{k} at the k-th horizon; clt-independence
+    # writes its rows at every horizon of its grid
+    mapping = {"model": {"kind": "brownian"}, "T_grid": [1e3, 1e4], "reps": 200, "seed": 5}
+    trend = run(config_from_mapping({**mapping, "experiment": "clt-trend"}))
+    indep = run(config_from_mapping({**mapping, "experiment": "clt-independence"}))
+    assert trend.samples.keys() == indep.samples.keys() == {"det_stat_T0", "det_stat_T1"}
+    for name, vec in trend.samples.items():
+        assert np.array_equal(vec, indep.samples[name])
+    names = ("fluct_corr_sup", "fluct_corr_final", "fluct_corr_gamma",
+             "centering_identity_max_err", "centering_identity_corr")
+    assert [(r.T, r.statistic) for r in indep.rows] == [(T, n) for T in (1e3, 1e4) for n in names]
+
+
+def test_tail_index_draws_at_the_model_skewness():
+    from levyhull.limitlaws import draw_limit_quadratic
+
+    report = run(config_from_mapping(
+        {"experiment": "tail-index", "model": {"kind": "stable", "alpha": 1.5, "beta": 0.5},
+         "reps": 10_000, "seed": 9}
+    ))
+    q, _ = draw_limit_quadratic(1.5, 10_000, substream(9, "tail-q", 0), beta=0.5)
+    assert np.array_equal(report.samples["q_draws"], q)
+
+
+def test_process_pool_is_at_most_the_cpu_count(monkeypatch):
+    from concurrent.futures import Future
+
+    sizes = []
+
+    class FakePool:
+        # runs each task at submit, in this process
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", FakePool)
+    for cpus, workers, want in ((3, 10_000, 3), (3, 2, 2), (None, 4, 1)):
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+        got = experiments._collect_blocks(lambda i, n: (i, n), 2 * experiments.BLOCK + 1, workers)
+        assert got == [(0, experiments.BLOCK), (1, experiments.BLOCK), (2, 1)]
+        assert sizes.pop() == want
 
 
 def test_seed_changes_report():
@@ -358,7 +418,7 @@ def test_write_report_serializes_every_experiment(tmp_path):
     # row payloads must be JSON-clean for every experiment family
     # (numpy scalars leaked through here once)
     configs = [
-        {"experiment": "sb-props", "T_grid": [math.e**2], "reps": 500, "seed": 3},
+        {"experiment": "stick-counts", "T_grid": [math.e**2], "reps": 500, "seed": 3},
         {
             "experiment": "theta-scan",
             "model": {"kind": "cp", "rate": 1, "jump": {"kind": "point-mass", "x": 2.0}},
@@ -502,11 +562,11 @@ def test_shipped_criterion_configs_parse():
     paths = sorted(cfg_dir.glob("criterion*.cfg"))
     assert len(paths) == 12
     expected = {
-        "criterion01": "sb-props",
-        "criterion02": "sb-props",
+        "criterion01": "stick-counts",
+        "criterion02": "compensation",
         "criterion03": "verify-identity",
-        "criterion04": "verify-clt",
-        "criterion05": "verify-clt",
+        "criterion04": "clt-trend",
+        "criterion05": "clt-independence",
         "criterion06": "verify-stable",
         "criterion07": "tail-index",
         "criterion08": "verify-stable",
@@ -526,13 +586,13 @@ def test_cli_reports_config_errors(tmp_path, capsys):
     from levyhull.cli import main
 
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("experiment = verify-clt\nmodel.kind = brownian\nmodel.mu = 1\nT_grid = 100\nreps = 200\n")
+    cfg.write_text("experiment = clt-trend\nmodel.kind = brownian\nmodel.mu = 1\nT_grid = 100\nreps = 200\n")
     code = main(["run", "--config", str(cfg)])
     assert code == 2
     assert "error:" in capsys.readouterr().err
     # values that are not numbers are configuration errors too, not tracebacks
     for body in ("seed = abc\nreps = 200\nT_grid = 100", "reps = lots\nT_grid = 100",
                  "reps = 200\nT_grid = 2, x", "reps = 100.7\nT_grid = 100"):
-        cfg.write_text(f"experiment = sb-props\n{body}\n")
+        cfg.write_text(f"experiment = stick-counts\n{body}\n")
         assert main(["run", "--config", str(cfg)]) == 2
         assert "error:" in capsys.readouterr().err

@@ -55,12 +55,12 @@ def test_package_import_leaves_scipy_integrate_unloaded():
     assert _loaded_after("import levyhull, levyhull.experiments") == ["False", "False"]
 
 
-def test_verify_clt_run_leaves_scipy_special_unloaded():
-    # the CDF that verify-clt evaluates must not pull the import into the run
+def test_clt_trend_run_leaves_scipy_special_unloaded():
+    # the CDF that clt-trend evaluates must not pull the import into the run
     code = (
         "from levyhull.config import config_from_mapping\n"
         "from levyhull.experiments import run\n"
-        "rep = run(config_from_mapping({'experiment': 'verify-clt', 'checks': 'trend',\n"
+        "rep = run(config_from_mapping({'experiment': 'clt-trend',\n"
         "    'model': {'kind': 'brownian', 'sigma': 1, 'mu': 0}, 'T_grid': [1e3], 'reps': 200, 'seed': 5}))\n"
         "assert any(r.statistic == 'clt_ks_distance' for r in rep.rows)"
     )

