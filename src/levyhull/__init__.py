@@ -31,8 +31,7 @@ from .models import (
 from .rng import substream
 from .sbrep import (
     normalize_finite_variance,
-    normalize_stable_zero_mean,
-    normalize_heavy,
+    normalize_stable,
     normalize_drift,
     sample_quintuple,
 )

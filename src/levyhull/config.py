@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -109,8 +110,8 @@ class ExperimentConfig:
             b <= a for a, b in zip(self.t_grid, self.t_grid[1:])
         ):
             raise ConfigError(f"T grid must be nonempty and strictly increasing: {self.t_grid}")
-        if any(t <= 0 for t in self.t_grid):
-            raise ConfigError("T grid entries must be positive")
+        if not all(0.0 < t < math.inf for t in self.t_grid):
+            raise ConfigError(f"T_grid entries must be finite and positive: {self.t_grid}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must be an unsigned 64-bit integer")
         if self.workers < 1:

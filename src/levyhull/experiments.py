@@ -35,12 +35,7 @@ from .hull import (
     shape_stats,
     stack_quintuples,
 )
-from .limitlaws import (
-    draw_limit_drift,
-    draw_limit_heavy,
-    draw_limit_quadratic,
-    draw_limit_stable_zero_mean,
-)
+from .limitlaws import draw_limit_drift, draw_limit_quadratic, draw_limit_stable
 from .models import (
     EXACT_JUMPS,
     BrownianDrift,
@@ -59,8 +54,7 @@ from .rng import substream
 from .sbrep import (
     normalize_drift,
     normalize_finite_variance,
-    normalize_heavy,
-    normalize_stable_zero_mean,
+    normalize_stable,
     regime,
     require_finite_variance,
     sample_quintuple,
@@ -314,70 +308,61 @@ def _exp_clt_independence(cfg: ExperimentConfig) -> RunReport:
     return rep
 
 
-def _exp_verify_stable(cfg: ExperimentConfig) -> RunReport:
+def _stable_coordinate_ks(cfg, rep, prefix):
+    """KS rows of the finite-horizon coordinates (:func:`normalize_stable`
+    of the batch on substream ``{prefix}-rep``) against the limit sampler
+    on ``{prefix}-limit``, at the last horizon; the draw record goes into
+    ``rep_draws``.  Returns the batch and the limit coordinates.
+
+    The reference series uses unit-scale stable draws: exact stable models
+    match it through their norming, while merely attracted models
+    (Pareto-jump compound Poisson) carry an unknown limiting scale constant
+    and are expected to miss the KS thresholds.  A model without a skewness
+    parameter is compared with the symmetric law."""
     model = cfg.model
-    name = _regime(cfg, "stable-zero-mean", "drift-a", "drift-b")
-    if name == "drift-b" and len(cfg.t_grid) < 2:
-        raise ConfigError("negative-mean verify-stable needs at least two horizons")
-    alpha = model.attraction_alpha()
-    rep = RunReport("verify-stable")
     T = cfg.t_grid[-1]
-    if name == "stable-zero-mean":
-        # the reference series uses unit-scale stable draws; exact stable
-        # models match it through their norming, while merely attracted
-        # models (Pareto-jump compound Poisson) carry an unknown limiting
-        # scale constant and are expected to miss the KS thresholds; a model
-        # without a skewness parameter is compared with the symmetric law
-        q = draw_quintuples(model, T, cfg.reps, cfg.seed, "stable-rep", cfg.cutoff, cfg.workers)
-        finite = normalize_stable_zero_mean(model, q)
-        coords, _ = draw_limit_stable_zero_mean(alpha, cfg.reps, substream(cfg.seed, "stable-limit", 0),
-                                                beta=getattr(model, "beta", 0.0))
-        _rows_coordinate_ks(rep, T, "stable", finite, coords)
-        rep.tables["rep_draws"] = _draw_record_table(q)
+    q = draw_quintuples(model, T, cfg.reps, cfg.seed, f"{prefix}-rep", cfg.cutoff, cfg.workers)
+    g = substream(cfg.seed, f"{prefix}-limit", 0)
+    coords, _ = draw_limit_stable(model.attraction_alpha(), cfg.reps, g, beta=getattr(model, "beta", 0.0))
+    _rows_coordinate_ks(rep, T, prefix, normalize_stable(model, q), coords)
+    rep.tables["rep_draws"] = _draw_record_table(q)
+    return q, coords
+
+
+def _exp_verify_stable(cfg: ExperimentConfig) -> RunReport:
+    rep = RunReport("verify-stable")
+    if _regime(cfg, "stable-zero-mean", "drift-a") == "stable-zero-mean":
+        _, coords = _stable_coordinate_ks(cfg, rep, "stable")
         rep.tables["limit_draws"] = (("length", "sup", "final", "gamma"), coords)
         return rep
-    if name == "drift-a":
-        mean = model.mean_rate()
-        q = draw_quintuples(model, T, cfg.reps, cfg.seed, "drift-a-rep", cfg.cutoff, cfg.workers)
-        fluct = normalize_drift(model, q)
-        c1, c3 = fluct[:, 0], fluct[:, 2]
-        cov = np.cov(c1, c3)
-        slope = float(cov[0, 1] / cov[1, 1])
-        target = mean / math.sqrt(1.0 + mean * mean)
-        rep.rows.append(
-            _row_check(T, "drift_regression_slope", slope,
-                       f"within 5% of {target:.6f}", abs(slope / target - 1.0) < 0.05)
-        )
-        lim = draw_limit_drift(alpha, mean, min(cfg.reps, 2000),
-                               substream(cfg.seed, "drift-a-limit", 0), getattr(model, "scale", 1.0))
-        err = float(np.abs(lim[:, 0] - target * lim[:, 1]).max())
-        rep.rows.append(_row_check(T, "limit_rank_one_max_err", err, "<= 1e-12", err <= 1e-12))
-        rep.samples["drift_length_fluct"] = c1
-        rep.samples["drift_final_fluct"] = c3
-        return rep
-    # negative mean: the supremum and its time stabilize
-    t_lo, t_hi = cfg.t_grid[-2], cfg.t_grid[-1]
-    sup_lo = draw_quintuples(model, t_lo, cfg.reps, cfg.seed, "drift-b-lo", cfg.cutoff, cfg.workers).sup
-    sup_hi = draw_quintuples(model, t_hi, cfg.reps, cfg.seed, "drift-b-hi", cfg.cutoff, cfg.workers).sup
-    ks = ks_two_sample(sup_lo, sup_hi)
-    rep.rows.append(_row_ks(t_hi, "sup_stabilizes_ks", ks))
-    rep.samples["sup_lo"] = sup_lo
-    rep.samples["sup_hi"] = sup_hi
+    model = cfg.model
+    T = cfg.t_grid[-1]
+    mean = model.mean_rate()
+    q = draw_quintuples(model, T, cfg.reps, cfg.seed, "drift-a-rep", cfg.cutoff, cfg.workers)
+    length, final = normalize_drift(model, q).T
+    cov = np.cov(length, final)
+    slope = float(cov[0, 1] / cov[1, 1])
+    target = mean / math.sqrt(1.0 + mean * mean)
+    rep.rows.append(
+        _row_check(T, "drift_regression_slope", slope,
+                   f"within 5% of {target:.6f}", abs(slope / target - 1.0) < 0.05)
+    )
+    lim = draw_limit_drift(model.attraction_alpha(), mean, min(cfg.reps, 2000),
+                           substream(cfg.seed, "drift-a-limit", 0), getattr(model, "scale", 1.0))
+    err = float(np.abs(lim[:, 0] - target * lim[:, 1]).max())
+    rep.rows.append(_row_check(T, "limit_rank_one_max_err", err, "<= 1e-12", err <= 1e-12))
+    rep.samples["drift_length_fluct"] = length
+    rep.samples["drift_final_fluct"] = final
     return rep
 
 
 def _exp_verify_heavy(cfg: ExperimentConfig) -> RunReport:
-    model = cfg.model
     _regime(cfg, "heavy")
     rep = RunReport("verify-heavy")
-    T = cfg.t_grid[-1]
-    q = draw_quintuples(model, T, cfg.reps, cfg.seed, "heavy-rep", cfg.cutoff, cfg.workers)
-    coords, _ = draw_limit_heavy(model.attraction_alpha(), cfg.reps, substream(cfg.seed, "heavy-limit", 0),
-                                 beta=getattr(model, "beta", 0.0))
-    _rows_coordinate_ks(rep, T, "heavy", normalize_heavy(model, q), coords)
-    rep.tables["rep_draws"] = _draw_record_table(q)
+    q, _ = _stable_coordinate_ks(cfg, rep, "heavy")
+    T = q.horizon
     lo = 2.0 * q.sup - q.final
-    slack = 1e-9 * norming(model, T)
+    slack = 1e-9 * norming(cfg.model, T)
     violations = int(np.count_nonzero((q.upsilon < lo - slack) | (q.upsilon > T + lo + slack)))
     rep.rows.append(_row_check(T, "sandwich_violations", float(violations), "== 0", violations == 0))
     return rep

@@ -47,9 +47,8 @@ from .sticks import stick_matrix
 
 __all__ = [
     "draw_limit_finite_variance",
-    "draw_limit_stable_zero_mean",
+    "draw_limit_stable",
     "draw_limit_quadratic",
-    "draw_limit_heavy",
     "draw_limit_drift",
 ]
 
@@ -156,76 +155,56 @@ def _check_alpha(alpha, lo, hi):
         raise ParameterError(f"alpha must lie in ({lo:g}, {hi:g}), got {alpha}")
 
 
-def draw_limit_stable_zero_mean(alpha, n, rng, eps=DEFAULT_EPS, beta=0.0):
-    """Batch of zero-mean infinite-variance limit quadruples (quadratic
-    length series, supremum, endpoint, argmax share), all driven by one
-    stick sequence per draw; returns ``(coords, bounds)``."""
-    _check_alpha(alpha, 1.0, 2.0)
+def draw_limit_stable(alpha, n, rng, eps=DEFAULT_EPS, beta=0.0):
+    """Batch of infinite-variance limit quadruples (length, supremum,
+    endpoint, argmax share), all driven by one stick sequence per draw;
+    returns ``(coords, bounds)``.
+
+    Only the length coordinate follows the index: for ``alpha`` in (1, 2)
+    the zero-mean quadratic series ``Q / 2``, for ``alpha`` in (0, 1) the
+    absolute series ``pos + neg``, which is twice the supremum minus the
+    endpoint.
+    """
     _check_eps(eps)
-    (q, pos, neg, pos_len, tot), rem = _stable_series(alpha, beta, n, rng, eps, _quadratic, _signed)
-    coords = np.column_stack([0.5 * q, pos, pos - neg, pos_len / tot])
-    return coords, STABLE_ENVELOPE * rem ** (2.0 / alpha - 1.0)
+    if 1.0 < alpha < 2.0:
+        (q, pos, neg, pos_len, tot), rem = _stable_series(alpha, beta, n, rng, eps, _quadratic, _signed)
+        length, bounds = 0.5 * q, STABLE_ENVELOPE * rem ** (2.0 / alpha - 1.0)
+    elif 0.0 < alpha < 1.0:
+        (pos, neg, pos_len, tot), rem = _stable_series(alpha, beta, n, rng, eps, _signed)
+        # the argmax share moves by at most the remainder's length, plus rounding
+        length, bounds = pos + neg, HEAVY_ENVELOPE * rem ** (1.0 / alpha) + rem + 1e-12
+    else:
+        raise ParameterError(f"alpha must lie in (0, 1) or (1, 2), got {alpha}")
+    return np.column_stack([length, pos, pos - neg, pos_len / tot]), bounds
+
+
+# read only by bench/tracing.TRACED, which wraps this name
+draw_limit_stable_zero_mean = draw_limit_stable
 
 
 def draw_limit_quadratic(alpha, n, rng, eps=DEFAULT_EPS, beta=0.0):
     """Batch of the quadratic length series alone: column 0 and the bounds
-    of :func:`draw_limit_stable_zero_mean` on the same stream, bit for bit,
-    without the other three series; returns ``(q, bounds)``."""
+    of :func:`draw_limit_stable` on the same stream, bit for bit, for
+    ``alpha`` in (1, 2), without the other three series; returns
+    ``(q, bounds)``."""
     _check_alpha(alpha, 1.0, 2.0)
     _check_eps(eps)
     (q,), rem = _stable_series(alpha, beta, n, rng, eps, _quadratic)
     return 0.5 * q, STABLE_ENVELOPE * rem ** (2.0 / alpha - 1.0)
 
 
-def draw_limit_heavy(alpha, n, rng, eps=DEFAULT_EPS, beta=0.0):
-    """Batch of joint eight-coordinate heavy-index limit draws; returns
-    ``(coords, bounds)``.
-
-    Coordinates 1-4 are the majorant block (twice-sup-minus-endpoint,
-    supremum, endpoint, argmax share); 5-8 the minorant block with the
-    infimum as the negative-part series and the complementary time share.
-    """
-    _check_alpha(alpha, 0.0, 1.0)
-    _check_eps(eps)
-    (pos, neg, pos_len, tot), rem = _stable_series(alpha, beta, n, rng, eps, _signed)
-    share = pos_len / tot
-    fin = pos - neg
-    coords = np.column_stack(
-        [
-            pos + neg,   # 2*sup - final
-            pos,         # sup
-            fin,         # final
-            share,       # argmax time
-            pos + neg,   # final - 2*inf equals the same series
-            -neg,        # inf
-            fin,
-            1.0 - share,
-        ]
-    )
-    # the argmax shares move by at most the remainder's length, plus rounding
-    return coords, HEAVY_ENVELOPE * rem ** (1.0 / alpha) + rem + 1e-12
-
-
 # ---------------------------------------------------------------------------
-# nonzero-mean limit, index in (1, 2]
+# positive-mean limit, index in (1, 2]
 # ---------------------------------------------------------------------------
 
 def draw_limit_drift(alpha, mu, n, rng, scale=1.0):
-    """Batch of ``n`` rank-one drift-regime limit draws, one stable draw
-    each; returns ``coords`` only, as nothing is truncated.
-
-    ``mu > 0`` (``drift-a``): the stable draw through the coefficient
-    vector ``(mu / sqrt(1 + mu^2), 1, 1)``.  ``mu < 0`` (``drift-b``): the
-    length and endpoint coordinates carry the stable draw; the supremum and
-    its time (columns 2 and 4, 1-based) have no closed-form limit law and
-    are NaN.
-    """
-    if not (mu > 0.0 or mu < 0.0):
-        raise ParameterError(f"the drift limit needs mu != 0, got {mu}")
+    """Batch of ``n`` rank-one ``drift-a`` limit draws, one stable draw
+    ``s`` each: the length and endpoint coordinates
+    ``(mu / sqrt(1 + mu^2) s, s)``; returns ``coords`` only, as nothing is
+    truncated."""
+    if not mu > 0.0:
+        raise ParameterError(f"the drift limit needs mu > 0, got {mu}")
     if not (1.0 < alpha <= 2.0):
         raise ParameterError(f"alpha must lie in (1, 2], got {alpha}")
     s = scale * np.asarray(stable_standard(alpha, 0.0, rng, n))
-    coef = mu / math.sqrt(1.0 + mu * mu)
-    if mu > 0.0:
-        return np.column_stack([coef * s, s, s])
-    return np.column_stack([coef * s, np.full(n, math.nan), s, np.full(n, math.nan)])
+    return np.column_stack([mu / math.sqrt(1.0 + mu * mu) * s, s])

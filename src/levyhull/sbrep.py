@@ -45,8 +45,7 @@ __all__ = [
     "regime",
     "require_finite_variance",
     "normalize_finite_variance",
-    "normalize_stable_zero_mean",
-    "normalize_heavy",
+    "normalize_stable",
     "normalize_drift",
 ]
 
@@ -59,8 +58,8 @@ def sample_quintuple(model, T, rng, cutoff=DEFAULT_CUTOFF):
     """Draw the quintuple through the stick-breaking construction: the
     record of :func:`~levyhull.hull.reduce_faces` of the sticks and their
     increments."""
-    if not T > 0.0:
-        raise ParameterError(f"horizon must be > 0, got {T}")
+    if not 0.0 < T < math.inf:
+        raise ParameterError(f"horizon must be finite and > 0, got {T}")
     if not cutoff > 0.0:
         raise ParameterError(f"cutoff must be > 0, got {cutoff}")
     if cutoff > 1.0:
@@ -112,7 +111,8 @@ def regime(model):
     (0, 1); for index in (1, 2], ``drift-a`` or ``drift-b`` when the mean
     is positive or negative (beyond ``_ZERO_MEAN_TOL``), otherwise
     ``finite-variance`` at index 2 and ``stable-zero-mean`` below it.
-    Raises :class:`RegimeError` for any other model."""
+    No statistic takes ``drift-b``; it is named so that callers refuse it
+    clearly.  Raises :class:`RegimeError` for any other model."""
     alpha = model.attraction_alpha()
     if 0.0 < alpha < 1.0:
         return "heavy"
@@ -168,64 +168,25 @@ def normalize_finite_variance(model, q: QuintupleSample, centering="stochastic")
     )
 
 
-def normalize_stable_zero_mean(model, q: QuintupleSample):
-    """Zero-mean, infinite-variance coordinates for attraction index in (1, 2)."""
-    _require_regime(model, "stable-zero-mean")
+def normalize_stable(model, q: QuintupleSample):
+    """Infinite-variance coordinates (length, supremum, final value,
+    supremum time) for a zero-mean model of attraction index in (1, 2) or
+    a model of index in (0, 1).  Only the length coordinate follows the
+    regime: ``(upsilon - T) T / a_T^2`` for ``stable-zero-mean`` and
+    ``upsilon / a_T`` for ``heavy``."""
+    name = _require_regime(model, "stable-zero-mean", "heavy")
     T = q.horizon
     a_t = norming(model, T)
-    return np.stack(
-        [
-            (q.upsilon - T) * T / a_t**2,
-            q.sup / a_t,
-            q.final / a_t,
-            q.gamma / T,
-        ],
-        axis=-1,
-    )
-
-
-def normalize_heavy(model, q: QuintupleSample):
-    """Joint majorant/minorant coordinates for attraction index in (0, 1).
-
-    The minorant block is taken from the same draw by sign reflection of
-    the face heights (the minorant of the reflected path): its length
-    coordinate coincides with the majorant's, its infimum is final - sup,
-    and its time coordinate is the complementary length share.  Marginally
-    each block is exact in law; the cross-block coupling is the
-    construction's convention.
-    """
-    _require_regime(model, "heavy")
-    T = q.horizon
-    a_t = norming(model, T)
-    return np.stack(
-        [
-            q.upsilon / a_t,
-            q.sup / a_t,
-            q.final / a_t,
-            q.gamma / T,
-            q.upsilon / a_t,
-            (q.final - q.sup) / a_t,
-            q.final / a_t,
-            (T - q.gamma) / T,
-        ],
-        axis=-1,
-    )
+    length = q.upsilon / a_t if name == "heavy" else (q.upsilon - T) * T / a_t**2
+    return np.stack([length, q.sup / a_t, q.final / a_t, q.gamma / T], axis=-1)
 
 
 def normalize_drift(model, q: QuintupleSample):
-    """Nonzero-mean coordinates for attraction index in (1, 2].
-
-    With a positive mean (``drift-a``) all three fluctuations are scaled;
-    with a negative mean (``drift-b``) the supremum and its time stay
-    unscaled since both converge to almost-surely finite limits.
-    """
-    name = _require_regime(model, "drift-a", "drift-b")
+    """Positive-mean (``drift-a``) coordinates for attraction index in
+    (1, 2]: the length and final-value fluctuations."""
+    _require_regime(model, "drift-a")
     mu = model.mean_rate()
     T = q.horizon
     a_t = norming(model, T)
     length_fluct = (q.upsilon - math.sqrt(1.0 + mu * mu) * T) / a_t
-    if name == "drift-a":
-        return np.stack(
-            [length_fluct, (q.sup - mu * T) / a_t, (q.final - mu * T) / a_t], axis=-1
-        )
-    return np.stack([length_fluct, q.sup, (q.final - mu * T) / a_t, q.gamma], axis=-1)
+    return np.stack([length_fluct, (q.final - mu * T) / a_t], axis=-1)

@@ -78,6 +78,8 @@ def stick_matrix(n_rows, T, cutoff, rng, drive=None):
     :mod:`levyhull.limitlaws`).  Returns ``(t, rem)`` where ``t`` has shape
     (n_rows, K) in scaled units and ``rem`` is the final scaled remainder.
     """
+    if not 0.0 < T < math.inf:
+        raise ParameterError(f"horizon must be finite and > 0, got {T}")
     if not cutoff > 0.0:
         raise ParameterError(f"cutoff must be > 0, got {cutoff}")
     # one row per column: row sums of the transposed view add the sticks in order
@@ -144,8 +146,6 @@ def compensation_estimate(f, floor, T, reps, rng):
     """
     if reps < 100:
         raise ParameterError(f"need at least 100 replications, got {reps}")
-    if not T > 0.0:
-        raise ParameterError(f"horizon must be > 0, got {T}")
 
     def series(t, rem):
         mask = t >= max(floor, 1e-300)

@@ -126,7 +126,8 @@ def test_config_errors():
     # top-level values that are not numbers, and integer keys given a fraction
     base = {"experiment": "stick-counts", "T_grid": [1], "reps": 200}
     for key, value in (("seed", "abc"), ("reps", "lots"), ("T_grid", [2, "x"]), ("reps", 100.7),
-                       ("workers", 1.5), ("cutoff", "small"), ("seed", math.nan)):
+                       ("workers", 1.5), ("cutoff", "small"), ("seed", math.nan),
+                       ("T_grid", [math.inf]), ("T_grid", [math.nan])):
         with pytest.raises(ConfigError, match=key):
             config_from_mapping({**base, key: value})
     # an integral float is an integer, and a 64-bit seed stays exact
@@ -180,6 +181,19 @@ def test_regime_mismatch_rejected_before_sampling():
                     "experiment": "verify-identity",
                     "model": {"kind": "brownian", "sigma": 1},
                     "T_grid": [10],
+                    "reps": 200,
+                }
+            )
+        )
+    # a negative mean (drift-b) has no verify-stable statistic; two horizons,
+    # so that the error cannot come from a count of horizons
+    with pytest.raises(ConfigError, match="drift-b"):
+        run(
+            config_from_mapping(
+                {
+                    "experiment": "verify-stable",
+                    "model": {"kind": "stable", "alpha": 1.5, "mu": -1},
+                    "T_grid": [1e3, 1e4],
                     "reps": 200,
                 }
             )

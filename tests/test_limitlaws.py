@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from levyhull.errors import ParameterError
+from levyhull.errors import ParameterError, RegimeError
 from levyhull.limitlaws import (
     _gaussian_terms,
     _quadratic,
@@ -12,12 +12,11 @@ from levyhull.limitlaws import (
     _signed,
     draw_limit_drift,
     draw_limit_finite_variance,
-    draw_limit_heavy,
     draw_limit_quadratic,
-    draw_limit_stable_zero_mean,
+    draw_limit_stable,
 )
-from levyhull.models import StableProcess, stable_standard
-from levyhull.sbrep import normalize_stable_zero_mean, sample_quintuple
+from levyhull.models import BrownianDrift, StableProcess, stable_standard
+from levyhull.sbrep import normalize_stable, sample_quintuple
 from levyhull.stats import tail_slope
 from levyhull.sticks import BLOCK, ROWS, stick_matrix
 
@@ -83,7 +82,7 @@ def test_finite_variance_limit_refinement_stays_within_reported_bound():
 # ---------------------------------------------------------------------------
 
 def test_stable_limit_per_draw_ordering():
-    c, _ = draw_limit_stable_zero_mean(1.5, 300, rng(8))
+    c, _ = draw_limit_stable(1.5, 300, rng(8))
     assert c.shape == (300, 4)
     assert (c[:, 0] >= 0.0).all()
     assert (c[:, 1] >= np.maximum(0.0, c[:, 2])).all()
@@ -97,9 +96,9 @@ def test_stable_limit_matches_finite_horizon_sampler_coords_2_to_4():
     T, n = 1e4, 8000
     g = rng(909)
     finite = np.array(
-        [normalize_stable_zero_mean(model, sample_quintuple(model, T, g)) for _ in range(n)]
+        [normalize_stable(model, sample_quintuple(model, T, g)) for _ in range(n)]
     )
-    coords, _ = draw_limit_stable_zero_mean(1.5, n, rng(910))
+    coords, _ = draw_limit_stable(1.5, n, rng(910))
     for k in (1, 2, 3):
         res = sps.ks_2samp(finite[:, k], coords[:, k])
         assert res.pvalue > 0.01, k
@@ -108,12 +107,12 @@ def test_stable_limit_matches_finite_horizon_sampler_coords_2_to_4():
 def test_stable_limit_refinement_stays_within_reported_bound():
     for fine in (5e-5, 1e-12):
         for i in range(300):
-            a, bound = draw_limit_stable_zero_mean(1.5, 1, rng(200 + i), eps=1e-4)
-            b, _ = draw_limit_stable_zero_mean(1.5, 1, rng(200 + i), eps=fine)
+            a, bound = draw_limit_stable(1.5, 1, rng(200 + i), eps=1e-4)
+            b, _ = draw_limit_stable(1.5, 1, rng(200 + i), eps=fine)
             assert np.abs(a - b).max() <= bound[0]
         for seed in range(10):
-            a, bound = draw_limit_stable_zero_mean(1.5, 64, rng(seed), eps=1e-4)
-            b, _ = draw_limit_stable_zero_mean(1.5, 64, rng(seed), eps=fine)
+            a, bound = draw_limit_stable(1.5, 64, rng(seed), eps=1e-4)
+            b, _ = draw_limit_stable(1.5, 64, rng(seed), eps=fine)
             assert (np.abs(a - b).max(axis=1) <= bound).all()
     assert not np.array_equal(a, b)
 
@@ -123,7 +122,7 @@ def test_quadratic_series_alone_is_column_zero_bit_for_bit():
     for n in (1, 300, ROWS + 17):
         for seed in (0, 1, 2):
             for alpha, beta in ((1.5, 0.0), (1.2, 0.5)):
-                coords, bounds = draw_limit_stable_zero_mean(alpha, n, rng(seed), beta=beta)
+                coords, bounds = draw_limit_stable(alpha, n, rng(seed), beta=beta)
                 q, q_bounds = draw_limit_quadratic(alpha, n, rng(seed), beta=beta)
                 assert np.array_equal(q, coords[:, 0])
                 assert np.array_equal(q_bounds, bounds)
@@ -165,7 +164,7 @@ def test_series_sums_each_block_column_by_column(n):
 
 
 def test_stable_limit_tail_exponent():
-    coords, _ = draw_limit_stable_zero_mean(1.5, 200_000, rng(11))
+    coords, _ = draw_limit_stable(1.5, 200_000, rng(11))
     fit = tail_slope(coords[:, 0])
     assert abs(fit.slope + 0.75) < 0.1
 
@@ -175,7 +174,7 @@ def test_stable_limit_perpetuity_identity():
     alpha = 1.5
     n = 50_000
     g = rng(12)
-    coords, _ = draw_limit_stable_zero_mean(alpha, 2 * n, g)
+    coords, _ = draw_limit_stable(alpha, 2 * n, g)
     q = coords[:n, 0]
     q_prime = coords[n:, 0]
     ell1 = g.random(n)
@@ -194,32 +193,30 @@ def test_stable_limit_perpetuity_identity():
 # ---------------------------------------------------------------------------
 
 def test_heavy_limit_identities_per_draw():
-    c, _ = draw_limit_heavy(0.5, 300, rng(13))
-    assert c.shape == (300, 8)
+    c, _ = draw_limit_stable(0.5, 300, rng(13))
+    assert c.shape == (300, 4)
     assert c[:, 0] == pytest.approx(2 * c[:, 1] - c[:, 2], rel=1e-9, abs=1e-12)
-    assert ((c[:, 1] >= 0.0) & (c[:, 5] <= 0.0)).all()
-    assert ((0.0 <= c[:, [3, 7]]) & (c[:, [3, 7]] <= 1.0)).all()
-    assert c[:, 3] + c[:, 7] == pytest.approx(np.ones(300))
+    assert (c[:, 1] >= 0.0).all()
+    assert ((0.0 <= c[:, 3]) & (c[:, 3] <= 1.0)).all()
     assert (c[:, 1] >= c[:, 2]).all()             # sup >= final
-    assert c[:, 4] == pytest.approx(c[:, 2] - 2 * c[:, 5], rel=1e-9, abs=1e-12)
 
 
 def test_heavy_limit_one_sided_positive():
-    c, _ = draw_limit_heavy(0.5, 100, rng(14), beta=1.0)
-    # spectrally positive, index < 1: increasing process, no negative part
-    assert (c[:, 5] == 0.0).all()
-    assert c[:, 1] == pytest.approx(c[:, 2])
+    c, _ = draw_limit_stable(0.5, 100, rng(14), beta=1.0)
+    # spectrally positive, index < 1: increasing process, no negative part,
+    # so the length series, the supremum and the endpoint coincide
+    assert (c[:, 0] == c[:, 1]).all() and (c[:, 1] == c[:, 2]).all()
 
 
 def test_heavy_limit_refinement_stays_within_reported_bound():
     for fine in (5e-5, 1e-12):
         for i in range(300):
-            a, bound = draw_limit_heavy(0.5, 1, rng(300 + i), eps=1e-4)
-            b, _ = draw_limit_heavy(0.5, 1, rng(300 + i), eps=fine)
+            a, bound = draw_limit_stable(0.5, 1, rng(300 + i), eps=1e-4)
+            b, _ = draw_limit_stable(0.5, 1, rng(300 + i), eps=fine)
             assert np.abs(a - b).max() <= bound[0]
         for seed in range(10):
-            a, bound = draw_limit_heavy(0.5, 64, rng(seed), eps=1e-4)
-            b, _ = draw_limit_heavy(0.5, 64, rng(seed), eps=fine)
+            a, bound = draw_limit_stable(0.5, 64, rng(seed), eps=1e-4)
+            b, _ = draw_limit_stable(0.5, 64, rng(seed), eps=fine)
             assert (np.abs(a - b).max(axis=1) <= bound).all()
     assert not np.array_equal(a, b)
 
@@ -232,9 +229,8 @@ def test_drift_limit_case_a_rank_one():
     mu = 1.0
     coef = mu / math.sqrt(2.0)
     c = draw_limit_drift(2.0, mu, 200, rng(15))
-    assert c.shape == (200, 3)
+    assert c.shape == (200, 2)
     assert (c[:, 0] == coef * c[:, 1]).all()
-    assert (c[:, 1] == c[:, 2]).all()
 
 
 def test_drift_limit_case_a_alpha2_gaussian():
@@ -243,20 +239,24 @@ def test_drift_limit_case_a_alpha2_gaussian():
     assert res.pvalue > 0.01
 
 
-def test_drift_limit_case_b_flags_external_coordinates():
-    c = draw_limit_drift(1.5, -2.0, 1, rng(18))
-    assert c.shape == (1, 4)
-    assert np.isnan(c[:, [1, 3]]).all() and not np.isnan(c[:, [0, 2]]).any()
-    assert c[0, 0] == pytest.approx(-2.0 / math.sqrt(5.0) * c[0, 2])
+def test_stable_limit_validation():
+    g = rng(19)
+    # the stable limit: index in (0, 1) or (1, 2); the normalizer of the
+    # same two regimes refuses a positive mean and a finite variance
+    for alpha in (0.0, 1.0, 2.0):
+        with pytest.raises(ParameterError):
+            draw_limit_stable(alpha, 1, g)
+    for model in (StableProcess(1.5, mu=1.0), BrownianDrift(1.0)):
+        with pytest.raises(RegimeError):
+            normalize_stable(model, sample_quintuple(model, 100.0, g))
 
 
 def test_drift_limit_case_sign_validation():
     g = rng(19)
-    # the sign of mu picks the case; a zero (or NaN) mu has none
-    for mu in (0.0, -0.0, math.nan):
+    # the drift limit takes a positive mean alone
+    for mu in (0.0, -0.0, math.nan, -1.0):
         with pytest.raises(ParameterError):
             draw_limit_drift(1.5, mu, 1, g)
     with pytest.raises(ParameterError):
         draw_limit_drift(0.5, 1.0, 1, g)
-    assert draw_limit_drift(1.5, 1.0, 1, g).shape == (1, 3)
-    assert draw_limit_drift(1.5, -1.0, 1, g).shape == (1, 4)
+    assert draw_limit_drift(1.5, 1.0, 1, g).shape == (1, 2)

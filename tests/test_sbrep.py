@@ -19,10 +19,9 @@ from levyhull.models import (
     norming,
 )
 from levyhull.sbrep import (
-    normalize_finite_variance,
-    normalize_stable_zero_mean,
-    normalize_heavy,
     normalize_drift,
+    normalize_finite_variance,
+    normalize_stable,
     regime,
     sample_quintuple,
 )
@@ -41,8 +40,9 @@ def test_guards():
     g = rng(1)
     with pytest.raises(TruncationError):
         sample_quintuple(BrownianDrift(1.0), 10.0, g, cutoff=1.5)
-    with pytest.raises(ParameterError):
-        sample_quintuple(BrownianDrift(1.0), -1.0, g)
+    for T in (-1.0, math.inf, math.nan):
+        with pytest.raises(ParameterError):
+            sample_quintuple(BrownianDrift(1.0), T, g)
 
 
 def test_brownian_marginals_match_limit_series():
@@ -184,12 +184,11 @@ def test_finite_variance_limit_normalization_identities():
     [
         (BrownianDrift(1.0), 1e4, lambda m, q: normalize_finite_variance(m, q, "stochastic"), 5),
         (BrownianDrift(1.0), 1e4, lambda m, q: normalize_finite_variance(m, q, "deterministic"), 5),
-        (StableProcess(1.5), 1e3, normalize_stable_zero_mean, 4),
-        (StableProcess(0.5), 100.0, normalize_heavy, 8),
-        (BrownianDrift(1.0, mu=0.5), 1e3, normalize_drift, 3),
-        (StableProcess(1.5, mu=-1.0), 1e3, normalize_drift, 4),
+        (StableProcess(1.5), 1e3, normalize_stable, 4),
+        (StableProcess(0.5), 100.0, normalize_stable, 4),
+        (BrownianDrift(1.0, mu=0.5), 1e3, normalize_drift, 2),
     ],
-    ids=["fv-stochastic", "fv-deterministic", "stable", "heavy", "drift-a", "drift-b"],
+    ids=["fv-stochastic", "fv-deterministic", "stable", "heavy", "drift-a"],
 )
 def test_batch_normalization_matches_per_draw(model, T, normalize, k):
     # the batch record runs the scalar arithmetic elementwise: row i of the
@@ -285,31 +284,25 @@ def test_stable_limit_coordinates():
     T = 1e4
     a_t = model.scale * T ** (1 / 1.5)
     for q in draw_many(model, T, 200, seed=11):
-        st = normalize_stable_zero_mean(model, q)
+        st = normalize_stable(model, q)
         assert st.shape == (4,)
         assert st[0] >= 0.0            # the length exceeds the horizon
         assert 0.0 <= st[3] <= 1.0
         # definitional scalings
         assert st[0] == pytest.approx((q.upsilon - T) * T / a_t**2)
         assert st[1] == pytest.approx(q.sup / a_t)
-    drifted = StableProcess(1.5, mu=1.0)
-    with pytest.raises(RegimeError):
-        normalize_stable_zero_mean(drifted, sample_quintuple(drifted, T, rng(12)))
-    heavy = StableProcess(0.7)
-    with pytest.raises(RegimeError):
-        normalize_stable_zero_mean(heavy, sample_quintuple(heavy, T, rng(13)))
 
 
 def test_heavy_limit_coordinates():
     model = StableProcess(0.5)
     T = 100.0
+    a_t = model.scale * T ** (1 / 0.5)
     for q in draw_many(model, T, 100, seed=14):
-        st = normalize_heavy(model, q)
-        assert st.shape == (8,)
-        assert st[1] >= 0.0 >= st[5]           # sup and inf
-        assert st[3] + st[7] == pytest.approx(1.0)
-        assert st[0] == st[4]                   # shared length
-        assert st[1] >= st[2]                   # sup >= final
+        st = normalize_stable(model, q)
+        assert st.shape == (4,)
+        assert st[0] == pytest.approx(q.upsilon / a_t)   # the length is not centered
+        assert st[1] >= 0.0 and st[1] >= st[2]           # sup >= max(0, final)
+        assert 0.0 <= st[3] <= 1.0
 
 
 def test_drift_limit_drift_only_limit_degenerates():
@@ -330,12 +323,11 @@ def test_drift_limit_case_b_sup_stabilizes():
 
 
 def test_drift_limit_case_validation():
-    # the sign of the mean picks the case: three coordinates for a positive
-    # mean, four for a negative one, and a zero mean has no drift regime
-    for mu, k in ((1.0, 3), (-1.0, 4)):
-        model = StableProcess(1.5, mu=mu)
-        assert normalize_drift(model, sample_quintuple(model, 100.0, rng(18))).shape == (k,)
-    zero = StableProcess(1.5)
-    qz = sample_quintuple(zero, 100.0, rng(19))
-    with pytest.raises(RegimeError):
-        normalize_drift(zero, qz)
+    # a positive mean has two drift coordinates; a zero or negative mean has
+    # no drift regime
+    model = StableProcess(1.5, mu=1.0)
+    assert normalize_drift(model, sample_quintuple(model, 100.0, rng(18))).shape == (2,)
+    for mu in (0.0, -1.0):
+        other = StableProcess(1.5, mu=mu)
+        with pytest.raises(RegimeError):
+            normalize_drift(other, sample_quintuple(other, 100.0, rng(19)))

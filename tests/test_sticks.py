@@ -39,6 +39,13 @@ class RecordingRng:
         return v
 
 
+class NoDrawRng:
+    """Stream that fails any draw."""
+
+    def random(self, size=None):
+        raise AssertionError("drew before validating the horizon")
+
+
 def rng(seed=0):
     return np.random.default_rng(seed)
 
@@ -89,6 +96,12 @@ def test_recursion_identities_every_draw():
 def test_truncation_guards():
     with pytest.raises(ParameterError):
         stick_matrix(10, 4.0, 0.0, rng())
+    # refused before any draw: with an infinite horizon T * L stays inf
+    # until L underflows to 0, then NaN, never below the cutoff, and the
+    # record would grow without end
+    for T in (math.inf, math.nan):
+        with pytest.raises(ParameterError, match="horizon"):
+            stick_matrix(8, T, 1.0, NoDrawRng())
     for T in (0.0, -1.0):
         with pytest.raises(ParameterError):
             compensation_estimate(np.reciprocal, 1.0, T, 200, rng())
