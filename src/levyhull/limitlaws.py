@@ -1,39 +1,43 @@
 """Independent samplers for the right-hand-side limit laws, used as the
 reference side of the two-sample tests.
 
-Every series limit is sampled by truncating its stick-breaking series at
-unit-interval remainder ``L_N < eps``.  Where the law permits (the Brownian
-triple) the remainder folds in exactly as one Gaussian term of variance
-``L_N``; elsewhere the remainder enters as one aggregated term on a stick
-of length ``L_N`` and a per-draw truncation figure is reported:
+Every series limit is a stick-breaking series on the unit interval, and
+each row stops at its own cutoff: it takes a stick while its remainder
+before that stick is at least ``eps``, so it ends at a remainder
+``L < eps``.  Each summand is homogeneous in the stick length, of degree
+``2/alpha - 1`` (the quadratic series), ``1/alpha`` (the signed parts),
+1 (the lengths) or 1/2 (the Gaussian parts).  By the self-similarity of
+uniform stick-breaking the series past the cutoff is therefore ``L`` to
+that degree times an independent copy of the whole series (Gonzalez
+Cazares, Mijatovic & Uribe Bravo, EJP 2020), and the samplers fold it in
+that way from a pool of copies (:func:`_series`).  A per-draw truncation
+figure is reported from the row's own remainder:
 
-* Gaussian series: ``8 * sqrt(L_N)``, an envelope at roughly the 1e-8
+* Gaussian series: ``8 * sqrt(L)``, an envelope at roughly the 1e-8
   level for the coordinate changes under further refinement;
-* stable series with index ``alpha``: ``ENVELOPE * L_N^p`` with ``p`` the
+* stable series with index ``alpha``: ``ENVELOPE * L^p`` with ``p`` the
   series weight exponent.  The omitted mass is heavy-tailed with infinite
   mean, so no almost-sure bound exists; the envelope constant is sized so
   refinement stays below the figure except with probability well under
   1e-4 per draw.  For index below 1 (``p > 1``) the figure also carries
-  ``L_N + 1e-12`` for the argmax shares, which move by up to ``L_N`` and
-  by rounding.
+  ``L + 1e-12`` for the argmax shares, which move by up to ``L`` and by
+  rounding.
 
-Each series is a row reduction of one :func:`~levyhull.sticks.stick_matrix`
-record per batch.  The record grows in blocks of columns: a block's
-uniforms, then that block's driving variables (Gaussian or stable), then
-the next block; the remainder's variable is drawn last.  A smaller ``eps``
-on a fresh stream with the same seed therefore appends blocks to the same
-record, which is what the refinement checks compare.  The summands are
-added column by column, left to right within a block, and then block by
-block, so a batch holds its record, one block of driving variables and
-row accumulators, but no summand array of the record's size.
+Each series reduces one :func:`~levyhull.sticks.stick_matrix` record per
+batch, and then one of its pool.  The record grows in blocks of columns: a
+block's uniforms, then that block's driving variables (Gaussian, or the
+uniforms of stable draws and then each column's exponentials), then the
+next block.  Every cell's variables are drawn, needed or not, so a smaller
+``eps`` on a fresh stream with the same seed appends blocks to the same
+record and its draws, which is what the refinement checks compare.  The
+stable transform and the summands run only on the cells a row needs: at
+``eps = 1e-6`` a row needs 14.8 sticks on average, and a criterion 07
+batch of 5e4 rows pads its record to 41.6.
 
-A record is as long as its slowest row, and the padding sticks stay in
-the sums.  Stopping each row at its own cutoff instead, with its remainder
-as one stick (alpha = 1.5, eps = 1e-6, 5e4 rows, three seeds), lowers the
-quadratic series in 87 % of rows by a median 0.025 (median Q is about
-4.5), a KS distance of 0.0134-0.0137 (p about 2e-4): the summand
-``ell^(2/alpha - 1)`` is concave, so one remainder stick under-weights
-the mass it stands for, and the padding hides that for most rows.
+Stopping each row at its own cutoff with its remainder as one stick, in
+place of the pool copy, changes the law: the summand ``ell^(2/alpha - 1)``
+is concave, so one stick under-weights the mass it stands for (alpha =
+1.5, eps = 1e-6, 5e4 rows: KS distance 0.0134-0.0137, p about 2e-4).
 """
 from __future__ import annotations
 
@@ -42,8 +46,8 @@ import math
 import numpy as np
 
 from .errors import ParameterError
-from .models import stable_standard
-from .sticks import stick_matrix
+from .models import _cms_transform, stable_standard
+from .sticks import BLOCK, ROWS, stick_matrix
 
 __all__ = [
     "draw_limit_finite_variance",
@@ -64,32 +68,76 @@ def _check_eps(eps):
         raise ParameterError(f"eps must lie in (0, 1), got {eps}")
 
 
-def _series(n, eps, rng, draw, terms):
-    """Row sums of a stick-breaking series on the unit interval.
+def _own_sums(n, eps, rng, draw, transform, terms, k):
+    """Row sums of ``terms`` over each row's own sticks of one driven
+    :func:`stick_matrix` record on the unit interval: a row takes a stick
+    while its remainder before that stick is at least ``eps``.
 
-    ``draw(shape)`` gives one driving variable per stick and
-    ``terms(ell, x)`` maps one column of sticks and their variables to
-    ``k`` summand columns.  Sticks come from :func:`stick_matrix` cut at
-    ``eps``, each block's variables drawn right after its uniforms; the
-    remainder enters last as one more stick.  Each block's summands are
-    added column by column, left to right, into ``k`` row accumulators of
-    length ``n``, which are then added to the totals, so no summand array
-    is larger than a column.  Returns the ``(k, n)`` sums and the
-    remainder.
+    ``draw(shape)`` is called on each block of sticks, transposed to one
+    row per column, right after the block's uniforms, and returns
+    ``column(j)``; that must be called for every column ``j`` in order and
+    draws the column's own randomness, as full-length arrays.
+    ``transform`` maps those arrays, restricted to some rows, to the rows'
+    driving variables, and ``terms(ell, x)`` maps sticks and variables to
+    ``k`` summand arrays.  Every cell is drawn, so the stream is the
+    record's whatever the rows need, but the transform and the summands
+    run on the running rows alone, a slice of :data:`ROWS` of them at a
+    time.  Each row adds its summands left to right from zero.  Returns the
+    ``(k, n)`` sums and each row's remainder after its last stick, which
+    lies below ``eps``.
     """
-    sums = 0.0
+    # sums; each row's remainder, bit for bit as stick_matrix's until it
+    # stops; the running rows, in order, in front; how many rows run
+    sums = left = run = None
+    live = n
 
     def drive(ell):
-        nonlocal sums
-        cols = zip(ell.T, draw(ell.T.shape))   # one row per column, like the sticks
-        block = np.array(terms(*next(cols)))
-        for col in cols:
-            for acc, y in zip(block, terms(*col)):
-                acc += y
-        sums = sums + block
+        nonlocal sums, left, run, live
+        column = draw(ell.T.shape)
+        if sums is None:   # after the record buffer: see _stable_draw
+            sums, left, run = np.zeros((k, n)), np.ones(n), np.arange(n)
+        for j, col in enumerate(ell.T):
+            raw = column(j)
+            kept = 0
+            for lo in range(0, live, ROWS):
+                hi = min(lo + ROWS, live)
+                # until a row stops, the running rows are a slice: no gather
+                rows = slice(lo, hi) if live == n else run[lo:hi]
+                ell_j = col[rows]
+                ys = terms(ell_j, transform(*(r[rows] for r in raw)))
+                for total, y in zip(sums, ys):
+                    total[rows] += y
+                rest = left[rows] - ell_j
+                left[rows] = rest
+                stay = run[lo:hi][rest >= eps]
+                run[kept : kept + len(stay)] = stay
+                kept += len(stay)
+            live = kept
 
-    _, rem = stick_matrix(n, 1.0, eps, rng, drive)
-    drive(rem[:, None])
+    stick_matrix(n, 1.0, eps, rng, drive)
+    return sums, left
+
+
+def _series(n, eps, rng, draw, transform, terms, powers):
+    """Row sums of a stick-breaking series on the unit interval, each row
+    truncated at its own remainder ``L < eps``; returns the ``(k, n)`` sums
+    and the remainders.
+
+    The summand ``k`` is homogeneous of degree ``powers[k]`` in the stick
+    length, so the series past a row's last stick is ``L^powers[k]``
+    times an independent copy of the whole series.  The copies come from a
+    pool of ``ceil(n / 10)`` rows drawn by :func:`_own_sums` on the same
+    stream right after the main record, each with its own remainder
+    entering as one more stick; row ``r`` folds in pool row ``r mod m``.
+    The pool's one-stick remainder biases a row by a factor ``L^powers[k]``
+    smaller than it would bias the pool.
+    """
+    sums, rem = _own_sums(n, eps, rng, draw, transform, terms, len(powers))
+    m = -(-n // 10)
+    pool, pool_rem = _own_sums(m, eps, rng, draw, transform, terms, len(powers))
+    pool += terms(pool_rem, transform(*draw((1, m))(0)))
+    for acc, y, w in zip(sums, pool, powers):
+        acc += rem**w * np.resize(y, n)
     return sums, rem
 
 
@@ -97,10 +145,19 @@ def _series(n, eps, rng, draw, terms):
 # finite-variance limit: (sigma^2/sqrt2 Z1, Z2, sigma Bbar, sigma B1, rho)
 # ---------------------------------------------------------------------------
 
+def _gaussian_draw(rng):
+    """The ``draw`` of :func:`_series` for standard normal variables, drawn
+    a column at a time; their transform is the identity."""
+    return lambda shape: lambda j: (rng.standard_normal(shape[1]),)
+
+
 def _gaussian_terms(ell, z):
     x = np.sqrt(ell) * z
     up = x > 0.0
     return np.where(up, x, 0.0), x, ell * up, ell
+
+
+_GAUSSIAN_POWERS = (0.5, 0.5, 1.0, 1.0)
 
 
 def draw_limit_finite_variance(sigma, n, rng, eps=DEFAULT_EPS):
@@ -109,15 +166,19 @@ def draw_limit_finite_variance(sigma, n, rng, eps=DEFAULT_EPS):
 
     Z1, Z2 are independent standard normals drawn first; the Brownian
     triple (running maximum, endpoint, argmax time) comes from the Gaussian
-    stick-breaking series with the remainder folded in as one Gaussian term
-    of variance ``L_N``, which keeps the endpoint coordinate exact.
+    stick-breaking series.  A row's remainder ``L`` folds in as
+    ``sqrt(L)`` times a pool copy of the maximum and the endpoint, and
+    ``L`` times its positive length and total, so the endpoint stays an
+    exact standard normal.
     """
     if not sigma > 0.0:
         raise ParameterError(f"sigma must be > 0, got {sigma}")
     _check_eps(eps)
     z1 = rng.standard_normal(n)
     z2 = rng.standard_normal(n)
-    (sup, fin, pos, tot), rem = _series(n, eps, rng, rng.standard_normal, _gaussian_terms)
+    (sup, fin, pos, tot), rem = _series(
+        n, eps, rng, _gaussian_draw(rng), lambda z: z, _gaussian_terms, _GAUSSIAN_POWERS
+    )
     coords = np.column_stack(
         [sigma**2 / math.sqrt(2.0) * z1, z2, sigma * sup, sigma * fin, pos / tot]
     )
@@ -141,12 +202,46 @@ def _signed(ell, s, alpha):
     return np.where(up, w, 0.0), np.where(up, 0.0, -w), ell * up, ell
 
 
+# degrees of homogeneity in the stick length of each summand of each series
+_POWERS = {
+    _quadratic: lambda alpha: (2.0 / alpha - 1.0,),
+    _signed: lambda alpha: (1.0 / alpha, 1.0 / alpha, 1.0, 1.0),
+}
+
+
+def _stable_draw(n, rng):
+    """The ``draw`` of :func:`_series` for standard stable variables on
+    blocks of at most ``n`` rows: the block's uniforms, then each column's
+    exponentials.  One uniform and one exponential buffer serve every
+    block, so a batch and its pool allocate them once.
+
+    They are allocated at the first block, after the record buffer, like
+    the rest of a batch's arrays.  Allocated before it, they could split
+    the hole the previous batch's record left on the heap, so that the next
+    record no longer fit and the heap grew by a record: 18 MB more peak
+    memory in some criterion 07 runs."""
+    uniforms = exponentials = None
+
+    def draw(shape):
+        nonlocal uniforms, exponentials
+        if uniforms is None:
+            uniforms, exponentials = np.empty(BLOCK * n), np.empty(n)
+        v = uniforms[: shape[0] * shape[1]].reshape(shape)
+        rng.random(out=v)
+        e = exponentials[: shape[1]]
+        return lambda j: (v[j], rng.standard_exponential(out=e))
+
+    return draw
+
+
 def _stable_series(alpha, beta, n, rng, eps, *terms):
     """:func:`_series` of the summands of each of ``terms``, driven by
     standard stable draws of index ``alpha`` and skewness ``beta``."""
     return _series(
-        n, eps, rng, lambda shape: stable_standard(alpha, beta, rng, shape),
+        n, eps, rng, _stable_draw(n, rng),
+        lambda v, e: _cms_transform(alpha, beta, v, e),   # over the uniforms, each read once
         lambda ell, s: [y for f in terms for y in f(ell, s, alpha)],
+        [w for f in terms for w in _POWERS[f](alpha)],
     )
 
 

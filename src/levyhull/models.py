@@ -509,21 +509,20 @@ def stable_standard(alpha, beta, rng, size=None):
     """Standard strictly stable draw(s) via the Chambers-Mallows-Stuck
     transform; ``size=None`` returns a scalar.
 
-    An array of draws overwrites its uniforms, the only full-size array it
-    makes: each piece of :data:`CMS_PIECE` uniforms draws its exponentials
-    and is transformed in place.  The exponentials of all pieces are the
-    same stream as one full draw after the uniforms, and each piece
-    evaluates the whole-array expression operation for operation, so every
-    draw keeps its bits.
+    An array of draws is its uniforms, then :func:`_cms_transform` of each
+    piece of :data:`CMS_PIECE` of them with that piece's exponentials,
+    written over the uniforms, so the uniforms are the only full-size
+    array.  The exponentials of all pieces are the same stream as one full
+    draw after the uniforms, and the transform is elementwise, so every
+    draw keeps its bits however the cells are split.
     """
-    gaussian = alpha == 2.0 and beta == 0.0   # exact reduction: 2 sin(U) sqrt(W) ~ N(0, 2)
-    tb = beta * math.tan(math.pi * alpha / 2.0)
-    b0 = math.atan(tb) / alpha
-    s0 = (1.0 + tb * tb) ** (1.0 / (2.0 * alpha))
     if size is None:   # numpy scalars may round apart from the array loops
+        tb = beta * math.tan(math.pi * alpha / 2.0)
+        b0 = math.atan(tb) / alpha
+        s0 = (1.0 + tb * tb) ** (1.0 / (2.0 * alpha))
         u = (rng.random() - 0.5) * math.pi
         w = rng.standard_exponential()
-        if gaussian:
+        if alpha == 2.0 and beta == 0.0:
             return 2.0 * np.sin(u) * np.sqrt(w)
         return (
             s0
@@ -531,22 +530,36 @@ def stable_standard(alpha, beta, rng, size=None):
             / np.cos(u) ** (1.0 / alpha)
             * (np.cos(u - alpha * (u + b0)) / w) ** ((1.0 - alpha) / alpha)
         )
-    u = rng.random(size)
-    u -= 0.5
-    u *= math.pi
-    flat = u.reshape(-1)   # a view: the array is fresh and contiguous
+    v = rng.random(size)
+    flat = v.reshape(-1)   # a view: the array is fresh and contiguous
     for lo in range(0, flat.size, CMS_PIECE):
         x = flat[lo : lo + CMS_PIECE]
-        e = rng.standard_exponential(x.size)
+        _cms_transform(alpha, beta, x, rng.standard_exponential(x.size))
+    return v
+
+
+def _cms_transform(alpha, beta, v, e):
+    """Overwrite the uniforms ``v`` (one-dimensional) with standard strictly
+    stable draws, given standard exponentials ``e`` of the same length
+    (Chambers-Mallows-Stuck), a piece of :data:`CMS_PIECE` at a time so
+    that the temporaries stay in cache; returns ``v``."""
+    gaussian = alpha == 2.0 and beta == 0.0   # exact reduction: 2 sin(U) sqrt(W) ~ N(0, 2)
+    tb = beta * math.tan(math.pi * alpha / 2.0)
+    b0 = math.atan(tb) / alpha
+    s0 = (1.0 + tb * tb) ** (1.0 / (2.0 * alpha))
+    for lo in range(0, v.size, CMS_PIECE):
+        x, w = v[lo : lo + CMS_PIECE], e[lo : lo + CMS_PIECE]
+        x -= 0.5
+        x *= math.pi
         if gaussian:
-            x[:] = 2.0 * np.sin(x) * np.sqrt(e)
+            x[:] = 2.0 * np.sin(x) * np.sqrt(w)
             continue
         # at beta = 0 the shift b0 and the factor s0 are exact no-ops
         a = alpha * (x + b0) if b0 else alpha * x
-        c = (np.cos(x - a) / e) ** ((1.0 - alpha) / alpha)
+        c = (np.cos(x - a) / w) ** ((1.0 - alpha) / alpha)
         s = s0 * np.sin(a) if s0 != 1.0 else np.sin(a)
         x[:] = s / np.cos(x) ** (1.0 / alpha) * c
-    return u
+    return v
 
 
 def sample_increment(model, t, rng):
@@ -593,8 +606,8 @@ def sample_path(model, T, resolution, rng):
     positive grid step ``h`` giving values at ``{0, h, 2h, ..., T}`` with
     exact increments per step.
     """
-    if not T > 0.0:
-        raise ParameterError(f"horizon must be > 0, got {T}")
+    if not 0.0 < T < math.inf:
+        raise ParameterError(f"horizon must be finite and > 0, got {T}")
     if resolution == EXACT_JUMPS:
         if not isinstance(model, CompoundPoissonDrift):
             raise UnsupportedExactnessError(
@@ -654,8 +667,8 @@ def norming(model, T):
     stable; their norming is taken as ``jump_scale * (rate * T)^(1/a)``
     (slowly varying part set to one).
     """
-    if not T > 0.0:
-        raise ParameterError(f"horizon must be > 0, got {T}")
+    if not 0.0 < T < math.inf:
+        raise ParameterError(f"horizon must be finite and > 0, got {T}")
     return model.norming(T)
 
 

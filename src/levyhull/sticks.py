@@ -73,8 +73,8 @@ def stick_matrix(n_rows, T, cutoff, rng, drive=None):
     they take no resident memory.
 
     Rows that stopped earlier carry extra (finer) sticks.  Threshold counts
-    ignore them, as they sit below the cutoff; the limit series do not, and
-    stopping each row at its own cutoff measurably changes their law (see
+    ignore them, as they sit below the cutoff; the limit series mask them
+    out in the drive and fold each row's remainder in themselves (see
     :mod:`levyhull.limitlaws`).  Returns ``(t, rem)`` where ``t`` has shape
     (n_rows, K) in scaled units and ``rem`` is the final scaled remainder.
     """
@@ -101,7 +101,8 @@ def stick_matrix(n_rows, T, cutoff, rng, drive=None):
                 ell = cols[j, lo : lo + ROWS]
                 np.multiply(v[:, j], left, out=ell)
                 left -= ell
-                ell *= T
+                if T != 1.0:
+                    ell *= T
         if drive is not None:
             drive(cols.T)
         k += BLOCK

@@ -6,19 +6,23 @@ from scipy import stats as sps
 
 from levyhull.errors import ParameterError, RegimeError
 from levyhull.limitlaws import (
+    _GAUSSIAN_POWERS,
+    _POWERS,
+    _gaussian_draw,
     _gaussian_terms,
     _quadratic,
     _series,
     _signed,
+    _stable_draw,
     draw_limit_drift,
     draw_limit_finite_variance,
     draw_limit_quadratic,
     draw_limit_stable,
 )
-from levyhull.models import BrownianDrift, StableProcess, stable_standard
+from levyhull.models import BrownianDrift, StableProcess, _cms_transform, stable_standard
 from levyhull.sbrep import normalize_stable, sample_quintuple
-from levyhull.stats import tail_slope
-from levyhull.sticks import BLOCK, ROWS, stick_matrix
+from levyhull.stats import ks_distance_to_cdf, ks_two_sample, kolmogorov_pvalue, tail_slope
+from levyhull.sticks import ROWS, stick_matrix
 
 
 def rng(seed=0):
@@ -128,39 +132,125 @@ def test_quadratic_series_alone_is_column_zero_bit_for_bit():
                 assert np.array_equal(q_bounds, bounds)
 
 
-def _block_column_sums(n, eps, g, draw, terms):
-    """Reference for the series sums: the driven record of stick_matrix,
-    each block's columns added left to right, then the block sums (the
-    remainder last, as a one-column block) added in turn."""
+def _own_stick_sums(n, eps, g, draw, terms):
+    """Reference for the sums over each row's own sticks: the driven record
+    of stick_matrix with every block's variables drawn whole, and each row
+    adding its summands left to right over the sticks taken while its
+    remainder before them is at least eps."""
     xs = []
-    t, rem = stick_matrix(n, 1.0, eps, g, lambda block: xs.append(draw(block.T.shape)))
-    xs.append(draw((1, n)))
-    blocks = [t[:, lo : lo + BLOCK] for lo in range(0, t.shape[1], BLOCK)] + [rem[:, None]]
-    total = 0.0
-    for ell, x in zip(blocks, xs):
-        acc = terms(ell[:, 0], x[0])
-        for j in range(1, ell.shape[1]):
-            acc = [a + y for a, y in zip(acc, terms(ell[:, j], x[j]))]
-        total = total + np.array(acc)
-    return total, rem
+    t, _ = stick_matrix(n, 1.0, eps, g, lambda block: xs.append(draw(block.T.shape)))
+    total, left = 0.0, np.ones(n)
+    for ell, x in zip(t.T, np.concatenate(xs)):
+        need = left >= eps
+        total = total + np.where(need, np.array(terms(ell, x)), 0.0)
+        left = np.where(need, left - ell, left)
+    return total, left
 
 
-@pytest.mark.parametrize("n", [1, 2, 5000])
-def test_series_sums_each_block_column_by_column(n):
-    def stable(alpha):
-        return lambda g: lambda shape: stable_standard(alpha, 0.3, g, shape)
+def _folded_series(n, eps, g, draw, terms, powers):
+    """Reference for the series: each row's own sums plus its remainder to
+    each summand's power times pool row r mod m, the pool being the own
+    sums of m = ceil(n / 10) rows drawn next, with their remainders as one
+    more stick."""
+    own, rem = _own_stick_sums(n, eps, g, draw, terms)
+    m = -(-n // 10)
+    pool, pool_rem = _own_stick_sums(m, eps, g, draw, terms)
+    pool = pool + np.array(terms(pool_rem, draw((1, m))[0]))
+    fold = np.array([rem**w * pool[k, np.arange(n) % m] for k, w in enumerate(powers)])
+    return own + fold, rem
 
-    cases = (
-        (lambda g: g.standard_normal, _gaussian_terms),
-        (stable(1.5), lambda ell, s: [*_quadratic(ell, s, 1.5), *_signed(ell, s, 1.5)]),
-        (stable(0.7), lambda ell, s: _signed(ell, s, 0.7)),
+
+def _series_cases(n, g):
+    """(draw, transform, whole-block reference draw, terms, powers) of the
+    Gaussian series, the quadratic and signed series at index 1.5 and the
+    signed series at index 0.7, on ``n`` rows, all drawing from ``g``."""
+    def stable(alpha, *fs):
+        return (
+            _stable_draw(n, g), lambda v, e: _cms_transform(alpha, 0.3, v, e),
+            lambda shape: stable_standard(alpha, 0.3, g, shape),
+            lambda ell, s: [y for f in fs for y in f(ell, s, alpha)],
+            [w for f in fs for w in _POWERS[f](alpha)],
+        )
+
+    return (
+        (_gaussian_draw(g), lambda z: z, g.standard_normal,
+         _gaussian_terms, _GAUSSIAN_POWERS),
+        stable(1.5, _quadratic, _signed),
+        stable(0.7, _signed),
     )
-    for seed, (draw, terms) in enumerate(cases):
-        g, h = rng(seed), rng(seed)
-        sums, rem = _series(n, 1e-6, g, draw(g), terms)
-        ref, ref_rem = _block_column_sums(n, 1e-6, h, draw(h), terms)
+
+
+@pytest.mark.parametrize("n", [1, 2, 19, 5000])
+def test_series_sums_each_row_over_its_own_sticks_plus_a_pool_copy(n):
+    for case in range(3):
+        g, h = rng(case), rng(case)
+        draw, transform, _, terms, powers = _series_cases(n, g)[case]
+        _, _, ref_draw, _, _ = _series_cases(n, h)[case]
+        sums, rem = _series(n, 1e-6, g, draw, transform, terms, powers)
+        ref, ref_rem = _folded_series(n, 1e-6, h, ref_draw, terms, powers)
         assert np.array_equal(sums, ref)
         assert np.array_equal(rem, ref_rem)
+        assert (rem < 1e-6).all()
+        assert g.random() == h.random()   # both drew the same stream
+
+
+def test_series_transforms_only_the_sticks_the_rows_need(monkeypatch):
+    import levyhull.limitlaws as ll
+
+    n, eps = 3000, 1e-6
+    records, transformed = [], []
+
+    def recording_sticks(*args):
+        t, rem = stick_matrix(*args)
+        records.append(t)
+        return t, rem
+
+    def counting_transform(alpha, beta, u, e):
+        transformed.append(u.size)
+        return _cms_transform(alpha, beta, u, e)
+
+    monkeypatch.setattr(ll, "stick_matrix", recording_sticks)
+    monkeypatch.setattr(ll, "_cms_transform", counting_transform)
+    draw_limit_quadratic(1.5, n, rng(5), eps)
+    needed = cells = 0
+    for t in records:   # the main record, then the pool's
+        left = np.ones(len(t))
+        for ell in t.T:
+            needed += np.count_nonzero(left >= eps)
+            left -= ell
+        cells += t.size
+    m = len(records[1])
+    assert m == n // 10
+    assert sum(transformed) == needed + m   # and one remainder stick per pool row
+    assert sum(transformed) < 0.5 * cells
+
+
+def test_masked_quadratic_series_matches_a_finely_padded_reference():
+    # the padded reference sums every stick of a record cut at 1e-10, so
+    # its one-stick remainder weighs at most (1e-10)^(1/3) of the series;
+    # the masked series at 1e-6 must match it
+    alpha, n, chunk = 1.5, 100_000, 25_000
+    g = rng(31)
+    ref = []
+    for _ in range(n // chunk):
+        t, rem = stick_matrix(chunk, 1.0, 1e-10, g)
+        s = stable_standard(alpha, 0.0, g, t.shape)
+        s_rem = stable_standard(alpha, 0.0, g, chunk)
+        p = 2.0 / alpha - 1.0
+        ref.append(0.5 * ((t**p * s * s).sum(axis=1) + rem**p * s_rem * s_rem))
+    q, _ = draw_limit_quadratic(alpha, n, rng(32), eps=1e-6)
+    res = ks_two_sample(q, np.concatenate(ref))
+    assert res.p_value > 0.01, res
+
+
+@pytest.mark.parametrize("alpha", [1.5, 0.5])
+def test_symmetric_stable_argmax_share_is_arcsine(alpha):
+    # at beta = 0 the share of the positive sticks, pos_len / total with
+    # the pool copy folded in as L * share', is exactly arcsine distributed
+    coords, _ = draw_limit_stable(alpha, 20_000, rng(40))
+    d = ks_distance_to_cdf(coords[:, 3], lambda x: 2.0 / math.pi * np.arcsin(np.sqrt(x)))
+    p = kolmogorov_pvalue(d * math.sqrt(len(coords)))
+    assert p > 0.01, (d, p)
 
 
 def test_stable_limit_tail_exponent():

@@ -72,6 +72,19 @@ def test_nonpositive_duration_rejected():
         sample_increment(BrownianDrift(1.0), -1.0, rng())
 
 
+@pytest.mark.parametrize("T", [math.inf, math.nan, 0.0, -1.0])
+def test_path_and_norming_reject_a_horizon_that_is_not_finite_and_positive(T):
+    cp = CompoundPoissonDrift(1.0, PointMass(1.0))
+    for call in (
+        lambda: sample_path(BrownianDrift(1.0), T, 0.5, rng()),
+        lambda: sample_path(cp, T, EXACT_JUMPS, rng()),
+        lambda: norming(BrownianDrift(1.0), T),
+        lambda: norming(StableProcess(1.5), T),
+    ):
+        with pytest.raises(ParameterError, match="horizon must be finite and > 0"):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # increment laws
 # ---------------------------------------------------------------------------
