@@ -2,16 +2,16 @@
 reference side of the two-sample tests.
 
 Every series limit is a stick-breaking series on the unit interval, and
-each row stops at its own cutoff: it takes a stick while its remainder
-before that stick is at least ``eps``, so it ends at a remainder
-``L < eps``.  Each summand is homogeneous in the stick length, of degree
-``2/alpha - 1`` (the quadratic series), ``1/alpha`` (the signed parts),
-1 (the lengths) or 1/2 (the Gaussian parts).  By the self-similarity of
-uniform stick-breaking the series past the cutoff is therefore ``L`` to
-that degree times an independent copy of the whole series (Gonzalez
-Cazares, Mijatovic & Uribe Bravo, EJP 2020), and the samplers fold it in
-that way from a pool of copies (:func:`_series`).  A per-draw truncation
-figure is reported from the row's own remainder:
+each row stops at its own cutoff, at a remainder ``L < eps``.  Each
+summand is homogeneous in the stick length, of degree ``2/alpha - 1``
+(the quadratic series), ``1/alpha`` (the signed parts), 1 (the lengths)
+or 1/2 (the Gaussian parts).  By the self-similarity of uniform
+stick-breaking the series past the cutoff is therefore ``L`` to that
+degree times an independent copy of the whole series (Gonzalez Cazares,
+Mijatovic & Uribe Bravo, EJP 2020), and the samplers fold it in that way,
+each row taking the rows after it in its batch as the copy
+(:func:`_series`).  A per-draw truncation figure is reported from the
+row's own remainder:
 
 * Gaussian series: ``8 * sqrt(L)``, an envelope at roughly the 1e-8
   level for the coordinate changes under further refinement;
@@ -24,20 +24,38 @@ figure is reported from the row's own remainder:
   rounding.
 
 Each series reduces one :func:`~levyhull.sticks.stick_matrix` record per
-batch, and then one of its pool.  The record grows in blocks of columns: a
-block's uniforms, then that block's driving variables (Gaussian, or the
-uniforms of stable draws and then each column's exponentials), then the
-next block.  Every cell's variables are drawn, needed or not, so a smaller
-``eps`` on a fresh stream with the same seed appends blocks to the same
-record and its draws, which is what the refinement checks compare.  The
-stable transform and the summands run only on the cells a row needs: at
-``eps = 1e-6`` a row needs 14.8 sticks on average, and a criterion 07
-batch of 5e4 rows pads its record to 41.6.
+batch.  The record grows in blocks of columns: a block's uniforms, then
+that block's driving variables (Gaussian, or the uniforms of stable draws
+and then each column's exponentials), then the next block.  Every cell's
+variables are drawn, needed or not, so a smaller ``eps`` on a fresh
+stream with the same seed appends blocks to the same record and its
+draws, which is what the refinement checks compare.  The stable transform
+and the summands run only on the cells a row needs: 21.8 per row of the
+quadratic series at alpha = 1.5 and ``eps = 1e-6``, where a criterion 07
+batch of 5e4 rows pads its record to 41.6 columns on average.
 
 Stopping each row at its own cutoff with its remainder as one stick, in
-place of the pool copy, changes the law: the summand ``ell^(2/alpha - 1)``
-is concave, so one stick under-weights the mass it stands for (alpha =
-1.5, eps = 1e-6, 5e4 rows: KS distance 0.0134-0.0137, p about 2e-4).
+place of the copy, changes the law: the summand ``ell^(2/alpha - 1)`` is
+concave, so one stick under-weights the mass it stands for (alpha = 1.5,
+eps = 1e-6, 5e4 rows: KS distance 0.0134-0.0137, p about 2e-4).  The
+error of a one-stick tail of weight ``c`` shrinks only like
+``c^(alpha/2)``, the tail index of the series, not like ``c``: the padded
+sum of every record stick (K columns, tail weight about ``e^(-K/3)``)
+shifts the quadratic series' distribution function by up to 2.5e-4 against
+a reference at eps = 1e-12 (t = 3.8, 1.8e8 draws), because a quarter to a
+half of the 5e4-row batches end at K = 32.  The chained copy leaves out
+less than :data:`CHAIN_TOL` and shows no shift (t <= 1.5).
+
+The chain makes the rows of a batch dependent: a large row raises the rows
+whose copies chain through it, by their weights.  A row therefore runs on
+past ``eps`` until that weight is below :data:`FOLD_WEIGHT`, which at
+alpha = 1.5 means 21.8 sticks instead of 14.8 and brings the rank
+correlation of neighbouring rows from 0.05 (stopping at ``eps``) to 0.007.
+Every cell of the record is drawn either way, so the record needs the
+same randomness as the padded sum.  Rows that reach the end of the record
+first keep a larger weight, up to ``eps`` to the degree; as alpha nears 2
+that degree nears 0 and most rows end there (alpha = 1.9: weights up to
+0.25).
 """
 from __future__ import annotations
 
@@ -62,16 +80,26 @@ DEFAULT_EPS = 1e-6
 STABLE_ENVELOPE = 1e7
 HEAVY_ENVELOPE = 1e10
 
+# a row runs on until the weight of its tail is below FOLD_WEIGHT, which
+# bounds how much it leans on the rows its tail copy chains through; the
+# chain runs until the weight of the rows it leaves out is below CHAIN_TOL
+# (at most 3 rows for the quadratic series at alpha = 1.5), and a batch
+# draws at least MIN_ROWS rows to have them
+FOLD_WEIGHT = 1e-3
+CHAIN_TOL = 1e-12
+MIN_ROWS = 16
+
 
 def _check_eps(eps):
     if not 0.0 < eps < 1.0:
         raise ParameterError(f"eps must lie in (0, 1), got {eps}")
 
 
-def _own_sums(n, eps, rng, draw, transform, terms, k):
+def _own_sums(n, eps, rng, draw, transform, terms, k, cut):
     """Row sums of ``terms`` over each row's own sticks of one driven
-    :func:`stick_matrix` record on the unit interval: a row takes a stick
-    while its remainder before that stick is at least ``eps``.
+    :func:`stick_matrix` record on the unit interval, cut at ``eps``: a row
+    takes a stick while its remainder before that stick is at least
+    ``cut <= eps``, and while the record lasts.
 
     ``draw(shape)`` is called on each block of sticks, transposed to one
     row per column, right after the block's uniforms, and returns
@@ -84,7 +112,7 @@ def _own_sums(n, eps, rng, draw, transform, terms, k):
     run on the running rows alone, a slice of :data:`ROWS` of them at a
     time.  Each row adds its summands left to right from zero.  Returns the
     ``(k, n)`` sums and each row's remainder after its last stick, which
-    lies below ``eps``.
+    lies below ``cut``, or below ``eps`` where the record ends first.
     """
     # sums; each row's remainder, bit for bit as stick_matrix's until it
     # stops; the running rows, in order, in front; how many rows run
@@ -109,7 +137,7 @@ def _own_sums(n, eps, rng, draw, transform, terms, k):
                     total[rows] += y
                 rest = left[rows] - ell_j
                 left[rows] = rest
-                stay = run[lo:hi][rest >= eps]
+                stay = run[lo:hi][rest >= cut]
                 run[kept : kept + len(stay)] = stay
                 kept += len(stay)
             live = kept
@@ -120,25 +148,35 @@ def _own_sums(n, eps, rng, draw, transform, terms, k):
 
 def _series(n, eps, rng, draw, transform, terms, powers):
     """Row sums of a stick-breaking series on the unit interval, each row
-    truncated at its own remainder ``L < eps``; returns the ``(k, n)`` sums
-    and the remainders.
+    truncated at its own remainder ``L``; returns the ``(k, n)`` sums and
+    the remainders.
 
     The summand ``k`` is homogeneous of degree ``powers[k]`` in the stick
-    length, so the series past a row's last stick is ``L^powers[k]``
-    times an independent copy of the whole series.  The copies come from a
-    pool of ``ceil(n / 10)`` rows drawn by :func:`_own_sums` on the same
-    stream right after the main record, each with its own remainder
-    entering as one more stick; row ``r`` folds in pool row ``r mod m``.
-    The pool's one-stick remainder biases a row by a factor ``L^powers[k]``
-    smaller than it would bias the pool.
+    length, so the series past a row's last stick is ``L^powers[k]`` times
+    an independent copy of the whole series.  A row stops once ``L`` is
+    below ``eps`` and its smallest such weight is below
+    :data:`FOLD_WEIGHT`, or where the record, cut at ``eps``, ends.  Row
+    ``r`` takes the rows
+    after it, cyclically, as that copy: its sums plus the next row's
+    remainder to the power times the sums of the row after that, and so on
+    until the product of the remainder powers, the weight of the rows
+    still left out, is below :data:`CHAIN_TOL` in every row.  No row is
+    part of its own copy, as the chain stops before it comes round; a
+    batch draws at least :data:`MIN_ROWS` rows so that small batches have
+    the rows their chains need.
     """
-    sums, rem = _own_sums(n, eps, rng, draw, transform, terms, len(powers))
-    m = -(-n // 10)
-    pool, pool_rem = _own_sums(m, eps, rng, draw, transform, terms, len(powers))
-    pool += terms(pool_rem, transform(*draw((1, m))(0)))
-    for acc, y, w in zip(sums, pool, powers):
-        acc += rem**w * np.resize(y, n)
-    return sums, rem
+    rows = max(n, MIN_ROWS)
+    cut = min(eps, FOLD_WEIGHT ** (1.0 / min(powers)))
+    sums, rem = _own_sums(rows, eps, rng, draw, transform, terms, len(powers), cut)
+    for acc, w in zip(sums, powers):
+        head, scale = acc.copy(), rem**w
+        weight = scale.copy()
+        for k in range(1, rows):
+            acc += weight * np.roll(head, -k)
+            weight *= np.roll(scale, -k)
+            if weight.max() < CHAIN_TOL:
+                break
+    return sums[:, :n], rem[:n]
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +205,7 @@ def draw_limit_finite_variance(sigma, n, rng, eps=DEFAULT_EPS):
     Z1, Z2 are independent standard normals drawn first; the Brownian
     triple (running maximum, endpoint, argmax time) comes from the Gaussian
     stick-breaking series.  A row's remainder ``L`` folds in as
-    ``sqrt(L)`` times a pool copy of the maximum and the endpoint, and
+    ``sqrt(L)`` times a copy of the maximum and the endpoint, and
     ``L`` times its positive length and total, so the endpoint stays an
     exact standard normal.
     """
@@ -209,11 +247,11 @@ _POWERS = {
 }
 
 
-def _stable_draw(n, rng):
-    """The ``draw`` of :func:`_series` for standard stable variables on
-    blocks of at most ``n`` rows: the block's uniforms, then each column's
-    exponentials.  One uniform and one exponential buffer serve every
-    block, so a batch and its pool allocate them once.
+def _stable_draw(rng):
+    """The ``draw`` of :func:`_series` for standard stable variables: the
+    block's uniforms, then each column's exponentials.  One uniform and one
+    exponential buffer, sized by the first block, serve every block, so a
+    batch allocates them once.
 
     They are allocated at the first block, after the record buffer, like
     the rest of a batch's arrays.  Allocated before it, they could split
@@ -225,7 +263,7 @@ def _stable_draw(n, rng):
     def draw(shape):
         nonlocal uniforms, exponentials
         if uniforms is None:
-            uniforms, exponentials = np.empty(BLOCK * n), np.empty(n)
+            uniforms, exponentials = np.empty(BLOCK * shape[1]), np.empty(shape[1])
         v = uniforms[: shape[0] * shape[1]].reshape(shape)
         rng.random(out=v)
         e = exponentials[: shape[1]]
@@ -238,7 +276,7 @@ def _stable_series(alpha, beta, n, rng, eps, *terms):
     """:func:`_series` of the summands of each of ``terms``, driven by
     standard stable draws of index ``alpha`` and skewness ``beta``."""
     return _series(
-        n, eps, rng, _stable_draw(n, rng),
+        n, eps, rng, _stable_draw(rng),
         lambda v, e: _cms_transform(alpha, beta, v, e),   # over the uniforms, each read once
         lambda ell, s: [y for f in terms for y in f(ell, s, alpha)],
         [w for f in terms for w in _POWERS[f](alpha)],

@@ -63,7 +63,6 @@ def stick_matrix(n_rows, T, cutoff, rng, drive=None):
     are appended until every row satisfies ``T * L < cutoff``, so a smaller
     cutoff on the same stream only appends blocks: the record and the drive
     draws at ``cutoff`` are a column prefix of those at any finer cutoff.
-    The caller draws the remainder's variable after the call.
 
     Each block is written straight into one record buffer, and the drive
     receives a view of it, so the record is never copied.  The buffer
@@ -73,8 +72,8 @@ def stick_matrix(n_rows, T, cutoff, rng, drive=None):
     they take no resident memory.
 
     Rows that stopped earlier carry extra (finer) sticks.  Threshold counts
-    ignore them, as they sit below the cutoff; the limit series mask them
-    out in the drive and fold each row's remainder in themselves (see
+    ignore them, as they sit below the cutoff; the limit series skip them
+    in the drive and fold each row's remainder in themselves (see
     :mod:`levyhull.limitlaws`).  Returns ``(t, rem)`` where ``t`` has shape
     (n_rows, K) in scaled units and ``rem`` is the final scaled remainder.
     """
@@ -101,8 +100,7 @@ def stick_matrix(n_rows, T, cutoff, rng, drive=None):
                 ell = cols[j, lo : lo + ROWS]
                 np.multiply(v[:, j], left, out=ell)
                 left -= ell
-                if T != 1.0:
-                    ell *= T
+                ell *= T
         if drive is not None:
             drive(cols.T)
         k += BLOCK

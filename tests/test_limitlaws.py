@@ -6,6 +6,9 @@ from scipy import stats as sps
 
 from levyhull.errors import ParameterError, RegimeError
 from levyhull.limitlaws import (
+    CHAIN_TOL,
+    FOLD_WEIGHT,
+    MIN_ROWS,
     _GAUSSIAN_POWERS,
     _POWERS,
     _gaussian_draw,
@@ -132,32 +135,39 @@ def test_quadratic_series_alone_is_column_zero_bit_for_bit():
                 assert np.array_equal(q_bounds, bounds)
 
 
-def _own_stick_sums(n, eps, g, draw, terms):
+def _own_stick_sums(n, eps, cut, g, draw, terms):
     """Reference for the sums over each row's own sticks: the driven record
-    of stick_matrix with every block's variables drawn whole, and each row
-    adding its summands left to right over the sticks taken while its
-    remainder before them is at least eps."""
+    of stick_matrix cut at eps, with every block's variables drawn whole,
+    and each row adding its summands left to right over the sticks taken
+    while its remainder before them is at least cut."""
     xs = []
     t, _ = stick_matrix(n, 1.0, eps, g, lambda block: xs.append(draw(block.T.shape)))
     total, left = 0.0, np.ones(n)
     for ell, x in zip(t.T, np.concatenate(xs)):
-        need = left >= eps
+        need = left >= cut
         total = total + np.where(need, np.array(terms(ell, x)), 0.0)
         left = np.where(need, left - ell, left)
     return total, left
 
 
-def _folded_series(n, eps, g, draw, terms, powers):
-    """Reference for the series: each row's own sums plus its remainder to
-    each summand's power times pool row r mod m, the pool being the own
-    sums of m = ceil(n / 10) rows drawn next, with their remainders as one
-    more stick."""
-    own, rem = _own_stick_sums(n, eps, g, draw, terms)
-    m = -(-n // 10)
-    pool, pool_rem = _own_stick_sums(m, eps, g, draw, terms)
-    pool = pool + np.array(terms(pool_rem, draw((1, m))[0]))
-    fold = np.array([rem**w * pool[k, np.arange(n) % m] for k, w in enumerate(powers)])
-    return own + fold, rem
+def _chained_series(n, eps, g, draw, terms, powers):
+    """Reference for the series: each row's own sums, down to the remainder
+    whose smallest power is below FOLD_WEIGHT, plus, for each summand, the
+    sums of the rows after it, cyclically, each weighted by the product of
+    the remainder powers of the rows before it, until that weight is below
+    CHAIN_TOL in every row; on at least MIN_ROWS rows."""
+    rows = max(n, MIN_ROWS)
+    cut = min(eps, FOLD_WEIGHT ** (1.0 / min(powers)))
+    own, rem = _own_stick_sums(rows, eps, cut, g, draw, terms)
+    out, r = own.copy(), np.arange(rows)
+    for k, w in enumerate(powers):
+        weight = rem**w
+        for j in range(1, rows):
+            out[k] += weight * own[k, (r + j) % rows]
+            weight = weight * rem[(r + j) % rows] ** w
+            if weight.max() < CHAIN_TOL:
+                break
+    return out[:, :n], rem[:n]
 
 
 def _series_cases(n, g):
@@ -166,7 +176,7 @@ def _series_cases(n, g):
     signed series at index 0.7, on ``n`` rows, all drawing from ``g``."""
     def stable(alpha, *fs):
         return (
-            _stable_draw(n, g), lambda v, e: _cms_transform(alpha, 0.3, v, e),
+            _stable_draw(g), lambda v, e: _cms_transform(alpha, 0.3, v, e),
             lambda shape: stable_standard(alpha, 0.3, g, shape),
             lambda ell, s: [y for f in fs for y in f(ell, s, alpha)],
             [w for f in fs for w in _POWERS[f](alpha)],
@@ -181,13 +191,13 @@ def _series_cases(n, g):
 
 
 @pytest.mark.parametrize("n", [1, 2, 19, 5000])
-def test_series_sums_each_row_over_its_own_sticks_plus_a_pool_copy(n):
+def test_series_sums_each_row_over_its_own_sticks_plus_a_chained_copy(n):
     for case in range(3):
         g, h = rng(case), rng(case)
         draw, transform, _, terms, powers = _series_cases(n, g)[case]
         _, _, ref_draw, _, _ = _series_cases(n, h)[case]
         sums, rem = _series(n, 1e-6, g, draw, transform, terms, powers)
-        ref, ref_rem = _folded_series(n, 1e-6, h, ref_draw, terms, powers)
+        ref, ref_rem = _chained_series(n, 1e-6, h, ref_draw, terms, powers)
         assert np.array_equal(sums, ref)
         assert np.array_equal(rem, ref_rem)
         assert (rem < 1e-6).all()
@@ -212,17 +222,13 @@ def test_series_transforms_only_the_sticks_the_rows_need(monkeypatch):
     monkeypatch.setattr(ll, "stick_matrix", recording_sticks)
     monkeypatch.setattr(ll, "_cms_transform", counting_transform)
     draw_limit_quadratic(1.5, n, rng(5), eps)
-    needed = cells = 0
-    for t in records:   # the main record, then the pool's
-        left = np.ones(len(t))
-        for ell in t.T:
-            needed += np.count_nonzero(left >= eps)
-            left -= ell
-        cells += t.size
-    m = len(records[1])
-    assert m == n // 10
-    assert sum(transformed) == needed + m   # and one remainder stick per pool row
-    assert sum(transformed) < 0.5 * cells
+    (t,) = records   # one record, and nothing drawn after it
+    needed, left = 0, np.ones(n)
+    for ell in t.T:   # sticks until the tail weighs below FOLD_WEIGHT: L^(1/3)
+        needed += np.count_nonzero(left >= FOLD_WEIGHT**3)
+        left -= ell
+    assert sum(transformed) == needed
+    assert needed < 0.8 * t.size   # 21.8 sticks per row of a 32-column record
 
 
 def test_masked_quadratic_series_matches_a_finely_padded_reference():
@@ -246,7 +252,7 @@ def test_masked_quadratic_series_matches_a_finely_padded_reference():
 @pytest.mark.parametrize("alpha", [1.5, 0.5])
 def test_symmetric_stable_argmax_share_is_arcsine(alpha):
     # at beta = 0 the share of the positive sticks, pos_len / total with
-    # the pool copy folded in as L * share', is exactly arcsine distributed
+    # the chained copy folded in as L * share', is exactly arcsine distributed
     coords, _ = draw_limit_stable(alpha, 20_000, rng(40))
     d = ks_distance_to_cdf(coords[:, 3], lambda x: 2.0 / math.pi * np.arcsin(np.sqrt(x)))
     p = kolmogorov_pvalue(d * math.sqrt(len(coords)))
