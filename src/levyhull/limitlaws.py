@@ -39,20 +39,20 @@ place of the copy, changes the law: the summand ``ell^(2/alpha - 1)`` is
 concave, so one stick under-weights the mass it stands for (alpha = 1.5,
 eps = 1e-6, 5e4 rows: KS distance 0.0134-0.0137, p about 2e-4).  The
 error of a one-stick tail of weight ``c`` shrinks only like
-``c^(alpha/2)``, the tail index of the series, not like ``c``: the padded
-sum of every record stick (K columns, tail weight about ``e^(-K/3)``)
-shifts the quadratic series' distribution function by up to 2.5e-4 against
-a reference at eps = 1e-12 (t = 3.8, 1.8e8 draws), because a quarter to a
-half of the 5e4-row batches end at K = 32.  The chained copy leaves out
-less than :data:`CHAIN_TOL` and shows no shift (t <= 1.5).
+``c^(alpha/2)``, the tail index of the series, not like ``c``: a padded
+sum over every stick of the record (K columns, tail weight about
+``e^(-K/3)``) shifts the quadratic series' distribution function by up to
+2.5e-4 against a reference at eps = 1e-12 (t = 3.8, 1.8e8 draws), because
+42 % of the 5e4-row batches end at K = 32.  The chained copy leaves out less than
+:data:`CHAIN_TOL` and shows no shift (|t| <= 1.8, 8e7 draws).
 
 The chain makes the rows of a batch dependent: a large row raises the rows
 whose copies chain through it, by their weights.  A row therefore runs on
 past ``eps`` until that weight is below :data:`FOLD_WEIGHT`, which at
 alpha = 1.5 means 21.8 sticks instead of 14.8 and brings the rank
-correlation of neighbouring rows from 0.05 (stopping at ``eps``) to 0.007.
-Every cell of the record is drawn either way, so the record needs the
-same randomness as the padded sum.  Rows that reach the end of the record
+correlation of neighbouring rows from 0.05 (stopping at ``eps``) to about
+0.01.  Every cell of the record is drawn either way, so the record needs
+the same randomness as the padded sum.  Rows that reach the end of the record
 first keep a larger weight, up to ``eps`` to the degree; as alpha nears 2
 that degree nears 0 and most rows end there (alpha = 1.9: weights up to
 0.25).
@@ -156,11 +156,10 @@ def _series(n, eps, rng, draw, transform, terms, powers):
     an independent copy of the whole series.  A row stops once ``L`` is
     below ``eps`` and its smallest such weight is below
     :data:`FOLD_WEIGHT`, or where the record, cut at ``eps``, ends.  Row
-    ``r`` takes the rows
-    after it, cyclically, as that copy: its sums plus the next row's
-    remainder to the power times the sums of the row after that, and so on
-    until the product of the remainder powers, the weight of the rows
-    still left out, is below :data:`CHAIN_TOL` in every row.  No row is
+    ``r`` takes the rows after it, cyclically, as that copy: its sums plus
+    the next row's remainder to the power times the sums of the row after
+    that, and so on until the product of the remainder powers, the weight
+    of the rows still left out, is below :data:`CHAIN_TOL` in every row.  No row is
     part of its own copy, as the chain stops before it comes round; a
     batch draws at least :data:`MIN_ROWS` rows so that small batches have
     the rows their chains need.
@@ -206,8 +205,8 @@ def draw_limit_finite_variance(sigma, n, rng, eps=DEFAULT_EPS):
     triple (running maximum, endpoint, argmax time) comes from the Gaussian
     stick-breaking series.  A row's remainder ``L`` folds in as
     ``sqrt(L)`` times a copy of the maximum and the endpoint, and
-    ``L`` times its positive length and total, so the endpoint stays an
-    exact standard normal.
+    ``L`` times its positive length and total, so the endpoint stays a
+    standard normal up to the weight the chain leaves out.
     """
     if not sigma > 0.0:
         raise ParameterError(f"sigma must be > 0, got {sigma}")
