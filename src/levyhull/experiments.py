@@ -360,12 +360,20 @@ def _exp_verify_heavy(cfg: ExperimentConfig) -> RunReport:
     _regime(cfg, "heavy")
     rep = RunReport("verify-heavy")
     q, _ = _stable_coordinate_ks(cfg, rep, "heavy")
-    T = q.horizon
-    lo = 2.0 * q.sup - q.final
-    slack = 1e-9 * norming(cfg.model, T)
-    violations = int(np.count_nonzero((q.upsilon < lo - slack) | (q.upsilon > T + lo + slack)))
-    rep.rows.append(_row_check(T, "sandwich_violations", float(violations), "== 0", violations == 0))
+    violations = _sandwich_violations(q, norming(cfg.model, q.horizon))
+    rep.rows.append(_row_check(q.horizon, "sandwich_violations", float(violations), "== 0", violations == 0))
     return rep
+
+
+def _sandwich_violations(q, a_T):
+    """Draws outside ``2 sup - final <= upsilon <= T + 2 sup - final``, each
+    bound widened by ``1e-9 * a_T`` plus four ulps of the compared values:
+    the largest heavy draws lie so far above ``a_T`` that one rounding of
+    ``upsilon`` or of ``2 sup - final`` exceeds ``1e-9 * a_T``."""
+    lo = 2.0 * q.sup - q.final
+    hi = q.horizon + lo
+    slack = 1e-9 * a_T + 4.0 * np.spacing(np.maximum(q.upsilon, hi))
+    return int(np.count_nonzero((q.upsilon < lo - slack) | (q.upsilon > hi + slack)))
 
 
 def _exp_tail_index(cfg: ExperimentConfig) -> RunReport:

@@ -136,11 +136,20 @@ def reduce_faces(lengths, heights, T, cutoff=0.0, truncation_error_bound=0.0):
 
 
 def _candidates(path: PathSkeleton, upper: bool):
-    """Candidate times and values as float lists (the record checks the times)."""
-    v = path.values
+    """Candidate times and values as float lists (the record checks the
+    times): the points whose value is a weak running record of the path,
+    from the left or from the right; maxima for the majorant, minima for
+    the minorant.
+
+    Every point on the majorant is one: where the majorant rises, its value
+    is at least every earlier value, and where it falls, at least every
+    later one.  Ties count as records, so the chain keeps its ties."""
+    best = np.maximum if upper else np.minimum
+    v = np.asarray(path.values, dtype=float)
     if path.pre_values is not None:
-        v = (np.maximum if upper else np.minimum)(v, path.pre_values)
-    return np.asarray(path.times, dtype=float).tolist(), np.asarray(v, dtype=float).tolist()
+        v = best(v, path.pre_values)
+    keep = (v == best.accumulate(v)) | (v == best.accumulate(v[::-1])[::-1])
+    return np.asarray(path.times, dtype=float)[keep].tolist(), v[keep].tolist()
 
 
 def _chain(t, v, upper: bool):

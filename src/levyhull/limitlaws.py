@@ -23,16 +23,18 @@ row's own remainder:
   ``L + 1e-12`` for the argmax shares, which move by up to ``L`` and by
   rounding.
 
-Each series reduces one :func:`~levyhull.sticks.stick_matrix` record per
-batch.  The record grows in blocks of columns: a block's uniforms, then
+Each series reduces the sticks of one run of
+:func:`~levyhull.sticks.stick_blocks` per batch, a block of columns at a
+time, and keeps none of them: a batch holds one block of sticks and one
+block of driving uniforms.  The stream is a block's stick uniforms, then
 that block's driving variables (Gaussian, or the uniforms of stable draws
 and then each column's exponentials), then the next block.  Every cell's
 variables are drawn, needed or not, so a smaller ``eps`` on a fresh
-stream with the same seed appends blocks to the same record and its
+stream with the same seed appends blocks to the same sticks and their
 draws, which is what the refinement checks compare.  The stable transform
 and the summands run only on the cells a row needs: 21.8 per row of the
 quadratic series at alpha = 1.5 and ``eps = 1e-6``, where a criterion 07
-batch of 5e4 rows pads its record to 41.6 columns on average.
+batch of 5e4 rows draws 41.6 columns on average.
 
 Stopping each row at its own cutoff with its remainder as one stick, in
 place of the copy, changes the law: the summand ``ell^(2/alpha - 1)`` is
@@ -65,7 +67,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .models import _cms_transform, stable_standard
-from .sticks import BLOCK, ROWS, stick_matrix
+from .sticks import BLOCK, ROWS, stick_blocks
 
 __all__ = [
     "draw_limit_finite_variance",
@@ -96,34 +98,33 @@ def _check_eps(eps):
 
 
 def _own_sums(n, eps, rng, draw, transform, terms, k, cut):
-    """Row sums of ``terms`` over each row's own sticks of one driven
-    :func:`stick_matrix` record on the unit interval, cut at ``eps``: a row
-    takes a stick while its remainder before that stick is at least
-    ``cut <= eps``, and while the record lasts.
+    """Row sums of ``terms`` over each row's own sticks of one run of
+    :func:`stick_blocks` on the unit interval, cut at ``eps``: a row takes a
+    stick while its remainder before that stick is at least ``cut <= eps``,
+    and while the sticks last.
 
-    ``draw(shape)`` is called on each block of sticks, transposed to one
-    row per column, right after the block's uniforms, and returns
-    ``column(j)``; that must be called for every column ``j`` in order and
-    draws the column's own randomness, as full-length arrays.
+    ``draw(rng, n)`` returns ``block()``, which is called on each block of
+    sticks right after the block's uniforms and returns ``column(j)``; that
+    must be called for every column ``j`` in order and draws the column's
+    own randomness, as full-length arrays.
     ``transform`` maps those arrays, restricted to some rows, to the rows'
     driving variables, and ``terms(ell, x)`` maps sticks and variables to
     ``k`` summand arrays.  Every cell is drawn, so the stream is the
-    record's whatever the rows need, but the transform and the summands
+    same whatever the rows need, but the transform and the summands
     run on the running rows alone, a slice of :data:`ROWS` of them at a
     time.  Each row adds its summands left to right from zero.  Returns the
     ``(k, n)`` sums and each row's remainder after its last stick, which
-    lies below ``cut``, or below ``eps`` where the record ends first.
+    lies below ``cut``, or below ``eps`` where the sticks end first.
     """
-    # sums; each row's remainder, bit for bit as stick_matrix's until it
+    # sums; each row's remainder, bit for bit as stick_blocks' until it
     # stops; the running rows, in order, in front; how many rows run
-    sums = left = run = None
+    sums, left, run = np.zeros((k, n)), np.ones(n), np.arange(n)
     live = n
+    block = draw(rng, n)
 
     def drive(ell):
-        nonlocal sums, left, run, live
-        column = draw(ell.T.shape)
-        if sums is None:   # after the record buffer: see _stable_draw
-            sums, left, run = np.zeros((k, n)), np.ones(n), np.arange(n)
+        nonlocal live
+        column = block()
         for j, col in enumerate(ell.T):
             raw = column(j)
             kept = 0
@@ -142,7 +143,7 @@ def _own_sums(n, eps, rng, draw, transform, terms, k, cut):
                 kept += len(stay)
             live = kept
 
-    stick_matrix(n, 1.0, eps, rng, drive)
+    stick_blocks(n, 1.0, eps, rng, drive)
     return sums, left
 
 
@@ -182,10 +183,10 @@ def _series(n, eps, rng, draw, transform, terms, powers):
 # finite-variance limit: (sigma^2/sqrt2 Z1, Z2, sigma Bbar, sigma B1, rho)
 # ---------------------------------------------------------------------------
 
-def _gaussian_draw(rng):
+def _gaussian_draw(rng, n):
     """The ``draw`` of :func:`_series` for standard normal variables, drawn
     a column at a time; their transform is the identity."""
-    return lambda shape: lambda j: (rng.standard_normal(shape[1]),)
+    return lambda: lambda j: (rng.standard_normal(n),)
 
 
 def _gaussian_terms(ell, z):
@@ -214,7 +215,7 @@ def draw_limit_finite_variance(sigma, n, rng, eps=DEFAULT_EPS):
     z1 = rng.standard_normal(n)
     z2 = rng.standard_normal(n)
     (sup, fin, pos, tot), rem = _series(
-        n, eps, rng, _gaussian_draw(rng), lambda z: z, _gaussian_terms, _GAUSSIAN_POWERS
+        n, eps, rng, _gaussian_draw, lambda z: z, _gaussian_terms, _GAUSSIAN_POWERS
     )
     coords = np.column_stack(
         [sigma**2 / math.sqrt(2.0) * z1, z2, sigma * sup, sigma * fin, pos / tot]
@@ -246,36 +247,24 @@ _POWERS = {
 }
 
 
-def _stable_draw(rng):
+def _stable_draw(rng, n):
     """The ``draw`` of :func:`_series` for standard stable variables: the
-    block's uniforms, then each column's exponentials.  One uniform and one
-    exponential buffer, sized by the first block, serve every block, so a
-    batch allocates them once.
+    block's uniforms, then each column's exponentials.  One uniform block
+    and one exponential row serve every block of a batch."""
+    uniforms, exponentials = np.empty((BLOCK, n)), np.empty(n)
 
-    They are allocated at the first block, after the record buffer, like
-    the rest of a batch's arrays.  Allocated before it, they could split
-    the hole the previous batch's record left on the heap, so that the next
-    record no longer fit and the heap grew by a record: 18 MB more peak
-    memory in some criterion 07 runs."""
-    uniforms = exponentials = None
+    def block():
+        rng.random(out=uniforms)
+        return lambda j: (uniforms[j], rng.standard_exponential(out=exponentials))
 
-    def draw(shape):
-        nonlocal uniforms, exponentials
-        if uniforms is None:
-            uniforms, exponentials = np.empty(BLOCK * shape[1]), np.empty(shape[1])
-        v = uniforms[: shape[0] * shape[1]].reshape(shape)
-        rng.random(out=v)
-        e = exponentials[: shape[1]]
-        return lambda j: (v[j], rng.standard_exponential(out=e))
-
-    return draw
+    return block
 
 
 def _stable_series(alpha, beta, n, rng, eps, *terms):
     """:func:`_series` of the summands of each of ``terms``, driven by
     standard stable draws of index ``alpha`` and skewness ``beta``."""
     return _series(
-        n, eps, rng, _stable_draw(rng),
+        n, eps, rng, _stable_draw,
         lambda v, e: _cms_transform(alpha, beta, v, e),   # over the uniforms, each read once
         lambda ell, s: [y for f in terms for y in f(ell, s, alpha)],
         [w for f in terms for w in _POWERS[f](alpha)],

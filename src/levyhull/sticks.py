@@ -2,6 +2,11 @@
 set, the remainder count tau, and one Monte Carlo estimator for the point
 process identity of the sticks.
 
+One loop draws the sticks, a block of columns at a time into one reused
+buffer (:func:`stick_blocks`); the limit series reduce each block as it is
+drawn.  :func:`stick_matrix` is the same loop keeping every block, the
+record that the counts and the estimator below read.
+
 The record is generated until ``T * L_N < cutoff``.  With ``cutoff <= 1``
 both ``tau`` (remainders of size at least 1/T) and the big-stick set
 (scaled sticks of length at least 1) are complete, because every
@@ -20,16 +25,17 @@ import numpy as np
 
 from .errors import ParameterError
 
-# columns per block of :func:`stick_matrix`
+# columns per block of :func:`stick_blocks`
 BLOCK = 16
 
-ROWS = 4096   # rows per slice of the column loop of stick_matrix
+ROWS = 4096   # rows per slice of the column loop of stick_blocks
 
 # rows per record of the Monte Carlo reductions, which bounds their memory
 CHUNK = 20_000
 
 __all__ = [
     "compensation_estimate",
+    "stick_blocks",
     "stick_matrix",
     "tau_gset_counts",
 ]
@@ -53,44 +59,36 @@ def _capacity(n_rows, T, cutoff):
     return BLOCK * -(-max(m, 1) // BLOCK)
 
 
-def stick_matrix(n_rows, T, cutoff, rng, drive=None):
-    """Scaled stick lengths for ``n_rows`` independent records.
-
-    Sticks are drawn in blocks of :data:`BLOCK` columns: one uniform per
-    row and column, then, when given, ``drive(t_block)`` on that block's
-    scaled sticks, shape ``(n_rows, BLOCK)``.  The drive draws the block's
-    driving variables from the same ``rng`` and keeps them itself.  Blocks
-    are appended until every row satisfies ``T * L < cutoff``, so a smaller
-    cutoff on the same stream only appends blocks: the record and the drive
-    draws at ``cutoff`` are a column prefix of those at any finer cutoff.
-
-    Each block is written straight into one record buffer, and the drive
-    receives a view of it, so the record is never copied.  The buffer
-    reserves the columns of :func:`_capacity`; a batch that runs past them
-    (at most one in a million) doubles it, copying the columns written so
-    far.  Reserved columns that are never written are never touched, so
-    they take no resident memory.
-
-    Rows that stopped earlier carry extra (finer) sticks.  Threshold counts
-    ignore them, as they sit below the cutoff; the limit series skip them
-    in the drive and fold each row's remainder in themselves (see
-    :mod:`levyhull.limitlaws`).  Returns ``(t, rem)`` where ``t`` has shape
-    (n_rows, K) in scaled units and ``rem`` is the final scaled remainder.
-    """
+def _check_horizon(T, cutoff):
     if not 0.0 < T < math.inf:
         raise ParameterError(f"horizon must be finite and > 0, got {T}")
     if not cutoff > 0.0:
         raise ParameterError(f"cutoff must be > 0, got {cutoff}")
-    # one row per column: row sums of the transposed view add the sticks in order
-    buf = np.empty((_capacity(n_rows, T, cutoff), n_rows))
-    k = 0   # columns written
+
+
+def stick_blocks(n_rows, T, cutoff, rng, drive):
+    """Draw ``n_rows`` independent records of scaled sticks one block at a
+    time, without keeping them; returns the final scaled remainder.
+
+    Each block of :data:`BLOCK` columns takes one uniform per row and
+    column, then ``drive(block)`` is called on the block's scaled sticks,
+    shape ``(n_rows, BLOCK)``.  The drive may draw the block's driving
+    variables from the same ``rng``.  Blocks follow until every row
+    satisfies ``T * L < cutoff``, so a smaller cutoff on the same stream
+    only appends blocks: the sticks and the drive draws at ``cutoff`` are a
+    column prefix of those at any finer cutoff.
+
+    Every block is a view of one buffer, which the next block overwrites:
+    a drive that keeps a block must copy it.  Rows that stopped earlier
+    carry extra (finer) sticks; threshold counts ignore them, as they sit
+    below the cutoff, and the limit series skip them in the drive (see
+    :mod:`levyhull.limitlaws`).
+    """
+    _check_horizon(T, cutoff)
+    # one row per column: the transposed view holds a row's sticks in order
+    cols = np.empty((BLOCK, n_rows))
     L = np.ones(n_rows)
     while True:
-        if k == len(buf):
-            grown = np.empty((2 * k, n_rows))
-            grown[:k] = buf
-            buf = grown
-        cols = buf[k : k + BLOCK]
         # drawn a row slice at a time, the row-major uniforms keep their stream
         # order and stay in cache; each row's arithmetic is a column loop's
         for lo in range(0, n_rows, ROWS):
@@ -101,12 +99,37 @@ def stick_matrix(n_rows, T, cutoff, rng, drive=None):
                 np.multiply(v[:, j], left, out=ell)
                 left -= ell
                 ell *= T
-        if drive is not None:
-            drive(cols.T)
-        k += BLOCK
+        drive(cols.T)
         if (T * L < cutoff).all():
-            break
-    return buf[:k].T, T * L
+            return T * L
+
+
+def stick_matrix(n_rows, T, cutoff, rng):
+    """The record of :func:`stick_blocks`: its blocks side by side, shape
+    ``(n_rows, K)`` in scaled units, and the final scaled remainder, as
+    ``(t, rem)``.
+
+    Each block is copied into one record buffer, which reserves the columns
+    of :func:`_capacity`; a batch that runs past them (at most one in a
+    million) doubles it, copying the columns written so far.  Reserved
+    columns that are never written are never touched, so they take no
+    resident memory.
+    """
+    _check_horizon(T, cutoff)
+    buf = np.empty((_capacity(n_rows, T, cutoff), n_rows))
+    k = 0   # columns written
+
+    def keep(block):
+        nonlocal buf, k
+        if k == len(buf):
+            grown = np.empty((2 * k, n_rows))
+            grown[:k] = buf
+            buf = grown
+        buf[k : k + BLOCK] = block.T
+        k += BLOCK
+
+    rem = stick_blocks(n_rows, T, cutoff, rng, keep)
+    return buf[:k].T, rem
 
 
 def _chunked(reps, T, cutoff, rng, reduce):

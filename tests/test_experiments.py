@@ -256,6 +256,26 @@ def test_verify_heavy_runs_on_pareto_jumps():
     assert bounds.size == 200 and np.isfinite(bounds).all()
 
 
+def test_sandwich_violations_forgive_rounding_but_count_a_displaced_draw():
+    # draws far above a_T = 1e8 (slack 0.1): one ulp of 1e16 is 2 and of
+    # 7e17 is 128, so a few ulps below 2 sup - final is rounding
+    sup = np.array([5e15, 3.5e17, 5e15, 10.0])
+    final = np.array([0.0, 0.0, 0.0, 1.0])
+    lo = 2.0 * sup - final
+    T, a_T = 1e4, 1e8
+
+    def sample(upsilon):
+        n = len(upsilon)
+        return QuintupleSample(upsilon, np.zeros(n), final, sup, np.zeros(n), np.zeros(n), T, 0.0)
+
+    ulps = np.spacing(lo)
+    assert experiments._sandwich_violations(sample(lo - 2.0 * ulps), a_T) == 0
+    assert experiments._sandwich_violations(sample(lo + T + 2.0 * ulps), a_T) == 0
+    # beyond 1e-9 a_T plus four ulps of the larger compared value
+    out = sample(np.array([lo[0] - 16.0, lo[1], lo[2] + T + 1024.0, lo[3] - 0.11]))
+    assert experiments._sandwich_violations(out, a_T) == 3
+
+
 @pytest.mark.parametrize(
     "model, expected",
     [

@@ -15,6 +15,8 @@ from hypothesis import given, strategies as st  # noqa: E402
 from levyhull.experiments import _envelope_oracle  # noqa: E402
 from levyhull.hull import (  # noqa: E402
     Face,
+    _chain,
+    _faces_from_vertices,
     concave_majorant,
     convex_minorant,
     merge_collinear,
@@ -119,6 +121,16 @@ def test_exact_jump_hulls_match_the_envelope_oracle(path):
         assert all(type(f.length) is float and type(f.height) is float for f in faces)
         oracle = _envelope_oracle(path.times, pick(path.values, path.pre_values), upper)
         np.testing.assert_allclose(eval_faces(faces, path.times), oracle, rtol=0.0, atol=1e-12)
+
+
+@given(st.one_of(paths(), lattice_jump_paths()))
+def test_chain_over_the_running_records_gives_the_faces_of_every_point(path):
+    # the candidates are the weak running records of the path; the chain
+    # over every point, ties and all, must give the same faces bit for bit
+    for hull, upper, pick in ((concave_majorant, True, np.maximum), (convex_minorant, False, np.minimum)):
+        v = path.values if path.pre_values is None else pick(path.values, path.pre_values)
+        t, v = path.times.tolist(), v.tolist()
+        assert hull(path) == _faces_from_vertices(t, v, _chain(t, v, upper))
 
 
 face_sets = st.lists(

@@ -25,7 +25,7 @@ from levyhull.limitlaws import (
 from levyhull.models import BrownianDrift, StableProcess, _cms_transform, stable_standard
 from levyhull.sbrep import normalize_stable, sample_quintuple
 from levyhull.stats import ks_distance_to_cdf, ks_two_sample, kolmogorov_pvalue, tail_slope
-from levyhull.sticks import ROWS, stick_matrix
+from levyhull.sticks import ROWS, stick_blocks, stick_matrix
 
 
 def rng(seed=0):
@@ -136,14 +136,19 @@ def test_quadratic_series_alone_is_column_zero_bit_for_bit():
 
 
 def _own_stick_sums(n, eps, cut, g, draw, terms):
-    """Reference for the sums over each row's own sticks: the driven record
-    of stick_matrix cut at eps, with every block's variables drawn whole,
-    and each row adding its summands left to right over the sticks taken
-    while its remainder before them is at least cut."""
-    xs = []
-    t, _ = stick_matrix(n, 1.0, eps, g, lambda block: xs.append(draw(block.T.shape)))
+    """Reference for the sums over each row's own sticks: every block of
+    stick_blocks cut at eps, kept, with its variables drawn whole, and
+    each row adding its summands left to right over the sticks taken while
+    its remainder before them is at least cut."""
+    blocks, xs = [], []
+
+    def keep(block):
+        blocks.append(block.copy())   # the next block overwrites this view
+        xs.append(draw(block.T.shape))
+
+    stick_blocks(n, 1.0, eps, g, keep)
     total, left = 0.0, np.ones(n)
-    for ell, x in zip(t.T, np.concatenate(xs)):
+    for ell, x in zip(np.hstack(blocks).T, np.concatenate(xs)):
         need = left >= cut
         total = total + np.where(need, np.array(terms(ell, x)), 0.0)
         left = np.where(need, left - ell, left)
@@ -170,20 +175,20 @@ def _chained_series(n, eps, g, draw, terms, powers):
     return out[:, :n], rem[:n]
 
 
-def _series_cases(n, g):
+def _series_cases(g):
     """(draw, transform, whole-block reference draw, terms, powers) of the
     Gaussian series, the quadratic and signed series at index 1.5 and the
-    signed series at index 0.7, on ``n`` rows, all drawing from ``g``."""
+    signed series at index 0.7; the reference draws from ``g``."""
     def stable(alpha, *fs):
         return (
-            _stable_draw(g), lambda v, e: _cms_transform(alpha, 0.3, v, e),
+            _stable_draw, lambda v, e: _cms_transform(alpha, 0.3, v, e),
             lambda shape: stable_standard(alpha, 0.3, g, shape),
             lambda ell, s: [y for f in fs for y in f(ell, s, alpha)],
             [w for f in fs for w in _POWERS[f](alpha)],
         )
 
     return (
-        (_gaussian_draw(g), lambda z: z, g.standard_normal,
+        (_gaussian_draw, lambda z: z, g.standard_normal,
          _gaussian_terms, _GAUSSIAN_POWERS),
         stable(1.5, _quadratic, _signed),
         stable(0.7, _signed),
@@ -194,8 +199,8 @@ def _series_cases(n, g):
 def test_series_sums_each_row_over_its_own_sticks_plus_a_chained_copy(n):
     for case in range(3):
         g, h = rng(case), rng(case)
-        draw, transform, _, terms, powers = _series_cases(n, g)[case]
-        _, _, ref_draw, _, _ = _series_cases(n, h)[case]
+        draw, transform, _, terms, powers = _series_cases(g)[case]
+        _, _, ref_draw, _, _ = _series_cases(h)[case]
         sums, rem = _series(n, 1e-6, g, draw, transform, terms, powers)
         ref, ref_rem = _chained_series(n, 1e-6, h, ref_draw, terms, powers)
         assert np.array_equal(sums, ref)
@@ -208,27 +213,48 @@ def test_series_transforms_only_the_sticks_the_rows_need(monkeypatch):
     import levyhull.limitlaws as ll
 
     n, eps = 3000, 1e-6
-    records, transformed = [], []
+    runs, transformed = [], []
 
-    def recording_sticks(*args):
-        t, rem = stick_matrix(*args)
-        records.append(t)
-        return t, rem
+    def recording_sticks(n_rows, T, cutoff, g, drive):
+        blocks = []
+
+        def keep(block):
+            blocks.append(block.copy())   # the next block overwrites this view
+            drive(block)
+
+        rem = stick_blocks(n_rows, T, cutoff, g, keep)
+        runs.append(np.hstack(blocks))
+        return rem
 
     def counting_transform(alpha, beta, u, e):
         transformed.append(u.size)
         return _cms_transform(alpha, beta, u, e)
 
-    monkeypatch.setattr(ll, "stick_matrix", recording_sticks)
+    monkeypatch.setattr(ll, "stick_blocks", recording_sticks)
     monkeypatch.setattr(ll, "_cms_transform", counting_transform)
     draw_limit_quadratic(1.5, n, rng(5), eps)
-    (t,) = records   # one record, and nothing drawn after it
+    (t,) = runs   # one run of sticks, and nothing drawn after it
     needed, left = 0, np.ones(n)
     for ell in t.T:   # sticks until the tail weighs below FOLD_WEIGHT: L^(1/3)
         needed += np.count_nonzero(left >= FOLD_WEIGHT**3)
         left -= ell
     assert sum(transformed) == needed
     assert needed < 0.8 * t.size   # 21.8 sticks per row of a 32-column record
+
+
+def test_series_batch_holds_one_block_of_sticks_not_the_record():
+    # a 5e4-row batch: a block of sticks and a block of CMS uniforms are
+    # 6.4 MB each; keeping the whole record as well peaked at 28.7 MB
+    import tracemalloc
+
+    draw_limit_quadratic(1.5, 50_000, rng(50))   # first-call allocations
+    tracemalloc.start()
+    try:
+        draw_limit_quadratic(1.5, 50_000, rng(51))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6, peak
 
 
 def test_masked_quadratic_series_matches_a_finely_padded_reference():

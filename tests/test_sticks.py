@@ -12,6 +12,7 @@ from levyhull.sticks import (
     ROWS,
     _capacity,
     compensation_estimate,
+    stick_blocks,
     stick_matrix,
     tau_gset_counts,
 )
@@ -242,13 +243,26 @@ def test_stick_matrix_rows_complete():
     assert (t > 0.0).all()
 
 
+def _kept_blocks(n_rows, T, cutoff, g, drive=lambda block: None):
+    """Copies of the blocks of one run of stick_blocks, side by side, and its
+    remainder; ``drive`` is called on each block after the copy."""
+    blocks = []
+
+    def keep(block):
+        blocks.append(block.copy())   # the next block overwrites this view
+        drive(block)
+
+    rem = stick_blocks(n_rows, T, cutoff, g, keep)
+    return np.hstack(blocks), rem
+
+
 def test_driven_record_extends_under_a_finer_cutoff():
     # blocks of uniforms and drive draws interleave, so a finer cutoff on the
     # same stream only appends columns to both
     def record(seed, cutoff):
         g = rng(seed)
         drawn = []
-        t, _ = stick_matrix(20, 20.0, cutoff, g, lambda tb: drawn.append(g.standard_normal(tb.shape)))
+        t, _ = _kept_blocks(20, 20.0, cutoff, g, lambda tb: drawn.append(g.standard_normal(tb.shape)))
         return t, np.hstack(drawn)
 
     extended = 0
@@ -264,8 +278,8 @@ def test_driven_record_extends_under_a_finer_cutoff():
 
 
 def _assert_matches_a_per_column_loop(n_rows, T, cutoff):
-    drawn = []
-    t, rem = stick_matrix(n_rows, T, cutoff, rng(n_rows), drawn.append)
+    blocks, block_rem = _kept_blocks(n_rows, T, cutoff, rng(n_rows))
+    t, rem = stick_matrix(n_rows, T, cutoff, rng(n_rows))
     cols, L = [], np.ones(n_rows)
     for v in rng(n_rows).random((t.shape[1] // BLOCK, n_rows, BLOCK)):
         for j in range(BLOCK):
@@ -274,7 +288,8 @@ def _assert_matches_a_per_column_loop(n_rows, T, cutoff):
             L = L - ell
     assert np.array_equal(t, np.column_stack(cols))
     assert np.array_equal(rem, T * L)
-    assert np.array_equal(np.hstack(drawn), t)
+    assert np.array_equal(blocks, t)
+    assert np.array_equal(block_rem, rem)
 
 
 def test_row_sliced_loop_matches_a_per_column_loop():
@@ -296,13 +311,22 @@ def test_record_that_outgrows_its_capacity_keeps_every_bit(monkeypatch):
     assert t.shape[1] > 8 * BLOCK
 
 
-def test_drive_blocks_are_views_of_the_returned_record():
-    blocks = []
-    t, _ = stick_matrix(300, 1.0, 1e-6, rng(17), blocks.append)
-    assert len(blocks) == t.shape[1] // BLOCK > 1
-    for b, block in enumerate(blocks):
-        assert np.shares_memory(block, t)
-        assert np.array_equal(block, t[:, b * BLOCK : (b + 1) * BLOCK])
+def test_blocks_are_views_of_one_buffer_and_the_record_keeps_them():
+    views, copies = [], []
+
+    def keep(block):
+        views.append(block)
+        copies.append(block.copy())
+
+    rem = stick_blocks(300, 1.0, 1e-6, rng(17), keep)
+    t, t_rem = stick_matrix(300, 1.0, 1e-6, rng(17))
+    assert len(views) == t.shape[1] // BLOCK > 1
+    for view in views:
+        assert view.shape == (300, BLOCK)
+        assert np.shares_memory(view, views[0]) and not np.shares_memory(view, t)
+    assert np.array_equal(views[0], copies[-1])   # each block overwrote the last
+    assert np.array_equal(np.hstack(copies), t)
+    assert np.array_equal(rem, t_rem)
 
 
 def test_capacity_covers_the_stick_count_law():
