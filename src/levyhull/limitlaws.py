@@ -26,9 +26,12 @@ row's own remainder:
 Each series reduces the sticks of one run of
 :func:`~levyhull.sticks.stick_blocks` per batch, a block of columns at a
 time, and keeps none of them: a batch holds one block of sticks and one
-block of driving uniforms.  The stream is a block's stick uniforms, then
-that block's driving variables (Gaussian, or the uniforms of stable draws
-and then each column's exponentials), then the next block.  Every cell's
+block of driving uniforms.  A batch draws from its own stream, a PCG64
+child of the caller's generator keyed by four words of it
+(:func:`~levyhull.rng.child_stream`), which draws uniforms in about half
+the time of the Philox substreams: a block's stick uniforms, then that
+block's driving variables (Gaussian, or the uniforms of stable draws and
+then each column's exponentials), then the next block.  Every cell's
 variables are drawn, needed or not, so a smaller ``eps`` on a fresh
 stream with the same seed appends blocks to the same sticks and their
 draws, which is what the refinement checks compare.  The stable transform
@@ -67,6 +70,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .models import _cms_transform, stable_standard
+from .rng import child_stream
 from .sticks import BLOCK, ROWS, stick_blocks
 
 __all__ = [
@@ -149,8 +153,8 @@ def _own_sums(n, eps, rng, draw, transform, terms, k, cut):
 
 def _series(n, eps, rng, draw, transform, terms, powers):
     """Row sums of a stick-breaking series on the unit interval, each row
-    truncated at its own remainder ``L``; returns the ``(k, n)`` sums and
-    the remainders.
+    truncated at its own remainder ``L``, drawn from one child stream of
+    ``rng``; returns the ``(k, n)`` sums and the remainders.
 
     The summand ``k`` is homogeneous of degree ``powers[k]`` in the stick
     length, so the series past a row's last stick is ``L^powers[k]`` times
@@ -167,7 +171,7 @@ def _series(n, eps, rng, draw, transform, terms, powers):
     """
     rows = max(n, MIN_ROWS)
     cut = min(eps, FOLD_WEIGHT ** (1.0 / min(powers)))
-    sums, rem = _own_sums(rows, eps, rng, draw, transform, terms, len(powers), cut)
+    sums, rem = _own_sums(rows, eps, child_stream(rng), draw, transform, terms, len(powers), cut)
     for acc, w in zip(sums, powers):
         head, scale = acc.copy(), rem**w
         weight = scale.copy()

@@ -538,27 +538,101 @@ def stable_standard(alpha, beta, rng, size=None):
     return v
 
 
+def _cms_constants(alpha, beta):
+    """Constants of :func:`_cms_transform` for ``0 < alpha < 2``: the signed
+    factor ``s0``, the centre of the uniform in the angle ``a``, the slope
+    and offset of the half angles of ``a`` and of ``x - a``, and the
+    exponents ``(1 - alpha) / alpha`` and ``1 / alpha``.
+
+    Take ``beta >= 0``; at ``beta < 0`` the draw is minus the draw at
+    ``-beta`` on ``1 - u``.  With ``g = min(alpha, 2 - alpha) / 2``, exact,
+    ``T = tan(pi g) = |tan(pi alpha / 2)|`` and
+    ``delta = atan((1 - beta) T / (1 + beta T^2)) / pi``, which is 0 at
+    ``beta = 1``, ``cos(x - a) = sin(pi (delta + |1 - alpha| u))``, and
+    ``a / pi = alpha (u - 1/2) +- atan(beta T) / pi``, which is
+    ``alpha (u - 1/2)`` at ``beta = 0``.  For ``beta > 1/2``, ``a / pi`` is
+    taken as ``alpha u - delta`` (index below 1) or ``alpha u + delta - 1``
+    (index above 1), which vanish at ``u = 0`` when ``beta = 1``.
+    """
+    g = min(alpha, 2.0 - alpha) / 2.0
+    t = math.tan(math.pi * g)
+    b = abs(beta)
+    s0 = (1.0 + (b * t) ** 2) ** (1.0 / (2.0 * alpha))
+    delta = math.atan((1.0 - b) * t / (1.0 + b * t * t)) / math.pi
+    sign = -1.0 if beta < 0.0 else 1.0
+    if b <= 0.5:
+        z = math.atan(b * t) / math.pi
+        centre, shift = 0.5, z if alpha < 1.0 else -z
+    elif alpha < 1.0:
+        centre, shift = 0.0, -delta
+    else:   # sin(a) = -sin(a + pi)
+        centre, shift, sign = 0.0, delta, -sign
+    h = 0.5 * math.pi
+    return (sign * s0, centre, h * alpha, h * shift, h * abs(1.0 - alpha), h * delta,
+            (1.0 - alpha) / alpha, 1.0 / alpha)
+
+
 def _cms_transform(alpha, beta, v, e):
     """Overwrite the uniforms ``v`` (one-dimensional) with standard strictly
     stable draws, given standard exponentials ``e`` of the same length
     (Chambers-Mallows-Stuck), a piece of :data:`CMS_PIECE` at a time so
-    that the temporaries stay in cache; returns ``v``."""
-    gaussian = alpha == 2.0 and beta == 0.0   # exact reduction: 2 sin(U) sqrt(W) ~ N(0, 2)
-    tb = beta * math.tan(math.pi * alpha / 2.0)
-    b0 = math.atan(tb) / alpha
-    s0 = (1.0 + tb * tb) ** (1.0 / (2.0 * alpha))
+    that the temporaries stay in cache; returns ``v``.
+
+    With ``x = pi (u - 1/2)`` and ``a = alpha (x + b0)`` the draw is
+    ``s0 sin(a) / cos(x)^(1/alpha) * (cos(x - a) / e)^((1 - alpha)/alpha)``.
+    Each of its three sines and cosines is taken as ``sin(pi y)`` with ``y``
+    affine in ``u``, anchored where the factor vanishes so that no angle
+    is formed by cancellation: ``cos x = sin(pi min(u, 1 - u))``, and the
+    other two as in :func:`_cms_constants`.  Each sine is
+    ``2 tau / (1 + tau^2)`` with ``tau`` the tangent of the half angle,
+    as numpy vectorizes ``tan`` and not ``sin`` or ``cos``; the factors 2
+    cancel in the draw, and its powers are one ``exp`` of logarithms.
+    Against mpmath the relative error stays below 1e-13 on a grid from
+    ``u = 2^-53`` to ``1 - 2^-53``; the textbook form loses every digit
+    at both ends (0.22 at ``u = 2^-53``, alpha 1.5).  A uniform of 0, where
+    the transform is singular, is read as ``2^-54``.  At alpha = 2, where
+    ``tan(pi alpha / 2) = 0`` and beta drops out, the draw is the exact
+    ``2 sin(x) sqrt(e) ~ N(0, 2)``.
+    """
+    if alpha == 2.0:
+        for lo in range(0, v.size, CMS_PIECE):
+            x, w = v[lo : lo + CMS_PIECE], e[lo : lo + CMS_PIECE]
+            x -= 0.5
+            x *= math.pi
+            x[:] = 2.0 * np.sin(x) * np.sqrt(w)
+        return v
+    s0, centre, ka, ka0, kq, kq0, p, inv = _cms_constants(alpha, beta)
+    m_, a_, q_ = (np.empty(min(v.size, CMS_PIECE)) for _ in range(3))
     for lo in range(0, v.size, CMS_PIECE):
         x, w = v[lo : lo + CMS_PIECE], e[lo : lo + CMS_PIECE]
-        x -= 0.5
-        x *= math.pi
-        if gaussian:
-            x[:] = 2.0 * np.sin(x) * np.sqrt(w)
-            continue
-        # at beta = 0 the shift b0 and the factor s0 are exact no-ops
-        a = alpha * (x + b0) if b0 else alpha * x
-        c = (np.cos(x - a) / w) ** ((1.0 - alpha) / alpha)
-        s = s0 * np.sin(a) if s0 != 1.0 else np.sin(a)
-        x[:] = s / np.cos(x) ** (1.0 / alpha) * c
+        m, a, q = m_[: x.size], a_[: x.size], q_[: x.size]
+        np.maximum(x, 2.0**-54, out=x)
+        np.subtract(1.0, x, out=m)
+        r = m if beta < 0.0 else x
+        # half angles of a (up to the sign in s0), of x - a, then of x
+        np.subtract(r, centre, out=a)
+        a *= ka
+        if ka0:
+            a += ka0
+        np.multiply(r, kq, out=q)
+        q += kq0
+        np.minimum(x, m, out=m)
+        m *= 0.5 * math.pi
+        for y in (a, q, m):   # half the sine: tau / (1 + tau^2)
+            np.tan(y, out=y)
+            np.multiply(y, y, out=x)
+            x += 1.0
+            y /= x
+        q /= w
+        np.log(q, out=q)
+        q *= p
+        np.log(m, out=m)
+        m *= inv
+        q -= m
+        np.exp(q, out=q)
+        np.multiply(a, q, out=x)
+        if s0 != 1.0:
+            x *= s0
     return v
 
 

@@ -156,11 +156,12 @@ def _own_stick_sums(n, eps, cut, g, draw, terms):
 
 
 def _chained_series(n, eps, g, draw, terms, powers):
-    """Reference for the series: each row's own sums, down to the remainder
-    whose smallest power is below FOLD_WEIGHT, plus, for each summand, the
-    sums of the rows after it, cyclically, each weighted by the product of
-    the remainder powers of the rows before it, until that weight is below
-    CHAIN_TOL in every row; on at least MIN_ROWS rows."""
+    """Reference for the series on the child stream ``g``: each row's own
+    sums, down to the remainder whose smallest power is below FOLD_WEIGHT,
+    plus, for each summand, the sums of the rows after it, cyclically, each
+    weighted by the product of the remainder powers of the rows before it,
+    until that weight is below CHAIN_TOL in every row; on at least MIN_ROWS
+    rows."""
     rows = max(n, MIN_ROWS)
     cut = min(eps, FOLD_WEIGHT ** (1.0 / min(powers)))
     own, rem = _own_stick_sums(rows, eps, cut, g, draw, terms)
@@ -200,9 +201,11 @@ def test_series_sums_each_row_over_its_own_sticks_plus_a_chained_copy(n):
     for case in range(3):
         g, h = rng(case), rng(case)
         draw, transform, _, terms, powers = _series_cases(g)[case]
-        _, _, ref_draw, _, _ = _series_cases(h)[case]
         sums, rem = _series(n, 1e-6, g, draw, transform, terms, powers)
-        ref, ref_rem = _chained_series(n, 1e-6, h, ref_draw, terms, powers)
+        # the series draws the whole batch from one child stream of its caller's
+        child = np.random.Generator(np.random.PCG64(np.random.SeedSequence(h.bit_generator.random_raw(4))))
+        _, _, ref_draw, _, _ = _series_cases(child)[case]
+        ref, ref_rem = _chained_series(n, 1e-6, child, ref_draw, terms, powers)
         assert np.array_equal(sums, ref)
         assert np.array_equal(rem, ref_rem)
         assert (rem < 1e-6).all()

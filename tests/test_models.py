@@ -1,6 +1,7 @@
 import math
 import zlib
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats as sps
@@ -11,6 +12,7 @@ from levyhull.errors import (
     UnsupportedExactnessError,
 )
 from levyhull.models import (
+    _cms_transform,
     _lcp_normalizer,
     _phi_cdf,
     CMS_PIECE,
@@ -307,32 +309,51 @@ def test_stable_standard_symmetry():
     assert abs(np.mean(np.sign(x))) < 0.02
 
 
+def _cms_exact(alpha, beta, u, w):
+    """The Chambers-Mallows-Stuck draw at uniform ``u`` and exponential ``w``
+    in 50-digit arithmetic; at index 2, where tan(pi alpha / 2) = 0, the
+    exact reduction 2 sin(x) sqrt(w)."""
+    with mpmath.workdps(50):
+        a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
+        x = mpmath.pi * (mpmath.mpf(u) - 0.5)
+        if alpha == 2.0:
+            return float(2 * mpmath.sin(x) * mpmath.sqrt(w))
+        tb = b * mpmath.tan(mpmath.pi * a / 2)
+        ang = mpmath.atan(tb) + a * x
+        s0 = (1 + tb * tb) ** (1 / (2 * a))
+        return float(
+            s0 * mpmath.sin(ang) / mpmath.cos(x) ** (1 / a)
+            * (mpmath.cos(x - ang) / w) ** ((1 - a) / a)
+        )
+
+
 @pytest.mark.parametrize(
     "alpha, beta", [(1.5, 0.0), (0.7, 0.0), (1.5, 0.5), (0.6, -0.8), (1.2, 1.0), (2.0, 0.0), (2.0, 0.4)]
 )
 def test_stable_standard_arrays_match_the_textbook_transform(alpha, beta):
-    # the piecewise in-place evaluation keeps every bit of the plain expression
-    def textbook(g, size):
-        u = (g.random(size) - 0.5) * math.pi
-        w = g.exponential(1.0, size)
-        if alpha == 2.0 and beta == 0.0:
-            return 2.0 * np.sin(u) * np.sqrt(w)
-        tb = beta * math.tan(math.pi * alpha / 2.0)
-        b0 = math.atan(tb) / alpha
-        s0 = (1.0 + tb * tb) ** (1.0 / (2.0 * alpha))
-        return (
-            s0
-            * np.sin(alpha * (u + b0))
-            / np.cos(u) ** (1.0 / alpha)
-            * (np.cos(u - alpha * (u + b0)) / w) ** ((1.0 - alpha) / alpha)
-        )
+    # the textbook form in 50-digit arithmetic, on a grid that reaches both
+    # ends of the uniform, where its float64 evaluation cancels: that was
+    # off by 0.22 at u = 2^-53
+    us = np.concatenate([
+        [2.0**-53, 1e-12, 1e-8, 1e-4, 0.5, 1 - 1e-4, 1 - 1e-8, 1 - 2.0**-53],
+        np.linspace(0.005, 0.995, 45),
+    ])
+    u, w = (a.ravel() for a in np.meshgrid(us, [1e-3, 0.7, 5.0]))
+    got = _cms_transform(alpha, beta, u.copy(), w)
+    exact = np.array([_cms_exact(alpha, beta, *uw) for uw in zip(u, w)])
+    zero = exact == 0.0   # u = 1/2 at beta = 0: the draw is exactly 0
+    assert (got[zero] == 0.0).all()
+    rel = np.abs(got[~zero] / exact[~zero] - 1.0)
+    assert rel.max() < 1e-13, (rel.max(), u[~zero][rel.argmax()])
 
-    # sizes below, at and above one piece; numpy scalars round apart from the
-    # array loops, so a 0-d draw is held to the one-element array's transform
+    # sizes below, at and above one piece: the draws are the transform of
+    # all the uniforms with the exponentials drawn after them, bit for bit,
+    # however the pieces split them
     for size in ((), (3, 7), CMS_PIECE, 20001, (2, CMS_PIECE + 5)):
         g, h = rng(43), rng(43)
         x = stable_standard(alpha, beta, g, size)
-        ref = textbook(h, size or 1)
+        v = h.random(size or 1).ravel()
+        ref = _cms_transform(alpha, beta, v, h.standard_exponential(v.size))
         assert x.shape == np.empty(size).shape
         assert np.array_equal(x, ref.reshape(x.shape))
         # the exponentials drawn piece by piece leave the stream where one full draw does
