@@ -2,7 +2,9 @@
 
 ``levyhull run --config <path> [--seed <u64>] [--workers <n>] [--out <dir>]``
 executes one configured experiment, writes ``report.csv`` / ``report.json``
-plus the sample vectors, and exits 0 exactly when every verdict passes.
+plus each sample vector and table as ``samples/<name>.npy`` (float64, read
+with ``numpy.load``; report.json names each table's columns), and exits 0
+exactly when every verdict passes.
 
 ``levyhull emit-plot --report <report.json> --kind <k> [--out <dir>]``
 re-reads a written report and emits plain CSV plot data

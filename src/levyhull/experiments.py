@@ -31,6 +31,7 @@ from .hull import (
     concave_majorant,
     convex_minorant,
     faces_to_rows,
+    majorant_stats,
     merge_collinear,
     shape_stats,
     stack_quintuples,
@@ -45,6 +46,7 @@ from .models import (
     StableProcess,
     _phi_cdf,
     norming,
+    sample_jump_paths,
     sample_path,
     stable_standard,
     theta,
@@ -66,7 +68,7 @@ __all__ = ["Row", "RunReport", "run", "write_report", "emit_plot_data", "load_re
 
 BLOCK = 512
 
-REPORT_SCHEMA = "levyhull-report/1"
+REPORT_SCHEMA = "levyhull-report/2"
 
 CSV_HEADER = ("T", "statistic", "estimate", "se_or_d", "p_value", "threshold", "verdict")
 
@@ -117,8 +119,10 @@ def _block(index, n, *, draw, seed, tag):
     return stack_quintuples(draw(g) for _ in range(n))
 
 
-def _hull_draw(model, T, rng):
-    return shape_stats(merge_collinear(concave_majorant(sample_path(model, T, EXACT_JUMPS, rng))), T)
+def _hull_block(index, n, *, model, T, seed, tag):
+    """Batch record of the majorants of ``n`` exact jump paths drawn as one
+    block on the block's substream."""
+    return majorant_stats(sample_jump_paths(model, T, n, substream(seed, tag, index)))
 
 
 def draw_quintuples(model, T, reps, seed, tag, cutoff, workers=1):
@@ -131,12 +135,12 @@ def draw_quintuples(model, T, reps, seed, tag, cutoff, workers=1):
 def draw_hull_stats(model, T, reps, seed, tag, workers=1):
     """Batch :class:`~levyhull.hull.QuintupleSample` of the majorants of
     ``reps`` exact jump paths."""
-    draw = partial(_hull_draw, model, T)
-    return stack_quintuples(_collect_blocks(partial(_block, draw=draw, seed=seed, tag=tag), reps, workers))
+    worker = partial(_hull_block, model=model, T=T, seed=seed, tag=tag)
+    return stack_quintuples(_collect_blocks(worker, reps, workers))
 
 
 def _draw_record_table(q):
-    """Draw-record table (one row per replication) for CSV export."""
+    """Draw-record table (one row per replication) for the report."""
     cols = np.column_stack(
         [np.full(q.upsilon.size, q.horizon), q.upsilon, q.h_prime, q.final, q.sup, q.gamma,
          q.truncation_error_bound]
@@ -661,27 +665,20 @@ def report_csv_body(report: RunReport) -> str:
 
 
 def write_report(report: RunReport, outdir) -> Path:
-    """Write report.csv, report.json and the sample vectors; returns the
-    JSON path."""
+    """Write report.csv, report.json and each sample vector and table as
+    ``samples/<name>.npy`` (float64, :func:`numpy.save`); report.json
+    names each file and each table's columns.  Returns the JSON path."""
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.csv").write_text(report_csv_body(report))
-    # a sample vector is written as the one-column table headed "value"
-    files = [("samples", name, ("value",), np.reshape(vec, (-1, 1)))
-             for name, vec in sorted(report.samples.items())]
-    files += [("tables", name, *table) for name, table in sorted(report.tables.items())]
-    if files:
+    if report.samples or report.tables:
         (out / "samples").mkdir(exist_ok=True)
-    paths = {"samples": {}, "tables": {}}
-    for kind, name, header, mat in files:
-        rel = f"samples/{name}.csv"
-        arr = np.asarray(mat, dtype=float)
-        with open(out / rel, "w") as fh:
-            fh.write(",".join(header) + "\n")
-            for start in range(0, len(arr), 256):   # chunks of rows, never a copy of the whole table
-                cells = map(repr, arr[start : start + 256].ravel().tolist())
-                fh.write("\n".join(map(",".join, zip(*[cells] * arr.shape[1]))) + "\n")
-        paths[kind][name] = rel
+
+    def save(name, arr):
+        rel = f"samples/{name}.npy"
+        np.save(out / rel, np.ascontiguousarray(arr, dtype=float), allow_pickle=False)
+        return rel
+
     payload = {
         "schema": REPORT_SCHEMA,
         "experiment": report.experiment,
@@ -698,8 +695,9 @@ def write_report(report: RunReport, outdir) -> Path:
             }
             for r in report.rows
         ],
-        "samples": paths["samples"],
-        "tables": paths["tables"],
+        "samples": {name: save(name, vec) for name, vec in sorted(report.samples.items())},
+        "tables": {name: {"path": save(name, mat), "columns": list(header)}
+                   for name, (header, mat) in sorted(report.tables.items())},
         "provenance": report.provenance,
     }
     path = out / "report.json"
@@ -708,11 +706,16 @@ def write_report(report: RunReport, outdir) -> Path:
 
 
 def load_report(json_path) -> RunReport:
-    """Reload a written report together with its sample vectors."""
+    """Reload a written report together with its sample vectors and
+    tables."""
     path = Path(json_path)
     payload = json.loads(path.read_text())
     if payload.get("schema") != REPORT_SCHEMA:
         raise PathError(f"unrecognized report schema in {json_path}")
+
+    def load(rel):
+        return np.load(path.parent / rel, allow_pickle=False)
+
     rows = [
         Row(
             r["T"] if r["T"] is not None else math.nan,
@@ -725,18 +728,11 @@ def load_report(json_path) -> RunReport:
         )
         for r in payload["rows"]
     ]
-    files = {"samples": {}, "tables": {}}
-    for kind, entries in files.items():
-        for name, rel in payload.get(kind, {}).items():
-            with open(path.parent / rel) as fh:
-                header = tuple(next(fh).rstrip("\n").split(","))
-                mat = np.array([[float(v) for v in line.split(",")] for line in fh])
-            entries[name] = (header, mat.reshape(-1, len(header)))
     return RunReport(
         payload["experiment"],
         rows=rows,
-        samples={name: mat[:, 0] for name, (_, mat) in files["samples"].items()},
-        tables=files["tables"],
+        samples={name: load(rel) for name, rel in payload["samples"].items()},
+        tables={name: (tuple(t["columns"]), load(t["path"])) for name, t in payload["tables"].items()},
         provenance=payload.get("provenance", {}),
     )
 

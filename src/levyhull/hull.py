@@ -8,11 +8,16 @@ vertex; exact ties survive the chain and are concatenated downstream by
 For exact jump records both the pre- and post-jump value enter the
 candidate set, which makes the majorant dominate the full cadlag path.
 
-The chain, faces, merge and shape statistics run on plain Python floats,
-one ``tolist()`` per path: indexing a numpy array with an int makes a new
-``np.float64``, six per orientation test, which was most of the hull time.
-IEEE arithmetic on Python floats gives the same bits, so the faces are
-unchanged; their fields are ``float``.
+The candidates of a whole block of exact jump records
+(:func:`~levyhull.models.sample_jump_paths`) are found in one pass over
+its padded rows (:func:`majorant_stats`), and leave numpy in one
+``tolist()`` per block, not per path.  The chain, faces, merge and shape
+statistics then run per path on plain Python floats: indexing a numpy
+array with an int makes a new ``np.float64``, six per orientation test,
+which was most of the hull time.  IEEE arithmetic on Python floats gives
+the same bits, so the faces are unchanged; their fields are ``float``.
+:func:`concave_majorant` and :func:`convex_minorant` run the same
+candidate pass on one record.
 
 A :class:`QuintupleSample` holds the shape statistics (graph length,
 big-face count, final value, supremum, time of supremum) of one face set,
@@ -35,13 +40,14 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ParameterError, PathError
-from .models import PathSkeleton
+from .models import JumpPaths, PathSkeleton
 
 __all__ = [
     "Face",
     "QuintupleSample",
     "concave_majorant",
     "convex_minorant",
+    "majorant_stats",
     "merge_collinear",
     "reduce_faces",
     "shape_stats",
@@ -135,21 +141,23 @@ def reduce_faces(lengths, heights, T, cutoff=0.0, truncation_error_bound=0.0):
                            truncation_error_bound, T, cutoff)
 
 
-def _candidates(path: PathSkeleton, upper: bool):
-    """Candidate times and values as float lists (the record checks the
-    times): the points whose value is a weak running record of the path,
-    from the left or from the right; maxima for the majorant, minima for
-    the minorant.
+def _candidates(times, values, pre_values, upper: bool):
+    """Candidate times and values of a record, or of each row of a block's
+    padded arrays, as flat float lists in row order (the records check
+    the times), and the mask that picks them.
 
+    The candidates are the points whose value (the larger of the post- and
+    pre-jump value for the majorant, the smaller for the minorant) is a
+    weak running record of its row from the left or from the right.
     Every point on the majorant is one: where the majorant rises, its value
     is at least every earlier value, and where it falls, at least every
-    later one.  Ties count as records, so the chain keeps its ties."""
-    best = np.maximum if upper else np.minimum
-    v = np.asarray(path.values, dtype=float)
-    if path.pre_values is not None:
-        v = best(v, path.pre_values)
-    keep = (v == best.accumulate(v)) | (v == best.accumulate(v[::-1])[::-1])
-    return np.asarray(path.times, dtype=float)[keep].tolist(), v[keep].tolist()
+    later one.  Ties count as records, so the chain keeps its ties.  The
+    NaN pads past a row's end neither set a record (``fmax`` and ``fmin``
+    skip NaN) nor are one (NaN equals nothing)."""
+    best = np.fmax if upper else np.fmin
+    v = values if pre_values is None else best(values, pre_values)
+    keep = (v == best.accumulate(v, axis=-1)) | (v == best.accumulate(v[..., ::-1], axis=-1)[..., ::-1])
+    return times[keep].tolist(), v[keep].tolist(), keep
 
 
 def _chain(t, v, upper: bool):
@@ -172,17 +180,38 @@ def _faces_from_vertices(t, v, idx):
     return [Face(t[j] - t[i], v[j] - v[i]) for i, j in zip(idx[:-1], idx[1:])]
 
 
+def _hull(path: PathSkeleton, upper: bool):
+    pre = path.pre_values
+    t, v, _ = _candidates(np.asarray(path.times, dtype=float), np.asarray(path.values, dtype=float),
+                          None if pre is None else np.asarray(pre, dtype=float), upper)
+    return _faces_from_vertices(t, v, _chain(t, v, upper))
+
+
 def concave_majorant(path: PathSkeleton):
     """Faces of the smallest concave function dominating the path record,
     from (0, 0) to (T, X_T), slopes non-increasing."""
-    t, v = _candidates(path, upper=True)
-    return _faces_from_vertices(t, v, _chain(t, v, upper=True))
+    return _hull(path, upper=True)
 
 
 def convex_minorant(path: PathSkeleton):
     """Mirror image: faces of the largest convex function below the path."""
-    t, v = _candidates(path, upper=False)
-    return _faces_from_vertices(t, v, _chain(t, v, upper=False))
+    return _hull(path, upper=False)
+
+
+def majorant_stats(paths: JumpPaths) -> QuintupleSample:
+    """Batch record of the exact jump records of a block: draw ``k`` is
+    ``shape_stats(merge_collinear(concave_majorant(paths.path(k))), T)``,
+    bit for bit.  The candidates of every row are found in one pass over
+    the block and leave it in one ``tolist()``; the chain, the merge and
+    the reduction then run per row."""
+    t, v, keep = _candidates(paths.times, paths.values, paths.pre_values, upper=True)
+    draws, lo = [], 0
+    for c in keep.sum(axis=1).tolist():
+        tr, vr = t[lo : lo + c], v[lo : lo + c]
+        lo += c
+        draws.append(shape_stats(merge_collinear(_faces_from_vertices(tr, vr, _chain(tr, vr, True))),
+                                 paths.horizon))
+    return stack_quintuples(draws)
 
 
 def merge_collinear(faces: Sequence[Face]):

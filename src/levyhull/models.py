@@ -51,9 +51,11 @@ __all__ = [
     "CompoundPoissonDrift",
     "StableProcess",
     "PathSkeleton",
+    "JumpPaths",
     "EXACT_JUMPS",
     "sample_increment",
     "sample_path",
+    "sample_jump_paths",
     "norming",
     "theta",
     "theta_fubini",
@@ -672,45 +674,104 @@ class PathSkeleton:
             raise ParameterError("path must start at value 0")
 
 
+@dataclass(frozen=True)
+class JumpPaths:
+    """Exact jump records of ``n`` paths on [0, ``horizon``] as padded
+    ``(n, m)`` arrays: row ``k`` of ``times``, ``values`` (post-jump) and
+    ``pre_values`` is the record :meth:`path` returns, its first
+    ``sizes[k]`` entries, and NaN past them.  Every row is checked as a
+    :class:`PathSkeleton` is, all rows at once."""
+
+    times: np.ndarray
+    values: np.ndarray
+    pre_values: np.ndarray
+    sizes: np.ndarray
+    horizon: float
+
+    def __post_init__(self):
+        t, sizes = self.times, self.sizes
+        if not t.shape == self.values.shape == self.pre_values.shape == (sizes.size, t.shape[1]):
+            raise ParameterError("path values and pre-jump values must have one entry per time")
+        if sizes.min() < 2 or t[:, 0].any() or (t[np.arange(sizes.size), sizes - 1] != self.horizon).any():
+            raise ParameterError("path record must run from time 0 to the horizon")
+        if (t[:, 1:] <= t[:, :-1]).any():   # false at the NaN pads
+            raise ParameterError("path times must be strictly increasing")
+        if self.values[:, 0].any():
+            raise ParameterError("path must start at value 0")
+
+    def path(self, k):
+        """Row ``k`` as a :class:`PathSkeleton`."""
+        s = self.sizes[k]
+        return PathSkeleton(self.times[k, :s], self.values[k, :s], self.horizon, self.pre_values[k, :s])
+
+
+def _check_horizon(T):
+    if not 0.0 < T < math.inf:
+        raise ParameterError(f"horizon must be finite and > 0, got {T}")
+
+
 def sample_path(model, T, resolution, rng):
     """Sample a path record on [0, T].
 
     ``resolution`` is either the string ``"exact-jumps"`` (compound Poisson
     with drift only: every jump time with pre- and post-jump values) or a
     positive grid step ``h`` giving values at ``{0, h, 2h, ..., T}`` with
-    exact increments per step.
+    exact increments per step.  An exact jump record is the one-path view
+    of :func:`sample_jump_paths`: its one row, on the same stream.
     """
-    if not 0.0 < T < math.inf:
-        raise ParameterError(f"horizon must be finite and > 0, got {T}")
+    _check_horizon(T)
     if resolution == EXACT_JUMPS:
-        if not isinstance(model, CompoundPoissonDrift):
-            raise UnsupportedExactnessError(
-                "exact jump records exist only for compound Poisson with drift"
-            )
-        return _sample_cp_exact(model, T, rng)
+        return sample_jump_paths(model, T, 1, rng).path(0)
     h = float(resolution)
     if not h > 0.0:
         raise ParameterError(f"grid step must be > 0, got {resolution}")
     return _sample_grid(model, T, h, rng)
 
 
-def _sample_cp_exact(model, T, rng):
-    n = rng.poisson(model.rate * T)
-    s = np.sort(rng.random(n)) * T
-    jumps = model.jump.sample(n, rng)
-    # rows: times, post- and pre-jump values, filled in place (fewer numpy calls)
-    rec = np.zeros((3, n + 2))
-    rec[0, 1:-1] = s
-    rec[0, -1] = T
-    walk = np.zeros(n + 1)  # jump sum up to each point, starting at 0
-    np.cumsum(jumps, out=walk[1:])
-    drift = model.mu * s
-    np.add(drift, walk[1:], out=rec[1, 1:-1])
-    np.add(drift, walk[:-1], out=rec[2, 1:-1])
-    rec[1:, -1] = model.mu * T + walk[-1]
-    if n and s[-1] == T:  # jump exactly at the horizon: keep times strict
-        rec = rec[:, :-1]
-    return PathSkeleton(rec[0], rec[1], T, rec[2])
+def sample_jump_paths(model, T, n, rng):
+    """Exact jump records of ``n`` independent compound Poisson paths with
+    drift on [0, T], as one :class:`JumpPaths` block.
+
+    Path after path, each draws its jump count, its uniform jump times and
+    its jumps, so the block is the stream of ``n`` one-path records.  The
+    sort, the walk and the drift then run once on the block.  Rows are
+    padded with uniforms of 1, which sort last, and jumps of 0, so the
+    first pad of a row is its endpoint ``(T, mu T + jump sum)``; the
+    columns after it are set to NaN.  A row whose last jump falls exactly
+    at T ends at that jump, keeping its times strict.
+    """
+    if not isinstance(model, CompoundPoissonDrift):
+        raise UnsupportedExactnessError(
+            "exact jump records exist only for compound Poisson with drift"
+        )
+    _check_horizon(T)
+    if not n >= 1:
+        raise ParameterError(f"a block needs at least one path, got {n}")
+    lam = model.rate * T
+    counts, uniforms, jumps = [], [], []
+    for _ in range(n):
+        c = rng.poisson(lam)
+        counts.append(c)
+        uniforms.append(rng.random(c))
+        jumps.append(model.jump.sample(c, rng))
+    counts = np.array(counts)
+    width = int(counts.max()) + 1
+    drawn = np.arange(width) < counts[:, None]
+    u = np.ones((n, width))
+    u[drawn] = np.concatenate(uniforms)
+    u.sort(axis=1)
+    x = np.zeros((n, width))
+    x[drawn] = np.concatenate(jumps)
+    # columns: the start, the jump times, the endpoint, then NaN pads
+    times, post, pre, walk = np.zeros((4, n, width + 1))
+    np.multiply(u, T, out=times[:, 1:])
+    sizes = counts + 2 - (times[np.arange(n), counts] == T)   # a jump at T is the endpoint
+    times[np.arange(width + 1) >= sizes[:, None]] = np.nan
+    np.cumsum(x, axis=1, out=walk[:, 1:])   # jump sum up to each column
+    drift = model.mu * times[:, 1:]
+    np.add(drift, walk[:, 1:], out=post[:, 1:])
+    np.add(drift, walk[:, :-1], out=pre[:, 1:])
+    return JumpPaths(times, post, pre, sizes, T)
 
 
 def _sample_grid(model, T, h, rng):
@@ -741,8 +802,7 @@ def norming(model, T):
     stable; their norming is taken as ``jump_scale * (rate * T)^(1/a)``
     (slowly varying part set to one).
     """
-    if not 0.0 < T < math.inf:
-        raise ParameterError(f"horizon must be finite and > 0, got {T}")
+    _check_horizon(T)
     return model.norming(T)
 
 

@@ -349,7 +349,7 @@ def test_report_deterministic_across_runs_and_workers(tmp_path):
         cfg = cp_identity_cfg(workers=workers, out=str(tmp_path / name))
         write_report(run(cfg), cfg.out)
         trees.append(_report_tree(tmp_path / name))
-    assert "report.json" in trees[0] and "samples/rep_draws.csv" in trees[0]
+    assert "report.json" in trees[0] and "samples/rep_draws.npy" in trees[0]
     assert trees[0] == trees[1] == trees[2]
 
 
@@ -448,30 +448,64 @@ def test_write_load_roundtrip(tmp_path):
     assert np.array_equal(mat[:, 1], rep.samples["rep_upsilon"])
 
 
+# one small config per experiment family (both regimes of verify-stable)
+_FAMILY_CONFIGS = [
+    {"experiment": "stick-counts", "T_grid": [math.e**2], "reps": 500, "seed": 3},
+    {"experiment": "compensation", "reps": 200, "seed": 3},
+    {
+        "experiment": "verify-identity",
+        "model": {"kind": "cp", "rate": 1, "jump": {"kind": "gaussian", "mean": 0, "sd": 1}, "mu": 0.2},
+        "T_grid": [8.0],
+        "reps": 200,
+    },
+    {"experiment": "clt-trend", "model": {"kind": "brownian"}, "T_grid": [1e3, 1e4], "reps": 200},
+    {"experiment": "clt-independence", "model": {"kind": "brownian"}, "T_grid": [1e3], "reps": 200},
+    {"experiment": "verify-stable", "model": {"kind": "stable", "alpha": 1.5}, "T_grid": [100.0],
+     "reps": 200},
+    {"experiment": "verify-stable", "model": {"kind": "stable", "alpha": 1.5, "mu": 1.0},
+     "T_grid": [100.0], "reps": 200},
+    {"experiment": "verify-heavy", "model": {"kind": "stable", "alpha": 0.7}, "T_grid": [100.0],
+     "reps": 200},
+    {"experiment": "tail-index", "model": {"kind": "stable", "alpha": 1.5}, "reps": 10_000},
+    {
+        "experiment": "theta-scan",
+        "model": {"kind": "cp", "rate": 1, "jump": {"kind": "point-mass", "x": 2.0}},
+        "T_grid": [2.0, 9.0],
+        "reps": 100,
+    },
+    {"experiment": "compare-length", "model": {"kind": "brownian", "sigma": 1}, "T_grid": [1e3, 1e4],
+     "reps": 300, "seed": 4},
+    {"experiment": "hull-props", "reps": 100},
+]
+
+
 def test_write_report_serializes_every_experiment(tmp_path):
-    # row payloads must be JSON-clean for every experiment family
-    # (numpy scalars leaked through here once)
-    configs = [
-        {"experiment": "stick-counts", "T_grid": [math.e**2], "reps": 500, "seed": 3},
-        {
-            "experiment": "theta-scan",
-            "model": {"kind": "cp", "rate": 1, "jump": {"kind": "point-mass", "x": 2.0}},
-            "T_grid": [2.0, 9.0],
-            "reps": 100,
-        },
-        {
-            "experiment": "compare-length",
-            "model": {"kind": "brownian", "sigma": 1},
-            "T_grid": [1e3, 1e4],
-            "reps": 300,
-            "seed": 4,
-        },
-    ]
-    for i, mapping in enumerate(configs):
+    # row payloads must be JSON-clean for every experiment family (numpy
+    # scalars leaked through here once), and every sample vector and table
+    # must come back exactly, as float64, with its column names
+    assert {m["experiment"] for m in _FAMILY_CONFIGS} == set(experiments._DISPATCH)
+    for i, mapping in enumerate(_FAMILY_CONFIGS):
         rep = run(config_from_mapping(mapping))
-        path = write_report(rep, tmp_path / f"r{i}")
-        loaded = load_report(path)
+        loaded = load_report(write_report(rep, tmp_path / f"r{i}"))
         assert loaded.rows == rep.rows
+        assert loaded.samples.keys() == rep.samples.keys()
+        for name, vec in rep.samples.items():
+            got = loaded.samples[name]
+            assert got.dtype == np.float64 and np.array_equal(got, vec), name
+        assert loaded.tables.keys() == rep.tables.keys()
+        for name, (header, mat) in rep.tables.items():
+            got_header, got = loaded.tables[name]
+            assert got_header == tuple(header), name
+            assert got.dtype == np.float64 and np.array_equal(got, np.asarray(mat, dtype=float)), name
+
+
+def test_load_report_refuses_the_csv_sample_schema(tmp_path):
+    path = write_report(run(cp_identity_cfg(reps=200)), tmp_path / "out")
+    payload = json.loads(path.read_text())
+    payload["schema"] = "levyhull-report/1"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(PathError, match="schema"):
+        load_report(path)
 
 
 def test_emit_plot_kinds(tmp_path):

@@ -9,6 +9,8 @@ import math
 import numpy as np
 import pytest
 
+from levyhull.errors import ParameterError
+
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
@@ -19,10 +21,20 @@ from levyhull.hull import (  # noqa: E402
     _faces_from_vertices,
     concave_majorant,
     convex_minorant,
+    majorant_stats,
     merge_collinear,
     shape_stats,
 )
-from levyhull.models import PathSkeleton  # noqa: E402
+from levyhull.models import (  # noqa: E402
+    EXACT_JUMPS,
+    CompoundPoissonDrift,
+    Gaussian,
+    PathSkeleton,
+    PointMass,
+    TwoPoint,
+    sample_jump_paths,
+    sample_path,
+)
 
 values_st = st.one_of(
     st.integers(-40, 40).map(lambda k: k / 4.0),
@@ -153,3 +165,114 @@ def test_shape_stats_ignore_the_face_order(pair):
     for name in ("upsilon", "final", "sup", "gamma", "hut_length", "tent_length"):
         x, y = getattr(a, name), getattr(b, name)
         assert math.isclose(x, y, rel_tol=1e-12, abs_tol=1e-12 * scale), name
+
+
+# ---------------------------------------------------------------------------
+# blocks of exact jump paths
+# ---------------------------------------------------------------------------
+
+class CountedGenerator:
+    """A numpy generator whose Poisson draws are the given counts (when
+    ``counts`` is not None) and whose uniforms are taken in order from
+    ``uniforms`` (when given); every other draw comes from a seeded
+    generator."""
+
+    def __init__(self, counts, seed, uniforms=None):
+        self._counts = None if counts is None else iter(counts)
+        self._uniforms = None if uniforms is None else list(uniforms)
+        self._g = np.random.default_rng(seed)
+
+    def poisson(self, lam):
+        return self._g.poisson(lam) if self._counts is None else next(self._counts)
+
+    def random(self, size=None):
+        if self._uniforms is None:
+            return self._g.random(size)
+        out, self._uniforms = self._uniforms[:size], self._uniforms[size:]
+        return np.array(out)
+
+    def __getattr__(self, name):
+        return getattr(self._g, name)
+
+
+def reference_record(model, T, rng):
+    """An exact jump record drawn and built one path at a time: the jump
+    count, the sorted uniform times, the jumps, then the walk and the
+    drift, ending the record at a jump that falls exactly at T."""
+    n = rng.poisson(model.rate * T)
+    s = np.sort(rng.random(n)) * T
+    walk = np.concatenate([[0.0], np.cumsum(model.jump.sample(n, rng))])
+    times = np.concatenate([[0.0], s, [T]])
+    values = np.concatenate([[0.0], model.mu * s + walk[1:], [model.mu * T + walk[-1]]])
+    pre = np.concatenate([[0.0], model.mu * s + walk[:-1], [model.mu * T + walk[-1]]])
+    if n and s[-1] == T:
+        times, values, pre = times[:-1], values[:-1], pre[:-1]
+    return times, values, pre
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+_DRAW_FIELDS = ("upsilon", "h_prime", "final", "sup", "gamma", "truncation_error_bound")
+
+jump_laws = st.one_of(
+    st.builds(Gaussian, st.floats(-1.0, 1.0), st.floats(0.1, 2.0)),
+    # a lattice drift with point-mass jumps gives ties and collinear runs
+    st.builds(PointMass, st.sampled_from([-1.0, -0.5, 0.5, 1.0, 2.0])),
+    st.builds(TwoPoint, st.floats(0.0, 1.0), st.floats(0.1, 3.0), st.floats(-3.0, -0.1)),
+)
+
+
+@given(
+    rate=st.floats(0.1, 5.0),
+    T=st.one_of(st.floats(0.5, 20.0), st.sampled_from([1.0, 4.0, 8.0])),
+    mu=st.one_of(st.floats(-2.0, 2.0), st.integers(-4, 4).map(lambda k: k / 2.0)),
+    jump=jump_laws,
+    counts=st.one_of(
+        st.none(),
+        st.lists(st.one_of(st.just(0), st.integers(0, 3), st.integers(20, 60)), min_size=1, max_size=12),
+    ),
+    n=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_reduction_is_the_per_path_reduction_bit_for_bit(rate, T, mu, jump, counts, n, seed):
+    # given counts put zero-jump rows next to long ones, with the rest of
+    # the stream real; without them, n paths draw their counts at the rate
+    model = CompoundPoissonDrift(rate, jump, mu)
+    n = n if counts is None else len(counts)
+    block = sample_jump_paths(model, T, n, CountedGenerator(counts, seed))
+    got = majorant_stats(block)
+    one, ref = CountedGenerator(counts, seed), CountedGenerator(counts, seed)
+    for k in range(n):
+        path = sample_path(model, T, EXACT_JUMPS, one)
+        for a, b in zip((path.times, path.values, path.pre_values), reference_record(model, T, ref)):
+            assert np.array_equal(bits(a), bits(b))
+        want = shape_stats(merge_collinear(concave_majorant(path)), T)
+        for name in _DRAW_FIELDS:
+            assert bits(getattr(got, name)[k]) == bits(getattr(want, name)), name
+    assert (got.horizon, got.cutoff) == (T, 0.0)
+
+
+def test_a_jump_exactly_at_the_horizon_ends_the_record():
+    # a generator's uniforms lie below 1, and u * T < T for every u < 1, so
+    # only a stub can put a jump at T; that row ends at the jump
+    model = CompoundPoissonDrift(1.0, PointMass(1.0), mu=0.5)
+    T = 4.0
+    block = sample_jump_paths(model, T, 3, CountedGenerator([2, 0, 1], 0, uniforms=[1.0, 0.25, 0.5]))
+    assert block.sizes.tolist() == [3, 2, 3]
+    path = block.path(0)
+    assert path.times.tolist() == [0.0, 1.0, 4.0]
+    assert path.values.tolist() == [0.0, 1.5, 4.0]
+    assert path.pre_values.tolist() == [0.0, 0.5, 3.0]
+    assert block.path(1).times.tolist() == [0.0, 4.0] and block.path(1).values.tolist() == [0.0, 2.0]
+    assert block.path(2).times.tolist() == [0.0, 2.0, 4.0]
+    one = CountedGenerator([2], 0, uniforms=[1.0, 0.25])
+    single = sample_path(model, T, EXACT_JUMPS, one)
+    assert single.times.tolist() == path.times.tolist() and single.pre_values.tolist() == [0.0, 0.5, 3.0]
+    stats = majorant_stats(block)
+    assert stats.final.tolist() == [4.0, 2.0, 3.0]
+    assert stats.upsilon[0] == shape_stats(merge_collinear(concave_majorant(path)), T).upsilon
+    # two jumps at T would repeat a time
+    with pytest.raises(ParameterError, match="strictly increasing"):
+        sample_jump_paths(model, T, 1, CountedGenerator([2], 0, uniforms=[1.0, 1.0]))
