@@ -38,6 +38,7 @@ import numpy as np
 from .errors import ParameterError, RegimeError, TruncationError
 from .hull import QuintupleSample, reduce_faces
 from .models import norming, sample_increment, theta
+from .sticks import _check_horizon
 
 __all__ = [
     "DEFAULT_CUTOFF",
@@ -58,10 +59,7 @@ def sample_quintuple(model, T, rng, cutoff=DEFAULT_CUTOFF):
     """Draw the quintuple through the stick-breaking construction: the
     record of :func:`~levyhull.hull.reduce_faces` of the sticks and their
     increments."""
-    if not 0.0 < T < math.inf:
-        raise ParameterError(f"horizon must be finite and > 0, got {T}")
-    if not cutoff > 0.0:
-        raise ParameterError(f"cutoff must be > 0, got {cutoff}")
+    _check_horizon(T, cutoff)
     if cutoff > 1.0:
         raise TruncationError(
             "cutoff > 1 makes the big-face count inexact; use cutoff <= 1"

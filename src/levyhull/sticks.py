@@ -3,9 +3,10 @@ set, the remainder count tau, and one Monte Carlo estimator for the point
 process identity of the sticks.
 
 One loop draws the sticks, a block of columns at a time into one reused
-buffer (:func:`stick_blocks`); the limit series reduce each block as it is
-drawn.  :func:`stick_matrix` is the same loop keeping every block, the
-record that the counts and the estimator below read.
+buffer (:func:`stick_blocks`).  The limit series, the counts and the
+estimator below reduce each block as it is drawn, carrying per-row
+counters or sums from block to block.  :func:`stick_matrix` is a copy of
+every block, kept as a reference record.
 
 The record is generated until ``T * L_N < cutoff``.  With ``cutoff <= 1``
 both ``tau`` (remainders of size at least 1/T) and the big-stick set
@@ -30,7 +31,8 @@ BLOCK = 16
 
 ROWS = 4096   # rows per slice of the column loop of stick_blocks
 
-# rows per record of the Monte Carlo reductions, which bounds their memory
+# rows per stick_blocks run of the Monte Carlo reductions; it fixes the
+# order in which the rows draw from the stream
 CHUNK = 20_000
 
 __all__ = [
@@ -44,20 +46,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # vectorized stick machinery
 # ---------------------------------------------------------------------------
-
-def _capacity(n_rows, T, cutoff):
-    """Columns to reserve for a record: whole blocks holding the stick count
-    that a row exceeds with probability at most ``1e-6 / n_rows``.  A row
-    needs ``1 + Poisson(log(T / cutoff))`` sticks: the scaled remainders
-    at or above the cutoff are the points of a rate-one Poisson process
-    on the log scale, up to ``log(T / cutoff)``."""
-    lam = math.log(T) - math.log(cutoff) if T > cutoff else 0.0
-    m, tail = 0, 1.0   # P(Poisson >= m)
-    while n_rows * tail > 1e-6:
-        tail -= math.exp(m * math.log(lam) - lam - math.lgamma(m + 1)) if lam else 1.0
-        m += 1
-    return BLOCK * -(-max(m, 1) // BLOCK)
-
 
 def _check_horizon(T, cutoff):
     if not 0.0 < T < math.inf:
@@ -105,55 +93,33 @@ def stick_blocks(n_rows, T, cutoff, rng, drive):
 
 
 def stick_matrix(n_rows, T, cutoff, rng):
-    """The record of :func:`stick_blocks`: its blocks side by side, shape
-    ``(n_rows, K)`` in scaled units, and the final scaled remainder, as
-    ``(t, rem)``.
-
-    Each block is copied into one record buffer, which reserves the columns
-    of :func:`_capacity`; a batch that runs past them (at most one in a
-    million) doubles it, copying the columns written so far.  Reserved
-    columns that are never written are never touched, so they take no
-    resident memory.
-    """
-    _check_horizon(T, cutoff)
-    buf = np.empty((_capacity(n_rows, T, cutoff), n_rows))
-    k = 0   # columns written
-
-    def keep(block):
-        nonlocal buf, k
-        if k == len(buf):
-            grown = np.empty((2 * k, n_rows))
-            grown[:k] = buf
-            buf = grown
-        buf[k : k + BLOCK] = block.T
-        k += BLOCK
-
-    rem = stick_blocks(n_rows, T, cutoff, rng, keep)
-    return buf[:k].T, rem
-
-
-def _chunked(reps, T, cutoff, rng, reduce):
-    """``reduce(t, rem)`` over records of at most :data:`CHUNK` rows drawn
-    in turn from ``rng``, concatenated along the last axis."""
-    return np.concatenate(
-        [reduce(*stick_matrix(min(CHUNK, reps - done), T, cutoff, rng))
-         for done in range(0, reps, CHUNK)],
-        axis=-1,
-    )
+    """The record of :func:`stick_blocks`: copies of its blocks side by
+    side, shape ``(n_rows, K)`` in scaled units and column-major like the
+    blocks, and the final scaled remainder, as ``(t, rem)``."""
+    blocks = []
+    rem = stick_blocks(n_rows, T, cutoff, rng, lambda block: blocks.append(block.T.copy()))
+    return np.vstack(blocks).T, rem
 
 
 def tau_gset_counts(T, reps, rng):
     """Per-replication counts off records cut at 1: tau, the number of
     scaled remainders of size at least 1 (Poisson(log T) for T > 1), and
     the size of the big-stick set, the sticks of scaled length at least 1."""
+    if reps < 1:
+        raise ParameterError(f"need at least 1 replication, got {reps}")
+    tau, gset = np.zeros((2, reps), dtype=np.intp)
+    for lo in range(0, reps, CHUNK):
+        n = min(CHUNK, reps - lo)
+        left, tau_c, gset_c = np.full(n, float(T)), tau[lo : lo + n], gset[lo : lo + n]
 
-    def counts(t, rem):
-        # scaled remainders after each stick but the last, summed from the small end
-        after = np.cumsum(t[:, :0:-1], axis=1)
-        after += rem[:, None]
-        return np.stack([np.count_nonzero(after >= 1.0, axis=1), np.count_nonzero(t >= 1.0, axis=1)])
+        def count(block):
+            for col in block.T:
+                np.subtract(left, col, out=left)   # the scaled remainder after the stick
+                np.add(tau_c, left >= 1.0, out=tau_c)
+            np.add(gset_c, np.count_nonzero(block >= 1.0, axis=1), out=gset_c)
 
-    return tuple(_chunked(reps, T, 1.0, rng, counts))
+        stick_blocks(n, T, 1.0, rng, count)
+    return tau, gset
 
 
 def compensation_estimate(f, floor, T, reps, rng):
@@ -168,13 +134,21 @@ def compensation_estimate(f, floor, T, reps, rng):
     """
     if reps < 100:
         raise ParameterError(f"need at least 100 replications, got {reps}")
+    if not floor >= 0.0:
+        raise ParameterError(f"floor must be >= 0, got {floor}")
+    lowest = max(floor, 1e-300)
+    vals = np.zeros(reps)
+    for lo in range(0, reps, CHUNK):
+        n = min(CHUNK, reps - lo)
+        total = vals[lo : lo + n]
 
-    def series(t, rem):
-        mask = t >= max(floor, 1e-300)
-        total = np.where(mask, f(np.where(mask, t, 1.0)), 0.0).sum(axis=1)
+        def add(block):
+            # a row adds its sticks left to right from zero
+            for col in block.T:
+                mask = col >= lowest
+                np.add(total, np.where(mask, f(np.where(mask, col, 1.0)), 0.0), out=total)
+
+        rem = stick_blocks(n, T, floor if floor > 0.0 else 1.0, rng, add)
         if floor == 0.0:
             total += f(rem)
-        return total
-
-    vals = _chunked(reps, T, floor if floor > 0.0 else 1.0, rng, series)
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(reps))

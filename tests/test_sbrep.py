@@ -41,8 +41,11 @@ def test_guards():
     with pytest.raises(TruncationError):
         sample_quintuple(BrownianDrift(1.0), 10.0, g, cutoff=1.5)
     for T in (-1.0, math.inf, math.nan):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="horizon"):
             sample_quintuple(BrownianDrift(1.0), T, g)
+    for cutoff in (0.0, -1.0, math.nan):
+        with pytest.raises(ParameterError, match="cutoff"):
+            sample_quintuple(BrownianDrift(1.0), 10.0, g, cutoff=cutoff)
 
 
 def test_brownian_marginals_match_limit_series():

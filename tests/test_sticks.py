@@ -10,7 +10,6 @@ from levyhull.experiments import _COMPENSATION_ROWS
 from levyhull.sticks import (
     BLOCK,
     ROWS,
-    _capacity,
     compensation_estimate,
     stick_blocks,
     stick_matrix,
@@ -110,6 +109,16 @@ def test_truncation_guards():
         compensation_estimate(np.reciprocal, 1.0, 4.0, 50, rng())
 
 
+def test_reductions_refuse_bad_counts_and_floors():
+    for reps in (0, -5):
+        with pytest.raises(ParameterError, match="replication"):
+            tau_gset_counts(math.e, reps, rng())
+    # a negative floor is neither the floor-0 identity nor an integral over [floor, T]
+    for floor in (-1.0, math.nan):
+        with pytest.raises(ParameterError, match="floor"):
+            compensation_estimate(np.reciprocal, floor, 5.0, 100, rng())
+
+
 def test_stick_count_mean_matches_expected():
     # records stop at tau(T) + 1 sticks when cutoff = 1
     T = math.exp(5.0)
@@ -139,7 +148,7 @@ def test_tau_poisson_moments():
 
 
 def test_gset_subset_every_draw():
-    # the counts reduce the record stick_matrix draws from the same stream
+    # the counts match the record stick_matrix draws from the same stream
     T = math.exp(3)
     t, _ = stick_matrix(200, T, 1.0, rng(7))
     tau_c, gset_c = tau_gset_counts(T, 200, rng(7))
@@ -161,6 +170,69 @@ def test_counts_do_not_depend_on_the_chunk_split(monkeypatch):
     ref = [tau_gset_counts(math.exp(4), n, g) for n in (300, 300, 300, 100)]
     assert (tau_c == np.concatenate([r[0] for r in ref])).all()
     assert (gset_c == np.concatenate([r[1] for r in ref])).all()
+
+
+def _record_counts(t, rem):
+    # scaled remainders after each stick but the last, summed from the small end
+    after = np.cumsum(t[:, :0:-1], axis=1)
+    after += rem[:, None]
+    return np.count_nonzero(after >= 1.0, axis=1), np.count_nonzero(t >= 1.0, axis=1)
+
+
+def _record_series(f, floor, t, rem):
+    mask = t >= max(floor, 1e-300)
+    total = np.where(mask, f(np.where(mask, t, 1.0)), 0.0).sum(axis=1)
+    if floor == 0.0:
+        total += f(rem)
+    return total
+
+
+def _chunked_records(reps, T, cutoff, g):
+    return [stick_matrix(min(300, reps - lo), T, cutoff, g) for lo in range(0, reps, 300)]
+
+
+@pytest.mark.parametrize("T", [math.exp(2), math.exp(4), math.exp(6)])
+def test_block_reductions_match_the_record_reductions_bit_for_bit(monkeypatch, T):
+    # the running remainder and the per-column sums reproduce the suffix sums
+    # and the masked row sums of whole records, across chunk boundaries
+    import levyhull.sticks as sticks
+
+    monkeypatch.setattr(sticks, "CHUNK", 300)
+    reps = 1000
+    tau_c, gset_c = tau_gset_counts(T, reps, rng(18))
+    ref = [_record_counts(t, rem) for t, rem in _chunked_records(reps, T, 1.0, rng(18))]
+    assert np.array_equal(tau_c, np.concatenate([r[0] for r in ref]))
+    assert np.array_equal(gset_c, np.concatenate([r[1] for r in ref]))
+    for f, floor in ((lambda t: t, 0.0), (lambda t: t**-0.5, 1.0), (lambda t: np.log(t) / t, 0.5)):
+        mean, se = compensation_estimate(f, floor, T, reps, rng(19))
+        cut = floor if floor > 0.0 else 1.0
+        vals = np.concatenate([_record_series(f, floor, *rec) for rec in _chunked_records(reps, T, cut, rng(19))])
+        assert mean == float(vals.mean()) and se == float(vals.std(ddof=1) / math.sqrt(reps))
+
+
+def _traced_peak(fn):
+    import tracemalloc
+
+    fn()   # first-call allocations
+    tracemalloc.start()
+    try:
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_reductions_hold_one_block_per_chunk():
+    # criterion 01's largest horizon and criterion 02's longest row trace
+    # 5.5 and 4.7 MB; the chunked whole records they replace traced 12.5 and
+    # 24.8 MB
+    peak = _traced_peak(lambda: tau_gset_counts(math.exp(6), 100_000, rng(20)))
+    assert peak < 10e6, peak
+    name, _, _, f, floor, T, _ = _COMPENSATION_ROWS[4]
+    assert name == "power_sum_q1"
+    peak = _traced_peak(lambda: compensation_estimate(f, floor, T, 100_000, rng(21)))
+    assert peak < 12e6, peak
 
 
 def test_gset_clt_at_large_horizon():
@@ -300,17 +372,6 @@ def test_row_sliced_loop_matches_a_per_column_loop():
             _assert_matches_a_per_column_loop(n_rows, T, cutoff)
 
 
-def test_record_that_outgrows_its_capacity_keeps_every_bit(monkeypatch):
-    # a one-block reservation doubles four times for some 200 columns
-    import levyhull.sticks as sticks
-
-    monkeypatch.setattr(sticks, "_capacity", lambda n_rows, T, cutoff: BLOCK)
-    for n_rows in (1, 3, 5):
-        _assert_matches_a_per_column_loop(n_rows, 1.0, 1e-80)
-    t, _ = stick_matrix(3, 1.0, 1e-80, rng(3))
-    assert t.shape[1] > 8 * BLOCK
-
-
 def test_blocks_are_views_of_one_buffer_and_the_record_keeps_them():
     views, copies = [], []
 
@@ -327,14 +388,3 @@ def test_blocks_are_views_of_one_buffer_and_the_record_keeps_them():
     assert np.array_equal(views[0], copies[-1])   # each block overwrote the last
     assert np.array_equal(np.hstack(copies), t)
     assert np.array_equal(rem, t_rem)
-
-
-def test_capacity_covers_the_stick_count_law():
-    # a row needs 1 + Poisson(log(T / cutoff)) sticks
-    assert _capacity(1, 0.5, 1.0) == BLOCK   # one stick suffices
-    for n_rows, T, cutoff in ((50_000, 1.0, 1e-6), (20_000, math.exp(4), 1.0), (5, 1.0, 1e-80)):
-        cap = _capacity(n_rows, T, cutoff)
-        assert cap % BLOCK == 0
-        lam = math.log(T / cutoff)
-        assert n_rows * sps.poisson.sf(cap - 1, lam) <= 1e-6   # P(1 + N > cap)
-        assert n_rows * sps.poisson.sf(cap - BLOCK - 1, lam) > 1e-6   # one block fewer falls short
