@@ -54,10 +54,10 @@ from .models import (
 )
 from .rng import substream
 from .sbrep import (
+    _require_regime,
     normalize_drift,
     normalize_finite_variance,
     normalize_stable,
-    regime,
     require_finite_variance,
     sample_quintuple,
 )
@@ -246,9 +246,7 @@ def _regime(cfg, *allowed):
     if cfg.model is None:
         raise ConfigError(f"{cfg.experiment} needs a model")
     try:
-        name = regime(cfg.model)
-        if name not in allowed:
-            raise RegimeError(f"needs the {' or '.join(allowed)} regime, got {name}")
+        name = _require_regime(cfg.model, *allowed)
         if name == "finite-variance":
             require_finite_variance(cfg.model, cfg.t_grid[0])
     except RegimeError as exc:

@@ -96,48 +96,44 @@ CHAIN_TOL = 1e-12
 MIN_ROWS = 16
 
 
-def _check_eps(eps):
+def _check_batch(n, eps=DEFAULT_EPS):
+    if n < 0:
+        raise ParameterError(f"batch size must be >= 0, got {n}")
     if not 0.0 < eps < 1.0:
         raise ParameterError(f"eps must lie in (0, 1), got {eps}")
 
 
-def _own_sums(n, eps, rng, draw, transform, terms, k, cut):
+def _own_sums(n, eps, rng, columns, terms, k, cut):
     """Row sums of ``terms`` over each row's own sticks of one run of
     :func:`stick_blocks` on the unit interval, cut at ``eps``: a row takes a
     stick while its remainder before that stick is at least ``cut <= eps``,
     and while the sticks last.
 
-    ``draw(rng, n)`` returns ``block()``, which is called on each block of
-    sticks right after the block's uniforms and returns ``column(j)``; that
-    must be called for every column ``j`` in order and draws the column's
-    own randomness, as full-length arrays.
-    ``transform`` maps those arrays, restricted to some rows, to the rows'
-    driving variables, and ``terms(ell, x)`` maps sticks and variables to
-    ``k`` summand arrays.  Every cell is drawn, so the stream is the
-    same whatever the rows need, but the transform and the summands
-    run on the running rows alone, a slice of :data:`ROWS` of them at a
-    time.  Each row adds its summands left to right from zero.  Returns the
-    ``(k, n)`` sums and each row's remainder after its last stick, which
-    lies below ``cut``, or below ``eps`` where the sticks end first.
+    The generator ``columns(rng, n)`` yields each column's own random
+    arrays, full length, as a tuple; it resumes only after the column's
+    block is drawn.  ``terms(ell, *raw)`` maps sticks and those arrays,
+    restricted to some rows, to ``k`` summand arrays.  Every cell is
+    drawn, so the stream is the same whatever the rows need, but the
+    summands run on the running rows alone, a slice of :data:`ROWS` of
+    them at a time.  Each row adds its summands left to right from zero.
+    Returns the ``(k, n)`` sums and each row's remainder after its last
+    stick, which lies below ``cut``, or below ``eps`` where the sticks end
+    first.
     """
     # sums; each row's remainder, bit for bit as stick_blocks' until it
     # stops; the running rows, in order, in front; how many rows run
-    sums, left, run = np.zeros((k, n)), np.ones(n), np.arange(n)
-    live = n
-    block = draw(rng, n)
-
-    def drive(ell):
-        nonlocal live
-        column = block()
-        for j, col in enumerate(ell.T):
-            raw = column(j)
+    sums, left, run, live = np.zeros((k, n)), np.ones(n), np.arange(n), n
+    draws = columns(rng, n)
+    for block, _ in stick_blocks(n, 1.0, eps, rng):
+        # the sticks first: zip ends with the block, before the next draw
+        for col, raw in zip(block.T, draws):
             kept = 0
             for lo in range(0, live, ROWS):
                 hi = min(lo + ROWS, live)
                 # until a row stops, the running rows are a slice: no gather
                 rows = slice(lo, hi) if live == n else run[lo:hi]
                 ell_j = col[rows]
-                ys = terms(ell_j, transform(*(r[rows] for r in raw)))
+                ys = terms(ell_j, *(r[rows] for r in raw))
                 for total, y in zip(sums, ys):
                     total[rows] += y
                 rest = left[rows] - ell_j
@@ -146,12 +142,10 @@ def _own_sums(n, eps, rng, draw, transform, terms, k, cut):
                 run[kept : kept + len(stay)] = stay
                 kept += len(stay)
             live = kept
-
-    stick_blocks(n, 1.0, eps, rng, drive)
     return sums, left
 
 
-def _series(n, eps, rng, draw, transform, terms, powers):
+def _series(n, eps, rng, columns, terms, powers):
     """Row sums of a stick-breaking series on the unit interval, each row
     truncated at its own remainder ``L``, drawn from one child stream of
     ``rng``; returns the ``(k, n)`` sums and the remainders.
@@ -171,7 +165,7 @@ def _series(n, eps, rng, draw, transform, terms, powers):
     """
     rows = max(n, MIN_ROWS)
     cut = min(eps, FOLD_WEIGHT ** (1.0 / min(powers)))
-    sums, rem = _own_sums(rows, eps, child_stream(rng), draw, transform, terms, len(powers), cut)
+    sums, rem = _own_sums(rows, eps, child_stream(rng), columns, terms, len(powers), cut)
     for acc, w in zip(sums, powers):
         head, scale = acc.copy(), rem**w
         weight = scale.copy()
@@ -187,10 +181,11 @@ def _series(n, eps, rng, draw, transform, terms, powers):
 # finite-variance limit: (sigma^2/sqrt2 Z1, Z2, sigma Bbar, sigma B1, rho)
 # ---------------------------------------------------------------------------
 
-def _gaussian_draw(rng, n):
-    """The ``draw`` of :func:`_series` for standard normal variables, drawn
-    a column at a time; their transform is the identity."""
-    return lambda: lambda j: (rng.standard_normal(n),)
+def _gaussian_columns(rng, n):
+    """The ``columns`` of :func:`_series` for standard normal variables,
+    drawn a column at a time."""
+    while True:
+        yield (rng.standard_normal(n),)
 
 
 def _gaussian_terms(ell, z):
@@ -215,12 +210,10 @@ def draw_limit_finite_variance(sigma, n, rng, eps=DEFAULT_EPS):
     """
     if not sigma > 0.0:
         raise ParameterError(f"sigma must be > 0, got {sigma}")
-    _check_eps(eps)
+    _check_batch(n, eps)
     z1 = rng.standard_normal(n)
     z2 = rng.standard_normal(n)
-    (sup, fin, pos, tot), rem = _series(
-        n, eps, rng, _gaussian_draw, lambda z: z, _gaussian_terms, _GAUSSIAN_POWERS
-    )
+    (sup, fin, pos, tot), rem = _series(n, eps, rng, _gaussian_columns, _gaussian_terms, _GAUSSIAN_POWERS)
     coords = np.column_stack(
         [sigma**2 / math.sqrt(2.0) * z1, z2, sigma * sup, sigma * fin, pos / tot]
     )
@@ -251,28 +244,26 @@ _POWERS = {
 }
 
 
-def _stable_draw(rng, n):
-    """The ``draw`` of :func:`_series` for standard stable variables: the
-    block's uniforms, then each column's exponentials.  One uniform block
-    and one exponential row serve every block of a batch."""
+def _stable_columns(rng, n):
+    """The ``columns`` of :func:`_series` for standard stable variables:
+    the block's uniforms when it resumes at a new block, then each column's
+    exponentials.  One uniform block and one exponential row serve all."""
     uniforms, exponentials = np.empty((BLOCK, n)), np.empty(n)
-
-    def block():
+    while True:
         rng.random(out=uniforms)
-        return lambda j: (uniforms[j], rng.standard_exponential(out=exponentials))
-
-    return block
+        for u in uniforms:
+            yield u, rng.standard_exponential(out=exponentials)
 
 
 def _stable_series(alpha, beta, n, rng, eps, *terms):
     """:func:`_series` of the summands of each of ``terms``, driven by
     standard stable draws of index ``alpha`` and skewness ``beta``."""
-    return _series(
-        n, eps, rng, _stable_draw,
-        lambda v, e: _cms_transform(alpha, beta, v, e),   # over the uniforms, each read once
-        lambda ell, s: [y for f in terms for y in f(ell, s, alpha)],
-        [w for f in terms for w in _POWERS[f](alpha)],
-    )
+
+    def summands(ell, v, e):
+        s = _cms_transform(alpha, beta, v, e)   # over the uniforms, each read once
+        return [y for f in terms for y in f(ell, s, alpha)]
+
+    return _series(n, eps, rng, _stable_columns, summands, [w for f in terms for w in _POWERS[f](alpha)])
 
 
 def _check_alpha(alpha, lo, hi):
@@ -290,7 +281,7 @@ def draw_limit_stable(alpha, n, rng, eps=DEFAULT_EPS, beta=0.0):
     absolute series ``pos + neg``, which is twice the supremum minus the
     endpoint.
     """
-    _check_eps(eps)
+    _check_batch(n, eps)
     if 1.0 < alpha < 2.0:
         (q, pos, neg, pos_len, tot), rem = _stable_series(alpha, beta, n, rng, eps, _quadratic, _signed)
         length, bounds = 0.5 * q, STABLE_ENVELOPE * rem ** (2.0 / alpha - 1.0)
@@ -313,7 +304,7 @@ def draw_limit_quadratic(alpha, n, rng, eps=DEFAULT_EPS, beta=0.0):
     ``alpha`` in (1, 2), without the other three series; returns
     ``(q, bounds)``."""
     _check_alpha(alpha, 1.0, 2.0)
-    _check_eps(eps)
+    _check_batch(n, eps)
     (q,), rem = _stable_series(alpha, beta, n, rng, eps, _quadratic)
     return 0.5 * q, STABLE_ENVELOPE * rem ** (2.0 / alpha - 1.0)
 
@@ -331,5 +322,6 @@ def draw_limit_drift(alpha, mu, n, rng, scale=1.0):
         raise ParameterError(f"the drift limit needs mu > 0, got {mu}")
     if not (1.0 < alpha <= 2.0):
         raise ParameterError(f"alpha must lie in (1, 2], got {alpha}")
+    _check_batch(n)
     s = scale * np.asarray(stable_standard(alpha, 0.0, rng, n))
     return np.column_stack([mu / math.sqrt(1.0 + mu * mu) * s, s])

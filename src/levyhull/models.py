@@ -577,8 +577,10 @@ def _cms_constants(alpha, beta):
 def _cms_transform(alpha, beta, v, e):
     """Overwrite the uniforms ``v`` (one-dimensional) with standard strictly
     stable draws, given standard exponentials ``e`` of the same length
-    (Chambers-Mallows-Stuck), a piece of :data:`CMS_PIECE` at a time so
-    that the temporaries stay in cache; returns ``v``.
+    (Chambers-Mallows-Stuck); returns ``v``.  Its temporaries are as long
+    as ``v``: the callers tile, :func:`stable_standard` by
+    :data:`CMS_PIECE` and the limit series by :data:`~levyhull.sticks.ROWS`
+    rows, so that they stay in cache.
 
     With ``x = pi (u - 1/2)`` and ``a = alpha (x + b0)`` the draw is
     ``s0 sin(a) / cos(x)^(1/alpha) * (cos(x - a) / e)^((1 - alpha)/alpha)``.
@@ -597,44 +599,39 @@ def _cms_transform(alpha, beta, v, e):
     ``2 sin(x) sqrt(e) ~ N(0, 2)``.
     """
     if alpha == 2.0:
-        for lo in range(0, v.size, CMS_PIECE):
-            x, w = v[lo : lo + CMS_PIECE], e[lo : lo + CMS_PIECE]
-            x -= 0.5
-            x *= math.pi
-            x[:] = 2.0 * np.sin(x) * np.sqrt(w)
+        v -= 0.5
+        v *= math.pi
+        v[:] = 2.0 * np.sin(v) * np.sqrt(e)
         return v
     s0, centre, ka, ka0, kq, kq0, p, inv = _cms_constants(alpha, beta)
-    m_, a_, q_ = (np.empty(min(v.size, CMS_PIECE)) for _ in range(3))
-    for lo in range(0, v.size, CMS_PIECE):
-        x, w = v[lo : lo + CMS_PIECE], e[lo : lo + CMS_PIECE]
-        m, a, q = m_[: x.size], a_[: x.size], q_[: x.size]
-        np.maximum(x, 2.0**-54, out=x)
-        np.subtract(1.0, x, out=m)
-        r = m if beta < 0.0 else x
-        # half angles of a (up to the sign in s0), of x - a, then of x
-        np.subtract(r, centre, out=a)
-        a *= ka
-        if ka0:
-            a += ka0
-        np.multiply(r, kq, out=q)
-        q += kq0
-        np.minimum(x, m, out=m)
-        m *= 0.5 * math.pi
-        for y in (a, q, m):   # half the sine: tau / (1 + tau^2)
-            np.tan(y, out=y)
-            np.multiply(y, y, out=x)
-            x += 1.0
-            y /= x
-        q /= w
-        np.log(q, out=q)
-        q *= p
-        np.log(m, out=m)
-        m *= inv
-        q -= m
-        np.exp(q, out=q)
-        np.multiply(a, q, out=x)
-        if s0 != 1.0:
-            x *= s0
+    m, a, q = np.empty((3, v.size))
+    np.maximum(v, 2.0**-54, out=v)
+    np.subtract(1.0, v, out=m)
+    r = m if beta < 0.0 else v
+    # half angles of a (up to the sign in s0), of x - a, then of x
+    np.subtract(r, centre, out=a)
+    a *= ka
+    if ka0:
+        a += ka0
+    np.multiply(r, kq, out=q)
+    q += kq0
+    np.minimum(v, m, out=m)
+    m *= 0.5 * math.pi
+    for y in (a, q, m):   # half the sine: tau / (1 + tau^2)
+        np.tan(y, out=y)
+        np.multiply(y, y, out=v)
+        v += 1.0
+        y /= v
+    q /= e
+    np.log(q, out=q)
+    q *= p
+    np.log(m, out=m)
+    m *= inv
+    q -= m
+    np.exp(q, out=q)
+    np.multiply(a, q, out=v)
+    if s0 != 1.0:
+        v *= s0
     return v
 
 

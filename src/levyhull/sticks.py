@@ -2,11 +2,11 @@
 set, the remainder count tau, and one Monte Carlo estimator for the point
 process identity of the sticks.
 
-One loop draws the sticks, a block of columns at a time into one reused
-buffer (:func:`stick_blocks`).  The limit series, the counts and the
-estimator below reduce each block as it is drawn, carrying per-row
-counters or sums from block to block.  :func:`stick_matrix` is a copy of
-every block, kept as a reference record.
+One generator draws the sticks, a block of columns at a time into one
+reused buffer (:func:`stick_blocks`).  The limit series, the counts and
+the estimator below loop over its blocks and reduce each as it is drawn,
+carrying per-row counters or sums from block to block.
+:func:`stick_matrix` is a copy of every block, kept as a reference record.
 
 The record is generated until ``T * L_N < cutoff``.  With ``cutoff <= 1``
 both ``tau`` (remainders of size at least 1/T) and the big-stick set
@@ -24,6 +24,7 @@ import math
 
 import numpy as np
 
+from . import models
 from .errors import ParameterError
 
 # columns per block of :func:`stick_blocks`
@@ -48,29 +49,29 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 def _check_horizon(T, cutoff):
-    if not 0.0 < T < math.inf:
-        raise ParameterError(f"horizon must be finite and > 0, got {T}")
+    models._check_horizon(T)
     if not cutoff > 0.0:
         raise ParameterError(f"cutoff must be > 0, got {cutoff}")
 
 
-def stick_blocks(n_rows, T, cutoff, rng, drive):
+def stick_blocks(n_rows, T, cutoff, rng):
     """Draw ``n_rows`` independent records of scaled sticks one block at a
-    time, without keeping them; returns the final scaled remainder.
+    time, without keeping them: yields ``(block, L)`` per block, its scaled
+    sticks, shape ``(n_rows, BLOCK)``, and the unscaled remainder after them.
 
     Each block of :data:`BLOCK` columns takes one uniform per row and
-    column, then ``drive(block)`` is called on the block's scaled sticks,
-    shape ``(n_rows, BLOCK)``.  The drive may draw the block's driving
-    variables from the same ``rng``.  Blocks follow until every row
-    satisfies ``T * L < cutoff``, so a smaller cutoff on the same stream
-    only appends blocks: the sticks and the drive draws at ``cutoff`` are a
-    column prefix of those at any finer cutoff.
+    column before it is yielded, so the loop body may draw the block's
+    driving variables from the same ``rng``.  Blocks follow until every
+    row satisfies ``T * L < cutoff``, so a smaller cutoff on the same
+    stream only appends blocks: the sticks and the loop body's draws at
+    ``cutoff`` are a column prefix of those at any finer cutoff.  The
+    guards run at the first ``next()``.
 
-    Every block is a view of one buffer, which the next block overwrites:
-    a drive that keeps a block must copy it.  Rows that stopped earlier
-    carry extra (finer) sticks; threshold counts ignore them, as they sit
-    below the cutoff, and the limit series skip them in the drive (see
-    :mod:`levyhull.limitlaws`).
+    Every block is a view of one buffer, and ``L`` is live: the next block
+    overwrites both, so a caller that keeps one must copy it.  Rows that
+    stopped earlier carry extra (finer) sticks; threshold counts ignore
+    them, as they sit below the cutoff, and the limit series skip them in
+    their loop (see :mod:`levyhull.limitlaws`).
     """
     _check_horizon(T, cutoff)
     # one row per column: the transposed view holds a row's sticks in order
@@ -87,9 +88,9 @@ def stick_blocks(n_rows, T, cutoff, rng, drive):
                 np.multiply(v[:, j], left, out=ell)
                 left -= ell
                 ell *= T
-        drive(cols.T)
+        yield cols.T, L
         if (T * L < cutoff).all():
-            return T * L
+            return
 
 
 def stick_matrix(n_rows, T, cutoff, rng):
@@ -97,8 +98,9 @@ def stick_matrix(n_rows, T, cutoff, rng):
     side, shape ``(n_rows, K)`` in scaled units and column-major like the
     blocks, and the final scaled remainder, as ``(t, rem)``."""
     blocks = []
-    rem = stick_blocks(n_rows, T, cutoff, rng, lambda block: blocks.append(block.T.copy()))
-    return np.vstack(blocks).T, rem
+    for block, L in stick_blocks(n_rows, T, cutoff, rng):
+        blocks.append(block.T.copy())
+    return np.vstack(blocks).T, T * L
 
 
 def tau_gset_counts(T, reps, rng):
@@ -111,14 +113,12 @@ def tau_gset_counts(T, reps, rng):
     for lo in range(0, reps, CHUNK):
         n = min(CHUNK, reps - lo)
         left, tau_c, gset_c = np.full(n, float(T)), tau[lo : lo + n], gset[lo : lo + n]
-
-        def count(block):
+        for block, _ in stick_blocks(n, T, 1.0, rng):
             for col in block.T:
                 np.subtract(left, col, out=left)   # the scaled remainder after the stick
                 np.add(tau_c, left >= 1.0, out=tau_c)
             np.add(gset_c, np.count_nonzero(block >= 1.0, axis=1), out=gset_c)
-
-        stick_blocks(n, T, 1.0, rng, count)
+        del block, col, _   # free this run's buffer before the next run draws its own
     return tau, gset
 
 
@@ -141,14 +141,12 @@ def compensation_estimate(f, floor, T, reps, rng):
     for lo in range(0, reps, CHUNK):
         n = min(CHUNK, reps - lo)
         total = vals[lo : lo + n]
-
-        def add(block):
+        for block, L in stick_blocks(n, T, floor if floor > 0.0 else 1.0, rng):
             # a row adds its sticks left to right from zero
             for col in block.T:
                 mask = col >= lowest
                 np.add(total, np.where(mask, f(np.where(mask, col, 1.0)), 0.0), out=total)
-
-        rem = stick_blocks(n, T, floor if floor > 0.0 else 1.0, rng, add)
         if floor == 0.0:
-            total += f(rem)
+            total += f(T * L)
+        del block, col, L   # free this run's buffer before the next run draws its own
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(reps))

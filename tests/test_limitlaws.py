@@ -11,12 +11,12 @@ from levyhull.limitlaws import (
     MIN_ROWS,
     _GAUSSIAN_POWERS,
     _POWERS,
-    _gaussian_draw,
+    _gaussian_columns,
     _gaussian_terms,
     _quadratic,
     _series,
     _signed,
-    _stable_draw,
+    _stable_columns,
     draw_limit_drift,
     draw_limit_finite_variance,
     draw_limit_quadratic,
@@ -141,12 +141,9 @@ def _own_stick_sums(n, eps, cut, g, draw, terms):
     each row adding its summands left to right over the sticks taken while
     its remainder before them is at least cut."""
     blocks, xs = [], []
-
-    def keep(block):
+    for block, _ in stick_blocks(n, 1.0, eps, g):
         blocks.append(block.copy())   # the next block overwrites this view
         xs.append(draw(block.T.shape))
-
-    stick_blocks(n, 1.0, eps, g, keep)
     total, left = 0.0, np.ones(n)
     for ell, x in zip(np.hstack(blocks).T, np.concatenate(xs)):
         need = left >= cut
@@ -177,19 +174,21 @@ def _chained_series(n, eps, g, draw, terms, powers):
 
 
 def _series_cases(g):
-    """(draw, transform, whole-block reference draw, terms, powers) of the
-    Gaussian series, the quadratic and signed series at index 1.5 and the
-    signed series at index 0.7; the reference draws from ``g``."""
+    """(columns, terms, whole-block reference draw, reference terms, powers)
+    of the Gaussian series, the quadratic and signed series at index 1.5 and
+    the signed series at index 0.7; the reference draws from ``g``."""
     def stable(alpha, *fs):
+        def terms(ell, s):
+            return [y for f in fs for y in f(ell, s, alpha)]
+
         return (
-            _stable_draw, lambda v, e: _cms_transform(alpha, 0.3, v, e),
+            _stable_columns, lambda ell, v, e: terms(ell, _cms_transform(alpha, 0.3, v, e)),
             lambda shape: stable_standard(alpha, 0.3, g, shape),
-            lambda ell, s: [y for f in fs for y in f(ell, s, alpha)],
-            [w for f in fs for w in _POWERS[f](alpha)],
+            terms, [w for f in fs for w in _POWERS[f](alpha)],
         )
 
     return (
-        (_gaussian_draw, lambda z: z, g.standard_normal,
+        (_gaussian_columns, _gaussian_terms, g.standard_normal,
          _gaussian_terms, _GAUSSIAN_POWERS),
         stable(1.5, _quadratic, _signed),
         stable(0.7, _signed),
@@ -200,12 +199,12 @@ def _series_cases(g):
 def test_series_sums_each_row_over_its_own_sticks_plus_a_chained_copy(n):
     for case in range(3):
         g, h = rng(case), rng(case)
-        draw, transform, _, terms, powers = _series_cases(g)[case]
-        sums, rem = _series(n, 1e-6, g, draw, transform, terms, powers)
+        columns, terms, _, _, powers = _series_cases(g)[case]
+        sums, rem = _series(n, 1e-6, g, columns, terms, powers)
         # the series draws the whole batch from one child stream of its caller's
         child = np.random.Generator(np.random.PCG64(np.random.SeedSequence(h.bit_generator.random_raw(4))))
-        _, _, ref_draw, _, _ = _series_cases(child)[case]
-        ref, ref_rem = _chained_series(n, 1e-6, child, ref_draw, terms, powers)
+        _, _, ref_draw, ref_terms, _ = _series_cases(child)[case]
+        ref, ref_rem = _chained_series(n, 1e-6, child, ref_draw, ref_terms, powers)
         assert np.array_equal(sums, ref)
         assert np.array_equal(rem, ref_rem)
         assert (rem < 1e-6).all()
@@ -218,16 +217,12 @@ def test_series_transforms_only_the_sticks_the_rows_need(monkeypatch):
     n, eps = 3000, 1e-6
     runs, transformed = [], []
 
-    def recording_sticks(n_rows, T, cutoff, g, drive):
+    def recording_sticks(n_rows, T, cutoff, g):
         blocks = []
-
-        def keep(block):
+        for block, L in stick_blocks(n_rows, T, cutoff, g):
             blocks.append(block.copy())   # the next block overwrites this view
-            drive(block)
-
-        rem = stick_blocks(n_rows, T, cutoff, g, keep)
+            yield block, L
         runs.append(np.hstack(blocks))
-        return rem
 
     def counting_transform(alpha, beta, u, e):
         transformed.append(u.size)
@@ -385,3 +380,21 @@ def test_drift_limit_case_sign_validation():
     with pytest.raises(ParameterError):
         draw_limit_drift(0.5, 1.0, 1, g)
     assert draw_limit_drift(1.5, 1.0, 1, g).shape == (1, 2)
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda n, g: draw_limit_finite_variance(1.0, n, g),
+        lambda n, g: draw_limit_stable(1.5, n, g),
+        lambda n, g: draw_limit_quadratic(1.5, n, g),
+        lambda n, g: (draw_limit_drift(1.5, 1.0, n, g),),
+    ],
+    ids=["finite_variance", "stable", "quadratic", "drift"],
+)
+def test_samplers_refuse_a_negative_batch_and_draw_an_empty_one(draw):
+    # a negative batch once padded to MIN_ROWS rows and returned 11 draws
+    with pytest.raises(ParameterError, match="batch size"):
+        draw(-5, rng(40))
+    for out in draw(0, rng(40)):
+        assert out.shape[0] == 0

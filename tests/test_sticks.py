@@ -109,6 +109,14 @@ def test_truncation_guards():
         compensation_estimate(np.reciprocal, 1.0, 4.0, 50, rng())
 
 
+def test_stick_blocks_guards_run_at_the_first_next():
+    # a generator runs its body, guards included, only when first advanced
+    for T, cutoff in ((math.inf, 1.0), (0.0, 1.0), (4.0, 0.0)):
+        blocks = stick_blocks(8, T, cutoff, NoDrawRng())
+        with pytest.raises(ParameterError):
+            next(blocks)
+
+
 def test_reductions_refuse_bad_counts_and_floors():
     for reps in (0, -5):
         with pytest.raises(ParameterError, match="replication"):
@@ -226,13 +234,14 @@ def _traced_peak(fn):
 def test_reductions_hold_one_block_per_chunk():
     # criterion 01's largest horizon and criterion 02's longest row trace
     # 5.5 and 4.7 MB; the chunked whole records they replace traced 12.5 and
-    # 24.8 MB
+    # 24.8 MB, and keeping a finished run's block while the next run draws
+    # its own traced 8.25 and 7.31 MB
     peak = _traced_peak(lambda: tau_gset_counts(math.exp(6), 100_000, rng(20)))
-    assert peak < 10e6, peak
+    assert peak < 7e6, peak
     name, _, _, f, floor, T, _ = _COMPENSATION_ROWS[4]
     assert name == "power_sum_q1"
     peak = _traced_peak(lambda: compensation_estimate(f, floor, T, 100_000, rng(21)))
-    assert peak < 12e6, peak
+    assert peak < 6e6, peak
 
 
 def test_gset_clt_at_large_horizon():
@@ -315,22 +324,19 @@ def test_stick_matrix_rows_complete():
     assert (t > 0.0).all()
 
 
-def _kept_blocks(n_rows, T, cutoff, g, drive=lambda block: None):
+def _kept_blocks(n_rows, T, cutoff, g, body=lambda block: None):
     """Copies of the blocks of one run of stick_blocks, side by side, and its
-    remainder; ``drive`` is called on each block after the copy."""
+    final scaled remainder; ``body`` is called on each block after the copy."""
     blocks = []
-
-    def keep(block):
+    for block, L in stick_blocks(n_rows, T, cutoff, g):
         blocks.append(block.copy())   # the next block overwrites this view
-        drive(block)
-
-    rem = stick_blocks(n_rows, T, cutoff, g, keep)
-    return np.hstack(blocks), rem
+        body(block)
+    return np.hstack(blocks), T * L
 
 
 def test_driven_record_extends_under_a_finer_cutoff():
-    # blocks of uniforms and drive draws interleave, so a finer cutoff on the
-    # same stream only appends columns to both
+    # blocks of uniforms and loop-body draws interleave, so a finer cutoff on
+    # the same stream only appends columns to both
     def record(seed, cutoff):
         g = rng(seed)
         drawn = []
@@ -374,12 +380,9 @@ def test_row_sliced_loop_matches_a_per_column_loop():
 
 def test_blocks_are_views_of_one_buffer_and_the_record_keeps_them():
     views, copies = [], []
-
-    def keep(block):
+    for block, L in stick_blocks(300, 1.0, 1e-6, rng(17)):
         views.append(block)
         copies.append(block.copy())
-
-    rem = stick_blocks(300, 1.0, 1e-6, rng(17), keep)
     t, t_rem = stick_matrix(300, 1.0, 1e-6, rng(17))
     assert len(views) == t.shape[1] // BLOCK > 1
     for view in views:
@@ -387,4 +390,4 @@ def test_blocks_are_views_of_one_buffer_and_the_record_keeps_them():
         assert np.shares_memory(view, views[0]) and not np.shares_memory(view, t)
     assert np.array_equal(views[0], copies[-1])   # each block overwrote the last
     assert np.array_equal(np.hstack(copies), t)
-    assert np.array_equal(rem, t_rem)
+    assert np.array_equal(L, t_rem)   # at T = 1 the remainder is unscaled
