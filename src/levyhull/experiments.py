@@ -142,10 +142,9 @@ def draw_hull_stats(model, T, reps, seed, tag, workers=1):
 def _draw_record_table(q):
     """Draw-record table (one row per replication) for the report."""
     cols = np.column_stack(
-        [np.full(q.upsilon.size, q.horizon), q.upsilon, q.h_prime, q.final, q.sup, q.gamma,
-         q.truncation_error_bound]
+        [np.full(q.upsilon.size, q.horizon), q.upsilon, q.h_prime, q.final, q.sup, q.gamma]
     )
-    header = ("T", "upsilon", "h_prime", "final", "sup", "gamma", "truncation_bound")
+    header = ("T", "upsilon", "h_prime", "final", "sup", "gamma")
     return header, cols
 
 
@@ -325,7 +324,7 @@ def _stable_coordinate_ks(cfg, rep, prefix):
     T = cfg.t_grid[-1]
     q = draw_quintuples(model, T, cfg.reps, cfg.seed, f"{prefix}-rep", cfg.cutoff, cfg.workers)
     g = substream(cfg.seed, f"{prefix}-limit", 0)
-    coords, _ = draw_limit_stable(model.attraction_alpha(), cfg.reps, g, beta=getattr(model, "beta", 0.0))
+    coords = draw_limit_stable(model.attraction_alpha(), cfg.reps, g, beta=getattr(model, "beta", 0.0))
     _rows_coordinate_ks(rep, T, prefix, normalize_stable(model, q), coords)
     rep.tables["rep_draws"] = _draw_record_table(q)
     return q, coords
@@ -389,7 +388,7 @@ def _exp_tail_index(cfg: ExperimentConfig) -> RunReport:
     block = 50_000
     for k, lo in enumerate(range(0, cfg.reps, block)):
         g = substream(cfg.seed, "tail-q", k)
-        draws[lo : lo + block], _ = draw_limit_quadratic(alpha, min(block, cfg.reps - lo), g, beta=beta)
+        draws[lo : lo + block] = draw_limit_quadratic(alpha, min(block, cfg.reps - lo), g, beta=beta)
     fit = tail_slope(draws)
     target = -alpha / 2.0
     rep.rows.append(

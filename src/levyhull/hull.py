@@ -24,12 +24,11 @@ big-face count, final value, supremum, time of supremum) of one face set,
 or of a batch of them at one horizon and cutoff (equal-length 1-d arrays,
 as :func:`stack_quintuples` returns).  Both samplers end in
 :func:`reduce_faces`, whose sums do not depend on the face order: the hull
-of an exact path (:func:`shape_stats`, faces in slope order, zero cutoff
-and truncation bound) and the stick-breaking construction
-(:func:`~levyhull.sbrep.sample_quintuple`, sticks paired with their
-increments).  The time of the supremum is ``T`` times the positive-slope
-share of the summed length, which keeps its endpoint atoms at exactly 0
-and T in floating point.
+of an exact path (:func:`shape_stats`, faces in slope order, zero cutoff)
+and the stick-breaking construction (:func:`~levyhull.sbrep.sample_quintuple`,
+sticks paired with their increments).  The time of the supremum is ``T``
+times the positive-slope share of the summed length, which keeps its
+endpoint atoms at exactly 0 and T in floating point.
 """
 from __future__ import annotations
 
@@ -73,7 +72,7 @@ class Face(NamedTuple):
 class QuintupleSample:
     """Shape statistics of one face set, or of a batch of them.
 
-    The per-draw fields (``upsilon`` through ``truncation_error_bound``)
+    The per-draw fields (``upsilon`` through ``gamma``)
     are scalars for one draw, or equal-length 1-d arrays for a batch of
     draws sharing ``horizon`` and ``cutoff``.
     """
@@ -83,7 +82,6 @@ class QuintupleSample:
     final: float                   # value at the horizon
     sup: float                     # supremum of the majorant
     gamma: float                   # time the supremum is attained (first attainment)
-    truncation_error_bound: float
     horizon: float
     cutoff: float
 
@@ -99,7 +97,7 @@ class QuintupleSample:
         return self.horizon + 2.0 * self.sup - self.final
 
 
-_PER_DRAW = ("upsilon", "h_prime", "final", "sup", "gamma", "truncation_error_bound")
+_PER_DRAW = ("upsilon", "h_prime", "final", "sup", "gamma")
 
 
 def stack_quintuples(records):
@@ -117,7 +115,7 @@ def stack_quintuples(records):
     return QuintupleSample(*columns, horizon=horizon, cutoff=cutoff)
 
 
-def reduce_faces(lengths, heights, T, cutoff=0.0, truncation_error_bound=0.0):
+def reduce_faces(lengths, heights, T, cutoff=0.0):
     """Single-draw record of the faces ``(lengths[i], heights[i])`` of a
     majorant on [0, T], in any order.
 
@@ -137,8 +135,7 @@ def reduce_faces(lengths, heights, T, cutoff=0.0, truncation_error_bound=0.0):
             big += 1
     if abs(total - T) > 1e-9 * max(T, 1.0):
         raise PathError(f"faces do not conserve the horizon: sum {total} vs T {T}")
-    return QuintupleSample(total + excess, big, final, sup, T * (pos_len / total),
-                           truncation_error_bound, T, cutoff)
+    return QuintupleSample(total + excess, big, final, sup, T * (pos_len / total), T, cutoff)
 
 
 def _candidates(times, values, pre_values, upper: bool):
@@ -230,8 +227,8 @@ def merge_collinear(faces: Sequence[Face]):
 
 
 def shape_stats(faces: Sequence[Face], T: float) -> QuintupleSample:
-    """Exact :class:`QuintupleSample` (zero cutoff and truncation bound) of
-    a majorant given by its faces; see :func:`reduce_faces`."""
+    """Exact :class:`QuintupleSample` (zero cutoff) of a majorant given by
+    its faces; see :func:`reduce_faces`."""
     if not faces:
         raise PathError("empty face sequence")
     lengths, heights = zip(*faces)

@@ -10,18 +10,8 @@ stick-breaking the series past the cutoff is therefore ``L`` to that
 degree times an independent copy of the whole series (Gonzalez Cazares,
 Mijatovic & Uribe Bravo, EJP 2020), and the samplers fold it in that way,
 each row taking the rows after it in its batch as the copy
-(:func:`_series`).  A per-draw truncation figure is reported from the
-row's own remainder:
-
-* Gaussian series: ``8 * sqrt(L)``, an envelope at roughly the 1e-8
-  level for the coordinate changes under further refinement;
-* stable series with index ``alpha``: ``ENVELOPE * L^p`` with ``p`` the
-  series weight exponent.  The omitted mass is heavy-tailed with infinite
-  mean, so no almost-sure bound exists; the envelope constant is sized so
-  refinement stays below the figure except with probability well under
-  1e-4 per draw.  For index below 1 (``p > 1``) the figure also carries
-  ``L + 1e-12`` for the argmax shares, which move by up to ``L`` and by
-  rounding.
+(:func:`_series`).  How far a draw moves when ``eps`` is refined is
+measured by the refinement tests, not reported per draw.
 
 Each series reduces the sticks of one run of
 :func:`~levyhull.sticks.stick_blocks` per batch, a block of columns at a
@@ -81,10 +71,6 @@ __all__ = [
 ]
 
 DEFAULT_EPS = 1e-6
-
-# multiplies the remainder scale L^p of heavy-tailed series; see module doc
-STABLE_ENVELOPE = 1e7
-HEAVY_ENVELOPE = 1e10
 
 # a row runs on until the weight of its tail is below FOLD_WEIGHT, which
 # bounds how much it leans on the rows its tail copy chains through; the
@@ -198,8 +184,8 @@ _GAUSSIAN_POWERS = (0.5, 0.5, 1.0, 1.0)
 
 
 def draw_limit_finite_variance(sigma, n, rng, eps=DEFAULT_EPS):
-    """Batch of ``n`` finite-variance quintuple limit draws; returns
-    ``(coords, bounds)`` with ``coords`` of shape ``(n, 5)``.
+    """Batch of ``n`` finite-variance quintuple limit draws, of shape
+    ``(n, 5)``.
 
     Z1, Z2 are independent standard normals drawn first; the Brownian
     triple (running maximum, endpoint, argmax time) comes from the Gaussian
@@ -213,11 +199,10 @@ def draw_limit_finite_variance(sigma, n, rng, eps=DEFAULT_EPS):
     _check_batch(n, eps)
     z1 = rng.standard_normal(n)
     z2 = rng.standard_normal(n)
-    (sup, fin, pos, tot), rem = _series(n, eps, rng, _gaussian_columns, _gaussian_terms, _GAUSSIAN_POWERS)
-    coords = np.column_stack(
+    (sup, fin, pos, tot), _ = _series(n, eps, rng, _gaussian_columns, _gaussian_terms, _GAUSSIAN_POWERS)
+    return np.column_stack(
         [sigma**2 / math.sqrt(2.0) * z1, z2, sigma * sup, sigma * fin, pos / tot]
     )
-    return coords, 8.0 * np.sqrt(rem)
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +258,8 @@ def _check_alpha(alpha, lo, hi):
 
 def draw_limit_stable(alpha, n, rng, eps=DEFAULT_EPS, beta=0.0):
     """Batch of infinite-variance limit quadruples (length, supremum,
-    endpoint, argmax share), all driven by one stick sequence per draw;
-    returns ``(coords, bounds)``.
+    endpoint, argmax share), all driven by one stick sequence per draw, of
+    shape ``(n, 4)``.
 
     Only the length coordinate follows the index: for ``alpha`` in (1, 2)
     the zero-mean quadratic series ``Q / 2``, for ``alpha`` in (0, 1) the
@@ -283,15 +268,14 @@ def draw_limit_stable(alpha, n, rng, eps=DEFAULT_EPS, beta=0.0):
     """
     _check_batch(n, eps)
     if 1.0 < alpha < 2.0:
-        (q, pos, neg, pos_len, tot), rem = _stable_series(alpha, beta, n, rng, eps, _quadratic, _signed)
-        length, bounds = 0.5 * q, STABLE_ENVELOPE * rem ** (2.0 / alpha - 1.0)
+        (q, pos, neg, pos_len, tot), _ = _stable_series(alpha, beta, n, rng, eps, _quadratic, _signed)
+        length = 0.5 * q
     elif 0.0 < alpha < 1.0:
-        (pos, neg, pos_len, tot), rem = _stable_series(alpha, beta, n, rng, eps, _signed)
-        # the argmax share moves by at most the remainder's length, plus rounding
-        length, bounds = pos + neg, HEAVY_ENVELOPE * rem ** (1.0 / alpha) + rem + 1e-12
+        (pos, neg, pos_len, tot), _ = _stable_series(alpha, beta, n, rng, eps, _signed)
+        length = pos + neg
     else:
         raise ParameterError(f"alpha must lie in (0, 1) or (1, 2), got {alpha}")
-    return np.column_stack([length, pos, pos - neg, pos_len / tot]), bounds
+    return np.column_stack([length, pos, pos - neg, pos_len / tot])
 
 
 # read only by bench/tracing.TRACED, which wraps this name
@@ -299,14 +283,13 @@ draw_limit_stable_zero_mean = draw_limit_stable
 
 
 def draw_limit_quadratic(alpha, n, rng, eps=DEFAULT_EPS, beta=0.0):
-    """Batch of the quadratic length series alone: column 0 and the bounds
-    of :func:`draw_limit_stable` on the same stream, bit for bit, for
-    ``alpha`` in (1, 2), without the other three series; returns
-    ``(q, bounds)``."""
+    """Batch of the quadratic length series alone, of shape ``(n,)``:
+    column 0 of :func:`draw_limit_stable` on the same stream, bit for bit,
+    for ``alpha`` in (1, 2), without the other three series."""
     _check_alpha(alpha, 1.0, 2.0)
     _check_batch(n, eps)
-    (q,), rem = _stable_series(alpha, beta, n, rng, eps, _quadratic)
-    return 0.5 * q, STABLE_ENVELOPE * rem ** (2.0 / alpha - 1.0)
+    (q,), _ = _stable_series(alpha, beta, n, rng, eps, _quadratic)
+    return 0.5 * q
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +299,7 @@ def draw_limit_quadratic(alpha, n, rng, eps=DEFAULT_EPS, beta=0.0):
 def draw_limit_drift(alpha, mu, n, rng, scale=1.0):
     """Batch of ``n`` rank-one ``drift-a`` limit draws, one stable draw
     ``s`` each: the length and endpoint coordinates
-    ``(mu / sqrt(1 + mu^2) s, s)``; returns ``coords`` only, as nothing is
-    truncated."""
+    ``(mu / sqrt(1 + mu^2) s, s)``, of shape ``(n, 2)``."""
     if not mu > 0.0:
         raise ParameterError(f"the drift limit needs mu > 0, got {mu}")
     if not (1.0 < alpha <= 2.0):

@@ -637,8 +637,8 @@ def _cms_transform(alpha, beta, v, e):
 
 def sample_increment(model, t, rng):
     """One draw distributed exactly as X_t under the model."""
-    if not t > 0.0:
-        raise ParameterError(f"increment duration must be > 0, got {t}")
+    if not 0.0 < t < math.inf:
+        raise ParameterError(f"increment duration must be finite and > 0, got {t}")
     return model.increment(t, rng)
 
 
@@ -712,16 +712,21 @@ def sample_path(model, T, resolution, rng):
 
     ``resolution`` is either the string ``"exact-jumps"`` (compound Poisson
     with drift only: every jump time with pre- and post-jump values) or a
-    positive grid step ``h`` giving values at ``{0, h, 2h, ..., T}`` with
-    exact increments per step.  An exact jump record is the one-path view
-    of :func:`sample_jump_paths`: its one row, on the same stream.
+    finite positive grid step ``h`` giving values at ``{0, h, 2h, ..., T}``
+    with exact increments per step.  An exact jump record is the one-path
+    view of :func:`sample_jump_paths`: its one row, on the same stream.
     """
     _check_horizon(T)
     if resolution == EXACT_JUMPS:
         return sample_jump_paths(model, T, 1, rng).path(0)
-    h = float(resolution)
-    if not h > 0.0:
-        raise ParameterError(f"grid step must be > 0, got {resolution}")
+    try:
+        h = float(resolution)
+    except (TypeError, ValueError):
+        h = math.nan
+    if not 0.0 < h < math.inf:
+        raise ParameterError(
+            f"resolution must be {EXACT_JUMPS!r} or a finite grid step > 0, got {resolution!r}"
+        )
     return _sample_grid(model, T, h, rng)
 
 

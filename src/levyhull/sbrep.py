@@ -12,11 +12,9 @@ pseudo-face.  Consequences:
 
 * the final value is exact in law at any cutoff;
 * the big-stick count is exact whenever ``cutoff <= 1``;
-* length, supremum and supremum time carry a remainder-splitting bias whose
-  expected size is bounded by twice the mean absolute increment over the
-  remainder, reported per draw in ``truncation_error_bound`` (for models
-  with infinite variance the reported figure is a scale proxy built from
-  the norming, not an expectation bound).
+* length, supremum and supremum time carry a remainder-splitting bias,
+  which shrinks with the remainder and is measured by refining the cutoff
+  on the same stream, not reported per draw.
 
 Each draw is :func:`~levyhull.hull.reduce_faces` of its sticks and their
 increments, so a :class:`~levyhull.hull.QuintupleSample` of the
@@ -77,27 +75,7 @@ def sample_quintuple(model, T, rng, cutoff=DEFAULT_CUTOFF):
     if rem > 0.0:
         ts.append(rem)
         xs.append(sample_increment(model, rem, rng))
-    return reduce_faces(ts, xs, T, cutoff, _remainder_bound(model, rem))
-
-
-def _remainder_bound(model, s):
-    """Reported bound on the remainder-splitting bias: twice the mean
-    absolute increment over duration ``s`` when the variance is finite;
-    otherwise, where the second (for index below one also the first) moment
-    is missing, the scale proxy ``2 (|mu| s + 4 a_s)`` with ``a_s`` the
-    norming.  Pareto jumps of index exactly 2 have none; their ``a_s`` is
-    the log-corrected ``scale * sqrt(rate s * max(1, log(rate s)))``."""
-    if s <= 0.0:
-        return 0.0
-    var = model.variance_rate()
-    if math.isfinite(var):
-        return 2.0 * (abs(model.mean_rate()) * s + math.sqrt(var * s))
-    try:
-        a_s = norming(model, s)
-    except RegimeError:  # compound Poisson with Pareto jumps of index 2
-        lam = model.rate * s
-        a_s = model.jump.scale * math.sqrt(lam * max(1.0, math.log(lam)))
-    return 2.0 * (abs(model.mu) * s + 4.0 * a_s)
+    return reduce_faces(ts, xs, T, cutoff)
 
 
 # ---------------------------------------------------------------------------

@@ -239,7 +239,7 @@ def test_regime_mismatch_rejected_before_sampling():
 
 
 def test_verify_heavy_runs_on_pareto_jumps():
-    # infinite mean: the per-draw truncation figure comes from the norming
+    # infinite mean: every draw of the record is still finite
     report = run(
         config_from_mapping(
             {
@@ -252,8 +252,7 @@ def test_verify_heavy_runs_on_pareto_jumps():
         )
     )
     header, draws = report.tables["rep_draws"]
-    bounds = draws[:, header.index("truncation_bound")]
-    assert bounds.size == 200 and np.isfinite(bounds).all()
+    assert draws.shape == (200, len(header)) and np.isfinite(draws).all()
 
 
 def test_sandwich_violations_forgive_rounding_but_count_a_displaced_draw():
@@ -266,7 +265,7 @@ def test_sandwich_violations_forgive_rounding_but_count_a_displaced_draw():
 
     def sample(upsilon):
         n = len(upsilon)
-        return QuintupleSample(upsilon, np.zeros(n), final, sup, np.zeros(n), np.zeros(n), T, 0.0)
+        return QuintupleSample(upsilon, np.zeros(n), final, sup, np.zeros(n), T, 0.0)
 
     ulps = np.spacing(lo)
     assert experiments._sandwich_violations(sample(lo - 2.0 * ulps), a_T) == 0
@@ -356,9 +355,9 @@ def test_report_deterministic_across_runs_and_workers(tmp_path):
 def test_hull_stats_name_the_path_statistics():
     model = CompoundPoissonDrift(1.0, Gaussian(0.0, 1.0), mu=0.2)
     hull = draw_hull_stats(model, 8.0, 3, 5, "t")
-    # the stick-breaking batch record: exact hulls have no cutoff or truncation
+    # the stick-breaking batch record: exact hulls have no cutoff
     assert type(hull) is type(draw_quintuples(model, 8.0, 3, 5, "t", 1e-3)) is QuintupleSample
-    assert (hull.horizon, hull.cutoff) == (8.0, 0.0) and (hull.truncation_error_bound == 0.0).all()
+    assert (hull.horizon, hull.cutoff) == (8.0, 0.0)
     g = substream(5, "t", 0)
     names = ("upsilon", "h_prime", "final", "sup", "gamma")
     for k in range(3):
@@ -387,7 +386,7 @@ def test_tail_index_draws_at_the_model_skewness():
         {"experiment": "tail-index", "model": {"kind": "stable", "alpha": 1.5, "beta": 0.5},
          "reps": 10_000, "seed": 9}
     ))
-    q, _ = draw_limit_quadratic(1.5, 10_000, substream(9, "tail-q", 0), beta=0.5)
+    q = draw_limit_quadratic(1.5, 10_000, substream(9, "tail-q", 0), beta=0.5)
     assert np.array_equal(report.samples["q_draws"], q)
 
 
@@ -443,8 +442,8 @@ def test_write_load_roundtrip(tmp_path):
     assert csv_text.splitlines()[0] == "T,statistic,estimate,se_or_d,p_value,threshold,verdict"
     # the draw-record table round-trips with its header
     header, mat = loaded.tables["rep_draws"]
-    assert header == ("T", "upsilon", "h_prime", "final", "sup", "gamma", "truncation_bound")
-    assert mat.shape == (rep.samples["rep_upsilon"].size, 7)
+    assert header == ("T", "upsilon", "h_prime", "final", "sup", "gamma")
+    assert mat.shape == (rep.samples["rep_upsilon"].size, 6)
     assert np.array_equal(mat[:, 1], rep.samples["rep_upsilon"])
 
 

@@ -132,8 +132,8 @@ def test_shape_stats_example():
     assert s.tent_length == pytest.approx(6.0)
     assert s.hut_length == pytest.approx(2 * math.sqrt(5))
     assert s.h_prime == 2
-    # an exact face set: no cutoff, no truncation
-    assert (s.cutoff, s.truncation_error_bound) == (0.0, 0.0)
+    # an exact face set: no cutoff
+    assert s.cutoff == 0.0
 
 
 def test_shape_stats_single_face():

@@ -214,7 +214,7 @@ def bits(x):
     return np.asarray(x, dtype=float).view(np.int64)
 
 
-_DRAW_FIELDS = ("upsilon", "h_prime", "final", "sup", "gamma", "truncation_error_bound")
+_DRAW_FIELDS = ("upsilon", "h_prime", "final", "sup", "gamma")
 
 jump_laws = st.one_of(
     st.builds(Gaussian, st.floats(-1.0, 1.0), st.floats(0.1, 2.0)),

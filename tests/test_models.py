@@ -72,6 +72,17 @@ def test_nonpositive_duration_rejected():
         sample_increment(BrownianDrift(1.0), 0.0, rng())
     with pytest.raises(ParameterError):
         sample_increment(BrownianDrift(1.0), -1.0, rng())
+    # unchecked, an infinite duration draws nan (Brownian) or raises
+    # numpy's "lam value too large" (compound Poisson)
+    for model in (BrownianDrift(1.0), CompoundPoissonDrift(1.0, Gaussian(0.0, 1.0))):
+        for t in (math.inf, math.nan):
+            with pytest.raises(ParameterError, match="duration must be finite and > 0"):
+                sample_increment(model, t, rng())
+    # a path's grid step is a duration too, and a misspelt "exact-jumps"
+    # is neither resolution
+    for resolution in ("exact", None, 0.0, -0.5, math.inf, math.nan):
+        with pytest.raises(ParameterError, match="'exact-jumps' or a finite grid step > 0"):
+            sample_path(BrownianDrift(1.0), 1.0, resolution, rng())
 
 
 @pytest.mark.parametrize("T", [math.inf, math.nan, 0.0, -1.0])
