@@ -255,16 +255,15 @@ def _regime(cfg, *allowed):
 
 def _clt_draws(cfg, rep):
     """Finite-variance draws, after the regime check: per horizon ``T`` of
-    the grid, ``(T, q, det)`` with ``q`` the stick-breaking batch on
-    substream ``clt-{k}`` and ``det`` its deterministic-centering length
-    coordinate, kept in ``rep`` as the sample ``det_stat_T{k}``."""
+    the grid, ``T`` and the six columns of :func:`normalize_finite_variance`
+    of the batch on substream ``clt-{k}``, its column 5 kept as ``det_stat_T{k}``."""
     _regime(cfg, "finite-variance")
 
     def horizon(k, T):
         q = draw_quintuples(cfg.model, T, cfg.reps, cfg.seed, f"clt-{k}", cfg.cutoff, cfg.workers)
-        det = normalize_finite_variance(cfg.model, q, "deterministic")[:, 0]
-        rep.samples[f"det_stat_T{k}"] = det
-        return T, q, det
+        coords = normalize_finite_variance(cfg.model, q)
+        rep.samples[f"det_stat_T{k}"] = coords[:, 5]
+        return T, coords
 
     return (horizon(k, T) for k, T in enumerate(cfg.t_grid))
 
@@ -275,7 +274,8 @@ def _exp_clt_trend(cfg: ExperimentConfig) -> RunReport:
     var = cfg.model.variance_rate()
     limit_sd = math.sqrt(3.0) / 2.0 * var
     prev_d = None
-    for T, _, det in draws:
+    for T, coords in draws:
+        det = coords[:, 5]
         d = ks_distance_to_cdf(det, lambda x: _phi_cdf(x / limit_sd))
         trend_ok = True if prev_d is None else d < prev_d
         rep.rows.append(
@@ -292,17 +292,16 @@ def _exp_clt_independence(cfg: ExperimentConfig) -> RunReport:
     rep = RunReport("clt-independence")
     draws = _clt_draws(cfg, rep)
     var = cfg.model.variance_rate()
-    for T, q, det in draws:
-        sto = normalize_finite_variance(cfg.model, q, "stochastic")
+    for T, coords in draws:
         for name, col in (("sup", 2), ("final", 3), ("gamma", 4)):
-            c = float(np.corrcoef(sto[:, 0], sto[:, col])[0, 1])
+            c = float(np.corrcoef(coords[:, 0], coords[:, col])[0, 1])
             rep.rows.append(_row_check(T, f"fluct_corr_{name}", c, "|corr| < 0.1", abs(c) < 0.1))
         # the two centerings differ by half the variance times the count
         # coordinate: an exact linear identity per draw
-        recon = sto[:, 0] + 0.5 * var * sto[:, 1]
-        err = float(np.abs(det - recon).max())
+        recon = coords[:, 0] + 0.5 * var * coords[:, 1]
+        err = float(np.abs(coords[:, 5] - recon).max())
         rep.rows.append(_row_check(T, "centering_identity_max_err", err, "<= 1e-9", err <= 1e-9))
-        c_id = float(np.corrcoef(det, recon)[0, 1])
+        c_id = float(np.corrcoef(coords[:, 5], recon)[0, 1])
         rep.rows.append(
             _row_check(T, "centering_identity_corr", c_id, ">= 1 - 1e-9", c_id >= 1.0 - 1e-9)
         )
@@ -417,7 +416,6 @@ def _exp_tail_index(cfg: ExperimentConfig) -> RunReport:
 def _exp_compare_length(cfg: ExperimentConfig) -> RunReport:
     model = cfg.model
     _regime(cfg, "finite-variance")
-    var = model.variance_rate()
     if len(cfg.t_grid) < 2:
         raise ConfigError("compare-length needs at least two horizons")
     rep = RunReport("compare-length")
@@ -425,8 +423,8 @@ def _exp_compare_length(cfg: ExperimentConfig) -> RunReport:
     for k, T in enumerate(cfg.t_grid):
         q = draw_quintuples(model, T, cfg.reps, cfg.seed, f"cmp-{k}", cfg.cutoff, cfg.workers)
         hut = q.hut_length - T
-        maj = (q.upsilon - T) - 0.5 * var * math.log(T) + theta(model, T)
-        tent = 2.0 * q.sup - q.final
+        maj = normalize_finite_variance(model, q)[:, 5] * math.sqrt(math.log(T))
+        tent = q.tent_length - T
         trio = (float(hut.std(ddof=1)), float(maj.std(ddof=1)), float(tent.std(ddof=1)))
         sds.append(trio)
         ordered = trio[0] < trio[1] < trio[2]
@@ -642,23 +640,20 @@ def _fmt(x):
     return repr(float(x)) if isinstance(x, float) else str(x)
 
 
-def report_csv_body(report: RunReport) -> str:
+def _csv_text(header, rows):
+    """CSV text of a header and rows.  csv writes a float as its ``repr``, so
+    pass numpy values as Python floats (``tolist``): theirs is not a number."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow(CSV_HEADER)
-    for r in report.rows:
-        w.writerow(
-            [
-                _fmt(r.T),
-                r.statistic,
-                _fmt(r.estimate),
-                _fmt(r.se_or_d),
-                _fmt(r.p_value),
-                r.threshold,
-                "pass" if r.passed else "FAIL",
-            ]
-        )
+    w.writerow(header)
+    w.writerows(rows)
     return buf.getvalue()
+
+
+def report_csv_body(report: RunReport) -> str:
+    return _csv_text(CSV_HEADER, ([_fmt(r.T), r.statistic, _fmt(r.estimate), _fmt(r.se_or_d),
+                                   _fmt(r.p_value), r.threshold, "pass" if r.passed else "FAIL"]
+                                  for r in report.rows))
 
 
 def write_report(report: RunReport, outdir) -> Path:
@@ -743,46 +738,22 @@ PLOT_KINDS = ("ecdf-pair", "qq", "tail-loglog", "scaling-table")
 
 def emit_plot_data(report: RunReport, kind: str, outdir) -> list:
     """Write plain CSV plot data for external plotting; returns the paths."""
+    samples = report.samples
+    if kind == "ecdf-pair":
+        tables = {f"ecdf_{s}.csv": _ecdf_pair(samples, a, b) for s, a, b in _paired_samples(report)}
+    elif kind == "qq":
+        tables = {f"qq_{s}.csv": _qq(samples[a], samples[b]) for s, a, b in _paired_samples(report)}
+    elif kind == "tail-loglog":
+        tables = {"tail_loglog.csv": _tail_loglog(samples)}
+    elif kind == "scaling-table":
+        tables = {"scaling_table.csv": _scaling_table(report.rows)}
+    else:
+        raise ConfigError(f"unknown plot kind {kind!r}; choose from {PLOT_KINDS}")
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    if kind == "ecdf-pair":
-        return _emit_pairs(report, out, _write_ecdf_pair, "ecdf")
-    if kind == "qq":
-        return _emit_pairs(report, out, _write_qq, "qq")
-    if kind == "tail-loglog":
-        q = report.samples.get("q_draws")
-        if q is None:
-            raise PathError("report holds no tail sample (expected 'q_draws')")
-        fit = tail_slope(q)
-        lx, lsf = _tail_points(q, fit.q_lo, fit.q_hi)
-        path = out / "tail_loglog.csv"
-        with open(path, "w") as fh:
-            fh.write("log_x,log_sf,fit\n")
-            for a, b in zip(lx, lsf):
-                fh.write(
-                    f"{float(a)!r},{float(b)!r},{float(fit.intercept + fit.slope * a)!r}\n"
-                )
-        return [path]
-    if kind == "scaling-table":
-        rows = [r for r in report.rows if r.statistic.startswith("sd_")]
-        if not rows:
-            raise PathError("report holds no sd_* rows (run compare-length first)")
-        by_t = {}
-        for r in rows:
-            by_t.setdefault(r.T, {})[r.statistic] = r.estimate
-        path = out / "scaling_table.csv"
-        with open(path, "w") as fh:
-            fh.write("T,sd_hut,sd_majorant,sd_tent,"
-                     "hut_over_1,majorant_over_sqrtlog,tent_over_sqrtT\n")
-            for T in sorted(by_t):
-                d = by_t[T]
-                fh.write(
-                    f"{T!r},{d['sd_hut']!r},{d['sd_majorant']!r},{d['sd_tent']!r},"
-                    f"{d['sd_hut']!r},{d['sd_majorant'] / math.sqrt(math.log(T))!r},"
-                    f"{d['sd_tent'] / math.sqrt(T)!r}\n"
-                )
-        return [path]
-    raise ConfigError(f"unknown plot kind {kind!r}; choose from {PLOT_KINDS}")
+    for name, (header, rows) in tables.items():
+        (out / name).write_text(_csv_text(header, rows))
+    return [out / name for name in tables]
 
 
 def _paired_samples(report):
@@ -798,29 +769,38 @@ def _paired_samples(report):
     return pairs
 
 
-def _emit_pairs(report, out, writer, stem):
-    paths = []
-    for suffix, a, b in _paired_samples(report):
-        path = out / f"{stem}_{suffix}.csv"
-        writer(report.samples[a], report.samples[b], a, b, path)
-        paths.append(path)
-    return paths
+def _ecdf_pair(samples, name_a, name_b):
+    rows = []
+    for label in (name_a, name_b):
+        xs = np.sort(np.asarray(samples[label], dtype=float)).tolist()
+        rows += [(label, x, i / len(xs)) for i, x in enumerate(xs, 1)]
+    return ("sample", "x", "ecdf"), rows
 
 
-def _write_ecdf_pair(xa, xb, name_a, name_b, path):
-    with open(path, "w") as fh:
-        fh.write("sample,x,ecdf\n")
-        for label, vec in ((name_a, xa), (name_b, xb)):
-            xs = np.sort(vec)
-            for i, x in enumerate(xs, 1):
-                fh.write(f"{label},{float(x)!r},{i / xs.size!r}\n")
-
-
-def _write_qq(xa, xb, name_a, name_b, path):
+def _qq(xa, xb):
     qs = np.linspace(0.005, 0.995, 199)
-    qa = np.quantile(xa, qs)
-    qb = np.quantile(xb, qs)
-    with open(path, "w") as fh:
-        fh.write("q,x_a,x_b\n")
-        for q, a, b in zip(qs, qa, qb):
-            fh.write(f"{float(q)!r},{float(a)!r},{float(b)!r}\n")
+    return ("q", "x_a", "x_b"), zip(qs.tolist(), np.quantile(xa, qs).tolist(), np.quantile(xb, qs).tolist())
+
+
+def _tail_loglog(samples):
+    q = samples.get("q_draws")
+    if q is None:
+        raise PathError("report holds no tail sample (expected 'q_draws')")
+    fit = tail_slope(q)
+    lx, lsf = _tail_points(q, fit.q_lo, fit.q_hi)
+    fit_line = fit.intercept + fit.slope * lx
+    return ("log_x", "log_sf", "fit"), zip(lx.tolist(), lsf.tolist(), fit_line.tolist())
+
+
+def _scaling_table(rows):
+    by_t = {}
+    for r in rows:
+        if r.statistic.startswith("sd_"):
+            by_t.setdefault(r.T, {})[r.statistic] = r.estimate
+    if not by_t:
+        raise PathError("report holds no sd_* rows (run compare-length first)")
+    header = ("T", "sd_hut", "sd_majorant", "sd_tent", "hut_over_1", "majorant_over_sqrtlog",
+              "tent_over_sqrtT")
+    return header, [(T, d["sd_hut"], d["sd_majorant"], d["sd_tent"], d["sd_hut"],
+                     d["sd_majorant"] / math.sqrt(math.log(T)), d["sd_tent"] / math.sqrt(T))
+                    for T, d in sorted(by_t.items())]

@@ -33,24 +33,17 @@ Stopping each row at its own cutoff with its remainder as one stick, in
 place of the copy, changes the law: the summand ``ell^(2/alpha - 1)`` is
 concave, so one stick under-weights the mass it stands for (alpha = 1.5,
 eps = 1e-6, 5e4 rows: KS distance 0.0134-0.0137, p about 2e-4).  The
-error of a one-stick tail of weight ``c`` shrinks only like
-``c^(alpha/2)``, the tail index of the series, not like ``c``: a padded
-sum over every stick of the record (K columns, tail weight about
-``e^(-K/3)``) shifts the quadratic series' distribution function by up to
-2.5e-4 against a reference at eps = 1e-12 (t = 3.8, 1.8e8 draws), because
-42 % of the 5e4-row batches end at K = 32.  The chained copy leaves out less than
-:data:`CHAIN_TOL` and shows no shift (|t| <= 1.8, 8e7 draws).
+chained copy leaves out less than :data:`CHAIN_TOL` and shows no shift
+against a reference at eps = 1e-12 (|t| <= 1.8, 8e7 draws).
 
 The chain makes the rows of a batch dependent: a large row raises the rows
 whose copies chain through it, by their weights.  A row therefore runs on
 past ``eps`` until that weight is below :data:`FOLD_WEIGHT`, which at
 alpha = 1.5 means 21.8 sticks instead of 14.8 and brings the rank
 correlation of neighbouring rows from 0.05 (stopping at ``eps``) to about
-0.01.  Every cell of the record is drawn either way, so the record needs
-the same randomness as the padded sum.  Rows that reach the end of the record
-first keep a larger weight, up to ``eps`` to the degree; as alpha nears 2
-that degree nears 0 and most rows end there (alpha = 1.9: weights up to
-0.25).
+0.01.  Rows that reach the end of the record first keep a larger weight,
+up to ``eps`` to the degree; as alpha nears 2 that degree nears 0 and most
+rows end there (alpha = 1.9: weights up to 0.25).
 """
 from __future__ import annotations
 

@@ -21,7 +21,9 @@ increments, so a :class:`~levyhull.hull.QuintupleSample` of the
 stick-breaking construction has the fields of the hull of an exact path.
 The ``normalize_*`` functions take one draw or a batch and return its
 coordinate array: shape ``(k,)`` for one draw and ``(n, k)`` for a batch
-of ``n``, row ``i`` equal to the coordinates of draw ``i``.
+of ``n``, row ``i`` equal to the coordinates of draw ``i``.  One regime
+has one normalizer: :func:`normalize_finite_variance` returns the length
+under both of the theorem's centerings, by the big-face count and by log T.
 
 :func:`regime` is the one place that names a model's limit regime (from
 its attraction index and the sign of its mean); every ``normalize_*``
@@ -33,7 +35,7 @@ import math
 
 import numpy as np
 
-from .errors import ParameterError, RegimeError, TruncationError
+from .errors import RegimeError, TruncationError
 from .hull import QuintupleSample, reduce_faces
 from .models import norming, sample_increment, theta
 from .sticks import _check_horizon
@@ -117,28 +119,23 @@ def require_finite_variance(model, T):
     return model.variance_rate()
 
 
-def normalize_finite_variance(model, q: QuintupleSample, centering="stochastic"):
-    """Finite-variance zero-mean quintuple coordinates.
-
-    ``stochastic`` centers the length by the big-face count; ``deterministic``
-    replaces the count by log T (the two differ per draw by exactly half the
-    variance times the count fluctuation coordinate).
-    """
-    if centering not in ("stochastic", "deterministic"):
-        raise ParameterError(f"unknown centering {centering!r}")
+def normalize_finite_variance(model, q: QuintupleSample):
+    """Finite-variance zero-mean coordinates, six columns: the length
+    centered by the big-face count, the count, the supremum, the final
+    value, the supremum time, and the length centered by log T, which is
+    column 0 plus half the variance times column 1."""
     T = q.horizon
     var = require_finite_variance(model, T)
     lt = math.log(T)
     th = theta(model, T)
-    center = q.h_prime if centering == "stochastic" else lt
-    c1 = ((q.upsilon - T) - 0.5 * var * center + th) / math.sqrt(lt)
     return np.stack(
         [
-            c1,
+            ((q.upsilon - T) - 0.5 * var * q.h_prime + th) / math.sqrt(lt),
             (q.h_prime - lt) / math.sqrt(lt),
             q.sup / math.sqrt(T),
             q.final / math.sqrt(T),
             q.gamma / T,
+            ((q.upsilon - T) - 0.5 * var * lt + th) / math.sqrt(lt),
         ],
         axis=-1,
     )

@@ -592,6 +592,40 @@ def test_emit_scaling_table(tmp_path):
     assert len(lines) == 3
 
 
+def test_emit_plot_floats_are_the_repr_of_their_values(tmp_path):
+    # every float field of every plot kind is the repr of the float it
+    # stands for, so the files keep every bit and read back exactly
+    from levyhull.experiments import Row, RunReport
+    from levyhull.stats import _tail_points
+
+    g = np.random.default_rng(29)
+    a, b = g.standard_normal(300) * 1e3, np.round(g.standard_normal(250), 1)   # b holds integral floats
+    draws = g.random(20_000) ** (-1.0 / 0.75)
+    sd = {T: g.random(3) * 10.0 for T in (1e3, 1e5)}
+    rows = [Row(T, f"sd_{name}", float(v), math.nan, math.nan, "reported", True)
+            for T, vals in sd.items() for name, v in zip(("hut", "majorant", "tent"), vals)]
+    rep = RunReport("plots", rows=rows, samples={"hull_x": a, "rep_x": b, "q_draws": draws})
+
+    def fields(kind):
+        (path,) = emit_plot_data(rep, kind, tmp_path / kind)
+        return [line.split(",") for line in path.read_text().splitlines()[1:]]
+
+    def reprs(*cols):
+        return [[repr(float(x)) for x in row] for row in zip(*cols)]
+
+    ecdf = [[label, *row] for label, x in (("hull_x", a), ("rep_x", b))
+            for row in reprs(np.sort(x), np.arange(1, x.size + 1) / x.size)]
+    assert fields("ecdf-pair") == ecdf
+    qs = np.linspace(0.005, 0.995, 199)
+    assert fields("qq") == reprs(qs, np.quantile(a, qs), np.quantile(b, qs))
+    fit = tail_slope(draws)
+    lx, lsf = _tail_points(draws, fit.q_lo, fit.q_hi)
+    assert fields("tail-loglog") == reprs(lx, lsf, fit.intercept + fit.slope * lx)
+    table = [[T, hut, maj, tent, hut, maj / math.sqrt(math.log(T)), tent / math.sqrt(T)]
+             for T, (hut, maj, tent) in sd.items()]
+    assert fields("scaling-table") == reprs(*zip(*table))
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -620,6 +654,28 @@ def test_cli_run_and_emit(tmp_path, capsys):
     assert (out / "report.csv").exists()
     code2 = main(["emit-plot", "--report", str(out / "report.json"), "--kind", "qq"])
     assert code2 == 0
+
+
+def test_non_finite_model_parameter_fails_before_any_draw(tmp_path, capsys, monkeypatch):
+    # a NaN mean passed the regime check (abs(nan) > tol is false) and
+    # failed only after every draw; an infinite rate ended in numpy's
+    # "lam value too large" traceback.  Both now stop at the configuration.
+    from levyhull.cli import main
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew before refusing the model")
+
+    monkeypatch.setattr(experiments, "draw_quintuples", no_draws)
+    monkeypatch.setattr(experiments, "draw_hull_stats", no_draws)
+    cp = ("model.kind = cp\nmodel.jump.kind = gaussian\nmodel.jump.mean = 0\nmodel.jump.sd = 1\n"
+          "experiment = verify-identity\nT_grid = 8\n")
+    for body, name in (("experiment = clt-trend\nmodel.kind = brownian\nmodel.mu = nan\nT_grid = 1e3\n", "mu"),
+                       (cp + "model.rate = inf\n", "rate")):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(body + "reps = 200\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / name)]) == 2
+        assert f"error: {name} must be finite" in capsys.readouterr().err
+        assert not (tmp_path / name).exists()
 
 
 def test_shipped_criterion_configs_parse():

@@ -72,3 +72,13 @@ def test_readme_quick_tour_runs():
     tour = readme.split("## Library quick tour", 1)[1]
     code = tour.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(code, "README.md", "exec"), {})
+
+
+def test_sources_parse_as_python_3_10():
+    # CI runs Python 3.10 as well; syntax newer than that, such as
+    # ``except*``, should fail on 3.11 too
+    root = Path(__file__).resolve().parents[1]
+    paths = sorted(p for d in ("src", "tests", "bench") for p in (root / d).rglob("*.py"))
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

@@ -65,6 +65,30 @@ def test_invalid_parameters_rejected():
         PointMass(0.0)
     with pytest.raises(ParameterError):
         Gaussian(0.0, 0.0)
+    # every float parameter must be finite: a NaN slips past every range
+    # check, and an infinite rate or scale fails only inside numpy
+    for bad in (math.nan, math.inf, -math.inf):
+        for make in (
+            lambda x: BrownianDrift(x),
+            lambda x: BrownianDrift(1.0, mu=x),
+            lambda x: CompoundPoissonDrift(x, PointMass(1.0)),
+            lambda x: CompoundPoissonDrift(1.0, PointMass(1.0), mu=x),
+            lambda x: StableProcess(x),
+            lambda x: StableProcess(1.5, beta=x),
+            lambda x: StableProcess(1.5, scale=x),
+            lambda x: StableProcess(1.5, mu=x),
+            lambda x: Gaussian(x, 1.0),
+            lambda x: Gaussian(0.0, x),
+            lambda x: TwoPoint(x, 1.0, -1.0),
+            lambda x: TwoPoint(0.5, x, -1.0),
+            lambda x: TwoPoint(0.5, 1.0, x),
+            lambda x: Pareto(x, 1.0),
+            lambda x: Pareto(1.5, x),
+            lambda x: Pareto(1.5, 1.0, p_up=x),
+            lambda x: PointMass(x),
+        ):
+            with pytest.raises(ParameterError):
+                make(bad)
 
 
 def test_nonpositive_duration_rejected():
@@ -320,6 +344,19 @@ def test_stable_standard_symmetry():
     assert abs(np.mean(np.sign(x))) < 0.02
 
 
+class _ChosenDraws:
+    """Generator stub whose next uniform and exponential are given."""
+
+    def __init__(self, u, w):
+        self.u, self.w = u, w
+
+    def random(self):
+        return self.u
+
+    def standard_exponential(self):
+        return self.w
+
+
 def _cms_exact(alpha, beta, u, w):
     """The Chambers-Mallows-Stuck draw at uniform ``u`` and exponential ``w``
     in 50-digit arithmetic; at index 2, where tan(pi alpha / 2) = 0, the
@@ -356,6 +393,13 @@ def test_stable_standard_arrays_match_the_textbook_transform(alpha, beta):
     assert (got[zero] == 0.0).all()
     rel = np.abs(got[~zero] / exact[~zero] - 1.0)
     assert rel.max() < 1e-13, (rel.max(), u[~zero][rel.argmax()])
+    # the scalar draw, one (u, w) at a time, is as accurate and within an
+    # ulp or two of the array transform
+    one = np.array([stable_standard(alpha, beta, _ChosenDraws(*uw)) for uw in zip(u, w)])
+    assert (one[zero] == 0.0).all()
+    rel = np.abs(one[~zero] / exact[~zero] - 1.0)
+    assert rel.max() < 1e-13, (rel.max(), u[~zero][rel.argmax()])
+    assert np.abs(one[~zero] / got[~zero] - 1.0).max() < 1e-14
 
     # sizes below, at and above one piece: the draws are the transform of
     # all the uniforms with the exponentials drawn after them, bit for bit,

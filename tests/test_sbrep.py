@@ -182,29 +182,27 @@ def test_finite_variance_limit_normalization_identities():
     model = BrownianDrift(1.0)
     var = model.variance_rate()
     for q in draw_many(model, 1e4, 100, seed=8):
-        sto = normalize_finite_variance(model, q, "stochastic")
-        det = normalize_finite_variance(model, q, "deterministic")
+        c = normalize_finite_variance(model, q)
+        assert c.shape == (6,)
         # linear identity between the two centerings, exact per draw
-        lhs = det[0]
-        rhs = sto[0] + 0.5 * var * sto[1]
-        assert lhs == pytest.approx(rhs, abs=1e-9)
-        assert det[1:] == pytest.approx(sto[1:])
-        assert det[0] == pytest.approx(
+        assert c[5] == pytest.approx(c[0] + 0.5 * var * c[1], abs=1e-9)
+        assert c[0] == pytest.approx(
+            ((q.upsilon - 1e4) - 0.5 * var * q.h_prime) / math.sqrt(math.log(1e4))
+        )
+        assert c[5] == pytest.approx(
             ((q.upsilon - 1e4) - 0.5 * var * math.log(1e4)) / math.sqrt(math.log(1e4))
         )
-        assert sto.shape == det.shape == (5,)
 
 
 @pytest.mark.parametrize(
     "model, T, normalize, k",
     [
-        (BrownianDrift(1.0), 1e4, lambda m, q: normalize_finite_variance(m, q, "stochastic"), 5),
-        (BrownianDrift(1.0), 1e4, lambda m, q: normalize_finite_variance(m, q, "deterministic"), 5),
+        (BrownianDrift(1.0), 1e4, normalize_finite_variance, 6),
         (StableProcess(1.5), 1e3, normalize_stable, 4),
         (StableProcess(0.5), 100.0, normalize_stable, 4),
         (BrownianDrift(1.0, mu=0.5), 1e3, normalize_drift, 2),
     ],
-    ids=["fv-stochastic", "fv-deterministic", "stable", "heavy", "drift-a"],
+    ids=["finite-variance", "stable", "heavy", "drift-a"],
 )
 def test_batch_normalization_matches_per_draw(model, T, normalize, k):
     # the batch record runs the scalar arithmetic elementwise: row i of the
@@ -239,7 +237,7 @@ def test_finite_variance_limit_deterministic_variance_near_limit():
     # slow log-scale convergence: 15 percent tolerance at T = 1e6
     model = BrownianDrift(1.0)
     qs = draw_many(model, 1e6, 10_000, seed=9)
-    det = np.array([normalize_finite_variance(model, q, "deterministic")[0] for q in qs])
+    det = np.array([normalize_finite_variance(model, q)[5] for q in qs])
     assert abs(det.var() / 0.75 - 1.0) < 0.15
 
 
@@ -255,7 +253,7 @@ def test_finite_variance_centering_with_jump_measure():
     g = rng(777)
     det = np.array(
         [
-            normalize_finite_variance(model, sample_quintuple(model, T, g), "deterministic")[0]
+            normalize_finite_variance(model, sample_quintuple(model, T, g))[5]
             for _ in range(4000)
         ]
     )
