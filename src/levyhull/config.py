@@ -65,14 +65,7 @@ JUMPS = {
     "point-mass": PointMass,
     "log-pareto": LogCorrectedPareto,
 }
-_JUMP_FIELD = "jump"            # the model parameter built from the model.jump block
-_ALIASES = {"mean_": "mean"}    # parameter name -> configuration key
-
-
-def _param_keys(cls):
-    """Configuration key -> constructor parameter of a model or jump class."""
-    names = inspect.signature(cls).parameters
-    return {_ALIASES.get(name, name): name for name in names if name != _JUMP_FIELD}
+_JUMP_FIELD = "jump"    # the model parameter built from the model.jump block
 
 
 # top-level keys; every model.* key goes to _build, which rejects the keys
@@ -178,14 +171,14 @@ def _build(flat, block, table, noun):
         given = sorted(k for k in flat if k.startswith(block))
         raise ConfigError(f"unknown {noun} kind {kind!r} (keys {given}); choose from {sorted(table)}")
     cls = table[kind]
-    keys = _param_keys(cls)
-    nested = _JUMP_FIELD in inspect.signature(cls).parameters
+    params = inspect.signature(cls).parameters   # each is a key of the block
+    keys = [name for name in params if name != _JUMP_FIELD]
+    nested = _JUMP_FIELD in params
     stray = sorted(k for k in flat if k.startswith(block) and k[len(block):] not in {"kind", *keys}
                    and not (nested and k.startswith(f"{block}{_JUMP_FIELD}.")))
     if stray:
         raise ConfigError(f"{noun} kind {kind!r} takes no key {stray[0]!r}")
-    kwargs = {name: _number(block + key, flat[block + key])
-              for key, name in keys.items() if block + key in flat}
+    kwargs = {key: _number(block + key, flat[block + key]) for key in keys if block + key in flat}
     if nested:
         kwargs[_JUMP_FIELD] = _build(flat, "model.jump.", JUMPS, "jump")
     try:
@@ -196,7 +189,10 @@ def _build(flat, block, table, noun):
 
 def _number(key, value, cast=float):
     """``value`` of configuration key ``key`` as a float, or as an int when
-    ``cast`` is ``int`` and the value is integral (``1e3`` reads as 1000)."""
+    ``cast`` is ``int`` and the value is integral (``1e3`` reads as 1000).
+    A JSON boolean is not a number, though Python counts it as one."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
     try:
         x = float(value)
     except (TypeError, ValueError, OverflowError):

@@ -17,17 +17,18 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 from functools import partial
-from pathlib import Path
+from pathlib import Path, PurePath
 
 import numpy as np
 import scipy
 
 from . import __version__
-from .config import ExperimentConfig
+from .config import EXPERIMENTS, ExperimentConfig
 from .errors import ConfigError, PathError, RegimeError
 from .hull import (
+    _PER_DRAW,
     concave_majorant,
     convex_minorant,
     faces_to_rows,
@@ -70,9 +71,6 @@ BLOCK = 512
 
 REPORT_SCHEMA = "levyhull-report/2"
 
-CSV_HEADER = ("T", "statistic", "estimate", "se_or_d", "p_value", "threshold", "verdict")
-
-
 @dataclass(frozen=True)
 class Row:
     T: float
@@ -82,6 +80,18 @@ class Row:
     p_value: float      # NaN for non-KS rows
     threshold: str
     passed: bool
+
+
+ROW_FIELDS = tuple(f.name for f in fields(Row))
+
+# the coordinates of the stable and heavy-tailed limit theorems, in the
+# column order of normalize_stable and draw_limit_stable
+COORDINATES = ("length", "sup", "final", "gamma")
+
+# sample-name prefixes of the two sides of a KS pair: hull statistics
+# against the stick-breaking sampler, and finite-horizon coordinates
+# against the limit law; emit-plot pairs the samples back by them
+_HULL_REP, _FINITE_LIMIT = _PAIR_PREFIXES = (("hull_", "rep_"), ("finite_", "limit_"))
 
 
 @dataclass
@@ -141,11 +151,8 @@ def draw_hull_stats(model, T, reps, seed, tag, workers=1):
 
 def _draw_record_table(q):
     """Draw-record table (one row per replication) for the report."""
-    cols = np.column_stack(
-        [np.full(q.upsilon.size, q.horizon), q.upsilon, q.h_prime, q.final, q.sup, q.gamma]
-    )
-    header = ("T", "upsilon", "h_prime", "final", "sup", "gamma")
-    return header, cols
+    cols = [np.full(q.upsilon.size, q.horizon), *(getattr(q, name) for name in _PER_DRAW)]
+    return ("T", *_PER_DRAW), np.column_stack(cols)
 
 
 def _row_check(T, name, value, threshold, passed, se_or_d=math.nan):
@@ -158,14 +165,13 @@ def _row_ks(T, name, ks, level=0.01):
     return Row(T, name, ks.statistic, ks.statistic, ks.p_value, f"p > {level}", ks.p_value > level)
 
 
-def _rows_coordinate_ks(rep, T, prefix, finite, limit):
-    """KS rows and paired samples of the (length, sup, final, gamma)
-    coordinate columns of a finite-horizon and a limit sample."""
-    for k, name in enumerate(("length", "sup", "final", "gamma")):
-        ks = ks_two_sample(finite[:, k], limit[:, k])
-        rep.rows.append(_row_ks(T, f"{prefix}_ks_{name}", ks))
-        rep.samples[f"finite_{name}"] = finite[:, k]
-        rep.samples[f"limit_{name}"] = limit[:, k]
+def _rows_ks_pairs(rep, T, prefix, sides, names, a, b):
+    """KS row ``{prefix}_ks_{name}`` of each sample of ``a`` against the
+    one of ``b`` at its place, both kept as samples named by the prefixes
+    ``sides``."""
+    for name, xa, xb in zip(names, a, b, strict=True):
+        rep.rows.append(_row_ks(T, f"{prefix}_ks_{name}", ks_two_sample(xa, xb)))
+        rep.samples[sides[0] + name], rep.samples[sides[1] + name] = xa, xb
 
 
 def _row_ci(T, name, est, se, target, mult=3.0):
@@ -194,8 +200,7 @@ _COMPENSATION_ROWS = (
 )
 
 
-def _exp_stick_counts(cfg: ExperimentConfig) -> RunReport:
-    rep = RunReport("stick-counts")
+def _exp_stick_counts(cfg: ExperimentConfig, rep: RunReport):
     for k, T in enumerate(cfg.t_grid):
         tau_c, gset_c = tau_gset_counts(T, cfg.reps, substream(cfg.seed, "sb-props-tau", k))
         lt = math.log(T)
@@ -209,32 +214,32 @@ def _exp_stick_counts(cfg: ExperimentConfig) -> RunReport:
         rep.rows.append(_row_ci(T, "gset_excess", excess.mean(), se_e, 1.0))
         nested = float(np.mean(gset_c <= tau_c + 1))
         rep.rows.append(_row_check(T, "gset_nested_share", nested, "== 1", nested == 1.0))
-    return rep
 
 
-def _exp_compensation(cfg: ExperimentConfig) -> RunReport:
-    rep = RunReport("compensation")
+def _exp_compensation(cfg: ExperimentConfig, rep: RunReport):
     for name, tag, k, f, floor, T0, exact in _COMPENSATION_ROWS:
         mean, se = compensation_estimate(f, floor, T0, cfg.reps, substream(cfg.seed, tag, k))
         rep.rows.append(_row_ci(T0, name, mean, se, exact))
-    return rep
 
 
-def _exp_verify_identity(cfg: ExperimentConfig) -> RunReport:
+def _exp_verify_identity(cfg: ExperimentConfig, rep: RunReport):
     model = cfg.model
     if not isinstance(model, CompoundPoissonDrift):
-        raise ConfigError("verify-identity needs a compound Poisson model (exact jump paths)")
-    rep = RunReport("verify-identity")
+        raise ConfigError(f"{cfg.experiment} needs a compound Poisson model (exact jump paths)")
     T = cfg.t_grid[-1]
     hull = draw_hull_stats(model, T, cfg.reps, cfg.seed, "identity-hull", cfg.workers)
     quin = draw_quintuples(model, T, cfg.reps, cfg.seed, "identity-rep", cfg.cutoff, cfg.workers)
-    for name in ("upsilon", "final", "sup", "gamma"):
-        ks = ks_two_sample(getattr(hull, name), getattr(quin, name))
-        rep.rows.append(_row_ks(T, f"identity_ks_{name}", ks))
-        rep.samples[f"hull_{name}"] = getattr(hull, name)
-        rep.samples[f"rep_{name}"] = getattr(quin, name)
+    names = ("upsilon", "final", "sup", "gamma")
+    _rows_ks_pairs(rep, T, "identity", _HULL_REP, names,
+                   (getattr(hull, n) for n in names), (getattr(quin, n) for n in names))
     rep.tables["rep_draws"] = _draw_record_table(quin)
-    return rep
+
+
+def _model(cfg):
+    """The configured model, which the experiment needs."""
+    if cfg.model is None:
+        raise ConfigError(f"{cfg.experiment} needs a model")
+    return cfg.model
 
 
 def _regime(cfg, *allowed):
@@ -242,10 +247,8 @@ def _regime(cfg, *allowed):
     which must be one of ``allowed``; the finite-variance regime must also
     hold at every horizon of the grid (the grid increases, so its first
     horizon decides).  Raised as a configuration error before any draw."""
-    if cfg.model is None:
-        raise ConfigError(f"{cfg.experiment} needs a model")
     try:
-        name = _require_regime(cfg.model, *allowed)
+        name = _require_regime(_model(cfg), *allowed)
         if name == "finite-variance":
             require_finite_variance(cfg.model, cfg.t_grid[0])
     except RegimeError as exc:
@@ -268,8 +271,7 @@ def _clt_draws(cfg, rep):
     return (horizon(k, T) for k, T in enumerate(cfg.t_grid))
 
 
-def _exp_clt_trend(cfg: ExperimentConfig) -> RunReport:
-    rep = RunReport("clt-trend")
+def _exp_clt_trend(cfg: ExperimentConfig, rep: RunReport):
     draws = _clt_draws(cfg, rep)
     var = cfg.model.variance_rate()
     limit_sd = math.sqrt(3.0) / 2.0 * var
@@ -285,11 +287,9 @@ def _exp_clt_trend(cfg: ExperimentConfig) -> RunReport:
     rep.rows.append(_row_check(T, "clt_ks_final", d, "D < 0.1", d < 0.1, d))
     ratio = float(det.var()) / (0.75 * var * var)
     rep.rows.append(_row_check(T, "clt_variance_ratio", ratio, "within 15% of 1", abs(ratio - 1.0) < 0.15))
-    return rep
 
 
-def _exp_clt_independence(cfg: ExperimentConfig) -> RunReport:
-    rep = RunReport("clt-independence")
+def _exp_clt_independence(cfg: ExperimentConfig, rep: RunReport):
     draws = _clt_draws(cfg, rep)
     var = cfg.model.variance_rate()
     for T, coords in draws:
@@ -305,7 +305,6 @@ def _exp_clt_independence(cfg: ExperimentConfig) -> RunReport:
         rep.rows.append(
             _row_check(T, "centering_identity_corr", c_id, ">= 1 - 1e-9", c_id >= 1.0 - 1e-9)
         )
-    return rep
 
 
 def _stable_coordinate_ks(cfg, rep, prefix):
@@ -324,17 +323,16 @@ def _stable_coordinate_ks(cfg, rep, prefix):
     q = draw_quintuples(model, T, cfg.reps, cfg.seed, f"{prefix}-rep", cfg.cutoff, cfg.workers)
     g = substream(cfg.seed, f"{prefix}-limit", 0)
     coords = draw_limit_stable(model.attraction_alpha(), cfg.reps, g, beta=getattr(model, "beta", 0.0))
-    _rows_coordinate_ks(rep, T, prefix, normalize_stable(model, q), coords)
+    _rows_ks_pairs(rep, T, prefix, _FINITE_LIMIT, COORDINATES, normalize_stable(model, q).T, coords.T)
     rep.tables["rep_draws"] = _draw_record_table(q)
     return q, coords
 
 
-def _exp_verify_stable(cfg: ExperimentConfig) -> RunReport:
-    rep = RunReport("verify-stable")
+def _exp_verify_stable(cfg: ExperimentConfig, rep: RunReport):
     if _regime(cfg, "stable-zero-mean", "drift-a") == "stable-zero-mean":
         _, coords = _stable_coordinate_ks(cfg, rep, "stable")
-        rep.tables["limit_draws"] = (("length", "sup", "final", "gamma"), coords)
-        return rep
+        rep.tables["limit_draws"] = (COORDINATES, coords)
+        return
     model = cfg.model
     T = cfg.t_grid[-1]
     mean = model.mean_rate()
@@ -353,16 +351,13 @@ def _exp_verify_stable(cfg: ExperimentConfig) -> RunReport:
     rep.rows.append(_row_check(T, "limit_rank_one_max_err", err, "<= 1e-12", err <= 1e-12))
     rep.samples["drift_length_fluct"] = length
     rep.samples["drift_final_fluct"] = final
-    return rep
 
 
-def _exp_verify_heavy(cfg: ExperimentConfig) -> RunReport:
+def _exp_verify_heavy(cfg: ExperimentConfig, rep: RunReport):
     _regime(cfg, "heavy")
-    rep = RunReport("verify-heavy")
     q, _ = _stable_coordinate_ks(cfg, rep, "heavy")
     violations = _sandwich_violations(q, norming(cfg.model, q.horizon))
     rep.rows.append(_row_check(q.horizon, "sandwich_violations", float(violations), "== 0", violations == 0))
-    return rep
 
 
 def _sandwich_violations(q, a_T):
@@ -376,13 +371,12 @@ def _sandwich_violations(q, a_T):
     return int(np.count_nonzero((q.upsilon < lo - slack) | (q.upsilon > hi + slack)))
 
 
-def _exp_tail_index(cfg: ExperimentConfig) -> RunReport:
+def _exp_tail_index(cfg: ExperimentConfig, rep: RunReport):
     model = cfg.model
     if not isinstance(model, StableProcess):
-        raise ConfigError("tail-index needs a stable model")
+        raise ConfigError(f"{cfg.experiment} needs a stable model")
     _regime(cfg, "stable-zero-mean")
     alpha, beta = model.alpha, model.beta
-    rep = RunReport("tail-index")
     draws = np.empty(cfg.reps)
     block = 50_000
     for k, lo in enumerate(range(0, cfg.reps, block)):
@@ -410,15 +404,13 @@ def _exp_tail_index(cfg: ExperimentConfig) -> RunReport:
     keep = min(cfg.reps, 100_000)
     rep.samples["q_draws"] = draws[:keep]
     rep.samples["q_reconstructed"] = recon
-    return rep
 
 
-def _exp_compare_length(cfg: ExperimentConfig) -> RunReport:
+def _exp_compare_length(cfg: ExperimentConfig, rep: RunReport):
     model = cfg.model
     _regime(cfg, "finite-variance")
     if len(cfg.t_grid) < 2:
-        raise ConfigError("compare-length needs at least two horizons")
-    rep = RunReport("compare-length")
+        raise ConfigError(f"{cfg.experiment} needs at least two horizons")
     sds = []
     for k, T in enumerate(cfg.t_grid):
         q = draw_quintuples(model, T, cfg.reps, cfg.seed, f"cmp-{k}", cfg.cutoff, cfg.workers)
@@ -452,18 +444,14 @@ def _exp_compare_length(cfg: ExperimentConfig) -> RunReport:
             _row_check(t1, "ratio_ordering", r_tent - r_hut,
                        "ratio_hut < ratio_majorant < ratio_tent", r_hut < r_maj < r_tent)
         )
-    return rep
 
 
-def _exp_theta_scan(cfg: ExperimentConfig) -> RunReport:
-    model = cfg.model
-    if model is None:
-        raise ConfigError("theta-scan needs a model")
-    rep = RunReport("theta-scan")
+def _exp_theta_scan(cfg: ExperimentConfig, rep: RunReport):
+    model = _model(cfg)
     prev_ratio = None
     for T in cfg.t_grid:
         if T < 1.0:
-            raise ConfigError("theta-scan horizons must be >= 1")
+            raise ConfigError(f"{cfg.experiment} horizons must be >= 1")
         a = theta(model, T)
         b = theta_fubini(model, T)
         rel = abs(a - b) / max(abs(a), 1e-300)
@@ -480,7 +468,6 @@ def _exp_theta_scan(cfg: ExperimentConfig) -> RunReport:
         rep.rows.append(_row_check(T, "theta", a, "reported", True))
         if not math.isnan(ratio):
             prev_ratio = ratio
-    return rep
 
 
 # hull-props path battery ----------------------------------------------------
@@ -530,8 +517,7 @@ def _eval_faces(faces, times):
     return np.interp(times, xs, ys)
 
 
-def _exp_hull_props(cfg: ExperimentConfig) -> RunReport:
-    rep = RunReport("hull-props")
+def _exp_hull_props(cfg: ExperimentConfig, rep: RunReport):
     g = substream(cfg.seed, "hull-props", 0)
     dom = cons = mono = sand = 0
     for _ in range(cfg.reps):
@@ -589,36 +575,37 @@ def _exp_hull_props(cfg: ExperimentConfig) -> RunReport:
         ("l", "h", "slope"),
         np.array(faces_to_rows(demo)),
     )
-    return rep
 
 
-_DISPATCH = {
-    "stick-counts": _exp_stick_counts,
-    "compensation": _exp_compensation,
-    "verify-identity": _exp_verify_identity,
-    "clt-trend": _exp_clt_trend,
-    "clt-independence": _exp_clt_independence,
-    "verify-stable": _exp_verify_stable,
-    "verify-heavy": _exp_verify_heavy,
-    "tail-index": _exp_tail_index,
-    "compare-length": _exp_compare_length,
-    "theta-scan": _exp_theta_scan,
-    "hull-props": _exp_hull_props,
-}
+# the runner of each experiment, in the order of config.EXPERIMENTS
+_DISPATCH = dict(zip(EXPERIMENTS, (
+    _exp_stick_counts,
+    _exp_compensation,
+    _exp_verify_identity,
+    _exp_clt_trend,
+    _exp_clt_independence,
+    _exp_verify_stable,
+    _exp_verify_heavy,
+    _exp_tail_index,
+    _exp_compare_length,
+    _exp_theta_scan,
+    _exp_hull_props,
+), strict=True))
 
 
 def _config_hash(cfg: ExperimentConfig) -> str:
     """Hash of what identifies the experiment; the worker count and the
     output directory change neither its draws nor its report."""
-    fields = asdict(cfg)
-    del fields["workers"], fields["out"]
-    blob = json.dumps({k: repr(v) for k, v in fields.items()}, sort_keys=True).encode()
+    params = asdict(cfg)
+    del params["workers"], params["out"]
+    blob = json.dumps({k: repr(v) for k, v in params.items()}, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
 def run(cfg: ExperimentConfig) -> RunReport:
     """Execute one experiment; deterministic given (config, seed)."""
-    report = _DISPATCH[cfg.experiment](cfg)
+    report = RunReport(cfg.experiment)
+    _DISPATCH[cfg.experiment](cfg, report)
     report.provenance = {
         "seed": cfg.seed,
         "config_hash": _config_hash(cfg),
@@ -634,12 +621,6 @@ def run(cfg: ExperimentConfig) -> RunReport:
 # serialization
 # ---------------------------------------------------------------------------
 
-def _fmt(x):
-    if isinstance(x, float) and math.isnan(x):
-        return ""
-    return repr(float(x)) if isinstance(x, float) else str(x)
-
-
 def _csv_text(header, rows):
     """CSV text of a header and rows.  csv writes a float as its ``repr``, so
     pass numpy values as Python floats (``tolist``): theirs is not a number."""
@@ -650,10 +631,21 @@ def _csv_text(header, rows):
     return buf.getvalue()
 
 
+def _plain(v):
+    """A row value as JSON holds it: NaN as None, numpy scalars as Python's."""
+    if isinstance(v, str):
+        return v
+    if isinstance(v, (bool, np.bool_)):
+        return bool(v)
+    return None if math.isnan(v) else float(v)
+
+
 def report_csv_body(report: RunReport) -> str:
-    return _csv_text(CSV_HEADER, ([_fmt(r.T), r.statistic, _fmt(r.estimate), _fmt(r.se_or_d),
-                                   _fmt(r.p_value), r.threshold, "pass" if r.passed else "FAIL"]
-                                  for r in report.rows))
+    """report.csv: the row fields, a missing value left blank and the
+    verdict written pass or FAIL."""
+    header = (*ROW_FIELDS[:-1], "verdict")
+    return _csv_text(header, ([("pass" if v else "FAIL") if isinstance(v, bool) else v
+                               for v in map(_plain, astuple(r))] for r in report.rows))
 
 
 def write_report(report: RunReport, outdir) -> Path:
@@ -675,18 +667,7 @@ def write_report(report: RunReport, outdir) -> Path:
         "schema": REPORT_SCHEMA,
         "experiment": report.experiment,
         "passed": report.passed,
-        "rows": [
-            {
-                "T": None if math.isnan(r.T) else float(r.T),
-                "statistic": r.statistic,
-                "estimate": float(r.estimate),
-                "se_or_d": None if math.isnan(r.se_or_d) else float(r.se_or_d),
-                "p_value": None if math.isnan(r.p_value) else float(r.p_value),
-                "threshold": r.threshold,
-                "passed": bool(r.passed),
-            }
-            for r in report.rows
-        ],
+        "rows": [dict(zip(ROW_FIELDS, map(_plain, astuple(r)))) for r in report.rows],
         "samples": {name: save(name, vec) for name, vec in sorted(report.samples.items())},
         "tables": {name: {"path": save(name, mat), "columns": list(header)}
                    for name, (header, mat) in sorted(report.tables.items())},
@@ -706,20 +687,12 @@ def load_report(json_path) -> RunReport:
         raise PathError(f"unrecognized report schema in {json_path}")
 
     def load(rel):
+        inside = PurePath(rel)
+        if inside.is_absolute() or ".." in inside.parts:
+            raise PathError(f"{json_path} names a file outside its directory: {rel!r}")
         return np.load(path.parent / rel, allow_pickle=False)
 
-    rows = [
-        Row(
-            r["T"] if r["T"] is not None else math.nan,
-            r["statistic"],
-            r["estimate"],
-            r["se_or_d"] if r["se_or_d"] is not None else math.nan,
-            r["p_value"] if r["p_value"] is not None else math.nan,
-            r["threshold"],
-            r["passed"],
-        )
-        for r in payload["rows"]
-    ]
+    rows = [Row(*(math.nan if r[k] is None else r[k] for k in ROW_FIELDS)) for r in payload["rows"]]
     return RunReport(
         payload["experiment"],
         rows=rows,
@@ -733,22 +706,23 @@ def load_report(json_path) -> RunReport:
 # plot data
 # ---------------------------------------------------------------------------
 
-PLOT_KINDS = ("ecdf-pair", "qq", "tail-loglog", "scaling-table")
+# plot kind -> the CSV tables it writes for a report, by file name
+_PLOTS = {
+    "ecdf-pair": lambda report: {f"ecdf_{s}.csv": _ecdf_pair(report.samples, a, b)
+                                 for s, a, b in _paired_samples(report)},
+    "qq": lambda report: {f"qq_{s}.csv": _qq(report.samples[a], report.samples[b])
+                          for s, a, b in _paired_samples(report)},
+    "tail-loglog": lambda report: {"tail_loglog.csv": _tail_loglog(report.samples)},
+    "scaling-table": lambda report: {"scaling_table.csv": _scaling_table(report.rows)},
+}
+PLOT_KINDS = tuple(_PLOTS)
 
 
 def emit_plot_data(report: RunReport, kind: str, outdir) -> list:
     """Write plain CSV plot data for external plotting; returns the paths."""
-    samples = report.samples
-    if kind == "ecdf-pair":
-        tables = {f"ecdf_{s}.csv": _ecdf_pair(samples, a, b) for s, a, b in _paired_samples(report)}
-    elif kind == "qq":
-        tables = {f"qq_{s}.csv": _qq(samples[a], samples[b]) for s, a, b in _paired_samples(report)}
-    elif kind == "tail-loglog":
-        tables = {"tail_loglog.csv": _tail_loglog(samples)}
-    elif kind == "scaling-table":
-        tables = {"scaling_table.csv": _scaling_table(report.rows)}
-    else:
+    if kind not in _PLOTS:
         raise ConfigError(f"unknown plot kind {kind!r}; choose from {PLOT_KINDS}")
+    tables = _PLOTS[kind](report)
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     for name, (header, rows) in tables.items():
@@ -759,7 +733,7 @@ def emit_plot_data(report: RunReport, kind: str, outdir) -> list:
 def _paired_samples(report):
     pairs = []
     for name in sorted(report.samples):
-        for a_pre, b_pre in (("hull_", "rep_"), ("finite_", "limit_")):
+        for a_pre, b_pre in _PAIR_PREFIXES:
             if name.startswith(a_pre):
                 other = b_pre + name[len(a_pre):]
                 if other in report.samples:

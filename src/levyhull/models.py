@@ -153,7 +153,7 @@ class TwoPoint(_AtomicJump):
         k = rng.binomial(n, self.p_up)
         return k * self.up + (n - k) * self.down
 
-    def mean(self):
+    def first_moment(self):
         return self.p_up * self.up + (1.0 - self.p_up) * self.down
 
     def second_moment(self):
@@ -165,7 +165,7 @@ class TwoPoint(_AtomicJump):
 
 @dataclass(frozen=True)
 class Gaussian(_JumpLaw):
-    mean_: float
+    mean: float
     sd: float
 
     def __post_init__(self):
@@ -174,23 +174,23 @@ class Gaussian(_JumpLaw):
             raise ParameterError(f"sd must be > 0, got {self.sd}")
 
     def sample(self, n, rng):
-        return self.mean_ + self.sd * rng.standard_normal(n)
+        return self.mean + self.sd * rng.standard_normal(n)
 
     def sample_sum(self, n, rng):
         # the sum of n independent Gaussians has an exact closed form
-        return n * self.mean_ + self.sd * math.sqrt(n) * rng.standard_normal()
+        return n * self.mean + self.sd * math.sqrt(n) * rng.standard_normal()
 
-    def mean(self):
-        return self.mean_
+    def first_moment(self):
+        return self.mean
 
     def second_moment(self):
-        return self.mean_**2 + self.sd**2
+        return self.mean**2 + self.sd**2
 
     def second_moment_tail(self, u):
         # E[J^2] - E[J^2; -u <= J <= u] with the truncated moment in closed
         # form: for Z standard normal, E[Z^2; Z <= z] = Phi(z) - z phi(z).
         u = np.asarray(u, dtype=float)
-        m, s = self.mean_, self.sd
+        m, s = self.mean, self.sd
         a = (-u - m) / s
         b = (u - m) / s
         inner = (
@@ -204,7 +204,7 @@ class Gaussian(_JumpLaw):
         root_t = math.sqrt(T)
 
         def integrand(x):
-            return 0.5 * x * x * _logplus_min(T, x) * float(_phi_pdf((x - self.mean_) / self.sd)) / self.sd
+            return 0.5 * x * x * _logplus_min(T, x) * float(_phi_pdf((x - self.mean) / self.sd)) / self.sd
 
         return _quad_sum(
             integrand, ((-math.inf, -root_t), (-root_t, -1.0), (1.0, root_t), (root_t, math.inf))
@@ -236,7 +236,7 @@ class Pareto(_JumpLaw):
     def sample_sum(self, n, rng):
         return float(self.sample(n, rng).sum()) if n else 0.0
 
-    def mean(self):
+    def first_moment(self):
         a = self.tail_index
         if a <= 1.0:
             return math.inf
@@ -294,7 +294,7 @@ class PointMass(_AtomicJump):
     def sample_sum(self, n, rng):
         return n * self.x
 
-    def mean(self):
+    def first_moment(self):
         return self.x
 
     def second_moment(self):
@@ -323,7 +323,7 @@ class LogCorrectedPareto(_JumpLaw):
     def sample_sum(self, n, rng):
         return self.sample(n, rng)
 
-    def mean(self):
+    def first_moment(self):
         return 0.0
 
     def second_moment(self):
@@ -445,7 +445,7 @@ class CompoundPoissonDrift:
             raise ParameterError("compound Poisson model needs a jump law")
 
     def mean_rate(self):
-        jm = self.jump.mean()
+        jm = self.jump.first_moment()
         if not math.isfinite(jm):
             raise RegimeError("mean of X_1 is undefined for these jumps")
         return self.mu + self.rate * jm

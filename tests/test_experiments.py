@@ -130,6 +130,13 @@ def test_config_errors():
                        ("T_grid", [math.inf]), ("T_grid", [math.nan])):
         with pytest.raises(ConfigError, match=key):
             config_from_mapping({**base, key: value})
+    # a JSON boolean is not a number, at the top level or in the model block
+    for key, value in (("seed", True), ("workers", True), ("cutoff", True), ("reps", False),
+                       ("T_grid", [True, 5])):
+        with pytest.raises(ConfigError, match=key):
+            config_from_mapping({**base, key: value})
+    with pytest.raises(ConfigError, match=re.escape("model.sigma")):
+        config_from_mapping({**base, "model": {"kind": "brownian", "sigma": True}})
     # an integral float is an integer, and a 64-bit seed stays exact
     cfg = config_from_mapping({**base, "seed": 1e3, "reps": 200.0})
     assert (cfg.seed, cfg.reps) == (1000, 200) and type(cfg.seed) is int
@@ -507,6 +514,23 @@ def test_load_report_refuses_the_csv_sample_schema(tmp_path):
         load_report(path)
 
 
+def test_load_report_stays_inside_the_report_directory(tmp_path):
+    path = write_report(run(cp_identity_cfg(reps=200)), tmp_path / "out")
+    outside = tmp_path / "secret.npy"
+    np.save(outside, np.arange(3.0))
+    for rel in (str(outside), "../secret.npy", "samples/../../secret.npy"):
+        payload = json.loads(path.read_text())
+        payload["samples"]["hull_upsilon"] = rel
+        path.write_text(json.dumps(payload))
+        with pytest.raises(PathError, match="outside"):
+            load_report(path)
+    payload["samples"]["hull_upsilon"] = "samples/hull_upsilon.npy"
+    payload["tables"]["rep_draws"]["path"] = "../secret.npy"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(PathError, match="outside"):
+        load_report(path)
+
+
 def test_emit_plot_kinds(tmp_path):
     rep = run(cp_identity_cfg())
     paths = emit_plot_data(rep, "ecdf-pair", tmp_path)
@@ -523,6 +547,23 @@ def test_emit_plot_kinds(tmp_path):
         emit_plot_data(rep, "tail-loglog", tmp_path)
     with pytest.raises(ConfigError):
         emit_plot_data(rep, "histogram", tmp_path)
+
+
+def test_emit_plot_pairs_finite_with_limit_samples(tmp_path):
+    rep = run(config_from_mapping({"experiment": "verify-stable", "model": {"kind": "stable", "alpha": 1.5},
+                                   "T_grid": [100.0], "reps": 200}))
+    names = ("final", "gamma", "length", "sup")
+    ecdf = emit_plot_data(rep, "ecdf-pair", tmp_path)
+    assert [p.name for p in ecdf] == [f"ecdf_{n}.csv" for n in names]
+    for path, name in zip(ecdf, names):
+        labels = [line.split(",", 1)[0] for line in path.read_text().splitlines()[1:]]
+        assert labels == [f"finite_{name}"] * 200 + [f"limit_{name}"] * 200
+    qq = emit_plot_data(rep, "qq", tmp_path)
+    assert [p.name for p in qq] == [f"qq_{n}.csv" for n in names]
+    for path, name in zip(qq, names):
+        q, x_a, x_b = np.loadtxt(path, delimiter=",", skiprows=1).T
+        assert np.array_equal(x_a, np.quantile(rep.samples[f"finite_{name}"], q))
+        assert np.array_equal(x_b, np.quantile(rep.samples[f"limit_{name}"], q))
 
 
 def test_emit_identical_samples_give_identical_curves(tmp_path):
