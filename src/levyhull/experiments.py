@@ -311,18 +311,13 @@ def _stable_coordinate_ks(cfg, rep, prefix):
     """KS rows of the finite-horizon coordinates (:func:`normalize_stable`
     of the batch on substream ``{prefix}-rep``) against the limit sampler
     on ``{prefix}-limit``, at the last horizon; the draw record goes into
-    ``rep_draws``.  Returns the batch and the limit coordinates.
-
-    The reference series uses unit-scale stable draws: exact stable models
-    match it through their norming, while merely attracted models
-    (Pareto-jump compound Poisson) carry an unknown limiting scale constant
-    and are expected to miss the KS thresholds.  A model without a skewness
-    parameter is compared with the symmetric law."""
+    ``rep_draws``.  Returns the batch and the limit coordinates: the unit
+    law at the model's index and ``limit_beta()``, to which it is normed."""
     model = cfg.model
     T = cfg.t_grid[-1]
     q = draw_quintuples(model, T, cfg.reps, cfg.seed, f"{prefix}-rep", cfg.cutoff, cfg.workers)
     g = substream(cfg.seed, f"{prefix}-limit", 0)
-    coords = draw_limit_stable(model.attraction_alpha(), cfg.reps, g, beta=getattr(model, "beta", 0.0))
+    coords = draw_limit_stable(model.attraction_alpha(), cfg.reps, g, beta=model.limit_beta())
     _rows_ks_pairs(rep, T, prefix, _FINITE_LIMIT, COORDINATES, normalize_stable(model, q).T, coords.T)
     rep.tables["rep_draws"] = _draw_record_table(q)
     return q, coords
@@ -346,7 +341,7 @@ def _exp_verify_stable(cfg: ExperimentConfig, rep: RunReport):
                    f"within 5% of {target:.6f}", abs(slope / target - 1.0) < 0.05)
     )
     lim = draw_limit_drift(model.attraction_alpha(), mean, min(cfg.reps, 2000),
-                           substream(cfg.seed, "drift-a-limit", 0), getattr(model, "scale", 1.0))
+                           substream(cfg.seed, "drift-a-limit", 0), beta=model.limit_beta())
     err = float(np.abs(lim[:, 0] - target * lim[:, 1]).max())
     rep.rows.append(_row_check(T, "limit_rank_one_max_err", err, "<= 1e-12", err <= 1e-12))
     rep.samples["drift_length_fluct"] = length
@@ -372,11 +367,8 @@ def _sandwich_violations(q, a_T):
 
 
 def _exp_tail_index(cfg: ExperimentConfig, rep: RunReport):
-    model = cfg.model
-    if not isinstance(model, StableProcess):
-        raise ConfigError(f"{cfg.experiment} needs a stable model")
     _regime(cfg, "stable-zero-mean")
-    alpha, beta = model.alpha, model.beta
+    alpha, beta = cfg.model.attraction_alpha(), cfg.model.limit_beta()
     draws = np.empty(cfg.reps)
     block = 50_000
     for k, lo in enumerate(range(0, cfg.reps, block)):
@@ -679,12 +671,9 @@ def write_report(report: RunReport, outdir) -> Path:
 
 
 def load_report(json_path) -> RunReport:
-    """Reload a written report together with its sample vectors and
-    tables."""
+    """Reload a written report with its sample vectors and tables; a
+    missing or corrupt file, or a missing field, is a :class:`PathError`."""
     path = Path(json_path)
-    payload = json.loads(path.read_text())
-    if payload.get("schema") != REPORT_SCHEMA:
-        raise PathError(f"unrecognized report schema in {json_path}")
 
     def load(rel):
         inside = PurePath(rel)
@@ -692,14 +681,19 @@ def load_report(json_path) -> RunReport:
             raise PathError(f"{json_path} names a file outside its directory: {rel!r}")
         return np.load(path.parent / rel, allow_pickle=False)
 
-    rows = [Row(*(math.nan if r[k] is None else r[k] for k in ROW_FIELDS)) for r in payload["rows"]]
-    return RunReport(
-        payload["experiment"],
-        rows=rows,
-        samples={name: load(rel) for name, rel in payload["samples"].items()},
-        tables={name: (tuple(t["columns"]), load(t["path"])) for name, t in payload["tables"].items()},
-        provenance=payload.get("provenance", {}),
-    )
+    try:
+        payload = json.loads(path.read_text())
+        if payload.get("schema") != REPORT_SCHEMA:
+            raise PathError(f"unrecognized report schema in {json_path}")
+        return RunReport(
+            payload["experiment"],
+            rows=[Row(*(math.nan if r[k] is None else r[k] for k in ROW_FIELDS)) for r in payload["rows"]],
+            samples={name: load(rel) for name, rel in payload["samples"].items()},
+            tables={name: (tuple(t["columns"]), load(t["path"])) for name, t in payload["tables"].items()},
+            provenance=payload.get("provenance", {}),
+        )
+    except (OSError, json.JSONDecodeError, KeyError) as exc:
+        raise PathError(f"cannot load report {json_path}: {type(exc).__name__} {exc}") from None
 
 
 # ---------------------------------------------------------------------------

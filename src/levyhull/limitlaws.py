@@ -289,14 +289,14 @@ def draw_limit_quadratic(alpha, n, rng, eps=DEFAULT_EPS, beta=0.0):
 # positive-mean limit, index in (1, 2]
 # ---------------------------------------------------------------------------
 
-def draw_limit_drift(alpha, mu, n, rng, scale=1.0):
-    """Batch of ``n`` rank-one ``drift-a`` limit draws, one stable draw
-    ``s`` each: the length and endpoint coordinates
-    ``(mu / sqrt(1 + mu^2) s, s)``, of shape ``(n, 2)``."""
+def draw_limit_drift(alpha, mu, n, rng, beta=0.0):
+    """Batch of ``n`` rank-one ``drift-a`` limit draws, each of one standard
+    stable draw ``s`` of skewness ``beta`` (the normalizer's unit scale):
+    ``(mu / sqrt(1 + mu^2) s, s)``, length and endpoint, of shape ``(n, 2)``."""
     if not mu > 0.0:
         raise ParameterError(f"the drift limit needs mu > 0, got {mu}")
     if not (1.0 < alpha <= 2.0):
         raise ParameterError(f"alpha must lie in (1, 2], got {alpha}")
     _check_batch(n)
-    s = scale * np.asarray(stable_standard(alpha, 0.0, rng, n))
+    s = np.asarray(stable_standard(alpha, beta, rng, n))
     return np.column_stack([mu / math.sqrt(1.0 + mu * mu) * s, s])

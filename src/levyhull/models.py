@@ -14,14 +14,14 @@ which is continuous in alpha away from 1; alpha == 1 is rejected at
 construction.  At alpha == 2 a standard draw is N(0, 2), so the unit-scale
 process has variance ``2 * t``.
 
-Each model class is the one place that knows its rules: its increment
-(``increment``), its norming (``norming``), its Levy measure
-(``levy_measure``) and its moments and attraction index.  Each jump law
-likewise carries its own pieces of the centering integral Theta: its atoms
-or its kink points and its closed form or quadrature.  The free functions
-below check their arguments and delegate.  A new model or jump law is
-therefore one class here plus one entry in ``config.MODELS`` or
-``config.JUMPS``; its constructor parameters are its configuration keys.
+Each model class is the one place that knows its rules: its increment,
+its norming, its Levy measure, its moments, and its limit law's index and
+skewness (``attraction_alpha``, ``limit_beta``).  Each jump law likewise
+carries its own pieces of the centering integral Theta: its atoms or its
+kink points and its closed form or quadrature.  The free functions below
+check their arguments and delegate.  A new model or jump law is therefore
+one class here plus one entry in ``config.MODELS`` or ``config.JUMPS``;
+its constructor parameters are its configuration keys.
 """
 from __future__ import annotations
 
@@ -100,6 +100,9 @@ class _JumpLaw:
         if math.isfinite(self.second_moment()):
             return 2.0
         raise RegimeError("attraction index is not defined for these jumps")
+
+    def limit_beta(self):
+        return 0.0
 
     def theta_time_side(self, root_t):
         from scipy import integrate
@@ -267,6 +270,9 @@ class Pareto(_JumpLaw):
             return self.tail_index
         return super().attraction_alpha()
 
+    def limit_beta(self):
+        return 2.0 * self.p_up - 1.0 if self.tail_index < 2.0 else 0.0
+
     def theta(self, T):
         a, s = self.tail_index, self.scale
 
@@ -421,6 +427,9 @@ class BrownianDrift:
     def attraction_alpha(self):
         return 2.0
 
+    def limit_beta(self):
+        return 0.0
+
     def increment(self, t, rng):
         return self.mu * t + self.sigma * math.sqrt(t) * rng.standard_normal()
 
@@ -456,17 +465,23 @@ class CompoundPoissonDrift:
     def attraction_alpha(self):
         return self.jump.attraction_alpha()
 
+    def limit_beta(self):
+        return self.jump.limit_beta()
+
     def increment(self, t, rng):
         n = rng.poisson(self.rate * t)
         jumps = self.jump.sample_sum(n, rng) if n else 0.0
         return self.mu * t + jumps
 
     def norming(self, T):
-        # below index 2 only Pareto jumps are attracted; their norming takes
-        # the slowly varying part as one
+        """``jump_scale * (C_a * rate * T)^(1/a)`` for Pareto jumps of index
+        a < 2 (see :func:`norming`), else ``sqrt(T)``."""
         a = self.attraction_alpha()
+        if a == 1.0:
+            raise RegimeError("no limit regime for attraction index 1.0")
         if a < 2.0:
-            return self.jump.scale * (self.rate * T) ** (1.0 / a)
+            c_a = math.gamma(1.0 - a) * math.cos(0.5 * math.pi * a)
+            return self.jump.scale * (c_a * self.rate * T) ** (1.0 / a)
         return math.sqrt(T)
 
     def levy_measure(self):
@@ -505,6 +520,9 @@ class StableProcess:
 
     def attraction_alpha(self):
         return self.alpha
+
+    def limit_beta(self):
+        return self.beta
 
     def increment(self, t, rng):
         s = stable_standard(self.alpha, self.beta, rng)
@@ -824,9 +842,9 @@ def norming(model, T):
     then carries the variance).  Exact stable processes use
     ``scale * T^(1/alpha)``, except alpha = 2 where ``scale * sqrt(2 T)``
     matches the Gaussian variance of the unit-scale draw.  Compound Poisson
-    models with Pareto jumps of tail index a < 2 are attracted but not
-    stable; their norming is taken as ``jump_scale * (rate * T)^(1/a)``
-    (slowly varying part set to one).
+    models with Pareto jumps of index a < 2, a != 1, are attracted, not
+    stable: ``jump_scale * (C_a rate T)^(1/a)``, C_a = Gamma(1 - a) cos(pi a/2)
+    (Samorodnitsky & Taqqu 1994), scales them to the unit law at limit_beta().
     """
     _check_horizon(T)
     return model.norming(T)

@@ -262,6 +262,41 @@ def test_verify_heavy_runs_on_pareto_jumps():
     assert draws.shape == (200, len(header)) and np.isfinite(draws).all()
 
 
+def _pareto_heavy_cfg(p_up, T, reps, seed):
+    return config_from_mapping(
+        {
+            "experiment": "verify-heavy",
+            "model": {"kind": "cp", "rate": 1,
+                      "jump": {"kind": "pareto", "tail_index": 0.5, "scale": 1, "p_up": p_up}},
+            "T_grid": [T],
+            "reps": reps,
+            "seed": seed,
+        }
+    )
+
+
+def test_verify_heavy_meets_the_limit_on_pareto_jumps():
+    # an attracted, not stable, model: with the norming constant
+    # C_a^(1/a) = pi / 2 every row passes at T = 1e4; without it the length,
+    # supremum and endpoint rows fail (p = 1.8e-9, 1.3e-4 and 0.0099)
+    report = run(_pareto_heavy_cfg(0.5, 1e4, 2000, 7))
+    assert [r.statistic for r in report.rows] == [
+        "heavy_ks_length", "heavy_ks_sup", "heavy_ks_final", "heavy_ks_gamma", "sandwich_violations"]
+    assert report.passed, [(r.statistic, r.p_value) for r in report.rows if not r.passed]
+
+
+def test_verify_heavy_compares_with_the_skewness_of_the_jumps(monkeypatch):
+    real, calls = experiments.draw_limit_stable, []
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs["beta"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "draw_limit_stable", spy)
+    run(_pareto_heavy_cfg(0.7, 100.0, 200, 5))
+    assert calls == [pytest.approx(0.4, abs=1e-15)]
+
+
 def test_sandwich_violations_forgive_rounding_but_count_a_displaced_draw():
     # draws far above a_T = 1e8 (slack 0.1): one ulp of 1e16 is 2 and of
     # 7e17 is 128, so a few ulps below 2 sup - final is rounding
@@ -395,6 +430,16 @@ def test_tail_index_draws_at_the_model_skewness():
     ))
     q = draw_limit_quadratic(1.5, 10_000, substream(9, "tail-q", 0), beta=0.5)
     assert np.array_equal(report.samples["q_draws"], q)
+
+
+def test_tail_index_reads_the_index_of_an_attracted_model():
+    # zero-mean Pareto(1.5) jumps have the limit of StableProcess(1.5)
+    def q_draws(model):
+        cfg = config_from_mapping({"experiment": "tail-index", "model": model, "reps": 10_000, "seed": 9})
+        return run(cfg).samples["q_draws"]
+
+    pareto = {"kind": "cp", "jump": {"kind": "pareto", "tail_index": 1.5, "scale": 1}}
+    assert np.array_equal(q_draws(pareto), q_draws({"kind": "stable", "alpha": 1.5}))
 
 
 def test_process_pool_is_at_most_the_cpu_count(monkeypatch):
@@ -717,6 +762,30 @@ def test_non_finite_model_parameter_fails_before_any_draw(tmp_path, capsys, monk
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / name)]) == 2
         assert f"error: {name} must be finite" in capsys.readouterr().err
         assert not (tmp_path / name).exists()
+
+
+def test_cli_emit_plot_names_a_missing_or_corrupt_report(tmp_path, capsys):
+    from levyhull.cli import main
+
+    corrupt = tmp_path / "corrupt" / "report.json"
+    corrupt.parent.mkdir()
+    corrupt.write_text("{not json")
+    for path in (tmp_path / "nowhere" / "report.json", corrupt):
+        assert main(["emit-plot", "--report", str(path), "--kind", "qq"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(path) in err
+
+
+def test_cli_emit_plot_names_a_report_row_without_a_field(tmp_path, capsys):
+    from levyhull.cli import main
+
+    path = write_report(run(cp_identity_cfg(reps=200)), tmp_path / "out")
+    payload = json.loads(path.read_text())
+    del payload["rows"][0]["T"]
+    path.write_text(json.dumps(payload))
+    assert main(["emit-plot", "--report", str(path), "--kind", "qq"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(path) in err and "'T'" in err
 
 
 def test_shipped_criterion_configs_parse():

@@ -385,6 +385,15 @@ def test_drift_limit_case_a_rank_one():
     assert (c[:, 0] == coef * c[:, 1]).all()
 
 
+def test_drift_limit_is_one_unit_scale_stable_draw_at_the_skewness():
+    # the normalizer divides by the model's scale, so the limit is the
+    # standard draw itself, at the model's skewness
+    for alpha, beta in ((1.5, 0.6), (1.8, -1.0), (2.0, 0.0)):
+        g, g2 = rng(23), rng(23)
+        c = draw_limit_drift(alpha, 0.7, 3000, g, beta=beta)
+        assert np.array_equal(c[:, 1], stable_standard(alpha, beta, g2, 3000))
+
+
 def test_drift_limit_case_a_alpha2_gaussian():
     c = draw_limit_drift(2.0, 1.0, 40_000, rng(21))
     res = sps.kstest(c[:, 1], sps.norm(scale=math.sqrt(2.0)).cdf)

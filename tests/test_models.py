@@ -9,6 +9,7 @@ from scipy import stats as sps
 from levyhull.errors import (
     DivergentIntegralError,
     ParameterError,
+    RegimeError,
     UnsupportedExactnessError,
 )
 from levyhull.models import (
@@ -264,9 +265,32 @@ def test_norming_values():
 
 
 def test_norming_pareto_attracted():
+    # jump_scale (C_a rate T)^(1/a), C_a = Gamma(1 - a) cos(pi a / 2): at
+    # a = 1.5, C_a = (-2 sqrt(pi)) (-sqrt(2) / 2) = sqrt(2 pi)
     m = CompoundPoissonDrift(2.0, Pareto(1.5, scale=0.5), 0.0)
     assert m.attraction_alpha() == 1.5
-    assert norming(m, 8.0) == pytest.approx(0.5 * 16.0 ** (1 / 1.5))
+    assert norming(m, 8.0) == pytest.approx(0.5 * (math.sqrt(2.0 * math.pi) * 16.0) ** (1 / 1.5), rel=1e-14)
+    # at a = 0.5 the factor C_a^(1/a) is pi / 2 exactly
+    half = CompoundPoissonDrift(1.0, Pareto(0.5, scale=1.0), 0.0)
+    assert norming(half, 16.0) / 16.0**2 == pytest.approx(math.pi / 2.0, rel=1e-15, abs=0.0)
+    # a = 1 has no limit regime, and no norming
+    with pytest.raises(RegimeError):
+        norming(CompoundPoissonDrift(1.0, Pareto(1.0, scale=1.0), 0.0), 16.0)
+
+
+@pytest.mark.parametrize(
+    "model, beta",
+    [
+        (BrownianDrift(2.0, 0.5), 0.0),
+        (StableProcess(1.5, -0.3), -0.3),
+        (CompoundPoissonDrift(1.0, Gaussian(0.5, 1.0)), 0.0),
+        (CompoundPoissonDrift(1.0, Pareto(0.5, 1.0, p_up=0.7)), 0.4),
+        (CompoundPoissonDrift(1.0, Pareto(1.5, 1.0, p_up=0.2)), -0.6),
+        (CompoundPoissonDrift(1.0, Pareto(2.5, 1.0, p_up=0.7)), 0.0),   # finite variance: Gaussian limit
+    ],
+)
+def test_limit_beta_is_the_skewness_of_the_limit(model, beta):
+    assert model.limit_beta() == pytest.approx(beta, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
