@@ -387,7 +387,7 @@ def _exp_tail_index(cfg: ExperimentConfig, rep: RunReport):
     q = draws[:n]
     q_prime = draws[n : 2 * n]
     ell1 = g.random(n)
-    s1 = np.asarray(stable_standard(alpha, beta, g, n))
+    s1 = stable_standard(alpha, beta, g, n)
     recon = (1.0 - ell1) ** (2.0 / alpha - 1.0) * q_prime + 0.5 * ell1 ** (
         2.0 / alpha - 1.0
     ) * s1 * s1

@@ -298,5 +298,5 @@ def draw_limit_drift(alpha, mu, n, rng, beta=0.0):
     if not (1.0 < alpha <= 2.0):
         raise ParameterError(f"alpha must lie in (1, 2], got {alpha}")
     _check_batch(n)
-    s = np.asarray(stable_standard(alpha, beta, rng, n))
+    s = stable_standard(alpha, beta, rng, n)
     return np.column_stack([mu / math.sqrt(1.0 + mu * mu) * s, s])

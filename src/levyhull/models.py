@@ -14,7 +14,7 @@ which is continuous in alpha away from 1; alpha == 1 is rejected at
 construction.  At alpha == 2 a standard draw is N(0, 2), so the unit-scale
 process has variance ``2 * t``.
 
-Each model class is the one place that knows its rules: its increment,
+Each model class is the one place that knows its rules: its increments,
 its norming, its Levy measure, its moments, and its limit law's index and
 skewness (``attraction_alpha``, ``limit_beta``).  Each jump law likewise
 carries its own pieces of the centering integral Theta: its atoms or its
@@ -92,6 +92,13 @@ class _JumpLaw:
     default the time side is a quadrature split at :meth:`kinks`.
     """
 
+    def sample_sums(self, counts, rng):
+        """Sums of ``counts[i]`` independent jumps, one per cell: by default
+        one :meth:`sample` of all the jumps, summed cell by cell."""
+        cells = np.repeat(np.arange(np.size(counts)), np.ravel(counts))
+        sums = np.bincount(cells, weights=self.sample(cells.size, rng), minlength=np.size(counts))
+        return sums.reshape(np.shape(counts))
+
     def kinks(self):
         """Points where the tail second moment is not smooth."""
         return ()
@@ -152,9 +159,9 @@ class TwoPoint(_AtomicJump):
     def sample(self, n, rng):
         return np.where(rng.random(n) < self.p_up, self.up, self.down)
 
-    def sample_sum(self, n, rng):
-        k = rng.binomial(n, self.p_up)
-        return k * self.up + (n - k) * self.down
+    def sample_sums(self, counts, rng):
+        k = rng.binomial(counts, self.p_up)
+        return k * self.up + (counts - k) * self.down
 
     def first_moment(self):
         return self.p_up * self.up + (1.0 - self.p_up) * self.down
@@ -179,9 +186,9 @@ class Gaussian(_JumpLaw):
     def sample(self, n, rng):
         return self.mean + self.sd * rng.standard_normal(n)
 
-    def sample_sum(self, n, rng):
+    def sample_sums(self, counts, rng):
         # the sum of n independent Gaussians has an exact closed form
-        return n * self.mean + self.sd * math.sqrt(n) * rng.standard_normal()
+        return counts * self.mean + self.sd * np.sqrt(counts) * rng.standard_normal(np.shape(counts))
 
     def first_moment(self):
         return self.mean
@@ -235,9 +242,6 @@ class Pareto(_JumpLaw):
         mag = self.scale * rng.random(n) ** (-1.0 / self.tail_index)
         sign = np.where(rng.random(n) < self.p_up, 1.0, -1.0)
         return sign * mag
-
-    def sample_sum(self, n, rng):
-        return float(self.sample(n, rng).sum()) if n else 0.0
 
     def first_moment(self):
         a = self.tail_index
@@ -297,8 +301,8 @@ class PointMass(_AtomicJump):
     def sample(self, n, rng):
         return np.full(n, self.x, dtype=float)
 
-    def sample_sum(self, n, rng):
-        return n * self.x
+    def sample_sums(self, counts, rng):
+        return counts * self.x
 
     def first_moment(self):
         return self.x
@@ -325,9 +329,6 @@ class LogCorrectedPareto(_JumpLaw):
         raise UnsupportedExactnessError(
             "the log-corrected Pareto law is moment-only; sampling is not supported"
         )
-
-    def sample_sum(self, n, rng):
-        return self.sample(n, rng)
 
     def first_moment(self):
         return 0.0
@@ -430,8 +431,8 @@ class BrownianDrift:
     def limit_beta(self):
         return 0.0
 
-    def increment(self, t, rng):
-        return self.mu * t + self.sigma * math.sqrt(t) * rng.standard_normal()
+    def increments(self, t, rng):
+        return self.mu * t + self.sigma * np.sqrt(t) * rng.standard_normal(t.shape)
 
     def norming(self, T):
         return math.sqrt(T)
@@ -468,10 +469,8 @@ class CompoundPoissonDrift:
     def limit_beta(self):
         return self.jump.limit_beta()
 
-    def increment(self, t, rng):
-        n = rng.poisson(self.rate * t)
-        jumps = self.jump.sample_sum(n, rng) if n else 0.0
-        return self.mu * t + jumps
+    def increments(self, t, rng):
+        return self.mu * t + self.jump.sample_sums(rng.poisson(self.rate * t), rng)
 
     def norming(self, T):
         """``jump_scale * (C_a * rate * T)^(1/a)`` for Pareto jumps of index
@@ -524,9 +523,9 @@ class StableProcess:
     def limit_beta(self):
         return self.beta
 
-    def increment(self, t, rng):
-        s = stable_standard(self.alpha, self.beta, rng)
-        return self.mu * t + self.scale * t ** (1.0 / self.alpha) * float(s)
+    def increments(self, t, rng):
+        s = stable_standard(self.alpha, self.beta, rng, t.shape)
+        return self.mu * t + self.scale * t ** (1.0 / self.alpha) * s
 
     def norming(self, T):
         if self.alpha == 2.0:
@@ -541,33 +540,17 @@ class StableProcess:
 # sampling
 # ---------------------------------------------------------------------------
 
-def stable_standard(alpha, beta, rng, size=None):
-    """Standard strictly stable draw(s) via the Chambers-Mallows-Stuck
-    transform; ``size=None`` returns a scalar.
+def stable_standard(alpha, beta, rng, size):
+    """Array of shape ``size`` of standard strictly stable draws via the
+    Chambers-Mallows-Stuck transform.
 
-    A scalar draw is one uniform, then one exponential, through the steps
-    of :func:`_cms_transform` in :mod:`math`: an array of one costs ten times more.
-
-    An array of draws is its uniforms, then :func:`_cms_transform` of each
+    The draws are their uniforms, then :func:`_cms_transform` of each
     piece of :data:`CMS_PIECE` of them with that piece's exponentials,
     written over the uniforms, so the uniforms are the only full-size
     array.  The exponentials of all pieces are the same stream as one full
     draw after the uniforms, and the transform is elementwise, so every
     draw keeps its bits however the cells are split.
     """
-    if size is None:
-        u = rng.random()
-        w = rng.standard_exponential()
-        if alpha == 2.0:
-            return 2.0 * np.sin((u - 0.5) * math.pi) * np.sqrt(w)
-        s0, centre, ka, ka0, kq, kq0, p, inv = _cms_constants(alpha, beta)
-        v = max(u, 2.0**-54)
-        r = 1.0 - v if beta < 0.0 else v
-        a = math.tan((r - centre) * ka + ka0)   # tangents of the half angles
-        q = math.tan(r * kq + kq0)
-        m = math.tan(min(v, 1.0 - v) * 0.5 * math.pi)
-        q = math.log(q / (1.0 + q * q) / w) * p - math.log(m / (1.0 + m * m)) * inv
-        return a / (1.0 + a * a) * math.exp(q) * s0
     v = rng.random(size)
     flat = v.reshape(-1)   # a view: the array is fresh and contiguous
     for lo in range(0, flat.size, CMS_PIECE):
@@ -630,8 +613,8 @@ def _cms_transform(alpha, beta, v, e):
     cancel in the draw, and its powers are one ``exp`` of logarithms.
     Against mpmath the relative error stays below 1e-13 on a grid from
     ``u = 2^-53`` to ``1 - 2^-53``; the textbook form loses every digit
-    at both ends (0.22 at ``u = 2^-53``, alpha 1.5).  The same bound holds
-    for the scalar draw.  A uniform of 0, where the transform is singular,
+    at both ends (0.22 at ``u = 2^-53``, alpha 1.5).  A uniform of 0,
+    where the transform is singular,
     is read as ``2^-54``.  At alpha = 2, where
     ``tan(pi alpha / 2) = 0`` and beta drops out, the draw is the exact
     ``2 sin(x) sqrt(e) ~ N(0, 2)``.
@@ -674,10 +657,14 @@ def _cms_transform(alpha, beta, v, e):
 
 
 def sample_increment(model, t, rng):
-    """One draw distributed exactly as X_t under the model."""
-    if not 0.0 < t < math.inf:
-        raise ParameterError(f"increment duration must be finite and > 0, got {t}")
-    return model.increment(t, rng)
+    """Independent draws distributed exactly as X_t under the model, one per
+    duration in ``t`` (an array, or a float for one draw), in the shape of
+    ``t``: one call of the model's array ``increments(t, rng)``."""
+    t = np.asarray(t, dtype=float)
+    lo, hi = t.min(), t.max()
+    if not 0.0 < lo <= hi < math.inf:
+        raise ParameterError(f"increment duration must be finite and > 0, got {hi if lo > 0.0 else lo}")
+    return model.increments(t, rng)
 
 
 @dataclass(frozen=True)
@@ -825,9 +812,7 @@ def _sample_grid(model, T, h, rng):
         times = np.append(times, T)
     else:
         times[-1] = T
-    durations = np.diff(times)
-    incs = np.array([sample_increment(model, d, rng) for d in durations])
-    values = np.concatenate(([0.0], np.cumsum(incs)))
+    values = np.concatenate(([0.0], np.cumsum(sample_increment(model, np.diff(times), rng))))
     return PathSkeleton(times, values, T)
 
 

@@ -5,10 +5,13 @@ limits the verification suite tests.
 
 One draw generates sticks ``t_n`` on [0, T] until the scaled remainder
 falls below the cutoff, attaching to each stick an independent process
-increment ``xi_n`` over that duration (drawn immediately after the stick's
-uniform, so that a rerun with a smaller cutoff extends the same record).
+increment ``xi_n`` over that duration.  The sticks come in chunks of
+:data:`CHUNK`: the chunk's uniforms, then one array increment call on its
+sticks and on the remainder after them.  A chunk's stream does not depend
+on the cutoff, so a rerun with a smaller cutoff extends the same record.
 The interval carrying all unrecorded sticks enters as a single aggregated
-pseudo-face.  Consequences:
+pseudo-face, whose increment is the sum of those of the cells it covers.
+Consequences:
 
 * the final value is exact in law at any cutoff;
 * the big-stick count is exact whenever ``cutoff <= 1``;
@@ -52,13 +55,19 @@ __all__ = [
 
 DEFAULT_CUTOFF = 1e-3
 
+# sticks per chunk of sample_quintuple, one increment call each; fixed, so
+# that a chunk's stream does not depend on the cutoff
+CHUNK = 32
+
 _ZERO_MEAN_TOL = 1e-9
 
 
 def sample_quintuple(model, T, rng, cutoff=DEFAULT_CUTOFF):
     """Draw the quintuple through the stick-breaking construction: the
-    record of :func:`~levyhull.hull.reduce_faces` of the sticks and their
-    increments."""
+    record of :func:`~levyhull.hull.reduce_faces` of the sticks drawn
+    while the scaled remainder ``T * L`` before them is at least the
+    cutoff, with their increments, and of the remainder at the stop, whose
+    increment sums those of the last chunk's cells past the stop."""
     _check_horizon(T, cutoff)
     if cutoff > 1.0:
         raise TruncationError(
@@ -67,16 +76,22 @@ def sample_quintuple(model, T, rng, cutoff=DEFAULT_CUTOFF):
     L = 1.0
     ts: list[float] = []
     xs: list[float] = []
-    while T * L >= cutoff:
-        ell = rng.random() * L
-        L -= ell
-        t = T * ell
-        ts.append(t)
-        xs.append(sample_increment(model, t, rng))
-    rem = T * L
-    if rem > 0.0:
-        ts.append(rem)
-        xs.append(sample_increment(model, rem, rng))
+    while True:
+        cells, rest = [], [T * L]   # rest[i]: the scaled remainder after i sticks
+        for v in rng.random(CHUNK).tolist():
+            ell = v * L
+            L -= ell
+            cells.append(T * ell)
+            rest.append(T * L)
+        cells.append(rest[-1])
+        incs = sample_increment(model, np.array(cells), rng).tolist()
+        if rest[-1] < cutoff:
+            break
+        ts += cells[:CHUNK]
+        xs += incs[:CHUNK]
+    k = next(i for i, r in enumerate(rest) if r < cutoff)
+    ts += cells[:k] + [rest[k]]
+    xs += incs[:k] + [sum(incs[k:])]
     return reduce_faces(ts, xs, T, cutoff)
 
 

@@ -103,6 +103,10 @@ def test_nonpositive_duration_rejected():
         for t in (math.inf, math.nan):
             with pytest.raises(ParameterError, match="duration must be finite and > 0"):
                 sample_increment(model, t, rng())
+    # one bad duration among good ones refuses the whole array call
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ParameterError, match="duration must be finite and > 0"):
+            sample_increment(BrownianDrift(1.0), np.array([0.5, bad, 2.0]), rng())
     # a path's grid step is a duration too, and a misspelt "exact-jumps"
     # is neither resolution
     for resolution in ("exact", None, 0.0, -0.5, math.inf, math.nan):
@@ -129,8 +133,7 @@ def test_path_and_norming_reject_a_horizon_that_is_not_finite_and_positive(T):
 
 def test_brownian_unit_increment_mean():
     g = rng(11)
-    draws = g.standard_normal(0)  # placeholder for clarity
-    draws = np.array([sample_increment(BrownianDrift(1.0), 1.0, g) for _ in range(10**6)])
+    draws = sample_increment(BrownianDrift(1.0), np.ones(10**6), g)
     assert abs(draws.mean()) <= 0.004
     assert abs(draws.std() - 1.0) <= 0.01
 
@@ -138,7 +141,7 @@ def test_brownian_unit_increment_mean():
 def test_point_mass_compound_poisson_mean():
     g = rng(12)
     m = CompoundPoissonDrift(2.0, PointMass(1.0), 0.0)
-    draws = np.array([sample_increment(m, 3.0, g) for _ in range(50_000)])
+    draws = sample_increment(m, np.full(50_000, 3.0), g)
     se = draws.std(ddof=1) / math.sqrt(draws.size)
     assert abs(draws.mean() - 6.0) <= 3.0 * se
     assert np.allclose(draws, np.round(draws))  # jump sizes are integers
@@ -149,7 +152,7 @@ def test_stable_alpha2_matches_gaussian_oracle():
     g = rng(13)
     s = 1.3
     m = StableProcess(2.0, 0.0, scale=s)
-    draws = np.array([sample_increment(m, 1.0, g) for _ in range(60_000)])
+    draws = sample_increment(m, np.ones(60_000), g)
     ref = math.sqrt(2.0) * s * rng(14).standard_normal(60_000)
     assert abs(draws.var() / (2 * s * s) - 1.0) < 0.03
     res = sps.ks_2samp(draws, ref)
@@ -172,12 +175,44 @@ def test_increment_additivity_in_law(model):
     # X_{t/2} + X'_{t/2} must match X_t in law (two-sample KS, level 0.01)
     g = rng(zlib.crc32(repr(model).encode()))
     n = 100_000
-    halves = np.array(
-        [sample_increment(model, 0.5, g) + sample_increment(model, 0.5, g) for _ in range(n // 10)]
-    )
-    whole = np.array([sample_increment(model, 1.0, g) for _ in range(n // 10)])
+    halves = sample_increment(model, np.full(n // 10, 0.5), g) + sample_increment(model, np.full(n // 10, 0.5), g)
+    whole = sample_increment(model, np.ones(n // 10), g)
     res = sps.ks_2samp(halves, whole)
     assert res.pvalue > 0.01
+
+
+@pytest.mark.parametrize(
+    "model, unit",
+    [
+        (BrownianDrift(0.8, mu=0.3), lambda g, n: g.standard_normal(n)),
+        (StableProcess(1.5, beta=0.3, scale=0.9, mu=0.1), lambda g, n: stable_standard(1.5, 0.3, g, n)),
+        (StableProcess(0.7, beta=-0.5, scale=1.1), lambda g, n: stable_standard(0.7, -0.5, g, n)),
+        (StableProcess(2.0, scale=1.3), lambda g, n: stable_standard(2.0, 0.0, g, n)),
+    ],
+)
+def test_one_array_call_scales_each_cell_by_its_duration(model, unit):
+    # durations over nine decades in one call: each draw, standardized by
+    # the exact law at its own duration (X_t = mu t + c(t) S), is a draw of
+    # the unit law S, which a single-duration test cannot show
+    t = np.geomspace(1e-6, 1e3, 50_000)
+    x = sample_increment(model, t, rng(51))
+    if isinstance(model, BrownianDrift):
+        c = model.sigma * np.sqrt(t)
+    else:
+        c = model.scale * t ** (1.0 / model.alpha)
+    z = (x - model.mu * t) / c
+    assert sps.ks_2samp(z, unit(rng(52), t.size)).pvalue > 0.01
+
+
+def test_moment_only_jumps_refuse_every_increment():
+    # the refusal may not hang on a jump falling: at these durations most
+    # cells hold no jump
+    m = CompoundPoissonDrift(3.0, LogCorrectedPareto())
+    for t in (1e-6, 0.1, 1.0, np.full(5, 1e-6)):
+        with pytest.raises(UnsupportedExactnessError):
+            sample_increment(m, t, rng())
+    with pytest.raises(UnsupportedExactnessError):
+        sample_path(m, 1.0, 1e-3, rng())
 
 
 def test_pareto_magnitudes_respect_scale_floor():
@@ -259,7 +294,7 @@ def test_norming_values():
     # alpha = 2 stable: match the Gaussian variance of the unit draw
     s = 0.7
     g = rng(31)
-    draws = np.array([sample_increment(StableProcess(2.0, scale=s), 4.0, g) for _ in range(40_000)])
+    draws = sample_increment(StableProcess(2.0, scale=s), np.full(40_000, 4.0), g)
     assert norming(StableProcess(2.0, scale=s), 4.0) == pytest.approx(2 * s * math.sqrt(2))
     assert draws.std() == pytest.approx(norming(StableProcess(2.0, scale=s), 4.0), rel=0.03)
 
@@ -368,19 +403,6 @@ def test_stable_standard_symmetry():
     assert abs(np.mean(np.sign(x))) < 0.02
 
 
-class _ChosenDraws:
-    """Generator stub whose next uniform and exponential are given."""
-
-    def __init__(self, u, w):
-        self.u, self.w = u, w
-
-    def random(self):
-        return self.u
-
-    def standard_exponential(self):
-        return self.w
-
-
 def _cms_exact(alpha, beta, u, w):
     """The Chambers-Mallows-Stuck draw at uniform ``u`` and exponential ``w``
     in 50-digit arithmetic; at index 2, where tan(pi alpha / 2) = 0, the
@@ -417,14 +439,6 @@ def test_stable_standard_arrays_match_the_textbook_transform(alpha, beta):
     assert (got[zero] == 0.0).all()
     rel = np.abs(got[~zero] / exact[~zero] - 1.0)
     assert rel.max() < 1e-13, (rel.max(), u[~zero][rel.argmax()])
-    # the scalar draw, one (u, w) at a time, is as accurate and within an
-    # ulp or two of the array transform
-    one = np.array([stable_standard(alpha, beta, _ChosenDraws(*uw)) for uw in zip(u, w)])
-    assert (one[zero] == 0.0).all()
-    rel = np.abs(one[~zero] / exact[~zero] - 1.0)
-    assert rel.max() < 1e-13, (rel.max(), u[~zero][rel.argmax()])
-    assert np.abs(one[~zero] / got[~zero] - 1.0).max() < 1e-14
-
     # sizes below, at and above one piece: the draws are the transform of
     # all the uniforms with the exponentials drawn after them, bit for bit,
     # however the pieces split them

@@ -1,5 +1,6 @@
 import math
 from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,8 +17,10 @@ from levyhull.models import (
     Pareto,
     PointMass,
     StableProcess,
+    TwoPoint,
 )
 from levyhull.sbrep import (
+    CHUNK,
     normalize_drift,
     normalize_finite_variance,
     normalize_stable,
@@ -95,35 +98,54 @@ def test_all_positive_increments_pin_gamma_and_sup():
 
 
 @pytest.fixture
-def increments(monkeypatch):
-    """The ``(t, xi)`` pairs that ``sample_quintuple`` draws, in order,
-    recorded through ``sbrep``'s own binding of ``sample_increment``."""
-    pairs = []
-    inner = sbrep.sample_increment
+def record(monkeypatch):
+    """What ``sample_quintuple`` draws, recorded through ``sbrep``'s own
+    bindings: ``calls``, the ``(durations, increments)`` lists of each
+    ``sample_increment`` call in order, and ``faces``, the ``(lengths,
+    heights)`` lists that the last draw reduced."""
+    rec = SimpleNamespace(calls=[], faces=None)
+    inner_increment, inner_reduce = sbrep.sample_increment, sbrep.reduce_faces
 
-    def record(model, t, rng):
-        x = inner(model, t, rng)
-        pairs.append((t, x))
+    def sample_increment(model, t, rng):
+        x = inner_increment(model, t, rng)
+        rec.calls.append((t.tolist(), x.tolist()))
         return x
 
-    monkeypatch.setattr(sbrep, "sample_increment", record)
-    return pairs
+    def reduce(lengths, heights, T, cutoff):
+        rec.faces = (list(lengths), list(heights))
+        return inner_reduce(lengths, heights, T, cutoff)
+
+    monkeypatch.setattr(sbrep, "sample_increment", sample_increment)
+    monkeypatch.setattr(sbrep, "reduce_faces", reduce)
+    return rec
 
 
-def test_final_value_conservation(increments):
+def test_final_value_conservation(record):
     model = CompoundPoissonDrift(1.0, Gaussian(0.0, 1.0), mu=0.2)
     g = rng(5)
     for _ in range(100):
-        increments.clear()
+        record.calls.clear()
         q = sample_quintuple(model, 15.0, g)
-        sticks, xis = zip(*increments)
+        sticks, xis = record.faces
         acc = 0.0
         for x in xis:
             acc += x
         assert q.final == acc
         assert math.fsum(sticks) == pytest.approx(15.0, abs=1e-9)
-        # a draw is the shape statistics of its own sticks, bit for bit
-        r = reduce_faces(list(sticks), list(xis), 15.0, q.cutoff)
+        # each call draws a chunk's sticks and the remainder after them;
+        # the faces are the sticks up to the stop with their increments,
+        # bit for bit, then the remainder at the stop, whose increment is
+        # the sum of the last call's cells past the stop
+        *full, (t_last, x_last) = record.calls
+        assert all(len(t) == CHUNK + 1 for t, _ in record.calls)
+        k = len(sticks) - 1 - CHUNK * len(full)
+        assert 0 <= k <= CHUNK
+        assert sticks[:-1] == [c for t, _ in full for c in t[:CHUNK]] + t_last[:k]
+        assert xis[:-1] == [c for _, x in full for c in x[:CHUNK]] + x_last[:k]
+        assert xis[-1] == sum(x_last[k:])
+        assert sticks[-1] == pytest.approx(math.fsum(t_last[k:]), rel=1e-12)
+        # a draw is the shape statistics of its own faces, bit for bit
+        r = reduce_faces(sticks, xis, 15.0, q.cutoff)
         assert all(np.array_equal(getattr(r, f.name), getattr(q, f.name)) for f in fields(q))
     # infinite variance, with (index 1.5) or without (index 0.5) a mean,
     # and index 2, which has infinite variance and no norming
@@ -132,7 +154,7 @@ def test_final_value_conservation(increments):
         assert math.isfinite(q.final)
 
 
-def test_h_prime_stable_under_cutoff_refinement(increments):
+def test_h_prime_stable_under_cutoff_refinement(record):
     # same seed, smaller cutoff: the record extends, the big-face count
     # cannot change, and the aggregated statistics move on average by at
     # most twice the mean absolute increment over the coarse remainder s,
@@ -145,7 +167,7 @@ def test_h_prime_stable_under_cutoff_refinement(increments):
     bounds = []
     for i in range(n):
         a = sample_quintuple(model, T, rng(1000 + i), cutoff=1e-2)
-        s = increments[-1][0]   # the last stick of the draw is its remainder
+        s = record.faces[0][-1]   # the last face of the draw is its remainder
         b = sample_quintuple(model, T, rng(1000 + i), cutoff=1e-5)
         assert a.h_prime == b.h_prime
         deltas.append(
@@ -153,6 +175,37 @@ def test_h_prime_stable_under_cutoff_refinement(increments):
         )
         bounds.append(2.0 * (abs(mean) * s + math.sqrt(var * s)))
     assert np.mean(deltas) <= np.mean(bounds)
+
+
+@pytest.mark.parametrize(
+    "model, T",
+    [
+        (BrownianDrift(0.8, mu=0.3), 1e4),
+        (StableProcess(1.5, beta=0.3), 1e4),
+        (StableProcess(0.5), 100.0),
+        (StableProcess(2.0), 1e3),
+        (CompoundPoissonDrift(1.0, Gaussian(0.0, 1.0), mu=0.2), 50.0),
+        (CompoundPoissonDrift(2.0, TwoPoint(0.4, 1.0, -0.5), mu=0.25), 50.0),
+        (CompoundPoissonDrift(1.5, PointMass(0.5), mu=-0.1), 50.0),
+        (CompoundPoissonDrift(1.0, Pareto(1.5, 1.0)), 50.0),
+    ],
+    ids=["brownian", "stable-1.5", "stable-0.5", "stable-2", "cp-gaussian", "cp-two-point",
+         "cp-point-mass", "cp-pareto"],
+)
+def test_finer_cutoff_extends_the_same_record(record, model, T):
+    # one stream at cutoffs c and c / 1000: the coarse faces before its
+    # remainder are the first fine faces, bit for bit, the big-face count
+    # is equal, and the coarse remainder is the fine faces past them
+    c = 1e-2
+    for seed in range(40):
+        coarse = sample_quintuple(model, T, rng(seed), cutoff=c)
+        ct, cx = record.faces
+        fine = sample_quintuple(model, T, rng(seed), cutoff=c / 1000)
+        ft, fx = record.faces
+        k = len(ct) - 1
+        assert ft[:k] == ct[:k] and fx[:k] == cx[:k]
+        assert coarse.h_prime == fine.h_prime
+        assert ct[k] == pytest.approx(math.fsum(ft[k:]), rel=1e-12)
 
 
 def test_criterion03_cutoff_is_below_ks_resolution():
