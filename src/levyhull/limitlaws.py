@@ -16,18 +16,18 @@ measured by the refinement tests, not reported per draw.
 Each series reduces the sticks of one run of
 :func:`~levyhull.sticks.stick_blocks` per batch, a block of columns at a
 time, and keeps none of them: a batch holds one block of sticks and one
-block of driving uniforms.  A batch draws from its own stream, a PCG64
+column of driving variables.  A batch draws from its own stream, a PCG64
 child of the caller's generator keyed by four words of it
 (:func:`~levyhull.rng.child_stream`), which draws uniforms in about half
 the time of the Philox substreams: a block's stick uniforms, then that
-block's driving variables (Gaussian, or the uniforms of stable draws and
-then each column's exponentials), then the next block.  Every cell's
-variables are drawn, needed or not, so a smaller ``eps`` on a fresh
-stream with the same seed appends blocks to the same sticks and their
-draws, which is what the refinement checks compare.  The stable transform
-and the summands run only on the cells a row needs: 21.8 per row of the
-quadratic series at alpha = 1.5 and ``eps = 1e-6``, where a criterion 07
-batch of 5e4 rows draws 41.6 columns on average.
+block's driving variables a column at a time (Gaussian, or the uniforms
+of stable draws and then their exponentials), then the next block.
+Every cell's variables are drawn, needed or not, so a smaller ``eps`` on
+a fresh stream with the same seed appends blocks to the same sticks and
+their draws, which is what the refinement checks compare.  The stable
+transform and the summands run only on the cells a row needs: 21.8 per
+row of the quadratic series at alpha = 1.5 and ``eps = 1e-6``, where a
+criterion 07 batch of 5e4 rows draws 41.6 columns on average.
 
 Stopping each row at its own cutoff with its remainder as one stick, in
 place of the copy, changes the law: the summand ``ell^(2/alpha - 1)`` is
@@ -54,7 +54,7 @@ import numpy as np
 from .errors import ParameterError
 from .models import _cms_transform, stable_standard
 from .rng import child_stream
-from .sticks import BLOCK, ROWS, stick_blocks
+from .sticks import ROWS, stick_blocks
 
 __all__ = [
     "draw_limit_finite_variance",
@@ -89,12 +89,12 @@ def _own_sums(n, eps, rng, columns, terms, k, cut):
     and while the sticks last.
 
     The generator ``columns(rng, n)`` yields each column's own random
-    arrays, full length, as a tuple; it resumes only after the column's
-    block is drawn.  ``terms(ell, *raw)`` maps sticks and those arrays,
-    restricted to some rows, to ``k`` summand arrays.  Every cell is
-    drawn, so the stream is the same whatever the rows need, but the
-    summands run on the running rows alone, a slice of :data:`ROWS` of
-    them at a time.  Each row adds its summands left to right from zero.
+    arrays, full length, as a tuple; it resumes once per column, when the
+    loop reaches that column, after the column's block is drawn.
+    ``terms(ell, *raw)`` maps sticks and those arrays, restricted to some
+    rows, to ``k`` summand arrays.  Every cell is drawn, so the stream is
+    the same whatever the rows need, but the summands run on the running
+    rows alone, a slice of :data:`ROWS` of them at a time.  Each row adds its summands left to right from zero.
     Returns the ``(k, n)`` sums and each row's remainder after its last
     stick, which lies below ``cut``, or below ``eps`` where the sticks end
     first.
@@ -223,14 +223,12 @@ _POWERS = {
 
 
 def _stable_columns(rng, n):
-    """The ``columns`` of :func:`_series` for standard stable variables:
-    the block's uniforms when it resumes at a new block, then each column's
-    exponentials.  One uniform block and one exponential row serve all."""
-    uniforms, exponentials = np.empty((BLOCK, n)), np.empty(n)
+    """The ``columns`` of :func:`_series` for standard stable variables,
+    drawn a column at a time: the column's uniforms, then its
+    exponentials.  One row of each serves all columns."""
+    uniforms, exponentials = np.empty(n), np.empty(n)
     while True:
-        rng.random(out=uniforms)
-        for u in uniforms:
-            yield u, rng.standard_exponential(out=exponentials)
+        yield rng.random(out=uniforms), rng.standard_exponential(out=exponentials)
 
 
 def _stable_series(alpha, beta, n, rng, eps, *terms):

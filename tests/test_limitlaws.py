@@ -164,15 +164,15 @@ def test_quadratic_series_alone_is_column_zero_bit_for_bit():
 
 def _own_stick_sums(n, eps, cut, g, draw, terms):
     """Reference for the sums over each row's own sticks: every block of
-    stick_blocks cut at eps, kept, with its variables drawn whole, and
-    each row adding its summands left to right over the sticks taken while
-    its remainder before them is at least cut."""
+    stick_blocks cut at eps, kept, with its variables drawn after it a
+    column at a time, and each row adding its summands left to right over
+    the sticks taken while its remainder before them is at least cut."""
     blocks, xs = [], []
     for block, _ in stick_blocks(n, 1.0, eps, g):
         blocks.append(block.copy())   # the next block overwrites this view
-        xs.append(draw(block.T.shape))
+        xs.extend(draw(n) for _ in block.T)
     total, left = 0.0, np.ones(n)
-    for ell, x in zip(np.hstack(blocks).T, np.concatenate(xs)):
+    for ell, x in zip(np.hstack(blocks).T, xs):
         need = left >= cut
         total = total + np.where(need, np.array(terms(ell, x)), 0.0)
         left = np.where(need, left - ell, left)
@@ -201,7 +201,7 @@ def _chained_series(n, eps, g, draw, terms, powers):
 
 
 def _series_cases(g):
-    """(columns, terms, whole-block reference draw, reference terms, powers)
+    """(columns, terms, one-column reference draw, reference terms, powers)
     of the Gaussian series, the quadratic and signed series at index 1.5 and
     the signed series at index 0.7; the reference draws from ``g``."""
     def stable(alpha, *fs):
@@ -268,18 +268,31 @@ def test_series_transforms_only_the_sticks_the_rows_need(monkeypatch):
 
 
 def test_series_batch_holds_one_block_of_sticks_not_the_record():
-    # a 5e4-row batch: a block of sticks and a block of CMS uniforms are
-    # 6.4 MB each; keeping the whole record as well peaked at 28.7 MB
+    # a 5e4-row batch holds a block of sticks, 6.4 MB, and a column of
+    # driving variables, 0.4 MB; a whole block of driving variables as well
+    # peaked at 15.9-17.5 MB, and keeping the whole record at 28.7 MB
     import tracemalloc
 
-    draw_limit_quadratic(1.5, 50_000, rng(50))   # first-call allocations
-    tracemalloc.start()
-    try:
-        draw_limit_quadratic(1.5, 50_000, rng(51))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 20e6, peak
+    for draw in (draw_limit_quadratic, draw_limit_stable):
+        draw(1.5, 50_000, rng(50))   # first-call allocations
+        tracemalloc.start()
+        try:
+            draw(1.5, 50_000, rng(51))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 13e6, (draw.__name__, peak)
+
+
+def test_neighbouring_quadratic_draws_are_nearly_uncorrelated():
+    # the chained copy makes the rows of a batch dependent; running each
+    # row on until its tail weighs below FOLD_WEIGHT brings the rank
+    # correlation of neighbours to about 0.01 (0.05 when stopping at eps)
+    rhos = []
+    for seed in range(60, 64):
+        q = draw_limit_quadratic(1.5, 50_000, rng(seed), eps=1e-6)
+        rhos.append(sps.spearmanr(q[:-1], q[1:]).statistic)
+    assert np.mean(rhos) < 0.02, rhos
 
 
 def test_masked_quadratic_series_matches_a_finely_padded_reference():

@@ -58,6 +58,31 @@ def test_agrees_with_reference_implementation():
         assert mine.statistic == pytest.approx(ref.statistic, abs=1e-12)
         lam = mine.statistic * math.sqrt(n * m / (n + m))
         assert mine.p_value == pytest.approx(float(sps.kstwobign.sf(lam)), rel=1e-9, abs=1e-15)
+    # ties: rounded values, points shared by both samples, unequal sizes
+    for n, m, digits in ((100, 150, 1), (1000, 400, 2), (3000, 3000, 0)):
+        x = np.round(g.standard_normal(n), digits)
+        y = np.round(0.1 + g.standard_normal(m), digits)
+        y[: m // 4] = x[: m // 4]
+        mine = ks_two_sample(x, y)
+        ref = sps.ks_2samp(x, y, method="asymp")
+        assert mine.statistic == pytest.approx(ref.statistic, abs=1e-12)
+
+
+def test_two_sample_holds_no_merged_grid():
+    # 1e5 + 1e5 points: the sorted samples are 1.6 MB; a merged grid of
+    # both with its two ECDF columns peaked at 9.6 MB
+    import tracemalloc
+
+    g = rng(7)
+    x, y = g.standard_normal(100_000), g.standard_normal(100_000)
+    ks_two_sample(x, y)   # first-call allocations
+    tracemalloc.start()
+    try:
+        ks_two_sample(x, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6, peak
 
 
 def test_symmetry_and_monotone_invariance():
