@@ -227,14 +227,22 @@ def config_from_mapping(mapping) -> ExperimentConfig:
         if key in flat:
             kwargs[key] = _number(key, flat[key], cast)
     if "out" in flat:
-        kwargs["out"] = str(flat["out"])
+        out = flat["out"]
+        # a flat value with spaces reads as a list; JSON may give null
+        if isinstance(out, (list, bool)) or out is None:
+            raise ConfigError(f"out must be one directory name, got {out!r}")
+        kwargs["out"] = str(out)
     return ExperimentConfig(**kwargs)
 
 
 def load_config(path) -> ExperimentConfig:
     """Read a configuration file; JSON when the first non-blank character
     is '{', the flat key = value grammar otherwise."""
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc   # OSError's repeats the path
+        raise ConfigError(f"cannot read configuration {str(path)!r}: {reason}") from None
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:

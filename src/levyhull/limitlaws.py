@@ -4,8 +4,8 @@ reference side of the two-sample tests.
 Every series limit is a stick-breaking series on the unit interval, and
 each row stops at its own cutoff, at a remainder ``L < eps``.  Each
 summand is homogeneous in the stick length, of degree ``2/alpha - 1``
-(the quadratic series), ``1/alpha`` (the signed parts), 1 (the lengths)
-or 1/2 (the Gaussian parts).  By the self-similarity of uniform
+(the quadratic series), ``1/alpha`` (the signed parts) or 1 (the
+lengths).  By the self-similarity of uniform
 stick-breaking the series past the cutoff is therefore ``L`` to that
 degree times an independent copy of the whole series (Gonzalez Cazares,
 Mijatovic & Uribe Bravo, EJP 2020), and the samplers fold it in that way,
@@ -20,8 +20,10 @@ column of driving variables.  A batch draws from its own stream, a PCG64
 child of the caller's generator keyed by four words of it
 (:func:`~levyhull.rng.child_stream`), which draws uniforms in about half
 the time of the Philox substreams: a block's stick uniforms, then that
-block's driving variables a column at a time (Gaussian, or the uniforms
-of stable draws and then their exponentials), then the next block.
+block's driving variables a column at a time (the uniforms of standard
+stable draws and then their exponentials), then the next block.  The
+Brownian triple is the signed series at index 2, where the stable draw
+is exactly N(0, 2), so every series runs on this one drive.
 Every cell's variables are drawn, needed or not, so a smaller ``eps`` on
 a fresh stream with the same seed appends blocks to the same sticks and
 their draws, which is what the refinement checks compare.  The stable
@@ -82,38 +84,39 @@ def _check_batch(n, eps=DEFAULT_EPS):
         raise ParameterError(f"eps must lie in (0, 1), got {eps}")
 
 
-def _own_sums(n, eps, rng, columns, terms, k, cut):
+def _own_sums(alpha, beta, n, eps, rng, terms, k, cut):
     """Row sums of ``terms`` over each row's own sticks of one run of
     :func:`stick_blocks` on the unit interval, cut at ``eps``: a row takes a
     stick while its remainder before that stick is at least ``cut <= eps``,
     and while the sticks last.
 
-    The generator ``columns(rng, n)`` yields each column's own random
-    arrays, full length, as a tuple; it resumes once per column, when the
-    loop reaches that column, after the column's block is drawn.
-    ``terms(ell, *raw)`` maps sticks and those arrays, restricted to some
-    rows, to ``k`` summand arrays.  Every cell is drawn, so the stream is
-    the same whatever the rows need, but the summands run on the running
-    rows alone, a slice of :data:`ROWS` of them at a time.  Each row adds its summands left to right from zero.
-    Returns the ``(k, n)`` sums and each row's remainder after its last
-    stick, which lies below ``cut``, or below ``eps`` where the sticks end
-    first.
+    Each column, once its block is drawn, draws its ``n`` uniforms and then
+    its ``n`` exponentials, into two buffers that serve all columns.
+    ``terms(ell, s)`` maps sticks and their standard stable draws of index
+    ``alpha`` and skewness ``beta``, restricted to some rows, to ``k``
+    summand arrays.  Every cell is drawn, so the stream is the same whatever
+    the rows need, but the stable transform and the summands run on the
+    running rows alone, a slice of :data:`ROWS` of them at a time.  Each row
+    adds its summands left to right from zero.  Returns the ``(k, n)`` sums
+    and each row's remainder after its last stick, which lies below ``cut``,
+    or below ``eps`` where the sticks end first.
     """
     # sums; each row's remainder, bit for bit as stick_blocks' until it
     # stops; the running rows, in order, in front; how many rows run
     sums, left, run, live = np.zeros((k, n)), np.ones(n), np.arange(n), n
-    draws = columns(rng, n)
+    uniforms, exponentials = np.empty(n), np.empty(n)
     for block, _ in stick_blocks(n, 1.0, eps, rng):
-        # the sticks first: zip ends with the block, before the next draw
-        for col, raw in zip(block.T, draws):
+        for col in block.T:
+            rng.random(out=uniforms)
+            rng.standard_exponential(out=exponentials)
             kept = 0
             for lo in range(0, live, ROWS):
                 hi = min(lo + ROWS, live)
                 # until a row stops, the running rows are a slice: no gather
                 rows = slice(lo, hi) if live == n else run[lo:hi]
                 ell_j = col[rows]
-                ys = terms(ell_j, *(r[rows] for r in raw))
-                for total, y in zip(sums, ys):
+                s = _cms_transform(alpha, beta, uniforms[rows], exponentials[rows])
+                for total, y in zip(sums, terms(ell_j, s)):
                     total[rows] += y
                 rest = left[rows] - ell_j
                 left[rows] = rest
@@ -124,15 +127,17 @@ def _own_sums(n, eps, rng, columns, terms, k, cut):
     return sums, left
 
 
-def _series(n, eps, rng, columns, terms, powers):
-    """Row sums of a stick-breaking series on the unit interval, each row
-    truncated at its own remainder ``L``, drawn from one child stream of
-    ``rng``; returns the ``(k, n)`` sums and the remainders.
+def _series(alpha, beta, n, eps, rng, *summands):
+    """Row sums of the stick-breaking series of each of ``summands`` on the
+    unit interval, driven by standard stable draws of index ``alpha`` and
+    skewness ``beta``, each row truncated at its own remainder ``L``, drawn
+    from one child stream of ``rng``; returns the ``(k, n)`` sums, the
+    summands' in turn, and the remainders.
 
     The summand ``k`` is homogeneous of degree ``powers[k]`` in the stick
-    length, so the series past a row's last stick is ``L^powers[k]`` times
-    an independent copy of the whole series.  A row stops once ``L`` is
-    below ``eps`` and its smallest such weight is below
+    length (:data:`_POWERS`), so the series past a row's last stick is
+    ``L^powers[k]`` times an independent copy of the whole series.  A row
+    stops once ``L`` is below ``eps`` and its smallest such weight is below
     :data:`FOLD_WEIGHT`, or where the record, cut at ``eps``, ends.  Row
     ``r`` takes the rows after it, cyclically, as that copy: its sums plus
     the next row's remainder to the power times the sums of the row after
@@ -142,9 +147,13 @@ def _series(n, eps, rng, columns, terms, powers):
     batch draws at least :data:`MIN_ROWS` rows so that small batches have
     the rows their chains need.
     """
+    def terms(ell, s):
+        return [y for f in summands for y in f(ell, s, alpha)]
+
+    powers = [w for f in summands for w in _POWERS[f](alpha)]
     rows = max(n, MIN_ROWS)
     cut = min(eps, FOLD_WEIGHT ** (1.0 / min(powers)))
-    sums, rem = _own_sums(rows, eps, child_stream(rng), columns, terms, len(powers), cut)
+    sums, rem = _own_sums(alpha, beta, rows, eps, child_stream(rng), terms, len(powers), cut)
     for acc, w in zip(sums, powers):
         head, scale = acc.copy(), rem**w
         weight = scale.copy()
@@ -157,49 +166,7 @@ def _series(n, eps, rng, columns, terms, powers):
 
 
 # ---------------------------------------------------------------------------
-# finite-variance limit: (sigma^2/sqrt2 Z1, Z2, sigma Bbar, sigma B1, rho)
-# ---------------------------------------------------------------------------
-
-def _gaussian_columns(rng, n):
-    """The ``columns`` of :func:`_series` for standard normal variables,
-    drawn a column at a time."""
-    while True:
-        yield (rng.standard_normal(n),)
-
-
-def _gaussian_terms(ell, z):
-    x = np.sqrt(ell) * z
-    up = x > 0.0
-    return np.where(up, x, 0.0), x, ell * up, ell
-
-
-_GAUSSIAN_POWERS = (0.5, 0.5, 1.0, 1.0)
-
-
-def draw_limit_finite_variance(sigma, n, rng, eps=DEFAULT_EPS):
-    """Batch of ``n`` finite-variance quintuple limit draws, of shape
-    ``(n, 5)``.
-
-    Z1, Z2 are independent standard normals drawn first; the Brownian
-    triple (running maximum, endpoint, argmax time) comes from the Gaussian
-    stick-breaking series.  A row's remainder ``L`` folds in as
-    ``sqrt(L)`` times a copy of the maximum and the endpoint, and
-    ``L`` times its positive length and total, so the endpoint stays a
-    standard normal up to the weight the chain leaves out.
-    """
-    if not sigma > 0.0:
-        raise ParameterError(f"sigma must be > 0, got {sigma}")
-    _check_batch(n, eps)
-    z1 = rng.standard_normal(n)
-    z2 = rng.standard_normal(n)
-    (sup, fin, pos, tot), _ = _series(n, eps, rng, _gaussian_columns, _gaussian_terms, _GAUSSIAN_POWERS)
-    return np.column_stack(
-        [sigma**2 / math.sqrt(2.0) * z1, z2, sigma * sup, sigma * fin, pos / tot]
-    )
-
-
-# ---------------------------------------------------------------------------
-# stable series: zero-mean index in (1, 2), heavy index in (0, 1)
+# summands of the series
 # ---------------------------------------------------------------------------
 
 def _quadratic(ell, s, alpha):
@@ -222,25 +189,38 @@ _POWERS = {
 }
 
 
-def _stable_columns(rng, n):
-    """The ``columns`` of :func:`_series` for standard stable variables,
-    drawn a column at a time: the column's uniforms, then its
-    exponentials.  One row of each serves all columns."""
-    uniforms, exponentials = np.empty(n), np.empty(n)
-    while True:
-        yield rng.random(out=uniforms), rng.standard_exponential(out=exponentials)
+# ---------------------------------------------------------------------------
+# finite-variance limit: (sigma^2/sqrt2 Z1, Z2, sigma Bbar, sigma B1, rho)
+# ---------------------------------------------------------------------------
+
+def draw_limit_finite_variance(sigma, n, rng, eps=DEFAULT_EPS):
+    """Batch of ``n`` finite-variance quintuple limit draws, of shape
+    ``(n, 5)``.
+
+    Z1, Z2 are independent standard normals drawn first; the Brownian
+    triple (running maximum, endpoint, argmax time) is the signed series
+    at index 2, whose standard draws are exactly N(0, 2), scaled by
+    ``sigma / sqrt(2)``: the supremum is the positive part, the endpoint
+    the positive minus the negative part, the argmax time the positive
+    length's share.  A row's remainder ``L`` folds in as ``sqrt(L)`` times
+    a copy of both parts, and ``L`` times its positive length and total, so
+    the endpoint stays normal up to the weight the chain leaves out.
+    """
+    if not sigma > 0.0:
+        raise ParameterError(f"sigma must be > 0, got {sigma}")
+    _check_batch(n, eps)
+    z1 = rng.standard_normal(n)
+    z2 = rng.standard_normal(n)
+    (pos, neg, pos_len, tot), _ = _series(2.0, 0.0, n, eps, rng, _signed)
+    scale = sigma / math.sqrt(2.0)
+    return np.column_stack(
+        [sigma**2 / math.sqrt(2.0) * z1, z2, scale * pos, scale * (pos - neg), pos_len / tot]
+    )
 
 
-def _stable_series(alpha, beta, n, rng, eps, *terms):
-    """:func:`_series` of the summands of each of ``terms``, driven by
-    standard stable draws of index ``alpha`` and skewness ``beta``."""
-
-    def summands(ell, v, e):
-        s = _cms_transform(alpha, beta, v, e)   # over the uniforms, each read once
-        return [y for f in terms for y in f(ell, s, alpha)]
-
-    return _series(n, eps, rng, _stable_columns, summands, [w for f in terms for w in _POWERS[f](alpha)])
-
+# ---------------------------------------------------------------------------
+# stable series: zero-mean index in (1, 2), heavy index in (0, 1)
+# ---------------------------------------------------------------------------
 
 def _check_alpha(alpha, lo, hi):
     if not lo < alpha < hi:
@@ -259,10 +239,10 @@ def draw_limit_stable(alpha, n, rng, eps=DEFAULT_EPS, beta=0.0):
     """
     _check_batch(n, eps)
     if 1.0 < alpha < 2.0:
-        (q, pos, neg, pos_len, tot), _ = _stable_series(alpha, beta, n, rng, eps, _quadratic, _signed)
+        (q, pos, neg, pos_len, tot), _ = _series(alpha, beta, n, eps, rng, _quadratic, _signed)
         length = 0.5 * q
     elif 0.0 < alpha < 1.0:
-        (pos, neg, pos_len, tot), _ = _stable_series(alpha, beta, n, rng, eps, _signed)
+        (pos, neg, pos_len, tot), _ = _series(alpha, beta, n, eps, rng, _signed)
         length = pos + neg
     else:
         raise ParameterError(f"alpha must lie in (0, 1) or (1, 2), got {alpha}")
@@ -279,7 +259,7 @@ def draw_limit_quadratic(alpha, n, rng, eps=DEFAULT_EPS, beta=0.0):
     for ``alpha`` in (1, 2), without the other three series."""
     _check_alpha(alpha, 1.0, 2.0)
     _check_batch(n, eps)
-    (q,), _ = _stable_series(alpha, beta, n, rng, eps, _quadratic)
+    (q,), _ = _series(alpha, beta, n, eps, rng, _quadratic)
     return 0.5 * q
 
 

@@ -839,7 +839,6 @@ def norming(model, T):
 # the centering integral Theta
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=1024)
 def theta(model, T):
     """Centering correction: half the integral of
     ``x^2 * log+(min(T, x^2))`` against the jump measure."""
@@ -850,7 +849,6 @@ def theta(model, T):
     return rate * jump.theta(T)
 
 
-@lru_cache(maxsize=1024)
 def theta_fubini(model, T):
     """Same quantity through the time-side form
     ``(1/2) * int_1^T t^-1 * (tail second moment at sqrt(t)) dt``;

@@ -151,6 +151,16 @@ def test_config_errors():
             config_from_mapping({**base, "model": model})
 
 
+def test_config_refuses_an_out_that_is_not_one_name():
+    # a flat value with spaces reads as a list; it, a JSON array and JSON
+    # null were once written as their repr, a directory named "['runs/my', 'dir']"
+    base = {"experiment": "stick-counts", "T_grid": [1], "reps": 200}
+    for value in (config.parse_flat_text("out = runs/my dir")["out"], ["runs"], None, True):
+        with pytest.raises(ConfigError, match="out must be"):
+            config_from_mapping({**base, "out": value})
+    assert config_from_mapping({**base, "out": "runs/my dir"}).out == "runs/my dir"
+
+
 def test_every_configured_experiment_has_a_runner():
     assert set(config.EXPERIMENTS) == set(experiments._DISPATCH)
 
@@ -762,6 +772,19 @@ def test_non_finite_model_parameter_fails_before_any_draw(tmp_path, capsys, monk
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / name)]) == 2
         assert f"error: {name} must be finite" in capsys.readouterr().err
         assert not (tmp_path / name).exists()
+
+
+def test_cli_run_names_an_unreadable_config(tmp_path, capsys):
+    # a missing file, a directory and a file that is not UTF-8 once ended
+    # in a traceback and exit 1
+    from levyhull.cli import main
+
+    latin = tmp_path / "latin.cfg"
+    latin.write_bytes("experiment = stick-counts\n# d\xe9j\xe0 vu\n".encode("latin-1"))
+    for path in (tmp_path / "missing.cfg", tmp_path, latin):
+        assert main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read configuration") and str(path) in err
 
 
 def test_cli_emit_plot_names_a_missing_or_corrupt_report(tmp_path, capsys):

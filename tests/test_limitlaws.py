@@ -9,15 +9,10 @@ from levyhull.limitlaws import (
     CHAIN_TOL,
     FOLD_WEIGHT,
     MIN_ROWS,
-    _GAUSSIAN_POWERS,
     _POWERS,
-    _gaussian_columns,
-    _gaussian_terms,
     _quadratic,
     _series,
     _signed,
-    _stable_columns,
-    _stable_series,
     draw_limit_drift,
     draw_limit_finite_variance,
     draw_limit_quadratic,
@@ -69,12 +64,13 @@ def test_finite_variance_limit_endpoint_is_exactly_normal():
 
 def _gaussian_remainders(a, g, eps):
     """Each row's remainder ``L`` in ``a = draw_limit_finite_variance(1, n,
-    g, eps)``: the series after the two normal columns, on the same stream."""
+    g, eps)``: the signed series at index 2 after the two normal columns, on
+    the same stream."""
     n = len(a)
     g.standard_normal(n)
     g.standard_normal(n)
-    (sup, *_), rem = _series(n, eps, g, _gaussian_columns, _gaussian_terms, _GAUSSIAN_POWERS)
-    assert np.array_equal(sup, a[:, 2])   # the sampler's own rows
+    (pos, *_), rem = _series(2.0, 0.0, n, eps, g, _signed)
+    assert np.array_equal(1.0 / math.sqrt(2.0) * pos, a[:, 2])   # the sampler's own rows
     return rem
 
 
@@ -82,7 +78,7 @@ def _stable_remainders(alpha, a, g, eps):
     """Each row's remainder ``L`` in ``a = draw_limit_stable(alpha, n, g,
     eps)``: the series of the sampler's own summands, on the same stream."""
     terms = (_quadratic, _signed) if alpha > 1.0 else (_signed,)
-    sums, rem = _stable_series(alpha, 0.0, len(a), g, eps, *terms)
+    sums, rem = _series(alpha, 0.0, len(a), eps, g, *terms)
     assert np.array_equal(sums[-4], a[:, 1])   # the positive part: the sampler's own rows
     return rem
 
@@ -201,33 +197,28 @@ def _chained_series(n, eps, g, draw, terms, powers):
 
 
 def _series_cases(g):
-    """(columns, terms, one-column reference draw, reference terms, powers)
-    of the Gaussian series, the quadratic and signed series at index 1.5 and
-    the signed series at index 0.7; the reference draws from ``g``."""
+    """(index, summands, one-column reference draw, reference terms, powers)
+    of the signed series at index 2, the quadratic and signed series at
+    index 1.5 and the signed series at index 0.7; the reference draws from
+    ``g``."""
     def stable(alpha, *fs):
         def terms(ell, s):
             return [y for f in fs for y in f(ell, s, alpha)]
 
         return (
-            _stable_columns, lambda ell, v, e: terms(ell, _cms_transform(alpha, 0.3, v, e)),
-            lambda shape: stable_standard(alpha, 0.3, g, shape),
+            alpha, fs, lambda shape: stable_standard(alpha, 0.3, g, shape),
             terms, [w for f in fs for w in _POWERS[f](alpha)],
         )
 
-    return (
-        (_gaussian_columns, _gaussian_terms, g.standard_normal,
-         _gaussian_terms, _GAUSSIAN_POWERS),
-        stable(1.5, _quadratic, _signed),
-        stable(0.7, _signed),
-    )
+    return stable(2.0, _signed), stable(1.5, _quadratic, _signed), stable(0.7, _signed)
 
 
 @pytest.mark.parametrize("n", [1, 2, 19, 5000])
 def test_series_sums_each_row_over_its_own_sticks_plus_a_chained_copy(n):
     for case in range(3):
         g, h = rng(case), rng(case)
-        columns, terms, _, _, powers = _series_cases(g)[case]
-        sums, rem = _series(n, 1e-6, g, columns, terms, powers)
+        alpha, summands, _, _, powers = _series_cases(g)[case]
+        sums, rem = _series(alpha, 0.3, n, 1e-6, g, *summands)
         # the series draws the whole batch from one child stream of its caller's
         child = np.random.Generator(np.random.PCG64(np.random.SeedSequence(h.bit_generator.random_raw(4))))
         _, _, ref_draw, ref_terms, _ = _series_cases(child)[case]
@@ -270,14 +261,16 @@ def test_series_transforms_only_the_sticks_the_rows_need(monkeypatch):
 def test_series_batch_holds_one_block_of_sticks_not_the_record():
     # a 5e4-row batch holds a block of sticks, 6.4 MB, and a column of
     # driving variables, 0.4 MB; a whole block of driving variables as well
-    # peaked at 15.9-17.5 MB, and keeping the whole record at 28.7 MB
+    # peaked at 15.9-17.5 MB, and keeping the whole record at 28.7 MB.  The
+    # finite-variance sampler runs the same series at index 2
     import tracemalloc
 
-    for draw in (draw_limit_quadratic, draw_limit_stable):
-        draw(1.5, 50_000, rng(50))   # first-call allocations
+    for draw, first in ((draw_limit_quadratic, 1.5), (draw_limit_stable, 1.5),
+                        (draw_limit_finite_variance, 1.0)):
+        draw(first, 50_000, rng(50))   # first-call allocations
         tracemalloc.start()
         try:
-            draw(1.5, 50_000, rng(51))
+            draw(first, 50_000, rng(51))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
