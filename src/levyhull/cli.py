@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .config import load_config
-from .errors import LevyHullError
+from .errors import LevyHullError, PathError
 from .experiments import PLOT_KINDS, emit_plot_data, load_report, run, write_report
 
 
@@ -50,8 +50,10 @@ def _cmd_run(args) -> int:
         overrides["out"] = args.out
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)
+    outdir = Path(cfg.out or f"runs/{cfg.experiment}")
+    if not next(p for p in (outdir, *outdir.parents) if p.exists()).is_dir():
+        raise PathError(f"cannot write a report to {outdir}: not a directory")
     report = run(cfg)
-    outdir = cfg.out or f"runs/{cfg.experiment}"
     json_path = write_report(report, outdir)
     for r in report.rows:
         verdict = "pass" if r.passed else "FAIL"

@@ -645,7 +645,10 @@ def write_report(report: RunReport, outdir) -> Path:
     ``samples/<name>.npy`` (float64, :func:`numpy.save`); report.json
     names each file and each table's columns.  Returns the JSON path."""
     out = Path(outdir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise PathError(f"cannot write a report to {out}: not a directory") from None
     (out / "report.csv").write_text(report_csv_body(report))
     if report.samples or report.tables:
         (out / "samples").mkdir(exist_ok=True)

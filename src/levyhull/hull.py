@@ -33,6 +33,7 @@ endpoint atoms at exactly 0 and T in floating point.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -98,6 +99,7 @@ class QuintupleSample:
 
 
 _PER_DRAW = ("upsilon", "h_prime", "final", "sup", "gamma")
+_per_draw = operator.attrgetter(*_PER_DRAW)
 
 
 def stack_quintuples(records):
@@ -107,7 +109,7 @@ def stack_quintuples(records):
     keys, rows = set(), []
     for r in records:
         keys.add((r.horizon, r.cutoff))
-        rows.append([getattr(r, name) for name in _PER_DRAW])
+        rows.append(_per_draw(r))
     if len(keys) != 1:
         raise ParameterError("stacked quintuples must share one horizon and cutoff")
     (horizon, cutoff), = keys

@@ -661,7 +661,7 @@ def sample_increment(model, t, rng):
     duration in ``t`` (an array, or a float for one draw), in the shape of
     ``t``: one call of the model's array ``increments(t, rng)``."""
     t = np.asarray(t, dtype=float)
-    lo, hi = t.min(), t.max()
+    lo, hi = np.minimum.reduce(t, axis=None), np.maximum.reduce(t, axis=None)
     if not 0.0 < lo <= hi < math.inf:
         raise ParameterError(f"increment duration must be finite and > 0, got {hi if lo > 0.0 else lo}")
     return model.increments(t, rng)

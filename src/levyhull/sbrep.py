@@ -77,21 +77,22 @@ def sample_quintuple(model, T, rng, cutoff=DEFAULT_CUTOFF):
     ts: list[float] = []
     xs: list[float] = []
     while True:
-        cells, rest = [], [T * L]   # rest[i]: the scaled remainder after i sticks
+        # k: the chunk's sticks before the stop, or all of them; rem: the scaled remainder after them
+        k, rem, cells = 0, T * L, []
         for v in rng.random(CHUNK).tolist():
             ell = v * L
             L -= ell
             cells.append(T * ell)
-            rest.append(T * L)
-        cells.append(rest[-1])
+            if rem >= cutoff:
+                k, rem = k + 1, T * L
+        cells.append(T * L)
         incs = sample_increment(model, np.array(cells), rng).tolist()
-        if rest[-1] < cutoff:
+        ts += cells[:k]
+        xs += incs[:k]
+        if rem < cutoff:
             break
-        ts += cells[:CHUNK]
-        xs += incs[:CHUNK]
-    k = next(i for i, r in enumerate(rest) if r < cutoff)
-    ts += cells[:k] + [rest[k]]
-    xs += incs[:k] + [sum(incs[k:])]
+    ts.append(rem)
+    xs.append(sum(incs[k:]))
     return reduce_faces(ts, xs, T, cutoff)
 
 

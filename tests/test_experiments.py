@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -785,6 +786,31 @@ def test_cli_run_names_an_unreadable_config(tmp_path, capsys):
         assert main(["run", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: cannot read configuration") and str(path) in err
+
+
+def test_cli_run_refuses_an_output_path_that_is_a_file(tmp_path, capsys, monkeypatch):
+    # an existing file as --out once ran the whole experiment and then ended
+    # in a FileExistsError traceback from write_report, exit 1
+    from levyhull import cli
+
+    def no_run(cfg):
+        raise AssertionError("ran before refusing the output path")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "criterion01_stick_identities.cfg"
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    for out in (taken, taken / "sub"):
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write a report to") and str(out) in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+    assert taken.read_text() == "keep"
+    # write_report refuses it too, with the same error
+    for out in (taken, taken / "sub"):
+        with pytest.raises(PathError, match="not a directory"):
+            write_report(run(cp_identity_cfg(reps=100)), out)
+    assert taken.read_text() == "keep"
 
 
 def test_cli_emit_plot_names_a_missing_or_corrupt_report(tmp_path, capsys):

@@ -154,6 +154,92 @@ def test_final_value_conservation(record):
         assert math.isfinite(q.final)
 
 
+def _reference_quintuple(model, T, g, cutoff):
+    """The stick walk as first written with chunks: the remainders after
+    each stick kept in a list, the stop found by a scan over it and the
+    last faces joined from slices.  The reference of the sampler's bits."""
+    from levyhull.models import sample_increment as increment
+
+    L = 1.0
+    ts, xs = [], []
+    while True:
+        cells, rest = [], [T * L]
+        for v in g.random(CHUNK).tolist():
+            ell = v * L
+            L -= ell
+            cells.append(T * ell)
+            rest.append(T * L)
+        cells.append(rest[-1])
+        incs = increment(model, np.array(cells), g).tolist()
+        if rest[-1] < cutoff:
+            break
+        ts += cells[:CHUNK]
+        xs += incs[:CHUNK]
+    k = next(i for i, r in enumerate(rest) if r < cutoff)
+    ts += cells[:k] + [rest[k]]
+    xs += incs[:k] + [sum(incs[k:])]
+    return reduce_faces(ts, xs, T, cutoff)
+
+
+class _Halves:
+    """A generator whose uniforms are all one half, so the scaled
+    remainder after n sticks is ``T 2^-n``; every other draw is ``g``'s."""
+
+    def __init__(self, g):
+        self.g = g
+
+    def random(self, n):
+        return np.full(n, 0.5)
+
+    def __getattr__(self, name):
+        return getattr(self.g, name)
+
+
+def _same_draws(model, T, cutoff, n, make=rng):
+    got, want = make(26), make(26)
+    for _ in range(n):
+        q = sample_quintuple(model, T, got, cutoff=cutoff)
+        r = _reference_quintuple(model, T, want, cutoff)
+        assert all(getattr(q, f.name) == getattr(r, f.name) for f in fields(q)), (q, r)
+
+
+@pytest.mark.parametrize("cutoff", [1e-3, 1e-8])
+@pytest.mark.parametrize("T", [1e3, 1e7])
+@pytest.mark.parametrize(
+    "model",
+    [
+        *(BrownianDrift(sigma, mu=mu) for mu in (0.0, 0.3) for sigma in (1.0, 2.5)),
+        StableProcess(1.5, beta=0.5),
+        StableProcess(0.7),
+        CompoundPoissonDrift(1.0, Gaussian(0.0, 1.0)),
+        # a low rate keeps the jumps drawn one by one few at T = 1e7
+        CompoundPoissonDrift(1e-3, Pareto(1.5, 1.0)),
+    ],
+    ids=["bm-0-1", "bm-0-2.5", "bm-0.3-1", "bm-0.3-2.5", "stable-1.5-0.5", "stable-0.7",
+         "cp-gaussian", "cp-pareto"],
+)
+def test_sampler_equals_the_reference_walk(model, T, cutoff):
+    # one stream, every field equal; cutoff 1e-8 takes two or more chunks
+    _same_draws(model, T, cutoff, 200)
+
+
+@pytest.mark.parametrize(
+    "T, cutoff, stop",
+    [
+        (0.5, 0.9, 0),              # T below the cutoff: one face, the whole horizon
+        (1.0, 0.6, 1),              # the first chunk's first stick
+        (1.0, 2.0**-32.5, 33),      # the second chunk's first stick
+        (1.0, 2.0**-31.5, 32),      # the first chunk's last stick
+        (1.0, 2.0**-63.5, 64),      # the second chunk's last stick
+    ],
+)
+def test_sampler_equals_the_reference_walk_at_a_chunk_edge(record, T, cutoff, stop):
+    model = BrownianDrift(1.0, mu=0.3)
+    _same_draws(model, T, cutoff, 20, make=lambda seed: _Halves(rng(seed)))
+    assert len(record.faces[0]) == stop + 1
+    _same_draws(model, T, cutoff, 20)
+
+
 def test_h_prime_stable_under_cutoff_refinement(record):
     # same seed, smaller cutoff: the record extends, the big-face count
     # cannot change, and the aggregated statistics move on average by at
