@@ -18,8 +18,8 @@ import sys
 from pathlib import Path
 
 from .config import load_config
-from .errors import LevyHullError, PathError
-from .experiments import PLOT_KINDS, emit_plot_data, load_report, run, write_report
+from .errors import LevyHullError
+from .experiments import PLOT_KINDS, _output_dir, emit_plot_data, load_report, run, write_report
 
 
 def _build_parser():
@@ -50,9 +50,7 @@ def _cmd_run(args) -> int:
         overrides["out"] = args.out
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)
-    outdir = Path(cfg.out or f"runs/{cfg.experiment}")
-    if not next(p for p in (outdir, *outdir.parents) if p.exists()).is_dir():
-        raise PathError(f"cannot write a report to {outdir}: not a directory")
+    outdir = _output_dir(cfg.out or f"runs/{cfg.experiment}", "a report")
     report = run(cfg)
     json_path = write_report(report, outdir)
     for r in report.rows:

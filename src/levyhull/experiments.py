@@ -22,7 +22,6 @@ from functools import partial
 from pathlib import Path, PurePath
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .config import EXPERIMENTS, ExperimentConfig
@@ -604,7 +603,6 @@ def run(cfg: ExperimentConfig) -> RunReport:
         "experiment": cfg.experiment,
         "package_version": __version__,
         "numpy_version": np.__version__,
-        "scipy_version": scipy.__version__,
     }
     return report
 
@@ -640,15 +638,23 @@ def report_csv_body(report: RunReport) -> str:
                                for v in map(_plain, astuple(r))] for r in report.rows))
 
 
-def write_report(report: RunReport, outdir) -> Path:
-    """Write report.csv, report.json and each sample vector and table as
-    ``samples/<name>.npy`` (float64, :func:`numpy.save`); report.json
-    names each file and each table's columns.  Returns the JSON path."""
+def _output_dir(outdir, what) -> Path:
+    """``outdir`` as a :class:`~pathlib.Path`, made with its parents.  A path
+    that is, or runs through, a file is a :class:`PathError` saying that
+    ``what`` cannot be written there."""
     out = Path(outdir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except (FileExistsError, NotADirectoryError):
-        raise PathError(f"cannot write a report to {out}: not a directory") from None
+        raise PathError(f"cannot write {what} to {out}: not a directory") from None
+    return out
+
+
+def write_report(report: RunReport, outdir) -> Path:
+    """Write report.csv, report.json and each sample vector and table as
+    ``samples/<name>.npy`` (float64, :func:`numpy.save`); report.json
+    names each file and each table's columns.  Returns the JSON path."""
+    out = _output_dir(outdir, "a report")
     (out / "report.csv").write_text(report_csv_body(report))
     if report.samples or report.tables:
         (out / "samples").mkdir(exist_ok=True)
@@ -720,8 +726,7 @@ def emit_plot_data(report: RunReport, kind: str, outdir) -> list:
     if kind not in _PLOTS:
         raise ConfigError(f"unknown plot kind {kind!r}; choose from {PLOT_KINDS}")
     tables = _PLOTS[kind](report)
-    out = Path(outdir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(outdir, "plot data")
     for name, (header, rows) in tables.items():
         (out / name).write_text(_csv_text(header, rows))
     return [out / name for name in tables]

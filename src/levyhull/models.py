@@ -30,9 +30,6 @@ from dataclasses import dataclass
 from functools import cache, lru_cache
 
 import numpy as np
-# scipy.integrate is imported by the quadratures that use it, to keep it out
-# of the package import.  The normal CDF is math.erfc (see _phi_cdf), so the
-# package import loads no scipy submodule.
 
 from .errors import (
     DivergentIntegralError,
@@ -89,7 +86,8 @@ class _JumpLaw:
     A jump law gives ``theta(T)``, half of ``E[J^2 log+(min(T, J^2))]``,
     and ``theta_time_side(root_t)``, the same quantity as
     ``int_1^root_t G(u) / u du`` with ``G`` the tail second moment.  By
-    default the time side is a quadrature split at :meth:`kinks`.
+    default the time side is :func:`_de_quad` of ``G(e^v)`` over ``v = log
+    u``, split at the logarithms of the :meth:`kinks`.
     """
 
     def sample_sums(self, counts, rng):
@@ -112,18 +110,8 @@ class _JumpLaw:
         return 0.0
 
     def theta_time_side(self, root_t):
-        from scipy import integrate
-        kinks = [k for k in self.kinks() if 1.0 < k < root_t]
-        val, _ = integrate.quad(
-            lambda u: float(self.second_moment_tail(u)) / u,
-            1.0,
-            root_t,
-            points=kinks or None,
-            limit=200,
-            epsabs=1e-13,
-            epsrel=1e-11,
-        )
-        return val
+        kinks = [math.log(k) for k in self.kinks() if 1.0 < k < root_t]
+        return _de_quad(lambda v: self.second_moment_tail(np.exp(v)), 0.0, *kinks, math.log(root_t))
 
 
 class _AtomicJump(_JumpLaw):
@@ -213,12 +201,11 @@ class Gaussian(_JumpLaw):
     def theta(self, T):
         root_t = math.sqrt(T)
 
-        def integrand(x):
-            return 0.5 * x * x * _logplus_min(T, x) * float(_phi_pdf((x - self.mean) / self.sd)) / self.sd
+        def integrand(x):   # jumps of x and of -x, for x >= 1
+            m, s = self.mean, self.sd
+            return 0.5 * x * x * _logplus_min(T, x) * (_phi_pdf((x - m) / s) + _phi_pdf((x + m) / s)) / s
 
-        return _quad_sum(
-            integrand, ((-math.inf, -root_t), (-root_t, -1.0), (1.0, root_t), (root_t, math.inf))
-        )
+        return _de_quad(integrand, 1.0, root_t, math.inf)
 
 
 @dataclass(frozen=True)
@@ -280,13 +267,12 @@ class Pareto(_JumpLaw):
     def theta(self, T):
         a, s = self.tail_index, self.scale
 
-        def integrand(x):
-            return 0.5 * x * x * _logplus_min(T, x) * a * s**a * x ** (-a - 1.0)
+        def integrand(v):   # in v = log x, where the power tail decays exponentially
+            return 0.5 * np.clip(2.0 * v, 0.0, math.log(T)) * a * s**a * np.exp((2.0 - a) * v)
 
         # two-sided law: both signs carry |x|, so one side covers the mass
-        lo, root_t = max(s, 1.0), math.sqrt(T)
-        edges = [lo, root_t, math.inf] if root_t > lo else [lo, math.inf]
-        return _quad_sum(integrand, zip(edges[:-1], edges[1:]))
+        lo = max(math.log(s), 0.0)
+        return _de_quad(integrand, lo, max(lo, 0.5 * math.log(T)), math.inf)
 
 
 @dataclass(frozen=True)
@@ -348,35 +334,16 @@ class LogCorrectedPareto(_JumpLaw):
         # symmetry integrate one side and double.  For x <= sqrt(T) the
         # weight is 2 log x, cancelling the (log x)^-1 factor.
         root_t = math.sqrt(T)
-        total = 0.0
-        if root_t > _EE:
-            from scipy import integrate
-            val, _ = integrate.quad(
-                lambda w: 1.0 / math.log(w) ** 2,  # w = log x
-                math.e,
-                math.log(root_t),
-                epsabs=1e-13,
-                epsrel=1e-11,
-            )
-            total += 2.0 * val
-            total += math.log(T) / math.log(math.log(root_t))
-        else:
-            total += math.log(T) / 1.0  # loglog(e^e) == 1
-        return total / _lcp_normalizer()
+        if root_t <= _EE:
+            return math.log(T) / _lcp_normalizer()   # loglog(e^e) == 1
+        body = 2.0 * _de_quad(lambda w: np.log(w) ** -2.0, math.e, math.log(root_t))   # w = log x
+        return (body + math.log(T) / math.log(math.log(root_t))) / _lcp_normalizer()
 
 
 @cache
 def _lcp_normalizer():
     # total mass of the unnormalized two-sided density
-    from scipy import integrate
-    val, _ = integrate.quad(
-        lambda x: x**-3 / (math.log(x) * math.log(math.log(x)) ** 2),
-        _EE,
-        math.inf,
-        epsabs=1e-14,
-        epsrel=1e-12,
-    )
-    return 2.0 * val
+    return 2.0 * _de_quad(lambda x: x**-3.0 / (np.log(x) * np.log(np.log(x)) ** 2), _EE, math.inf)
 
 
 def _phi_pdf(z):
@@ -392,17 +359,42 @@ def _phi_cdf(x):
     return 0.5 * np.asarray(_erfc(-np.asarray(x, dtype=float) / math.sqrt(2.0)), dtype=float)
 
 
-def _quad_sum(f, pieces):
-    from scipy import integrate
+def _de_rules():
+    """Nodes and weights of the double-exponential rule (Takahasi & Mori
+    1974) at step 1/64 on ``|t| <= 6``, 769 nodes with ``s = (pi/2) sinh t``:
+    tanh-sinh, ``x = tanh(s)`` on [-1, 1], and exp-sinh, ``x = exp(s)`` on
+    [0, inf), each weight ``dx/dt`` times the step."""
+    t = np.arange(-384, 385) / 64.0
+    s, ds = 0.5 * math.pi * np.sinh(t), 0.5 * math.pi * np.cosh(t) / 64.0
+    return (np.tanh(s), ds / np.cosh(s) ** 2), (np.exp(s), ds * np.exp(s))
+
+
+_TANH_SINH, _EXP_SINH = _de_rules()
+
+
+def _de_quad(f, *edges):
+    """Integral of ``f`` (vectorized over arrays) from the first edge to the
+    last, with one double-exponential rule per piece between consecutive
+    edges, the points where ``f`` is not smooth: tanh-sinh on a finite
+    piece, exp-sinh on one that ends at ``inf``.  The exp-sinh nodes stop
+    at ``x - a = exp(317)``, so a tail decaying like ``x^(-1 - eps)`` loses
+    ``(a / exp(317))^eps`` of its mass: at ``a = 1e3``, 3e-14 for ``eps =
+    0.1`` but 2e-7 for ``eps = 0.05``.  Such a tail is integrated in
+    ``log x``, where it decays exponentially."""
     total = 0.0
-    for a, b in pieces:
-        val, _ = integrate.quad(f, a, b, limit=200, epsabs=1e-13, epsrel=1e-11)
-        total += val
+    for a, b in zip(edges[:-1], edges[1:]):
+        if b == math.inf:
+            x, w = _EXP_SINH
+            total += float(np.dot(f(a + x), w))
+        else:
+            (x, w), r = _TANH_SINH, 0.5 * (b - a)
+            total += r * float(np.dot(f(a + r + r * x), w))
     return total
 
 
 def _logplus_min(T, x):
-    return max(0.0, math.log(min(T, x * x)))
+    """``log+(min(T, x^2))``, elementwise for an array ``x``."""
+    return np.log(np.clip(np.multiply(x, x), 1.0, T))
 
 
 # ---------------------------------------------------------------------------

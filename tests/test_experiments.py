@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -561,6 +564,34 @@ def test_write_report_serializes_every_experiment(tmp_path):
             assert got.dtype == np.float64 and np.array_equal(got, np.asarray(mat, dtype=float)), name
 
 
+def test_every_family_runs_without_scipy(tmp_path):
+    # scipy is a test dependency only: an interpreter that cannot import it
+    # runs and writes one small config per family, and criterion 12 at its
+    # shipped size, and loads no scipy module
+    root = Path(__file__).resolve().parents[1]
+    code = f"""
+import json, sys
+sys.modules["scipy"] = None   # every import of scipy now fails
+try:
+    import scipy.integrate
+except ImportError:
+    pass
+else:
+    raise AssertionError("scipy is not blocked")
+from levyhull.config import config_from_mapping, load_config
+from levyhull.experiments import run, write_report
+for i, mapping in enumerate(json.loads({json.dumps(_FAMILY_CONFIGS)!r})):
+    write_report(run(config_from_mapping(mapping)), {str(tmp_path)!r} + f"/r{{i}}")
+assert run(load_config({str(root / "configs" / "criterion12_theta_scan.cfg")!r})).passed
+print(sorted(m for m, mod in sys.modules.items() if m.split(".")[0] == "scipy" and mod is not None))
+"""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[]"
+    assert len(list(tmp_path.glob("r*/report.json"))) == len(_FAMILY_CONFIGS)
+
+
 def test_load_report_refuses_the_csv_sample_schema(tmp_path):
     path = write_report(run(cp_identity_cfg(reps=200)), tmp_path / "out")
     payload = json.loads(path.read_text())
@@ -823,6 +854,22 @@ def test_cli_emit_plot_names_a_missing_or_corrupt_report(tmp_path, capsys):
         assert main(["emit-plot", "--report", str(path), "--kind", "qq"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(path) in err
+
+
+def test_cli_emit_plot_refuses_an_output_path_that_is_a_file(tmp_path, capsys):
+    # an existing file as --out once ended in a FileExistsError traceback
+    from levyhull.cli import main
+
+    path = write_report(run(cp_identity_cfg(reps=200)), tmp_path / "out")
+    before = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*"))
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    for out in (taken, taken / "sub"):
+        assert main(["emit-plot", "--report", str(path), "--kind", "qq", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write plot data to") and str(out) in err
+    assert taken.read_text() == "keep"
+    assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*") if p != taken) == before
 
 
 def test_cli_emit_plot_names_a_report_row_without_a_field(tmp_path, capsys):

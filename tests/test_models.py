@@ -4,6 +4,7 @@ import zlib
 import mpmath
 import numpy as np
 import pytest
+from scipy import integrate
 from scipy import stats as sps
 
 from levyhull.errors import (
@@ -13,7 +14,11 @@ from levyhull.errors import (
     UnsupportedExactnessError,
 )
 from levyhull.models import (
+    _EE,
+    _EXP_SINH,
+    _TANH_SINH,
     _cms_transform,
+    _de_quad,
     _lcp_normalizer,
     _phi_cdf,
     CMS_PIECE,
@@ -370,10 +375,72 @@ def test_phi_cdf_matches_scipy_ndtr():
     edge = _phi_cdf(np.array([np.inf, -np.inf, np.nan]))
     assert edge[0] == 1.0 and edge[1] == 0.0 and np.isnan(edge[2])
     assert _phi_cdf(np.zeros((2, 3))).shape == (2, 3)
-    # the quadrature integrands pass floats
+    # a float gives a 0-d float64
     v = _phi_cdf(0.3)
     assert np.ndim(v) == 0 and v.dtype == np.float64
     assert float(v) == pytest.approx(float(ndtr(0.3)), abs=2.3e-16)
+
+
+def _quad(f, *edges):
+    """scipy's adaptive quadrature of a scalar ``f``, piece by piece."""
+    return sum(integrate.quad(f, a, b, limit=400, epsabs=0.0, epsrel=1e-13)[0]
+               for a, b in zip(edges[:-1], edges[1:]))
+
+
+def _quad_theta(jump, T):
+    """The measure side of the centering integral by :func:`_quad`, in x
+    (the log-corrected law in log x), split where the jump law's ``theta``
+    splits."""
+    root_t = math.sqrt(T)
+    if isinstance(jump, Gaussian):
+        def f(x):
+            dens = (sps.norm.pdf(x, jump.mean, jump.sd) + sps.norm.pdf(-x, jump.mean, jump.sd))
+            return 0.5 * x * x * max(0.0, math.log(min(T, x * x))) * dens
+        return _quad(f, 1.0, root_t, math.inf)
+    if isinstance(jump, Pareto):
+        a, s = jump.tail_index, jump.scale
+        lo = max(s, 1.0)
+        return _quad(lambda x: 0.5 * math.log(min(T, x * x)) * a * s**a * x ** (1.0 - a),
+                     lo, max(lo, root_t), math.inf)
+    if root_t <= _EE:
+        return math.log(T) / _lcp_normalizer()
+    body = 2.0 * _quad(lambda w: math.log(w) ** -2, math.e, math.log(root_t))
+    return (body + math.log(T) / math.log(math.log(root_t))) / _lcp_normalizer()
+
+
+_QUAD_T = (1e2, 1e4, 1e6, *((k * (1.0 + d)) ** 2 for k in (5.0, _EE) for d in (-1e-9, 1e-9)))
+
+
+@pytest.mark.parametrize(
+    "jump",
+    [Gaussian(0.2, 1.1), Gaussian(0.3, 1.7), Pareto(3.5, 0.8, 0.6), Pareto(2.5, 1.0), Pareto(3.0, 5.0),
+     Pareto(2.05, 1.0), LogCorrectedPareto()],
+    ids=repr,
+)
+def test_double_exponential_rule_matches_adaptive_quadrature(jump):
+    # both forms of the centering integral against scipy.integrate.quad at
+    # the criterion 12 horizons and on both sides of each kink (5 for the
+    # Pareto of scale 5, e^e for the log-corrected law).  The Pareto of
+    # index 2.05 has a tail that exp-sinh nodes in x would cut at 1e-7
+    for T in _QUAD_T:
+        root_t = math.sqrt(T)
+        assert jump.theta(T) == pytest.approx(_quad_theta(jump, T), rel=1e-12, abs=0.0), T
+        kinks = [k for k in jump.kinks() if 1.0 < k < root_t]
+        time_side = _quad(lambda u: float(jump.second_moment_tail(u)) / u, 1.0, *kinks, root_t)
+        assert jump.theta_time_side(root_t) == pytest.approx(time_side, rel=1e-12, abs=0.0), T
+
+
+def test_lcp_normalizer_matches_adaptive_quadrature():
+    mass = 2.0 * _quad(lambda x: x**-3 / (math.log(x) * math.log(math.log(x)) ** 2), _EE, math.inf)
+    assert _lcp_normalizer() == pytest.approx(mass, rel=1e-12, abs=0.0)
+
+
+def test_double_exponential_rule_pieces():
+    # one rule per piece between edges; a zero-width piece adds nothing
+    assert _de_quad(lambda x: np.exp(-x), 0.0, math.inf) == pytest.approx(1.0, rel=1e-15)
+    assert _de_quad(np.cos, 0.0, 1.0, 1.0, 2.0) == pytest.approx(math.sin(2.0), rel=1e-15)
+    assert _de_quad(lambda x: np.abs(x - 0.3), 0.0, 0.3, 1.0) == pytest.approx(0.29, rel=1e-15)
+    assert _TANH_SINH[0].size == _EXP_SINH[0].size == 769
 
 
 def test_theta_monotone_and_log_bounded():
