@@ -3,7 +3,7 @@
 Each experiment draws seeded Monte Carlo replications, evaluates its
 verification statistics, and returns a :class:`RunReport` of threshold
 rows plus the sample vectors the plot emitter consumes.  Replications are
-drawn in fixed-size blocks, one counter-based substream per block keyed by
+drawn in fixed-size blocks, one PCG64 substream per block keyed by
 ``(seed, experiment tag, block index)``, and block results are concatenated
 in block order, so a report depends only on ``(config, seed)`` and never on
 the worker count.
@@ -82,6 +82,7 @@ class Row:
 
 
 ROW_FIELDS = tuple(f.name for f in fields(Row))
+_NUMERIC = ("T", "estimate", "se_or_d", "p_value")
 
 # the coordinates of the stable and heavy-tailed limit theorems, in the
 # column order of normalize_stable and draw_limit_stable
@@ -653,35 +654,41 @@ def _output_dir(outdir, what) -> Path:
 def write_report(report: RunReport, outdir) -> Path:
     """Write report.csv, report.json and each sample vector and table as
     ``samples/<name>.npy`` (float64, :func:`numpy.save`); report.json
-    names each file and each table's columns.  Returns the JSON path."""
+    names each file and each table's columns.  Returns the JSON path.  A
+    file that cannot be written, such as a ``samples`` that is a file, is a
+    :class:`PathError`."""
     out = _output_dir(outdir, "a report")
-    (out / "report.csv").write_text(report_csv_body(report))
-    if report.samples or report.tables:
-        (out / "samples").mkdir(exist_ok=True)
 
     def save(name, arr):
         rel = f"samples/{name}.npy"
         np.save(out / rel, np.ascontiguousarray(arr, dtype=float), allow_pickle=False)
         return rel
 
-    payload = {
-        "schema": REPORT_SCHEMA,
-        "experiment": report.experiment,
-        "passed": report.passed,
-        "rows": [dict(zip(ROW_FIELDS, map(_plain, astuple(r)))) for r in report.rows],
-        "samples": {name: save(name, vec) for name, vec in sorted(report.samples.items())},
-        "tables": {name: {"path": save(name, mat), "columns": list(header)}
-                   for name, (header, mat) in sorted(report.tables.items())},
-        "provenance": report.provenance,
-    }
-    path = out / "report.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True))
+    try:
+        (out / "report.csv").write_text(report_csv_body(report))
+        if report.samples or report.tables:
+            (out / "samples").mkdir(exist_ok=True)
+        payload = {
+            "schema": REPORT_SCHEMA,
+            "experiment": report.experiment,
+            "passed": report.passed,
+            "rows": [dict(zip(ROW_FIELDS, map(_plain, astuple(r)))) for r in report.rows],
+            "samples": {name: save(name, vec) for name, vec in sorted(report.samples.items())},
+            "tables": {name: {"path": save(name, mat), "columns": list(header)}
+                       for name, (header, mat) in sorted(report.tables.items())},
+            "provenance": report.provenance,
+        }
+        path = out / "report.json"
+        path.write_text(json.dumps(payload, indent=2, sort_keys=True))
+    except OSError as exc:
+        raise PathError(f"cannot write a report to {out}: {type(exc).__name__} {exc}") from None
     return path
 
 
 def load_report(json_path) -> RunReport:
     """Reload a written report with its sample vectors and tables; a
-    missing or corrupt file, or a missing field, is a :class:`PathError`."""
+    missing or corrupt file, or a missing or malformed field, is a
+    :class:`PathError`."""
     path = Path(json_path)
 
     def load(rel):
@@ -696,12 +703,15 @@ def load_report(json_path) -> RunReport:
             raise PathError(f"unrecognized report schema in {json_path}")
         return RunReport(
             payload["experiment"],
-            rows=[Row(*(math.nan if r[k] is None else r[k] for k in ROW_FIELDS)) for r in payload["rows"]],
+            rows=[Row(*(math.nan if r[k] is None else float(r[k]) if k in _NUMERIC else r[k]
+                        for k in ROW_FIELDS)) for r in payload["rows"]],
             samples={name: load(rel) for name, rel in payload["samples"].items()},
             tables={name: (tuple(t["columns"]), load(t["path"])) for name, t in payload["tables"].items()},
             provenance=payload.get("provenance", {}),
         )
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except PathError:
+        raise
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         raise PathError(f"cannot load report {json_path}: {type(exc).__name__} {exc}") from None
 
 

@@ -16,14 +16,12 @@ measured by the refinement tests, not reported per draw.
 Each series reduces the sticks of one run of
 :func:`~levyhull.sticks.stick_blocks` per batch, a block of columns at a
 time, and keeps none of them: a batch holds one block of sticks and one
-column of driving variables.  A batch draws from its own stream, a PCG64
-child of the caller's generator keyed by four words of it
-(:func:`~levyhull.rng.child_stream`), which draws uniforms in about half
-the time of the Philox substreams: a block's stick uniforms, then that
-block's driving variables a column at a time (the uniforms of standard
-stable draws and then their exponentials), then the next block.  The
-Brownian triple is the signed series at index 2, where the stable draw
-is exactly N(0, 2), so every series runs on this one drive.
+column of driving variables.  A batch draws from the caller's generator
+alone: a block's stick uniforms, then that block's driving variables a
+column at a time (the uniforms of standard stable draws and then their
+exponentials), then the next block.  The Brownian triple is the signed
+series at index 2, where the stable draw is exactly N(0, 2), so every
+series runs on this one drive.
 Every cell's variables are drawn, needed or not, so a smaller ``eps`` on
 a fresh stream with the same seed appends blocks to the same sticks and
 their draws, which is what the refinement checks compare.  The stable
@@ -55,7 +53,6 @@ import numpy as np
 
 from .errors import ParameterError
 from .models import _cms_transform, stable_standard
-from .rng import child_stream
 from .sticks import ROWS, stick_blocks
 
 __all__ = [
@@ -131,8 +128,8 @@ def _series(alpha, beta, n, eps, rng, *summands):
     """Row sums of the stick-breaking series of each of ``summands`` on the
     unit interval, driven by standard stable draws of index ``alpha`` and
     skewness ``beta``, each row truncated at its own remainder ``L``, drawn
-    from one child stream of ``rng``; returns the ``(k, n)`` sums, the
-    summands' in turn, and the remainders.
+    from ``rng``; returns the ``(k, n)`` sums, the summands' in turn, and
+    the remainders.
 
     The summand ``k`` is homogeneous of degree ``powers[k]`` in the stick
     length (:data:`_POWERS`), so the series past a row's last stick is
@@ -153,7 +150,7 @@ def _series(alpha, beta, n, eps, rng, *summands):
     powers = [w for f in summands for w in _POWERS[f](alpha)]
     rows = max(n, MIN_ROWS)
     cut = min(eps, FOLD_WEIGHT ** (1.0 / min(powers)))
-    sums, rem = _own_sums(alpha, beta, rows, eps, child_stream(rng), terms, len(powers), cut)
+    sums, rem = _own_sums(alpha, beta, rows, eps, rng, terms, len(powers), cut)
     for acc, w in zip(sums, powers):
         head, scale = acc.copy(), rem**w
         weight = scale.copy()

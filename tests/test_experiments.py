@@ -884,6 +884,48 @@ def test_cli_emit_plot_names_a_report_row_without_a_field(tmp_path, capsys):
     assert err.startswith("error:") and str(path) in err and "'T'" in err
 
 
+def test_cli_emit_plot_names_a_malformed_report(tmp_path, capsys):
+    # each case once ended in a traceback with exit 1: a corrupt .npy
+    # (ValueError), rows given as an object (TypeError), samples given as a
+    # list (AttributeError), and a T that is no number, which failed only
+    # in the scaling table (TypeError)
+    from levyhull.cli import main
+
+    path = write_report(run(cp_identity_cfg(reps=200)), tmp_path / "out")
+    good = json.loads(path.read_text())
+    row = good["rows"][0]
+    sd_rows = [dict(row, T="abc", statistic=s) for s in ("sd_hut", "sd_majorant", "sd_tent")]
+    for payload, kind in ((dict(good, rows={"T": 1.0}), "qq"),
+                          (dict(good, samples=list(good["samples"])), "qq"),
+                          (dict(good, rows=sd_rows), "scaling-table")):
+        path.write_text(json.dumps(payload))
+        assert main(["emit-plot", "--report", str(path), "--kind", kind]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot load report") and str(path) in err
+    path.write_text(json.dumps(good))
+    (path.parent / good["samples"]["hull_sup"]).write_bytes(b"not an npy file")
+    assert main(["emit-plot", "--report", str(path), "--kind", "qq"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot load report") and str(path) in err
+
+
+def test_cli_run_names_a_report_file_it_cannot_write(tmp_path, capsys):
+    # a samples that is a file, or a report.json that is a directory, once
+    # ended in a FileExistsError or IsADirectoryError traceback, exit 1
+    from levyhull.cli import main
+
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("experiment = verify-identity\nmodel.kind = cp\nmodel.jump.kind = gaussian\n"
+                   "model.jump.mean = 0\nmodel.jump.sd = 1\nmodel.mu = 0.2\nT_grid = 8\nreps = 100\n")
+    (tmp_path / "a").mkdir()
+    (tmp_path / "a" / "samples").write_text("keep")
+    (tmp_path / "b" / "report.json").mkdir(parents=True)
+    for out, name in ((tmp_path / "a", "samples"), (tmp_path / "b", "report.json")):
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write a report to {out}") and name in err
+
+
 def test_shipped_criterion_configs_parse():
     import pathlib
 

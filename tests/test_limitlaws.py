@@ -176,7 +176,7 @@ def _own_stick_sums(n, eps, cut, g, draw, terms):
 
 
 def _chained_series(n, eps, g, draw, terms, powers):
-    """Reference for the series on the child stream ``g``: each row's own
+    """Reference for the series on the stream ``g``: each row's own
     sums, down to the remainder whose smallest power is below FOLD_WEIGHT,
     plus, for each summand, the sums of the rows after it, cyclically, each
     weighted by the product of the remainder powers of the rows before it,
@@ -219,14 +219,44 @@ def test_series_sums_each_row_over_its_own_sticks_plus_a_chained_copy(n):
         g, h = rng(case), rng(case)
         alpha, summands, _, _, powers = _series_cases(g)[case]
         sums, rem = _series(alpha, 0.3, n, 1e-6, g, *summands)
-        # the series draws the whole batch from one child stream of its caller's
-        child = np.random.Generator(np.random.PCG64(np.random.SeedSequence(h.bit_generator.random_raw(4))))
-        _, _, ref_draw, ref_terms, _ = _series_cases(child)[case]
-        ref, ref_rem = _chained_series(n, 1e-6, child, ref_draw, ref_terms, powers)
+        # the series draws the whole batch from its caller's generator
+        _, _, ref_draw, ref_terms, _ = _series_cases(h)[case]
+        ref, ref_rem = _chained_series(n, 1e-6, h, ref_draw, ref_terms, powers)
         assert np.array_equal(sums, ref)
         assert np.array_equal(rem, ref_rem)
         assert (rem < 1e-6).all()
-        assert g.random() == h.random()   # both drew the same stream
+        assert g.bit_generator.state == h.bit_generator.state   # and nothing more
+
+
+@pytest.mark.parametrize("draw", [
+    lambda g: draw_limit_finite_variance(1.3, 40, g),
+    lambda g: draw_limit_stable(1.5, 40, g, beta=0.4),
+    lambda g: draw_limit_stable(0.7, 40, g),
+    lambda g: draw_limit_quadratic(1.5, 40, g),
+    lambda g: draw_limit_drift(1.5, 0.8, 40, g),
+])
+def test_limit_samplers_draw_from_the_generator_they_are_given_alone(draw):
+    # two copies of one generator give the same draws and end in the same
+    # state, whatever numpy's global state holds in between
+    g, h = rng(9), rng(9)
+    np.random.seed(1)
+    a = draw(g)
+    np.random.seed(2)
+    b = draw(h)
+    assert np.array_equal(a, b)
+    assert g.bit_generator.state == h.bit_generator.state
+
+
+def test_finite_variance_limit_is_two_normals_then_the_index_2_series_on_one_stream():
+    g, h = rng(12), rng(12)
+    c = draw_limit_finite_variance(1.3, 25, g)
+    z1, z2 = h.standard_normal(25), h.standard_normal(25)
+    _, _, draw, terms, powers = _series_cases(h)[0]
+    (pos, neg, pos_len, tot), _ = _chained_series(25, 1e-6, h, draw, terms, powers)
+    scale = 1.3 / math.sqrt(2.0)
+    ref = np.column_stack([1.3**2 / math.sqrt(2.0) * z1, z2, scale * pos, scale * (pos - neg), pos_len / tot])
+    assert np.array_equal(c, ref)
+    assert g.bit_generator.state == h.bit_generator.state
 
 
 def test_series_transforms_only_the_sticks_the_rows_need(monkeypatch):
