@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .config import load_config
 from .errors import LevyHullError
-from .experiments import PLOT_KINDS, _output_dir, emit_plot_data, load_report, run, write_report
+from .experiments import PLOT_KINDS, _report_dir, emit_plot_data, load_report, run, write_report
 
 
 def _build_parser():
@@ -50,7 +50,7 @@ def _cmd_run(args) -> int:
         overrides["out"] = args.out
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)
-    outdir = _output_dir(cfg.out or f"runs/{cfg.experiment}", "a report")
+    outdir = _report_dir(cfg.out or f"runs/{cfg.experiment}")
     report = run(cfg)
     json_path = write_report(report, outdir)
     for r in report.rows:

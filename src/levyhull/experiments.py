@@ -16,7 +16,6 @@ import io
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, field, fields
 from functools import partial
 from pathlib import Path, PurePath
@@ -117,7 +116,8 @@ def _collect_blocks(worker, total, workers):
     plan = list(enumerate(min(BLOCK, total - lo) for lo in range(0, total, BLOCK)))
     if workers <= 1:
         return [worker(i, n) for i, n in plan]
-    # a forked pool starts all its processes at the first submit
+    # imported only for a pool; a forked pool starts all its processes at the first submit
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
         futures = [pool.submit(worker, i, n) for i, n in plan]
         return [fut.result() for fut in futures]
@@ -151,8 +151,7 @@ def draw_hull_stats(model, T, reps, seed, tag, workers=1):
 
 def _draw_record_table(q):
     """Draw-record table (one row per replication) for the report."""
-    cols = [np.full(q.upsilon.size, q.horizon), *(getattr(q, name) for name in _PER_DRAW)]
-    return ("T", *_PER_DRAW), np.column_stack(cols)
+    return ("T", *_PER_DRAW), np.column_stack([np.full(q.upsilon.size, q.horizon), *q[:5]])
 
 
 def _row_check(T, name, value, threshold, passed, se_or_d=math.nan):
@@ -418,24 +417,16 @@ def _exp_compare_length(cfg: ExperimentConfig, rep: RunReport):
         r_hut, r_maj, r_tent = (b / a for a, b in zip(s0, s1))
         root_t = math.sqrt(t1 / t0)
         root_log = math.sqrt(math.log(t1) / math.log(t0))
-        rep.rows.append(
-            _row_check(t1, "ratio_hut", r_hut, "in [0.8, 1.3] (scale O(1))",
-                       0.8 <= r_hut <= 1.3)
-        )
-        rep.rows.append(
-            _row_check(t1, "ratio_majorant", r_maj,
-                       f"within 25% of sqrt(log ratio) = {root_log:.3f}",
-                       abs(r_maj / root_log - 1.0) <= 0.25)
-        )
-        rep.rows.append(
-            _row_check(t1, "ratio_tent", r_tent,
-                       f"within 15% of sqrt(T ratio) = {root_t:.3f}",
-                       abs(r_tent / root_t - 1.0) <= 0.15)
-        )
-        rep.rows.append(
-            _row_check(t1, "ratio_ordering", r_tent - r_hut,
-                       "ratio_hut < ratio_majorant < ratio_tent", r_hut < r_maj < r_tent)
-        )
+        for name, value, threshold, passed in (
+            ("ratio_hut", r_hut, "in [0.8, 1.3] (scale O(1))", 0.8 <= r_hut <= 1.3),
+            ("ratio_majorant", r_maj, f"within 25% of sqrt(log ratio) = {root_log:.3f}",
+             abs(r_maj / root_log - 1.0) <= 0.25),
+            ("ratio_tent", r_tent, f"within 15% of sqrt(T ratio) = {root_t:.3f}",
+             abs(r_tent / root_t - 1.0) <= 0.15),
+            ("ratio_ordering", r_tent - r_hut, "ratio_hut < ratio_majorant < ratio_tent",
+             r_hut < r_maj < r_tent),
+        ):
+            rep.rows.append(_row_check(t1, name, value, threshold, passed))
 
 
 def _exp_theta_scan(cfg: ExperimentConfig, rep: RunReport):
@@ -447,17 +438,14 @@ def _exp_theta_scan(cfg: ExperimentConfig, rep: RunReport):
         a = theta(model, T)
         b = theta_fubini(model, T)
         rel = abs(a - b) / max(abs(a), 1e-300)
-        rep.rows.append(
-            _row_check(T, "theta_forms_rel_err", rel, "<= 1e-8",
-                       rel <= 1e-8 or (a == 0.0 and b == 0.0))
-        )
         ratio = a / math.log(T) if T > 1.0 else math.nan
         decreasing = True if prev_ratio is None else ratio < prev_ratio
-        rep.rows.append(
-            _row_check(T, "theta_over_log", ratio,
-                       "strictly decreasing along the grid", decreasing)
-        )
-        rep.rows.append(_row_check(T, "theta", a, "reported", True))
+        for name, value, threshold, passed in (
+            ("theta_forms_rel_err", rel, "<= 1e-8", rel <= 1e-8 or (a == 0.0 and b == 0.0)),
+            ("theta_over_log", ratio, "strictly decreasing along the grid", decreasing),
+            ("theta", a, "reported", True),
+        ):
+            rep.rows.append(_row_check(T, name, value, threshold, passed))
         if not math.isnan(ratio):
             prev_ratio = ratio
 
@@ -563,10 +551,7 @@ def _exp_hull_props(cfg: ExperimentConfig, rep: RunReport):
     gf = substream(cfg.seed, "hull-faces", 0)
     demo_model = CompoundPoissonDrift(1.0, Gaussian(0.0, 1.0), mu=0.3)
     demo = merge_collinear(concave_majorant(sample_path(demo_model, 30.0, EXACT_JUMPS, gf)))
-    rep.tables["representative_faces"] = (
-        ("l", "h", "slope"),
-        np.array(faces_to_rows(demo)),
-    )
+    rep.tables["representative_faces"] = (("l", "h", "slope"), np.array(faces_to_rows(demo)))
 
 
 # the runner of each experiment, in the order of config.EXPERIMENTS
@@ -651,13 +636,21 @@ def _output_dir(outdir, what) -> Path:
     return out
 
 
+def _report_dir(outdir) -> Path:
+    """:func:`_output_dir` of a report, which refuses a ``samples`` that is no directory too."""
+    out = _output_dir(outdir, "a report")
+    if (out / "samples").exists() and not (out / "samples").is_dir():
+        raise PathError(f"cannot write a report to {out}: samples is not a directory")
+    return out
+
+
 def write_report(report: RunReport, outdir) -> Path:
     """Write report.csv, report.json and each sample vector and table as
     ``samples/<name>.npy`` (float64, :func:`numpy.save`); report.json
     names each file and each table's columns.  Returns the JSON path.  A
     file that cannot be written, such as a ``samples`` that is a file, is a
     :class:`PathError`."""
-    out = _output_dir(outdir, "a report")
+    out = _report_dir(outdir)
 
     def save(name, arr):
         rel = f"samples/{name}.npy"
@@ -691,6 +684,13 @@ def load_report(json_path) -> RunReport:
     :class:`PathError`."""
     path = Path(json_path)
 
+    def row(r):   # a number or null (NaN), a string or a boolean, by type: a boolean is no number
+        values = [math.nan if r[k] is None and k in _NUMERIC else r[k] for k in ROW_FIELDS]
+        for k, v in zip(ROW_FIELDS, values):
+            if type(v) not in ((int, float) if k in _NUMERIC else (bool,) if k == "passed" else (str,)):
+                raise PathError(f"cannot load report {json_path}: malformed row: {k} = {v!r}")
+        return Row(*(float(v) if k in _NUMERIC else v for k, v in zip(ROW_FIELDS, values)))
+
     def load(rel):
         inside = PurePath(rel)
         if inside.is_absolute() or ".." in inside.parts:
@@ -703,8 +703,7 @@ def load_report(json_path) -> RunReport:
             raise PathError(f"unrecognized report schema in {json_path}")
         return RunReport(
             payload["experiment"],
-            rows=[Row(*(math.nan if r[k] is None else float(r[k]) if k in _NUMERIC else r[k]
-                        for k in ROW_FIELDS)) for r in payload["rows"]],
+            rows=[row(r) for r in payload["rows"]],
             samples={name: load(rel) for name, rel in payload["samples"].items()},
             tables={name: (tuple(t["columns"]), load(t["path"])) for name, t in payload["tables"].items()},
             provenance=payload.get("provenance", {}),

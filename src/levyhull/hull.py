@@ -19,9 +19,9 @@ the same bits, so the faces are unchanged; their fields are ``float``.
 :func:`concave_majorant` and :func:`convex_minorant` run the same
 candidate pass on one record.
 
-A :class:`QuintupleSample` holds the shape statistics (graph length,
-big-face count, final value, supremum, time of supremum) of one face set,
-or of a batch of them at one horizon and cutoff (equal-length 1-d arrays,
+A :class:`QuintupleSample`, a named tuple, holds the shape statistics (graph
+length, big-face count, final value, supremum, time of supremum) of one face
+set, or of a batch of them at one horizon and cutoff (equal-length 1-d arrays,
 as :func:`stack_quintuples` returns).  Both samplers end in
 :func:`reduce_faces`, whose sums do not depend on the face order: the hull
 of an exact path (:func:`shape_stats`, faces in slope order, zero cutoff)
@@ -33,8 +33,6 @@ endpoint atoms at exactly 0 and T in floating point.
 from __future__ import annotations
 
 import math
-import operator
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -69,8 +67,7 @@ class Face(NamedTuple):
         return self.height / self.length
 
 
-@dataclass(frozen=True)
-class QuintupleSample:
+class QuintupleSample(NamedTuple):
     """Shape statistics of one face set, or of a batch of them.
 
     The per-draw fields (``upsilon`` through ``gamma``)
@@ -98,23 +95,20 @@ class QuintupleSample:
         return self.horizon + 2.0 * self.sup - self.final
 
 
-_PER_DRAW = ("upsilon", "h_prime", "final", "sup", "gamma")
-_per_draw = operator.attrgetter(*_PER_DRAW)
+_PER_DRAW = QuintupleSample._fields[:5]
 
 
 def stack_quintuples(records):
     """Batch record of single draws or batches taken at one horizon and
     cutoff, concatenated in the given order.  ``records`` may be a
     generator."""
-    keys, rows = set(), []
-    for r in records:
-        keys.add((r.horizon, r.cutoff))
-        rows.append(_per_draw(r))
+    columns = tuple(zip(*records))
+    keys = set(zip(*columns[5:]))
     if len(keys) != 1:
         raise ParameterError("stacked quintuples must share one horizon and cutoff")
     (horizon, cutoff), = keys
-    columns = (np.concatenate(c) if np.ndim(c[0]) else np.array(c) for c in zip(*rows))
-    return QuintupleSample(*columns, horizon=horizon, cutoff=cutoff)
+    return QuintupleSample(*(np.concatenate(c) if np.ndim(c[0]) else np.array(c) for c in columns[:5]),
+                           horizon, cutoff)
 
 
 def reduce_faces(lengths, heights, T, cutoff=0.0):
@@ -126,10 +120,11 @@ def reduce_faces(lengths, heights, T, cutoff=0.0):
     """
     total = pos_len = sup = final = excess = 0.0
     big = 0
+    hypot = math.hypot
     for t, x in zip(lengths, heights):
         total += t
         final += x
-        excess += x * x / (t + math.hypot(t, x))
+        excess += x * x / (t + hypot(t, x))
         if x > 0.0:
             pos_len += t
             sup += x

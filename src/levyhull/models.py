@@ -424,7 +424,11 @@ class BrownianDrift:
         return 0.0
 
     def increments(self, t, rng):
-        return self.mu * t + self.sigma * np.sqrt(t) * rng.standard_normal(t.shape)
+        x = np.sqrt(t)      # mu t + sigma sqrt(t) Z formed in place: the same products, bit for bit
+        x *= self.sigma
+        x *= rng.standard_normal(t.shape)
+        x += self.mu * t
+        return x
 
     def norming(self, T):
         return math.sqrt(T)
@@ -650,8 +654,8 @@ def _cms_transform(alpha, beta, v, e):
 
 def sample_increment(model, t, rng):
     """Independent draws distributed exactly as X_t under the model, one per
-    duration in ``t`` (an array, or a float for one draw), in the shape of
-    ``t``: one call of the model's array ``increments(t, rng)``."""
+    duration in ``t`` (an array or a list, or a float for one draw), in the
+    shape of ``t``: one call of the model's array ``increments(t, rng)``."""
     t = np.asarray(t, dtype=float)
     lo, hi = np.minimum.reduce(t, axis=None), np.maximum.reduce(t, axis=None)
     if not 0.0 < lo <= hi < math.inf:

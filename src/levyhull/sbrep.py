@@ -86,7 +86,7 @@ def sample_quintuple(model, T, rng, cutoff=DEFAULT_CUTOFF):
             if rem >= cutoff:
                 k, rem = k + 1, T * L
         cells.append(T * L)
-        incs = sample_increment(model, np.array(cells), rng).tolist()
+        incs = sample_increment(model, cells, rng).tolist()
         ts += cells[:k]
         xs += incs[:k]
         if rem < cutoff:

@@ -457,6 +457,7 @@ def test_tail_index_reads_the_index_of_an_attracted_model():
 
 
 def test_process_pool_is_at_most_the_cpu_count(monkeypatch):
+    import concurrent.futures
     from concurrent.futures import Future
 
     sizes = []
@@ -477,12 +478,30 @@ def test_process_pool_is_at_most_the_cpu_count(monkeypatch):
             fut.set_result(fn(*args))
             return fut
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", FakePool)
+    # _collect_blocks imports the pool class from its module when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     for cpus, workers, want in ((3, 10_000, 3), (3, 2, 2), (None, 4, 1)):
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
         got = experiments._collect_blocks(lambda i, n: (i, n), 2 * experiments.BLOCK + 1, workers)
         assert got == [(0, experiments.BLOCK), (1, experiments.BLOCK), (2, 1)]
         assert sizes.pop() == want
+
+
+def test_a_run_without_a_pool_does_not_import_one():
+    # concurrent.futures.process costs about 14 ms of import and 2 MB of
+    # memory; only a run with more than one worker needs it
+    root = Path(__file__).resolve().parents[1]
+    code = (
+        "import sys\n"
+        "from levyhull.experiments import draw_quintuples\n"
+        "from levyhull.models import BrownianDrift\n"
+        "draw_quintuples(BrownianDrift(1.0), 100.0, 600, 1, 'pool', 1e-3, workers=1)\n"
+        "print('concurrent.futures.process' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False"]
 
 
 def test_seed_changes_report():
@@ -907,6 +926,54 @@ def test_cli_emit_plot_names_a_malformed_report(tmp_path, capsys):
     assert main(["emit-plot", "--report", str(path), "--kind", "qq"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: cannot load report") and str(path) in err
+
+
+def test_cli_emit_plot_refuses_a_row_field_of_the_wrong_type(tmp_path, capsys):
+    # a statistic that is a number once loaded and then ended in an
+    # AttributeError traceback in the scaling table, exit 1; a passed that is
+    # no boolean and a number field that is a string or a boolean loaded too
+    from levyhull.cli import main
+
+    path = write_report(run(cp_identity_cfg(reps=200)), tmp_path / "out")
+    good = json.loads(path.read_text())
+    rows = [dict(good["rows"][0], T=100, statistic=s) for s in ("sd_hut", "sd_majorant", "sd_tent")]
+    path.write_text(json.dumps(dict(good, rows=rows)))
+    # a JSON integer is a number
+    assert [r.T for r in load_report(path).rows] == [100.0] * 3
+    assert main(["emit-plot", "--report", str(path), "--kind", "scaling-table"]) == 0
+    capsys.readouterr()
+    for field, value in (("statistic", 5), ("threshold", None), ("passed", "yes"), ("passed", 1),
+                         ("estimate", "0.5"), ("T", True), ("se_or_d", [1.0])):
+        bad = [dict(r) for r in rows]
+        bad[1][field] = value
+        path.write_text(json.dumps(dict(good, rows=bad)))
+        with pytest.raises(PathError, match=f"malformed row: {field} = "):
+            load_report(path)
+        assert main(["emit-plot", "--report", str(path), "--kind", "scaling-table"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(path) in err and field in err
+
+
+def test_cli_run_refuses_a_samples_file_before_the_first_draw(tmp_path, capsys, monkeypatch):
+    # a D/samples that is a file was found only by write_report, after the
+    # whole run had been drawn
+    from levyhull import cli
+
+    def no_run(cfg):
+        raise AssertionError("ran before refusing the samples path")
+
+    # the CLI calls experiments.run through its own binding
+    monkeypatch.setattr(cli, "run", no_run)
+    monkeypatch.setattr(experiments, "run", no_run)
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "criterion08_drift_regression.cfg"
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "samples").write_text("keep")
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write a report to {out}") and "samples" in err
+    assert sorted(p.name for p in out.iterdir()) == ["samples"]
+    assert (out / "samples").read_text() == "keep"
 
 
 def test_cli_run_names_a_report_file_it_cannot_write(tmp_path, capsys):

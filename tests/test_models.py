@@ -143,6 +143,19 @@ def test_brownian_unit_increment_mean():
     assert abs(draws.std() - 1.0) <= 0.01
 
 
+def test_brownian_increments_are_the_textbook_expression_bit_for_bit():
+    # increments forms sigma sqrt(t) Z in place on one array; the reference
+    # is the expression mu t + sigma sqrt(t) Z on the same stream
+    t = rng(12).uniform(0.5, 2.0, 257) * 10.0 ** rng(13).integers(-9, 9, 257)
+    for sigma, mu in ((1.0, 0.0), (0.3, -2.5), (7.0, 1e-3)):
+        model = BrownianDrift(sigma, mu)
+        want = mu * t + sigma * np.sqrt(t) * rng(14).standard_normal(t.shape)
+        assert np.array_equal(sample_increment(model, t, rng(14)), want)
+        # a list of durations and a single duration draw the same bits
+        assert np.array_equal(sample_increment(model, t.tolist(), rng(14)), want)
+        assert sample_increment(model, float(t[0]), rng(14)) == want[0]
+
+
 def test_point_mass_compound_poisson_mean():
     g = rng(12)
     m = CompoundPoissonDrift(2.0, PointMass(1.0), 0.0)

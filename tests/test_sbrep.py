@@ -1,5 +1,4 @@
 import math
-from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -108,7 +107,7 @@ def record(monkeypatch):
 
     def sample_increment(model, t, rng):
         x = inner_increment(model, t, rng)
-        rec.calls.append((t.tolist(), x.tolist()))
+        rec.calls.append((list(t), x.tolist()))
         return x
 
     def reduce(lengths, heights, T, cutoff):
@@ -146,7 +145,7 @@ def test_final_value_conservation(record):
         assert sticks[-1] == pytest.approx(math.fsum(t_last[k:]), rel=1e-12)
         # a draw is the shape statistics of its own faces, bit for bit
         r = reduce_faces(sticks, xis, 15.0, q.cutoff)
-        assert all(np.array_equal(getattr(r, f.name), getattr(q, f.name)) for f in fields(q))
+        assert all(np.array_equal(getattr(r, f), getattr(q, f)) for f in q._fields)
     # infinite variance, with (index 1.5) or without (index 0.5) a mean,
     # and index 2, which has infinite variance and no norming
     for a, seed in ((0.5, 8), (1.5, 8), (2.0, 9)):
@@ -200,7 +199,7 @@ def _same_draws(model, T, cutoff, n, make=rng):
     for _ in range(n):
         q = sample_quintuple(model, T, got, cutoff=cutoff)
         r = _reference_quintuple(model, T, want, cutoff)
-        assert all(getattr(q, f.name) == getattr(r, f.name) for f in fields(q)), (q, r)
+        assert all(getattr(q, f) == getattr(r, f) for f in q._fields), (q, r)
 
 
 @pytest.mark.parametrize("cutoff", [1e-3, 1e-8])
@@ -370,6 +369,10 @@ def test_stack_quintuples_refuses_mixed_horizons():
     qs = [sample_quintuple(BrownianDrift(1.0), T, g) for T in (10.0, 20.0)]
     with pytest.raises(ParameterError):
         stack_quintuples(qs)
+    # and so does an empty list or generator: no horizon to share
+    for empty in ([], (q for q in ())):
+        with pytest.raises(ParameterError):
+            stack_quintuples(empty)
 
 
 def test_finite_variance_limit_deterministic_variance_near_limit():
