@@ -110,23 +110,25 @@ class RunReport:
 # block-parallel drawing
 # ---------------------------------------------------------------------------
 
-def _collect_blocks(worker, total, workers):
-    """Run ``worker(block_index, block_size)`` over all blocks; returns the
-    results in block order."""
+def _collect_blocks(block_workers, total, workers):
+    """Run each ``worker(block_index, block_size)`` of ``block_workers`` over
+    the blocks of ``total`` draws, all on one pool; returns per worker the
+    batch record of its block records, stacked in block order."""
     plan = list(enumerate(min(BLOCK, total - lo) for lo in range(0, total, BLOCK)))
     if workers <= 1:
-        return [worker(i, n) for i, n in plan]
+        return [stack_quintuples([worker(i, n) for i, n in plan]) for worker in block_workers]
     # imported only for a pool; a forked pool starts all its processes at the first submit
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
-        futures = [pool.submit(worker, i, n) for i, n in plan]
-        return [fut.result() for fut in futures]
+        futures = [[pool.submit(worker, i, n) for i, n in plan] for worker in block_workers]
+        # popped, so that a worker's block records are let go once they are stacked
+        return [stack_quintuples([fut.result() for fut in futures.pop(0)]) for _ in block_workers]
 
 
-def _block(index, n, *, draw, seed, tag):
-    """Batch record of ``n`` calls of ``draw(rng)`` on the block's substream."""
+def _quintuple_block(index, n, *, model, T, cutoff, seed, tag):
+    """Batch record of ``n`` stick-breaking draws on the block's substream."""
     g = substream(seed, tag, index)
-    return stack_quintuples(draw(g) for _ in range(n))
+    return stack_quintuples(sample_quintuple(model, T, g, cutoff) for _ in range(n))
 
 
 def _hull_block(index, n, *, model, T, seed, tag):
@@ -138,15 +140,15 @@ def _hull_block(index, n, *, model, T, seed, tag):
 def draw_quintuples(model, T, reps, seed, tag, cutoff, workers=1):
     """Batch :class:`~levyhull.hull.QuintupleSample` of ``reps``
     stick-breaking draws."""
-    draw = partial(sample_quintuple, model, T, cutoff=cutoff)
-    return stack_quintuples(_collect_blocks(partial(_block, draw=draw, seed=seed, tag=tag), reps, workers))
+    worker = partial(_quintuple_block, model=model, T=T, cutoff=cutoff, seed=seed, tag=tag)
+    return _collect_blocks([worker], reps, workers)[0]
 
 
 def draw_hull_stats(model, T, reps, seed, tag, workers=1):
     """Batch :class:`~levyhull.hull.QuintupleSample` of the majorants of
     ``reps`` exact jump paths."""
     worker = partial(_hull_block, model=model, T=T, seed=seed, tag=tag)
-    return stack_quintuples(_collect_blocks(worker, reps, workers))
+    return _collect_blocks([worker], reps, workers)[0]
 
 
 def _draw_record_table(q):
@@ -226,8 +228,11 @@ def _exp_verify_identity(cfg: ExperimentConfig, rep: RunReport):
     if not isinstance(model, CompoundPoissonDrift):
         raise ConfigError(f"{cfg.experiment} needs a compound Poisson model (exact jump paths)")
     T = cfg.t_grid[-1]
-    hull = draw_hull_stats(model, T, cfg.reps, cfg.seed, "identity-hull", cfg.workers)
-    quin = draw_quintuples(model, T, cfg.reps, cfg.seed, "identity-rep", cfg.cutoff, cfg.workers)
+    # one pool for both samplers: the stick blocks queue behind the hull blocks
+    hull, quin = _collect_blocks(
+        (partial(_hull_block, model=model, T=T, seed=cfg.seed, tag="identity-hull"),
+         partial(_quintuple_block, model=model, T=T, cutoff=cfg.cutoff, seed=cfg.seed, tag="identity-rep")),
+        cfg.reps, cfg.workers)
     names = ("upsilon", "final", "sup", "gamma")
     _rows_ks_pairs(rep, T, "identity", _HULL_REP, names,
                    (getattr(hull, n) for n in names), (getattr(quin, n) for n in names))
@@ -786,6 +791,10 @@ def _scaling_table(rows):
         raise PathError("report holds no sd_* rows (run compare-length first)")
     header = ("T", "sd_hut", "sd_majorant", "sd_tent", "hut_over_1", "majorant_over_sqrtlog",
               "tent_over_sqrtT")
+    for T, d in by_t.items():
+        if not (1.0 < T < math.inf and d.keys() >= set(header[1:4])):
+            raise PathError(f"no scaling table: the sd_* rows at T = {T!r} need a finite T > 1 "
+                            f"and the rows {', '.join(header[1:4])}, got {', '.join(sorted(d))}")
     return header, [(T, d["sd_hut"], d["sd_majorant"], d["sd_tent"], d["sd_hut"],
                      d["sd_majorant"] / math.sqrt(math.log(T)), d["sd_tent"] / math.sqrt(T))
                     for T, d in sorted(by_t.items())]

@@ -466,7 +466,13 @@ class CompoundPoissonDrift:
         return self.jump.limit_beta()
 
     def increments(self, t, rng):
-        return self.mu * t + self.jump.sample_sums(rng.poisson(self.rate * t), rng)
+        """One Poisson count of jumps over all the cells, split over them by
+        a multinomial in proportion to their durations: the cell counts are
+        independent Poisson(rate * t_i), as per-cell draws are."""
+        t = np.asarray(t, dtype=float)
+        total = float(t.sum())
+        counts = rng.multinomial(rng.poisson(self.rate * total), t.ravel() / total).reshape(t.shape)
+        return self.mu * t + self.jump.sample_sums(counts, rng)
 
     def norming(self, T):
         """``jump_scale * (C_a * rate * T)^(1/a)`` for Pareto jumps of index
@@ -759,8 +765,9 @@ def sample_jump_paths(model, T, n, rng):
     """Exact jump records of ``n`` independent compound Poisson paths with
     drift on [0, T], as one :class:`JumpPaths` block.
 
-    Path after path, each draws its jump count, its uniform jump times and
-    its jumps, so the block is the stream of ``n`` one-path records.  The
+    The block draws its ``n`` jump counts in one call, then all its uniform
+    jump times in one call, then all its jumps in one call, each filled in
+    row order; at ``n = 1`` this is the stream of the one-path record.  The
     sort, the walk and the drift then run once on the block.  Rows are
     padded with uniforms of 1, which sort last, and jumps of 0, so the
     first pad of a row is its endpoint ``(T, mu T + jump sum)``; the
@@ -774,21 +781,15 @@ def sample_jump_paths(model, T, n, rng):
     _check_horizon(T)
     if not n >= 1:
         raise ParameterError(f"a block needs at least one path, got {n}")
-    lam = model.rate * T
-    counts, uniforms, jumps = [], [], []
-    for _ in range(n):
-        c = rng.poisson(lam)
-        counts.append(c)
-        uniforms.append(rng.random(c))
-        jumps.append(model.jump.sample(c, rng))
-    counts = np.array(counts)
+    counts = rng.poisson(model.rate * T, n)
+    total = int(counts.sum())
     width = int(counts.max()) + 1
     drawn = np.arange(width) < counts[:, None]
     u = np.ones((n, width))
-    u[drawn] = np.concatenate(uniforms)
+    u[drawn] = rng.random(total)
     u.sort(axis=1)
     x = np.zeros((n, width))
-    x[drawn] = np.concatenate(jumps)
+    x[drawn] = model.jump.sample(total, rng)
     # columns: the start, the jump times, the endpoint, then NaN pads
     times, post, pre, walk = np.zeros((4, n, width + 1))
     np.multiply(u, T, out=times[:, 1:])

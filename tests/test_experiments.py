@@ -32,6 +32,7 @@ from levyhull.models import (
     PointMass,
     StableProcess,
     TwoPoint,
+    sample_jump_paths,
     sample_path,
 )
 from levyhull.rng import substream
@@ -414,10 +415,11 @@ def test_hull_stats_name_the_path_statistics():
     # the stick-breaking batch record: exact hulls have no cutoff
     assert type(hull) is type(draw_quintuples(model, 8.0, 3, 5, "t", 1e-3)) is QuintupleSample
     assert (hull.horizon, hull.cutoff) == (8.0, 0.0)
-    g = substream(5, "t", 0)
+    # the block of three paths on the block's substream, reduced path by path
+    block = sample_jump_paths(model, 8.0, 3, substream(5, "t", 0))
     names = ("upsilon", "h_prime", "final", "sup", "gamma")
     for k in range(3):
-        s = shape_stats(merge_collinear(concave_majorant(sample_path(model, 8.0, EXACT_JUMPS, g))), 8.0)
+        s = shape_stats(merge_collinear(concave_majorant(block.path(k))), 8.0)
         assert [getattr(hull, f)[k] for f in names] == [getattr(s, f) for f in names]
 
 
@@ -460,7 +462,7 @@ def test_process_pool_is_at_most_the_cpu_count(monkeypatch):
     import concurrent.futures
     from concurrent.futures import Future
 
-    sizes = []
+    sizes, tasks = [], []
 
     class FakePool:
         # runs each task at submit, in this process
@@ -474,17 +476,34 @@ def test_process_pool_is_at_most_the_cpu_count(monkeypatch):
             return False
 
         def submit(self, fn, *args):
+            tasks.append((getattr(fn, "keywords", {}).get("tag"), *args))
             fut = Future()
             fut.set_result(fn(*args))
             return fut
+
+    def block(i, n):   # a batch record of n draws, each holding its block index
+        return QuintupleSample(*np.full((5, n), float(i)), 1.0, 0.0)
 
     # _collect_blocks imports the pool class from its module when it needs one
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     for cpus, workers, want in ((3, 10_000, 3), (3, 2, 2), (None, 4, 1)):
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
-        got = experiments._collect_blocks(lambda i, n: (i, n), 2 * experiments.BLOCK + 1, workers)
-        assert got == [(0, experiments.BLOCK), (1, experiments.BLOCK), (2, 1)]
+        (got,) = experiments._collect_blocks([block], 2 * experiments.BLOCK + 1, workers)
+        assert got.upsilon.tolist() == [0.0] * experiments.BLOCK + [1.0] * experiments.BLOCK + [2.0]
         assert sizes.pop() == want
+    # verify-identity draws both samplers' blocks on one pool, the hull's first,
+    # and reports what a run without a pool reports
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 1)
+    tasks.clear()
+    reps = experiments.BLOCK + 88
+    pooled = run(cp_identity_cfg(reps=reps, workers=2))
+    assert sizes == [1]
+    assert tasks == [(tag, i, n) for tag in ("identity-hull", "identity-rep")
+                     for i, n in ((0, experiments.BLOCK), (1, 88))]
+    alone = run(cp_identity_cfg(reps=reps, workers=1))
+    assert report_csv_body(pooled) == report_csv_body(alone)
+    assert pooled.samples.keys() == alone.samples.keys()
+    assert all(np.array_equal(pooled.samples[k], alone.samples[k]) for k in alone.samples)
 
 
 def test_a_run_without_a_pool_does_not_import_one():
@@ -952,6 +971,29 @@ def test_cli_emit_plot_refuses_a_row_field_of_the_wrong_type(tmp_path, capsys):
         assert main(["emit-plot", "--report", str(path), "--kind", "scaling-table"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(path) in err and field in err
+
+
+def test_cli_scaling_table_refuses_a_horizon_it_cannot_scale(tmp_path, capsys):
+    # each case once ended in a traceback with exit 1: T = 1 divides by
+    # log 1 = 0 (ZeroDivisionError), T = -5 takes the log of a negative
+    # (ValueError), and a horizon without its sd_tent row raised KeyError
+    from levyhull.cli import main
+
+    path = write_report(run(cp_identity_cfg(reps=200)), tmp_path / "out")
+    good = json.loads(path.read_text())
+
+    def sd_rows(T, names=("sd_hut", "sd_majorant", "sd_tent")):
+        return [dict(good["rows"][0], T=T, statistic=s) for s in names]
+
+    for rows, T in ((sd_rows(100.0) + sd_rows(1.0), "1.0"), (sd_rows(-5.0), "-5.0"),
+                    (sd_rows(1e3) + sd_rows(100.0, ("sd_hut", "sd_majorant")), "100.0"),
+                    (sd_rows(None), "nan")):
+        path.write_text(json.dumps(dict(good, rows=rows)))
+        assert main(["emit-plot", "--report", str(path), "--kind", "scaling-table"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: no scaling table") and f"T = {T} " in err
+    path.write_text(json.dumps(dict(good, rows=sd_rows(100.0) + sd_rows(1e3))))
+    assert main(["emit-plot", "--report", str(path), "--kind", "scaling-table"]) == 0
 
 
 def test_cli_run_refuses_a_samples_file_before_the_first_draw(tmp_path, capsys, monkeypatch):

@@ -182,8 +182,10 @@ class CountedGenerator:
         self._uniforms = None if uniforms is None else list(uniforms)
         self._g = np.random.default_rng(seed)
 
-    def poisson(self, lam):
-        return self._g.poisson(lam) if self._counts is None else next(self._counts)
+    def poisson(self, lam, size=None):
+        if self._counts is None:
+            return self._g.poisson(lam, size)
+        return next(self._counts) if size is None else np.array([next(self._counts) for _ in range(size)])
 
     def random(self, size=None):
         if self._uniforms is None:
@@ -195,19 +197,26 @@ class CountedGenerator:
         return getattr(self._g, name)
 
 
-def reference_record(model, T, rng):
-    """An exact jump record drawn and built one path at a time: the jump
-    count, the sorted uniform times, the jumps, then the walk and the
-    drift, ending the record at a jump that falls exactly at T."""
-    n = rng.poisson(model.rate * T)
-    s = np.sort(rng.random(n)) * T
-    walk = np.concatenate([[0.0], np.cumsum(model.jump.sample(n, rng))])
-    times = np.concatenate([[0.0], s, [T]])
-    values = np.concatenate([[0.0], model.mu * s + walk[1:], [model.mu * T + walk[-1]]])
-    pre = np.concatenate([[0.0], model.mu * s + walk[:-1], [model.mu * T + walk[-1]]])
-    if n and s[-1] == T:
-        times, values, pre = times[:-1], values[:-1], pre[:-1]
-    return times, values, pre
+def reference_records(model, T, n, rng):
+    """Exact jump records of ``n`` paths drawn in block order and built one
+    path at a time: all the jump counts, then all the uniform times, then
+    all the jumps, each path taking its share in row order; then per path
+    the sorted times, the walk and the drift, ending the record at a jump
+    that falls exactly at T."""
+    counts = rng.poisson(model.rate * T, n)
+    edges = np.concatenate([[0], np.cumsum(counts)])
+    uniforms, jumps = rng.random(edges[-1]), model.jump.sample(edges[-1], rng)
+    records = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        s = np.sort(uniforms[lo:hi]) * T
+        walk = np.concatenate([[0.0], np.cumsum(jumps[lo:hi])])
+        times = np.concatenate([[0.0], s, [T]])
+        values = np.concatenate([[0.0], model.mu * s + walk[1:], [model.mu * T + walk[-1]]])
+        pre = np.concatenate([[0.0], model.mu * s + walk[:-1], [model.mu * T + walk[-1]]])
+        if hi > lo and s[-1] == T:
+            times, values, pre = times[:-1], values[:-1], pre[:-1]
+        records.append((times, values, pre))
+    return records
 
 
 def bits(x):
@@ -243,15 +252,21 @@ def test_block_reduction_is_the_per_path_reduction_bit_for_bit(rate, T, mu, jump
     n = n if counts is None else len(counts)
     block = sample_jump_paths(model, T, n, CountedGenerator(counts, seed))
     got = majorant_stats(block)
-    one, ref = CountedGenerator(counts, seed), CountedGenerator(counts, seed)
-    for k in range(n):
-        path = sample_path(model, T, EXACT_JUMPS, one)
-        for a, b in zip((path.times, path.values, path.pre_values), reference_record(model, T, ref)):
+    for k, record in enumerate(reference_records(model, T, n, CountedGenerator(counts, seed))):
+        path = block.path(k)
+        for a, b in zip((path.times, path.values, path.pre_values), record):
             assert np.array_equal(bits(a), bits(b))
         want = shape_stats(merge_collinear(concave_majorant(path)), T)
         for name in _DRAW_FIELDS:
             assert bits(getattr(got, name)[k]) == bits(getattr(want, name)), name
     assert (got.horizon, got.cutoff) == (T, 0.0)
+    # one-path views on one stream are the n = 1 reference records, one after another
+    one, ref = CountedGenerator(counts, seed), CountedGenerator(counts, seed)
+    for _ in range(n):
+        path = sample_path(model, T, EXACT_JUMPS, one)
+        (record,) = reference_records(model, T, 1, ref)
+        for a, b in zip((path.times, path.values, path.pre_values), record):
+            assert np.array_equal(bits(a), bits(b))
 
 
 def test_a_jump_exactly_at_the_horizon_ends_the_record():

@@ -165,6 +165,33 @@ def test_point_mass_compound_poisson_mean():
     assert np.allclose(draws, np.round(draws))  # jump sizes are integers
 
 
+def test_compound_poisson_cells_are_independent_poisson_counts():
+    # unit point-mass jumps and no drift make each increment its jump count.
+    # One Poisson total split over the cells must leave every cell
+    # Poisson(rate t_i) and the cells uncorrelated, at durations over four
+    # decades; a split that conditioned on a fixed total would correlate
+    # the cells (here down to -0.94)
+    rate, t = 3.0, np.array([1e-3, 0.1, 1.0, 10.0])
+    m = CompoundPoissonDrift(rate, PointMass(1.0), mu=0.0)
+    n = 20_000
+    g = rng(61)
+    x = np.array([sample_increment(m, t, g) for _ in range(n)])
+    lam = rate * t
+    # Poisson(lam): variance lam and fourth central moment lam + 3 lam^2
+    assert np.all(np.abs(x.mean(axis=0) - lam) <= 4.0 * np.sqrt(lam / n))
+    assert np.all(np.abs(x.var(axis=0, ddof=1) - lam) <= 4.0 * np.sqrt((lam + 2.0 * lam**2) / n))
+    corr = np.corrcoef(x, rowvar=False)[np.triu_indices(t.size, 1)]
+    assert np.all(np.abs(corr) < 4.0 / math.sqrt(n))
+    # a float, a list and a 2-d array: counts in the shape of t, and the
+    # stream of the 2-d call is the one of its raveled durations
+    t2 = np.array([[0.5, 2.0, 1e-3], [10.0, 0.25, 4.0]])
+    for durations in (2.5, [0.5, 2.0, 1e-3], t2):
+        for x in (sample_increment(m, durations, rng(62)), m.increments(durations, rng(62))):
+            assert np.shape(x) == np.shape(durations)
+            assert np.all(x >= 0.0) and np.array_equal(x, np.round(x))
+    assert np.array_equal(sample_increment(m, t2, rng(63)).ravel(), sample_increment(m, t2.ravel(), rng(63)))
+
+
 def test_stable_alpha2_matches_gaussian_oracle():
     # the alpha = 2 transform must reduce to N(0, 2 scale^2)
     g = rng(13)
