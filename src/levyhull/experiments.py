@@ -57,6 +57,7 @@ from .sbrep import (
     normalize_drift,
     normalize_finite_variance,
     normalize_stable,
+    regime,
     require_finite_variance,
     sample_quintuple,
 )
@@ -225,8 +226,6 @@ def _exp_compensation(cfg: ExperimentConfig, rep: RunReport):
 
 def _exp_verify_identity(cfg: ExperimentConfig, rep: RunReport):
     model = cfg.model
-    if not isinstance(model, CompoundPoissonDrift):
-        raise ConfigError(f"{cfg.experiment} needs a compound Poisson model (exact jump paths)")
     T = cfg.t_grid[-1]
     # one pool for both samplers: the stick blocks queue behind the hull blocks
     hull, quin = _collect_blocks(
@@ -239,32 +238,10 @@ def _exp_verify_identity(cfg: ExperimentConfig, rep: RunReport):
     rep.tables["rep_draws"] = _draw_record_table(quin)
 
 
-def _model(cfg):
-    """The configured model, which the experiment needs."""
-    if cfg.model is None:
-        raise ConfigError(f"{cfg.experiment} needs a model")
-    return cfg.model
-
-
-def _regime(cfg, *allowed):
-    """Regime of the configured model (:func:`~levyhull.sbrep.regime`),
-    which must be one of ``allowed``; the finite-variance regime must also
-    hold at every horizon of the grid (the grid increases, so its first
-    horizon decides).  Raised as a configuration error before any draw."""
-    try:
-        name = _require_regime(_model(cfg), *allowed)
-        if name == "finite-variance":
-            require_finite_variance(cfg.model, cfg.t_grid[0])
-    except RegimeError as exc:
-        raise ConfigError(f"{cfg.experiment}: {exc}") from None
-    return name
-
-
 def _clt_draws(cfg, rep):
-    """Finite-variance draws, after the regime check: per horizon ``T`` of
-    the grid, ``T`` and the six columns of :func:`normalize_finite_variance`
-    of the batch on substream ``clt-{k}``, its column 5 kept as ``det_stat_T{k}``."""
-    _regime(cfg, "finite-variance")
+    """Finite-variance draws: per horizon ``T`` of the grid, ``T`` and the
+    six columns of :func:`normalize_finite_variance` of the batch on
+    substream ``clt-{k}``, its column 5 kept as ``det_stat_T{k}``."""
 
     def horizon(k, T):
         q = draw_quintuples(cfg.model, T, cfg.reps, cfg.seed, f"clt-{k}", cfg.cutoff, cfg.workers)
@@ -328,7 +305,7 @@ def _stable_coordinate_ks(cfg, rep, prefix):
 
 
 def _exp_verify_stable(cfg: ExperimentConfig, rep: RunReport):
-    if _regime(cfg, "stable-zero-mean", "drift-a") == "stable-zero-mean":
+    if regime(cfg.model) == "stable-zero-mean":
         _, coords = _stable_coordinate_ks(cfg, rep, "stable")
         rep.tables["limit_draws"] = (COORDINATES, coords)
         return
@@ -353,7 +330,6 @@ def _exp_verify_stable(cfg: ExperimentConfig, rep: RunReport):
 
 
 def _exp_verify_heavy(cfg: ExperimentConfig, rep: RunReport):
-    _regime(cfg, "heavy")
     q, _ = _stable_coordinate_ks(cfg, rep, "heavy")
     violations = _sandwich_violations(q, norming(cfg.model, q.horizon))
     rep.rows.append(_row_check(q.horizon, "sandwich_violations", float(violations), "== 0", violations == 0))
@@ -371,7 +347,6 @@ def _sandwich_violations(q, a_T):
 
 
 def _exp_tail_index(cfg: ExperimentConfig, rep: RunReport):
-    _regime(cfg, "stable-zero-mean")
     alpha, beta = cfg.model.attraction_alpha(), cfg.model.limit_beta()
     draws = np.empty(cfg.reps)
     block = 50_000
@@ -404,7 +379,6 @@ def _exp_tail_index(cfg: ExperimentConfig, rep: RunReport):
 
 def _exp_compare_length(cfg: ExperimentConfig, rep: RunReport):
     model = cfg.model
-    _regime(cfg, "finite-variance")
     if len(cfg.t_grid) < 2:
         raise ConfigError(f"{cfg.experiment} needs at least two horizons")
     sds = []
@@ -435,7 +409,7 @@ def _exp_compare_length(cfg: ExperimentConfig, rep: RunReport):
 
 
 def _exp_theta_scan(cfg: ExperimentConfig, rep: RunReport):
-    model = _model(cfg)
+    model = cfg.model
     prev_ratio = None
     for T in cfg.t_grid:
         if T < 1.0:
@@ -559,20 +533,36 @@ def _exp_hull_props(cfg: ExperimentConfig, rep: RunReport):
     rep.tables["representative_faces"] = (("l", "h", "slope"), np.array(faces_to_rows(demo)))
 
 
-# the runner of each experiment, in the order of config.EXPERIMENTS
+# the runner of each experiment, in the order of config.EXPERIMENTS, and what its
+# model must be: None (no model), "model" (any), EXACT_JUMPS, or a tuple of regimes
 _DISPATCH = dict(zip(EXPERIMENTS, (
-    _exp_stick_counts,
-    _exp_compensation,
-    _exp_verify_identity,
-    _exp_clt_trend,
-    _exp_clt_independence,
-    _exp_verify_stable,
-    _exp_verify_heavy,
-    _exp_tail_index,
-    _exp_compare_length,
-    _exp_theta_scan,
-    _exp_hull_props,
+    (_exp_stick_counts, None),
+    (_exp_compensation, None),
+    (_exp_verify_identity, EXACT_JUMPS),
+    (_exp_clt_trend, ("finite-variance",)),
+    (_exp_clt_independence, ("finite-variance",)),
+    (_exp_verify_stable, ("stable-zero-mean", "drift-a")),
+    (_exp_verify_heavy, ("heavy",)),
+    (_exp_tail_index, ("stable-zero-mean",)),
+    (_exp_compare_length, ("finite-variance",)),
+    (_exp_theta_scan, "model"),
+    (_exp_hull_props, None),
 ), strict=True))
+
+
+def _check_model(cfg, needs):
+    """Refuse, as a :class:`ConfigError`, a model that does not meet the
+    requirement ``needs`` of :data:`_DISPATCH`.  The finite-variance regime
+    must hold at every horizon: the grid increases, so its first decides."""
+    if needs == EXACT_JUMPS and not isinstance(cfg.model, CompoundPoissonDrift):
+        raise ConfigError(f"{cfg.experiment} needs a compound Poisson model (exact jump paths)")
+    if needs and cfg.model is None:
+        raise ConfigError(f"{cfg.experiment} needs a model")
+    try:
+        if isinstance(needs, tuple) and _require_regime(cfg.model, *needs) == "finite-variance":
+            require_finite_variance(cfg.model, cfg.t_grid[0])
+    except RegimeError as exc:
+        raise ConfigError(f"{cfg.experiment}: {exc}") from None
 
 
 def _config_hash(cfg: ExperimentConfig) -> str:
@@ -587,7 +577,9 @@ def _config_hash(cfg: ExperimentConfig) -> str:
 def run(cfg: ExperimentConfig) -> RunReport:
     """Execute one experiment; deterministic given (config, seed)."""
     report = RunReport(cfg.experiment)
-    _DISPATCH[cfg.experiment](cfg, report)
+    runner, needs = _DISPATCH[cfg.experiment]
+    _check_model(cfg, needs)   # before the runner draws anything
+    runner(cfg, report)
     report.provenance = {
         "seed": cfg.seed,
         "config_hash": _config_hash(cfg),

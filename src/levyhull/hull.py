@@ -21,11 +21,11 @@ candidate pass on one record.
 
 A :class:`QuintupleSample`, a named tuple, holds the shape statistics (graph
 length, big-face count, final value, supremum, time of supremum) of one face
-set, or of a batch of them at one horizon and cutoff (equal-length 1-d arrays,
-as :func:`stack_quintuples` returns).  Both samplers end in
+set, or of a batch of them at one horizon (equal-length 1-d arrays, as
+:func:`stack_quintuples` returns).  Both samplers end in
 :func:`reduce_faces`, whose sums do not depend on the face order: the hull
-of an exact path (:func:`shape_stats`, faces in slope order, zero cutoff)
-and the stick-breaking construction (:func:`~levyhull.sbrep.sample_quintuple`,
+of an exact path (:func:`shape_stats`, faces in slope order) and the
+stick-breaking construction (:func:`~levyhull.sbrep.sample_quintuple`,
 sticks paired with their increments).  The time of the supremum is ``T``
 times the positive-slope share of the summed length, which keeps its
 endpoint atoms at exactly 0 and T in floating point.
@@ -72,7 +72,7 @@ class QuintupleSample(NamedTuple):
 
     The per-draw fields (``upsilon`` through ``gamma``)
     are scalars for one draw, or equal-length 1-d arrays for a batch of
-    draws sharing ``horizon`` and ``cutoff``.
+    draws sharing ``horizon``.
     """
 
     upsilon: float                 # graph length of the majorant
@@ -81,7 +81,6 @@ class QuintupleSample(NamedTuple):
     sup: float                     # supremum of the majorant
     gamma: float                   # time the supremum is attained (first attainment)
     horizon: float
-    cutoff: float
 
     @property
     def hut_length(self):
@@ -99,19 +98,18 @@ _PER_DRAW = QuintupleSample._fields[:5]
 
 
 def stack_quintuples(records):
-    """Batch record of single draws or batches taken at one horizon and
-    cutoff, concatenated in the given order.  ``records`` may be a
-    generator."""
+    """Batch record of single draws or batches taken at one horizon,
+    concatenated in the given order.  ``records`` may be a generator."""
     columns = tuple(zip(*records))
-    keys = set(zip(*columns[5:]))
-    if len(keys) != 1:
-        raise ParameterError("stacked quintuples must share one horizon and cutoff")
-    (horizon, cutoff), = keys
+    horizons = set().union(*columns[5:])
+    if len(horizons) != 1:
+        raise ParameterError("stacked quintuples must share one horizon")
+    (horizon,) = horizons
     return QuintupleSample(*(np.concatenate(c) if np.ndim(c[0]) else np.array(c) for c in columns[:5]),
-                           horizon, cutoff)
+                           horizon)
 
 
-def reduce_faces(lengths, heights, T, cutoff=0.0):
+def reduce_faces(lengths, heights, T):
     """Single-draw record of the faces ``(lengths[i], heights[i])`` of a
     majorant on [0, T], in any order.
 
@@ -132,7 +130,7 @@ def reduce_faces(lengths, heights, T, cutoff=0.0):
             big += 1
     if abs(total - T) > 1e-9 * max(T, 1.0):
         raise PathError(f"faces do not conserve the horizon: sum {total} vs T {T}")
-    return QuintupleSample(total + excess, big, final, sup, T * (pos_len / total), T, cutoff)
+    return QuintupleSample(total + excess, big, final, sup, T * (pos_len / total), T)
 
 
 def _candidates(times, values, pre_values, upper: bool):
@@ -224,8 +222,8 @@ def merge_collinear(faces: Sequence[Face]):
 
 
 def shape_stats(faces: Sequence[Face], T: float) -> QuintupleSample:
-    """Exact :class:`QuintupleSample` (zero cutoff) of a majorant given by
-    its faces; see :func:`reduce_faces`."""
+    """Exact :class:`QuintupleSample` of a majorant given by its faces; see
+    :func:`reduce_faces`."""
     if not faces:
         raise PathError("empty face sequence")
     lengths, heights = zip(*faces)

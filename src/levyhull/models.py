@@ -535,7 +535,7 @@ class StableProcess:
         return self.scale * T ** (1.0 / self.alpha)
 
     def levy_measure(self):
-        raise RegimeError("stable jump measures have an infinite second moment")
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -663,6 +663,8 @@ def sample_increment(model, t, rng):
     duration in ``t`` (an array or a list, or a float for one draw), in the
     shape of ``t``: one call of the model's array ``increments(t, rng)``."""
     t = np.asarray(t, dtype=float)
+    if not t.size:
+        raise ParameterError("increment durations must not be empty")
     lo, hi = np.minimum.reduce(t, axis=None), np.maximum.reduce(t, axis=None)
     if not 0.0 < lo <= hi < math.inf:
         raise ParameterError(f"increment duration must be finite and > 0, got {hi if lo > 0.0 else lo}")
@@ -859,11 +861,10 @@ def theta_fubini(model, T):
 
 
 def _finite_jump_measure(model, T):
-    """The model's ``(rate, jump)`` pair, or None, after the argument checks
-    that both forms of the centering integral share."""
+    """The model's ``(rate, jump)`` pair, or None if it has no jumps, after
+    the checks both forms of the integral share: T >= 1, finite variance."""
     if not T >= 1.0:
         raise ParameterError(f"the centering integral needs T >= 1, got {T}")
-    jumps = model.levy_measure()
-    if jumps is not None and not math.isfinite(jumps[1].second_moment()):
+    if not math.isfinite(model.variance_rate()):
         raise DivergentIntegralError("jump measure has infinite second moment")
-    return jumps
+    return model.levy_measure()

@@ -21,7 +21,8 @@ Consequences:
 
 Each draw is :func:`~levyhull.hull.reduce_faces` of its sticks and their
 increments, so a :class:`~levyhull.hull.QuintupleSample` of the
-stick-breaking construction has the fields of the hull of an exact path.
+stick-breaking construction has the fields of the hull of an exact path;
+the cutoff stays with the sampler and is not part of the record.
 The ``normalize_*`` functions take one draw or a batch and return its
 coordinate array: shape ``(k,)`` for one draw and ``(n, k)`` for a batch
 of ``n``, row ``i`` equal to the coordinates of draw ``i``.  One regime
@@ -29,8 +30,8 @@ has one normalizer: :func:`normalize_finite_variance` returns the length
 under both of the theorem's centerings, by the big-face count and by log T.
 
 :func:`regime` is the one place that names a model's limit regime (from
-its attraction index and the sign of its mean); every ``normalize_*``
-and the experiments check a model through it.
+its attraction index, the sign of its mean and ``variance_rate()``);
+every ``normalize_*`` and the experiments' model gate check a model through it.
 """
 from __future__ import annotations
 
@@ -93,7 +94,7 @@ def sample_quintuple(model, T, rng, cutoff=DEFAULT_CUTOFF):
             break
     ts.append(rem)
     xs.append(sum(incs[k:]))
-    return reduce_faces(ts, xs, T, cutoff)
+    return reduce_faces(ts, xs, T)
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +105,7 @@ def regime(model):
     """Name of the model's limit regime: ``heavy`` for attraction index in
     (0, 1); for index in (1, 2], ``drift-a`` or ``drift-b`` when the mean
     is positive or negative (beyond ``_ZERO_MEAN_TOL``), otherwise
-    ``finite-variance`` at index 2 and ``stable-zero-mean`` below it.
+    ``finite-variance`` if ``variance_rate()`` is finite, else ``stable-zero-mean``.
     No statistic takes ``drift-b``; it is named so that callers refuse it
     clearly.  Raises :class:`RegimeError` for any other model."""
     alpha = model.attraction_alpha()
@@ -115,7 +116,7 @@ def regime(model):
     mean = model.mean_rate()
     if abs(mean) > _ZERO_MEAN_TOL:
         return "drift-a" if mean > 0.0 else "drift-b"
-    return "finite-variance" if alpha == 2.0 else "stable-zero-mean"
+    return "finite-variance" if math.isfinite(model.variance_rate()) else "stable-zero-mean"
 
 
 def _require_regime(model, *names):

@@ -141,7 +141,10 @@ def _tail_points(samples, q_lo, q_hi):
     k = int(keep.sum())
     if k < 50:
         raise SampleSizeError(f"tail window [{q_lo}, {q_hi}] holds {k} points; need >= 50")
-    return np.log(x[lo - 1 : hi][keep]), np.log((n - ranks[keep]) / n)
+    lx = np.log(x[lo - 1 : hi][keep])
+    if lx[0] == lx[-1]:   # sorted, so no spread to fit a slope over
+        raise SampleSizeError(f"tail window [{q_lo}, {q_hi}] holds {k} points of one value; need two")
+    return lx, np.log((n - ranks[keep]) / n)
 
 
 def tail_slope(samples, q_lo=0.99, q_hi=0.9999) -> TailFitResult:

@@ -170,7 +170,12 @@ def test_every_configured_experiment_has_a_runner():
     assert set(config.EXPERIMENTS) == set(experiments._DISPATCH)
 
 
-def test_regime_mismatch_rejected_before_sampling():
+def test_regime_mismatch_rejected_before_sampling(monkeypatch):
+    # every refusal comes from run()'s model gate, before the first substream
+    def no_draw(*key):
+        raise AssertionError(f"substream{key} opened before the model was refused")
+
+    monkeypatch.setattr(experiments, "substream", no_draw)
     # drifted model under the zero-mean limit experiment
     with pytest.raises(ConfigError):
         run(
@@ -233,6 +238,32 @@ def test_regime_mismatch_rejected_before_sampling():
                     }
                 )
             )
+    # log T = 0 at the first horizon: the finite-variance rule needs T > e
+    with pytest.raises(ConfigError):
+        run(
+            config_from_mapping(
+                {
+                    "experiment": "compare-length",
+                    "model": {"kind": "brownian", "sigma": 1},
+                    "T_grid": [1, 100],
+                    "reps": 200,
+                }
+            )
+        )
+    # each kind of requirement of the dispatch table, with the text it refuses with
+    for experiment, model, text in (
+        ("theta-scan", None, "theta-scan needs a model"),
+        ("clt-trend", None, "clt-trend needs a model"),
+        ("verify-identity", None, r"compound Poisson model \(exact jump paths\)"),
+        ("verify-identity", {"kind": "stable", "alpha": 1.5}, r"\(exact jump paths\)"),
+        ("tail-index", {"kind": "brownian"}, "tail-index: statistic needs the stable-zero-mean regime"),
+        ("clt-independence", {"kind": "stable", "alpha": 1.5}, "needs the finite-variance regime"),
+        ("compare-length", {"kind": "stable", "alpha": 2}, "needs T > e"),
+    ):
+        mapping = {"experiment": experiment, "T_grid": [2, 100], "reps": 200}
+        with pytest.raises(ConfigError, match=text):
+            run(config_from_mapping(mapping if model is None else {**mapping, "model": model}))
+    monkeypatch.undo()
     # |mean| <= 1e-9 is the zero-mean regime, as in the normalizers
     report = run(
         config_from_mapping(
@@ -246,18 +277,17 @@ def test_regime_mismatch_rejected_before_sampling():
         )
     )
     assert [r.statistic for r in report.rows] == [f"stable_ks_{k}" for k in ("length", "sup", "final", "gamma")]
-    # log T = 0 at the first horizon: the finite-variance rule needs T > e
-    with pytest.raises(ConfigError):
-        run(
-            config_from_mapping(
-                {
-                    "experiment": "compare-length",
-                    "model": {"kind": "brownian", "sigma": 1},
-                    "T_grid": [1, 100],
-                    "reps": 200,
-                }
-            )
-        )
+
+
+@pytest.mark.parametrize("experiment", ["clt-trend", "clt-independence", "compare-length"])
+def test_stable_index_two_runs_the_finite_variance_experiments(experiment):
+    # Brownian motion of variance 2 scale^2: the gate admits it and its
+    # centering integral is 0, so every horizon gets its rows
+    cfg = config_from_mapping({"experiment": experiment, "model": {"kind": "stable", "alpha": 2, "scale": 0.5},
+                               "T_grid": [100, 1000], "reps": 200, "seed": 3})
+    report = run(cfg)
+    assert {r.T for r in report.rows} == {100.0, 1000.0}
+    assert all(math.isfinite(r.estimate) for r in report.rows)
 
 
 def test_verify_heavy_runs_on_pareto_jumps():
@@ -322,7 +352,7 @@ def test_sandwich_violations_forgive_rounding_but_count_a_displaced_draw():
 
     def sample(upsilon):
         n = len(upsilon)
-        return QuintupleSample(upsilon, np.zeros(n), final, sup, np.zeros(n), T, 0.0)
+        return QuintupleSample(upsilon, np.zeros(n), final, sup, np.zeros(n), T)
 
     ulps = np.spacing(lo)
     assert experiments._sandwich_violations(sample(lo - 2.0 * ulps), a_T) == 0
@@ -412,9 +442,9 @@ def test_report_deterministic_across_runs_and_workers(tmp_path):
 def test_hull_stats_name_the_path_statistics():
     model = CompoundPoissonDrift(1.0, Gaussian(0.0, 1.0), mu=0.2)
     hull = draw_hull_stats(model, 8.0, 3, 5, "t")
-    # the stick-breaking batch record: exact hulls have no cutoff
+    # the record of the stick-breaking batch, at the same horizon
     assert type(hull) is type(draw_quintuples(model, 8.0, 3, 5, "t", 1e-3)) is QuintupleSample
-    assert (hull.horizon, hull.cutoff) == (8.0, 0.0)
+    assert hull.horizon == 8.0
     # the block of three paths on the block's substream, reduced path by path
     block = sample_jump_paths(model, 8.0, 3, substream(5, "t", 0))
     names = ("upsilon", "h_prime", "final", "sup", "gamma")
@@ -482,7 +512,7 @@ def test_process_pool_is_at_most_the_cpu_count(monkeypatch):
             return fut
 
     def block(i, n):   # a batch record of n draws, each holding its block index
-        return QuintupleSample(*np.full((5, n), float(i)), 1.0, 0.0)
+        return QuintupleSample(*np.full((5, n), float(i)), 1.0)
 
     # _collect_blocks imports the pool class from its module when it needs one
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)

@@ -112,6 +112,10 @@ def test_nonpositive_duration_rejected():
     for bad in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ParameterError, match="duration must be finite and > 0"):
             sample_increment(BrownianDrift(1.0), np.array([0.5, bad, 2.0]), rng())
+    # no duration at all: numpy's minimum of an empty array is its own ValueError
+    for t in ([], np.empty(0), np.empty((3, 0))):
+        with pytest.raises(ParameterError, match="must not be empty"):
+            sample_increment(BrownianDrift(1.0), t, rng())
     # a path's grid step is a duration too, and a misspelt "exact-jumps"
     # is neither resolution
     for resolution in ("exact", None, 0.0, -0.5, math.inf, math.nan):
@@ -379,6 +383,9 @@ def test_limit_beta_is_the_skewness_of_the_limit(model, beta):
 
 def test_theta_trivial_cases():
     assert theta(BrownianDrift(1.0), 50.0) == 0.0
+    # stable index 2 is Brownian motion: no jumps, whatever the scale
+    for T in (1.0, 50.0, 1e6):
+        assert theta(StableProcess(2.0), T) == theta_fubini(StableProcess(2.0, scale=3.0), T) == 0.0
     m = CompoundPoissonDrift(1.0, PointMass(1.0), 0.0)
     assert theta(m, 10.0) == 0.0  # log+(min(10, 1)) = 0
     m2 = CompoundPoissonDrift(1.0, PointMass(math.e), 0.0)
@@ -497,6 +504,11 @@ def test_theta_divergent_measure():
     m = CompoundPoissonDrift(1.0, Pareto(1.5, 1.0), 0.0)
     with pytest.raises(DivergentIntegralError):
         theta(m, 10.0)
+    # so is a stable model below index 2, in both forms
+    for form in (theta, theta_fubini):
+        for alpha in (1.5, 0.5):
+            with pytest.raises(DivergentIntegralError):
+                form(StableProcess(alpha), 10.0)
 
 
 def test_theta_needs_t_at_least_one():

@@ -110,9 +110,9 @@ def record(monkeypatch):
         rec.calls.append((list(t), x.tolist()))
         return x
 
-    def reduce(lengths, heights, T, cutoff):
+    def reduce(lengths, heights, T):
         rec.faces = (list(lengths), list(heights))
-        return inner_reduce(lengths, heights, T, cutoff)
+        return inner_reduce(lengths, heights, T)
 
     monkeypatch.setattr(sbrep, "sample_increment", sample_increment)
     monkeypatch.setattr(sbrep, "reduce_faces", reduce)
@@ -144,7 +144,7 @@ def test_final_value_conservation(record):
         assert xis[-1] == sum(x_last[k:])
         assert sticks[-1] == pytest.approx(math.fsum(t_last[k:]), rel=1e-12)
         # a draw is the shape statistics of its own faces, bit for bit
-        r = reduce_faces(sticks, xis, 15.0, q.cutoff)
+        r = reduce_faces(sticks, xis, 15.0)
         assert all(np.array_equal(getattr(r, f), getattr(q, f)) for f in q._fields)
     # infinite variance, with (index 1.5) or without (index 0.5) a mean,
     # and index 2, which has infinite variance and no norming
@@ -177,7 +177,7 @@ def _reference_quintuple(model, T, g, cutoff):
     k = next(i for i, r in enumerate(rest) if r < cutoff)
     ts += cells[:k] + [rest[k]]
     xs += incs[:k] + [sum(incs[k:])]
-    return reduce_faces(ts, xs, T, cutoff)
+    return reduce_faces(ts, xs, T)
 
 
 class _Halves:
@@ -349,7 +349,7 @@ def test_batch_normalization_matches_per_draw(model, T, normalize, k):
     draws = draw_many(model, T, 50, seed=24)
     batch = stack_quintuples(draws)
     assert batch.upsilon.shape == batch.h_prime.shape == (50,)
-    assert (batch.horizon, batch.cutoff) == (T, draws[0].cutoff)
+    assert batch.horizon == T
     coords = normalize(model, batch)
     singles = [normalize(model, q) for q in draws]
     assert isinstance(coords, np.ndarray) and coords.shape == (50, k)

@@ -198,6 +198,10 @@ def test_tail_slope_window_errors():
         tail_slope(g.random(1000))  # default window holds < 50 points
     with pytest.raises(SampleSizeError):
         tail_slope(g.random(100_000), q_lo=0.9, q_hi=0.5)
+    # a window of one value leaves log x no spread: the slope would be 0 / 0
+    for x in (np.ones(10_000), np.concatenate([g.random(9_000), np.full(1_000, 5.0)])):
+        with pytest.raises(SampleSizeError, match=r"tail window \[0.99, 0.9999\] holds 100 points of one value"):
+            tail_slope(x)
 
 
 def test_tail_slope_window_matches_a_full_rank_mask():
