@@ -1,7 +1,11 @@
 """Concave majorant / convex minorant of a path record, face merging, and
 the shape statistics of a face set.
 
-The hull pass is a monotone chain over time-sorted candidate points with
+The concave majorant is the only hull built here: the convex minorant is
+minus the concave majorant of the negated path (Pitman & Uribe Bravo, Ann.
+Probab. 2012), and IEEE negation is exact.
+
+The face pass is a monotone chain over time-sorted candidate points with
 cross-product orientation tests.  Only strict orientation violations pop a
 vertex; exact ties survive the chain and are concatenated downstream by
 :func:`merge_collinear`, so tie-breaking inside the chain is immaterial.
@@ -11,13 +15,11 @@ candidate set, which makes the majorant dominate the full cadlag path.
 The candidates of a whole block of exact jump records
 (:func:`~levyhull.models.sample_jump_paths`) are found in one pass over
 its padded rows (:func:`majorant_stats`), and leave numpy in one
-``tolist()`` per block, not per path.  The chain, faces, merge and shape
+``tolist()`` per block, not per path.  The face pass, merge and shape
 statistics then run per path on plain Python floats: indexing a numpy
 array with an int makes a new ``np.float64``, six per orientation test,
 which was most of the hull time.  IEEE arithmetic on Python floats gives
 the same bits, so the faces are unchanged; their fields are ``float``.
-:func:`concave_majorant` and :func:`convex_minorant` run the same
-candidate pass on one record.
 
 A :class:`QuintupleSample`, a named tuple, holds the shape statistics (graph
 length, big-face count, final value, supremum, time of supremum) of one face
@@ -133,76 +135,72 @@ def reduce_faces(lengths, heights, T):
     return QuintupleSample(total + excess, big, final, sup, T * (pos_len / total), T)
 
 
-def _candidates(times, values, pre_values, upper: bool):
+def _candidates(times, values, pre_values):
     """Candidate times and values of a record, or of each row of a block's
     padded arrays, as flat float lists in row order (the records check
     the times), and the mask that picks them.
 
     The candidates are the points whose value (the larger of the post- and
-    pre-jump value for the majorant, the smaller for the minorant) is a
-    weak running record of its row from the left or from the right.
-    Every point on the majorant is one: where the majorant rises, its value
-    is at least every earlier value, and where it falls, at least every
-    later one.  Ties count as records, so the chain keeps its ties.  The
-    NaN pads past a row's end neither set a record (``fmax`` and ``fmin``
-    skip NaN) nor are one (NaN equals nothing)."""
-    best = np.fmax if upper else np.fmin
-    v = values if pre_values is None else best(values, pre_values)
-    keep = (v == best.accumulate(v, axis=-1)) | (v == best.accumulate(v[..., ::-1], axis=-1)[..., ::-1])
+    pre-jump value) is a weak running record of its row from the left or
+    from the right.  Every point on the majorant is one: where the majorant
+    rises, its value is at least every earlier value, and where it falls,
+    at least every later one.  Ties count as records, so the face pass
+    keeps its ties.  The NaN pads past a row's end neither set a record
+    (``fmax`` skips NaN) nor are one (NaN equals nothing)."""
+    v = values if pre_values is None else np.fmax(values, pre_values)
+    keep = (v == np.fmax.accumulate(v, axis=-1)) | (v == np.fmax.accumulate(v[..., ::-1], axis=-1)[..., ::-1])
     return times[keep].tolist(), v[keep].tolist(), keep
 
 
-def _chain(t, v, upper: bool):
-    """Monotone chain; returns hull vertex indices into (t, v)."""
-    sgn = 1.0 if upper else -1.0
+def _faces(t, v):
+    """Faces of the concave majorant of the points (t, v), by a monotone
+    chain over them in time order."""
     hull: list[int] = []
     for i in range(len(t)):
         while len(hull) > 1:
             a, b = hull[-2], hull[-1]
-            cross = (t[b] - t[a]) * (v[i] - v[a]) - (t[i] - t[a]) * (v[b] - v[a])
-            if sgn * cross > 0.0:  # strict violation only; ties survive
-                hull.pop()
+            if (t[b] - t[a]) * (v[i] - v[a]) - (t[i] - t[a]) * (v[b] - v[a]) > 0.0:
+                hull.pop()   # strict violation only; ties survive
             else:
                 break
         hull.append(i)
-    return hull
+    return [Face(t[j] - t[i], v[j] - v[i]) for i, j in zip(hull[:-1], hull[1:])]
 
 
-def _faces_from_vertices(t, v, idx):
-    return [Face(t[j] - t[i], v[j] - v[i]) for i, j in zip(idx[:-1], idx[1:])]
-
-
-def _hull(path: PathSkeleton, upper: bool):
+def _record(path: PathSkeleton):
+    """Times, values and pre-jump values (or None) of a path record, as
+    float arrays."""
     pre = path.pre_values
-    t, v, _ = _candidates(np.asarray(path.times, dtype=float), np.asarray(path.values, dtype=float),
-                          None if pre is None else np.asarray(pre, dtype=float), upper)
-    return _faces_from_vertices(t, v, _chain(t, v, upper))
+    return (np.asarray(path.times, dtype=float), np.asarray(path.values, dtype=float),
+            None if pre is None else np.asarray(pre, dtype=float))
 
 
 def concave_majorant(path: PathSkeleton):
     """Faces of the smallest concave function dominating the path record,
     from (0, 0) to (T, X_T), slopes non-increasing."""
-    return _hull(path, upper=True)
+    t, v, _ = _candidates(*_record(path))
+    return _faces(t, v)
 
 
 def convex_minorant(path: PathSkeleton):
-    """Mirror image: faces of the largest convex function below the path."""
-    return _hull(path, upper=False)
+    """Faces of the largest convex function below the path record: the
+    negated faces of the concave majorant of the negated record."""
+    times, values, pre = _record(path)
+    t, v, _ = _candidates(times, -values, None if pre is None else -pre)
+    return [Face(f.length, -f.height) for f in _faces(t, v)]
 
 
 def majorant_stats(paths: JumpPaths) -> QuintupleSample:
     """Batch record of the exact jump records of a block: draw ``k`` is
     ``shape_stats(merge_collinear(concave_majorant(paths.path(k))), T)``,
     bit for bit.  The candidates of every row are found in one pass over
-    the block and leave it in one ``tolist()``; the chain, the merge and
-    the reduction then run per row."""
-    t, v, keep = _candidates(paths.times, paths.values, paths.pre_values, upper=True)
+    the block and leave it in one ``tolist()``; the face pass, the merge
+    and the reduction then run per row."""
+    t, v, keep = _candidates(paths.times, paths.values, paths.pre_values)
     draws, lo = [], 0
     for c in keep.sum(axis=1).tolist():
-        tr, vr = t[lo : lo + c], v[lo : lo + c]
+        draws.append(shape_stats(merge_collinear(_faces(t[lo : lo + c], v[lo : lo + c])), paths.horizon))
         lo += c
-        draws.append(shape_stats(merge_collinear(_faces_from_vertices(tr, vr, _chain(tr, vr, True))),
-                                 paths.horizon))
     return stack_quintuples(draws)
 
 

@@ -17,8 +17,7 @@ from hypothesis import given, strategies as st  # noqa: E402
 from levyhull.experiments import _envelope_oracle  # noqa: E402
 from levyhull.hull import (  # noqa: E402
     Face,
-    _chain,
-    _faces_from_vertices,
+    _faces,
     concave_majorant,
     convex_minorant,
     majorant_stats,
@@ -138,11 +137,12 @@ def test_exact_jump_hulls_match_the_envelope_oracle(path):
 @given(st.one_of(paths(), lattice_jump_paths()))
 def test_chain_over_the_running_records_gives_the_faces_of_every_point(path):
     # the candidates are the weak running records of the path; the chain
-    # over every point, ties and all, must give the same faces bit for bit
-    for hull, upper, pick in ((concave_majorant, True, np.maximum), (convex_minorant, False, np.minimum)):
-        v = path.values if path.pre_values is None else pick(path.values, path.pre_values)
-        t, v = path.times.tolist(), v.tolist()
-        assert hull(path) == _faces_from_vertices(t, v, _chain(t, v, upper))
+    # over every point, ties and all, must give the same faces bit for
+    # bit, and for the minorant over the negated points with negated heights
+    t = path.times.tolist()
+    for hull, sign in ((concave_majorant, 1.0), (convex_minorant, -1.0)):
+        v = sign * path.values if path.pre_values is None else np.maximum(sign * path.values, sign * path.pre_values)
+        assert hull(path) == [Face(f.length, sign * f.height) for f in _faces(t, v.tolist())]
 
 
 face_sets = st.lists(

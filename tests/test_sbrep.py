@@ -7,7 +7,7 @@ from scipy import stats as sps
 
 from levyhull import sbrep
 from levyhull.errors import ParameterError, RegimeError, TruncationError
-from levyhull.hull import reduce_faces, stack_quintuples
+from levyhull.hull import QuintupleSample, reduce_faces, stack_quintuples
 from levyhull.limitlaws import draw_limit_finite_variance
 from levyhull.models import (
     BrownianDrift,
@@ -387,7 +387,7 @@ def test_finite_variance_centering_with_jump_measure():
     # nonzero jump measure: the centering integral enters the length
     # coordinate; a sign or scale slip there would shift the mean by
     # 2 * theta / sqrt(log T) ~ 0.24 at this horizon
-    from levyhull.models import theta
+    from levyhull.models import theta, theta_fubini
 
     model = CompoundPoissonDrift(1.0, Gaussian(0.0, 1.0), 0.0)
     T = 1e6
@@ -401,6 +401,21 @@ def test_finite_variance_centering_with_jump_measure():
     )
     assert -0.1 < det.mean() < 0.30
     assert abs(det.var() / 0.75 - 1.0) < 0.2
+    # that sampled mean cannot tell theta from 0 at reachable T; on a
+    # hand-built batch record both length columns must carry +theta (from
+    # the independent Fubini form), which is 0.167 of a unit at T = 1e3
+    T = 1e3
+    lt, th, var = math.log(T), theta_fubini(model, T), model.variance_rate()
+    assert th / math.sqrt(lt) == pytest.approx(0.167, abs=5e-4)
+    upsilon = T + np.array([0.0, 1.5, 4.25, 12.0])
+    h_prime = np.array([0, 3, 7, 12])
+    q = QuintupleSample(upsilon, h_prime, np.array([0.5, -1.0, 2.0, 0.0]), np.array([1.0, 0.5, 3.0, 2.0]),
+                        np.array([10.0, 500.0, 990.0, 0.0]), T)
+    cols = normalize_finite_variance(model, q)
+    np.testing.assert_allclose(cols[:, 0], ((upsilon - T) - 0.5 * var * h_prime + th) / math.sqrt(lt),
+                               rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(cols[:, 5], ((upsilon - T) - 0.5 * var * lt + th) / math.sqrt(lt),
+                               rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize(
