@@ -167,26 +167,18 @@ def _faces(t, v):
     return [Face(t[j] - t[i], v[j] - v[i]) for i, j in zip(hull[:-1], hull[1:])]
 
 
-def _record(path: PathSkeleton):
-    """Times, values and pre-jump values (or None) of a path record, as
-    float arrays."""
-    pre = path.pre_values
-    return (np.asarray(path.times, dtype=float), np.asarray(path.values, dtype=float),
-            None if pre is None else np.asarray(pre, dtype=float))
-
-
 def concave_majorant(path: PathSkeleton):
     """Faces of the smallest concave function dominating the path record,
     from (0, 0) to (T, X_T), slopes non-increasing."""
-    t, v, _ = _candidates(*_record(path))
+    t, v, _ = _candidates(path.times, path.values, path.pre_values)
     return _faces(t, v)
 
 
 def convex_minorant(path: PathSkeleton):
     """Faces of the largest convex function below the path record: the
     negated faces of the concave majorant of the negated record."""
-    times, values, pre = _record(path)
-    t, v, _ = _candidates(times, -values, None if pre is None else -pre)
+    pre = path.pre_values
+    t, v, _ = _candidates(path.times, -path.values, None if pre is None else -pre)
     return [Face(f.length, -f.height) for f in _faces(t, v)]
 
 

@@ -476,7 +476,7 @@ class CompoundPoissonDrift:
         independent Poisson(rate * t_i), as per-cell draws are."""
         t = np.asarray(t, dtype=float)
         total = float(t.sum())
-        counts = rng.multinomial(rng.poisson(self.rate * total), t.ravel() / total).reshape(t.shape)
+        counts = rng.multinomial(_poisson(rng, self.rate * total), t.ravel() / total).reshape(t.shape)
         return self.mu * t + self.jump.sample_sums(counts, rng)
 
     def norming(self, T):
@@ -684,7 +684,8 @@ class PathSkeleton:
     an exact jump record (compound Poisson with drift) exactly when it has
     ``pre_values``: the left-limit value at each time, so the full cadlag
     path is reconstructible by linear interpolation between a post-jump
-    value and the next pre-jump value.  A grid record has none.
+    value and the next pre-jump value.  A grid record has none.  All three
+    are held as float arrays (a float array is kept, not copied).
     """
 
     times: np.ndarray
@@ -693,9 +694,11 @@ class PathSkeleton:
     pre_values: np.ndarray | None = None
 
     def __post_init__(self):
-        t, pre = np.asarray(self.times)[None], self.pre_values
-        _check_records(t, np.asarray(self.values)[None], None if pre is None else np.asarray(pre)[None],
-                       np.array([t.shape[1]]), self.horizon)
+        for name in ("times", "values", "pre_values"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        pre = None if self.pre_values is None else self.pre_values[None]
+        _check_records(self.times[None], self.values[None], pre, np.array([self.times.size]), self.horizon)
 
 
 @dataclass(frozen=True)
@@ -738,6 +741,15 @@ def _check_records(times, values, pre_values, sizes, horizon):
         raise ParameterError("path times must be strictly increasing")
     if np.count_nonzero(values[:, 0]):
         raise ParameterError("path must start at value 0")
+
+
+def _poisson(rng, mean, size=None):
+    """Poisson jump counts of mean ``rate * T``; a mean above numpy's limit
+    (about 9.2e18) is a :class:`ParameterError`, not numpy's ValueError."""
+    try:
+        return rng.poisson(mean, size)
+    except ValueError:
+        raise ParameterError(f"rate * T = {mean:g} is too large for a Poisson jump count") from None
 
 
 def _check_horizon(T):
@@ -788,7 +800,7 @@ def sample_jump_paths(model, T, n, rng):
     _check_horizon(T)
     if not n >= 1:
         raise ParameterError(f"a block needs at least one path, got {n}")
-    counts = rng.poisson(model.rate * T, n)
+    counts = _poisson(rng, model.rate * T, n)
     total = int(counts.sum())
     width = int(counts.max()) + 1
     drawn = np.arange(width) < counts[:, None]

@@ -858,11 +858,10 @@ def test_non_finite_model_parameter_fails_before_any_draw(tmp_path, capsys, monk
     # "lam value too large" traceback.  Both now stop at the configuration.
     from levyhull.cli import main
 
-    def no_draws(*args, **kwargs):
-        raise AssertionError("drew before refusing the model")
+    def no_draws(*key):
+        raise AssertionError(f"substream{key} opened before the model was refused")
 
-    monkeypatch.setattr(experiments, "draw_quintuples", no_draws)
-    monkeypatch.setattr(experiments, "draw_hull_stats", no_draws)
+    monkeypatch.setattr(experiments, "substream", no_draws)
     cp = ("model.kind = cp\nmodel.jump.kind = gaussian\nmodel.jump.mean = 0\nmodel.jump.sd = 1\n"
           "experiment = verify-identity\nT_grid = 8\n")
     for body, name in (("experiment = clt-trend\nmodel.kind = brownian\nmodel.mu = nan\nT_grid = 1e3\n", "mu"),
@@ -872,6 +871,29 @@ def test_non_finite_model_parameter_fails_before_any_draw(tmp_path, capsys, monk
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / name)]) == 2
         assert f"error: {name} must be finite" in capsys.readouterr().err
         assert not (tmp_path / name).exists()
+
+
+def test_a_jump_count_beyond_numpys_poisson_limit_is_a_parameter_error(tmp_path, capsys):
+    # rate * T above about 9.2e18 ended in numpy's "lam value too large"
+    # traceback and exit 1, on the stick side (clt-trend) and on the exact
+    # path side (verify-identity) alike
+    from levyhull.cli import main
+
+    cp = '"model": {"kind": "cp", "rate": 1e20, "jump": {"kind": "gaussian", "mean": 0, "sd": 1}}'
+    for experiment, T in (("clt-trend", 1e3), ("verify-identity", 50.0)):
+        cfg = tmp_path / f"{experiment}.json"
+        cfg.write_text(f'{{"experiment": "{experiment}", {cp}, "T_grid": [{T}], "reps": 200}}')
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / experiment)]) == 2
+        assert f"error: rate * T = {1e20 * T:g} is too large" in capsys.readouterr().err
+
+
+def test_theta_scan_refuses_a_horizon_below_one_through_the_centering_integral(tmp_path, capsys):
+    from levyhull.cli import main
+
+    cfg = tmp_path / "theta.cfg"
+    cfg.write_text("experiment = theta-scan\nmodel.kind = cp\nmodel.jump.kind = log-pareto\nT_grid = 0.5, 10\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "theta")]) == 2
+    assert "error: the centering integral needs T >= 1, got 0.5" in capsys.readouterr().err
 
 
 def test_cli_run_names_an_unreadable_config(tmp_path, capsys):
