@@ -76,8 +76,8 @@ def main(argv=None) -> int:
         if args.command == "run":
             return _cmd_run(args)
         return _cmd_emit_plot(args)
-    except LevyHullError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (LevyHullError, MemoryError) as exc:   # e.g. a jump record too large to allocate
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -511,7 +511,7 @@ def _exp_hull_props(cfg: ExperimentConfig, rep: RunReport):
         path = PathSkeleton(times, values, 1.0)
         for hull, upper in ((concave_majorant, True), (convex_minorant, False)):
             envelope = _envelope_oracle(times, values, upper)
-            mismatches += not np.allclose(_eval_faces(hull(path), times), envelope, atol=1e-12)
+            mismatches += not np.allclose(_eval_faces(hull(path), times), envelope, rtol=0.0, atol=1e-12)
     rep.rows.append(
         _row_check(math.nan, "oracle_mismatches", float(mismatches),
                    f"== 0 over {n_oracle} ten-point paths", mismatches == 0)

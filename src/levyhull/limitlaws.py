@@ -13,15 +13,15 @@ each row taking the rows after it in its batch as the copy
 (:func:`_series`).  How far a draw moves when ``eps`` is refined is
 measured by the refinement tests, not reported per draw.
 
-Each series reduces the sticks of one run of
-:func:`~levyhull.sticks.stick_blocks` per batch, a block of columns at a
-time, and keeps none of them: a batch holds one block of sticks and one
-column of driving variables.  A batch draws from the caller's generator
-alone: a block's stick uniforms, then that block's driving variables a
-column at a time (the uniforms of standard stable draws and then their
-exponentials), then the next block.  The Brownian triple is the signed
-series at index 2, where the stable draw is exactly N(0, 2), so every
-series runs on this one drive.
+One function, :func:`_series`, runs every series: it reduces the sticks
+of one run of :func:`~levyhull.sticks.stick_blocks` per batch, a column
+at a time, and keeps none of them: a batch holds one block of sticks, one
+column of driving variables and the index of its running rows.  A batch
+draws from the caller's generator alone: a block's stick uniforms, then
+that block's driving variables a column at a time (the uniforms of
+standard stable draws and then their exponentials), then the next block.
+The Brownian triple is the signed series at index 2, where the stable draw
+is exactly N(0, 2), so every series runs on this one drive.
 Every cell's variables are drawn, needed or not, so a smaller ``eps`` on
 a fresh stream with the same seed appends blocks to the same sticks and
 their draws, which is what the refinement checks compare.  The stable
@@ -81,49 +81,6 @@ def _check_batch(n, eps=DEFAULT_EPS):
         raise ParameterError(f"eps must lie in (0, 1), got {eps}")
 
 
-def _own_sums(alpha, beta, n, eps, rng, terms, k, cut):
-    """Row sums of ``terms`` over each row's own sticks of one run of
-    :func:`stick_blocks` on the unit interval, cut at ``eps``: a row takes a
-    stick while its remainder before that stick is at least ``cut <= eps``,
-    and while the sticks last.
-
-    Each column, once its block is drawn, draws its ``n`` uniforms and then
-    its ``n`` exponentials, into two buffers that serve all columns.
-    ``terms(ell, s)`` maps sticks and their standard stable draws of index
-    ``alpha`` and skewness ``beta``, restricted to some rows, to ``k``
-    summand arrays.  Every cell is drawn, so the stream is the same whatever
-    the rows need, but the stable transform and the summands run on the
-    running rows alone, a slice of :data:`ROWS` of them at a time.  Each row
-    adds its summands left to right from zero.  Returns the ``(k, n)`` sums
-    and each row's remainder after its last stick, which lies below ``cut``,
-    or below ``eps`` where the sticks end first.
-    """
-    # sums; each row's remainder, bit for bit as stick_blocks' until it
-    # stops; the running rows, in order, in front; how many rows run
-    sums, left, run, live = np.zeros((k, n)), np.ones(n), np.arange(n), n
-    uniforms, exponentials = np.empty(n), np.empty(n)
-    for block, _ in stick_blocks(n, 1.0, eps, rng):
-        for col in block.T:
-            rng.random(out=uniforms)
-            rng.standard_exponential(out=exponentials)
-            kept = 0
-            for lo in range(0, live, ROWS):
-                hi = min(lo + ROWS, live)
-                # until a row stops, the running rows are a slice: no gather
-                rows = slice(lo, hi) if live == n else run[lo:hi]
-                ell_j = col[rows]
-                s = _cms_transform(alpha, beta, uniforms[rows], exponentials[rows])
-                for total, y in zip(sums, terms(ell_j, s)):
-                    total[rows] += y
-                rest = left[rows] - ell_j
-                left[rows] = rest
-                stay = run[lo:hi][rest >= cut]
-                run[kept : kept + len(stay)] = stay
-                kept += len(stay)
-            live = kept
-    return sums, left
-
-
 def _series(alpha, beta, n, eps, rng, *summands):
     """Row sums of the stick-breaking series of each of ``summands`` on the
     unit interval, driven by standard stable draws of index ``alpha`` and
@@ -131,11 +88,18 @@ def _series(alpha, beta, n, eps, rng, *summands):
     from ``rng``; returns the ``(k, n)`` sums, the summands' in turn, and
     the remainders.
 
+    The batch reduces one run of :func:`stick_blocks`, cut at ``eps``, a
+    column at a time.  Each column draws a uniform and then an exponential
+    for every row, so the stream is the same whatever the rows need, but
+    the stable transform and the summands run on the running rows alone, a
+    slice of :data:`ROWS` of them at a time, and each row adds its summands
+    left to right from zero.
+
     The summand ``k`` is homogeneous of degree ``powers[k]`` in the stick
     length (:data:`_POWERS`), so the series past a row's last stick is
     ``L^powers[k]`` times an independent copy of the whole series.  A row
     stops once ``L`` is below ``eps`` and its smallest such weight is below
-    :data:`FOLD_WEIGHT`, or where the record, cut at ``eps``, ends.  Row
+    :data:`FOLD_WEIGHT`, or where the record ends.  Row
     ``r`` takes the rows after it, cyclically, as that copy: its sums plus
     the next row's remainder to the power times the sums of the row after
     that, and so on until the product of the remainder powers, the weight
@@ -144,13 +108,27 @@ def _series(alpha, beta, n, eps, rng, *summands):
     batch draws at least :data:`MIN_ROWS` rows so that small batches have
     the rows their chains need.
     """
-    def terms(ell, s):
-        return [y for f in summands for y in f(ell, s, alpha)]
-
     powers = [w for f in summands for w in _POWERS[f](alpha)]
     rows = max(n, MIN_ROWS)
     cut = min(eps, FOLD_WEIGHT ** (1.0 / min(powers)))
-    sums, rem = _own_sums(alpha, beta, rows, eps, rng, terms, len(powers), cut)
+    # each row's remainder is bit for bit stick_blocks' until the row stops;
+    # run indexes the running rows, which are a slice until the first stops
+    sums, rem, run = np.zeros((len(powers), rows)), np.ones(rows), np.arange(rows)
+    uniforms, exponentials = np.empty(rows), np.empty(rows)
+    for block, _ in stick_blocks(rows, 1.0, eps, rng):
+        for col in block.T:
+            rng.random(out=uniforms)
+            rng.standard_exponential(out=exponentials)
+            for lo in range(0, len(run), ROWS):
+                part = slice(lo, lo + ROWS) if len(run) == rows else run[lo : lo + ROWS]
+                ell = col[part]
+                s = _cms_transform(alpha, beta, uniforms[part], exponentials[part])
+                terms = [y for f in summands for y in f(ell, s, alpha)]
+                for total, y in zip(sums, terms):
+                    total[part] += y
+                rem[part] -= ell
+            run = run[rem[run] >= cut]
+    del block, col   # free the sticks before the chain allocates its temporaries
     for acc, w in zip(sums, powers):
         head, scale = acc.copy(), rem**w
         weight = scale.copy()

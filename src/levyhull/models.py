@@ -696,7 +696,10 @@ class PathSkeleton:
     def __post_init__(self):
         for name in ("times", "values", "pre_values"):
             if getattr(self, name) is not None:
-                object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+                a = np.asarray(getattr(self, name), dtype=float)
+                if a.ndim != 1:
+                    raise ParameterError(f"path {name} must be one-dimensional, got shape {a.shape}")
+                object.__setattr__(self, name, a)
         pre = None if self.pre_values is None else self.pre_values[None]
         _check_records(self.times[None], self.values[None], pre, np.array([self.times.size]), self.horizon)
 

@@ -453,6 +453,21 @@ def test_hull_stats_name_the_path_statistics():
         assert [getattr(hull, f)[k] for f in names] == [getattr(s, f) for f in names]
 
 
+def test_hull_oracle_counts_a_relative_error_of_1e_7_as_a_mismatch(monkeypatch):
+    # the oracle compares with an absolute tolerance alone: a majorant whose
+    # face heights are all 1e-7 too large, and whose envelope is therefore
+    # 1 + 1e-7 times the true one, mismatches on every ten-point path
+    def scaled(path):
+        return [f._replace(height=f.height * (1.0 + 1e-7)) for f in concave_majorant(path)]
+
+    cfg = config_from_mapping({"experiment": "hull-props", "reps": 100})
+    row = {r.statistic: r for r in run(cfg).rows}["oracle_mismatches"]
+    assert row.estimate == 0.0 and row.passed
+    monkeypatch.setattr(experiments, "concave_majorant", scaled)
+    row = {r.statistic: r for r in run(cfg).rows}["oracle_mismatches"]
+    assert row.estimate == 100.0 and not row.passed
+
+
 def test_clt_experiments_share_their_draws():
     # both read substream clt-{k} at the k-th horizon; clt-independence
     # writes its rows at every horizon of its grid
@@ -885,6 +900,19 @@ def test_a_jump_count_beyond_numpys_poisson_limit_is_a_parameter_error(tmp_path,
         cfg.write_text(f'{{"experiment": "{experiment}", {cp}, "T_grid": [{T}], "reps": 200}}')
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / experiment)]) == 2
         assert f"error: rate * T = {1e20 * T:g} is too large" in capsys.readouterr().err
+
+
+def test_a_jump_record_too_large_to_allocate_is_an_error_not_a_traceback(tmp_path, capsys):
+    # rate * T = 5e13 jumps: the block's first array, 364 TiB, exceeds the
+    # 128 TiB user address space of x86-64, so numpy refuses it before any
+    # memory is taken; this once ended in its traceback and exit 1
+    from levyhull.cli import main
+
+    cfg = tmp_path / "identity.json"
+    cfg.write_text('{"experiment": "verify-identity", "model": {"kind": "cp", "rate": 1e12, '
+                   '"jump": {"kind": "gaussian", "mean": 0, "sd": 1}}, "T_grid": [50], "reps": 200}')
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert re.match(r"error: Unable to allocate \d+\.? TiB", capsys.readouterr().err)
 
 
 def test_theta_scan_refuses_a_horizon_below_one_through_the_centering_integral(tmp_path, capsys):

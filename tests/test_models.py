@@ -347,6 +347,19 @@ def test_a_path_record_holds_float_arrays():
     assert grid.times is t and grid.pre_values is None
 
 
+def test_a_path_record_that_is_not_one_dimensional_is_refused_by_shape():
+    # a scalar record used to end in an IndexError from the record check, and
+    # a 2-D one in its "one entry per time" message
+    with pytest.raises(ParameterError, match=r"path times must be one-dimensional, got shape \(\)"):
+        PathSkeleton(0.0, 0.0, 1.0)
+    with pytest.raises(ParameterError, match=r"path times must be one-dimensional, got shape \(1, 3\)"):
+        PathSkeleton([[0.0, 0.5, 1.0]], [0.0, 1.0, 2.0], 1.0)
+    with pytest.raises(ParameterError, match=r"path values must be one-dimensional, got shape \(3, 1\)"):
+        PathSkeleton([0.0, 0.5, 1.0], [[0.0], [1.0], [2.0]], 1.0)
+    with pytest.raises(ParameterError, match=r"path pre_values must be one-dimensional, got shape \(\)"):
+        PathSkeleton([0.0, 0.5, 1.0], [0.0, 1.0, 2.0], 1.0, 0.0)
+
+
 def test_exact_jump_record_point_mass():
     g = rng(21)
     m = CompoundPoissonDrift(1.0, PointMass(1.0), 0.0)
