@@ -62,7 +62,15 @@ from .sbrep import (
     sample_quintuple,
 )
 from .sticks import compensation_estimate, tau_gset_counts
-from .stats import _tail_points, ks_distance_to_cdf, ks_two_sample, tail_slope, variance_se
+from .stats import (
+    _fit_line,
+    _tail_points,
+    _tail_window,
+    ks_distance_to_cdf,
+    ks_two_sample,
+    tail_slope,
+    variance_se,
+)
 
 __all__ = ["Row", "RunReport", "run", "write_report", "emit_plot_data", "load_report"]
 
@@ -346,14 +354,26 @@ def _sandwich_violations(q, a_T):
     return int(np.count_nonzero((q.upsilon < lo - slack) | (q.upsilon > hi + slack)))
 
 
+_TAIL_WINDOW = (0.99, 0.9999)   # the quantile window of the tail fit, in its row and its plot
+
+
 def _exp_tail_index(cfg: ExperimentConfig, rep: RunReport):
     alpha, beta = cfg.model.attraction_alpha(), cfg.model.limit_beta()
-    draws = np.empty(cfg.reps)
+    # keep the draws the perpetuity row and the sample read, and the
+    # largest ones the tail fit reads, never all of them
+    head = np.empty(min(cfg.reps, 200_000))
+    need = cfg.reps - _tail_window(cfg.reps, *_TAIL_WINDOW)[0] + 1   # the ranks the fit reads and above
+    top = np.empty(0)
     block = 50_000
-    for k, lo in enumerate(range(0, cfg.reps, block)):
+    for k, start in enumerate(range(0, cfg.reps, block)):
         g = substream(cfg.seed, "tail-q", k)
-        draws[lo : lo + block] = draw_limit_quadratic(alpha, min(block, cfg.reps - lo), g, beta=beta)
-    fit = tail_slope(draws)
+        draws = draw_limit_quadratic(alpha, min(block, cfg.reps - start), g, beta=beta)
+        if start < head.size:
+            head[start : start + block] = draws[: head.size - start]
+        top = np.concatenate((top, draws))
+        if top.size > need:
+            top = np.partition(top, top.size - need)[top.size - need :]
+    fit = tail_slope(top, *_TAIL_WINDOW, n=cfg.reps)
     target = -alpha / 2.0
     rep.rows.append(
         _row_check(math.nan, "tail_slope", fit.slope, f"within 0.1 of {target}",
@@ -363,8 +383,8 @@ def _exp_tail_index(cfg: ExperimentConfig, rep: RunReport):
     # independent copy must reproduce the law
     n = min(cfg.reps // 2, 100_000)
     g = substream(cfg.seed, "tail-perp", 0)
-    q = draws[:n]
-    q_prime = draws[n : 2 * n]
+    q = head[:n]
+    q_prime = head[n : 2 * n]
     ell1 = g.random(n)
     s1 = stable_standard(alpha, beta, g, n)
     recon = (1.0 - ell1) ** (2.0 / alpha - 1.0) * q_prime + 0.5 * ell1 ** (
@@ -373,7 +393,7 @@ def _exp_tail_index(cfg: ExperimentConfig, rep: RunReport):
     ks = ks_two_sample(q, recon)
     rep.rows.append(_row_ks(math.nan, "perpetuity_ks", ks))
     keep = min(cfg.reps, 100_000)
-    rep.samples["q_draws"] = draws[:keep]
+    rep.samples["q_draws"] = head[:keep]
     rep.samples["q_reconstructed"] = recon
 
 
@@ -758,10 +778,9 @@ def _tail_loglog(samples):
     q = samples.get("q_draws")
     if q is None:
         raise PathError("report holds no tail sample (expected 'q_draws')")
-    fit = tail_slope(q)
-    lx, lsf = _tail_points(q, fit.q_lo, fit.q_hi)
-    fit_line = fit.intercept + fit.slope * lx
-    return ("log_x", "log_sf", "fit"), zip(lx.tolist(), lsf.tolist(), fit_line.tolist())
+    lx, lsf = _tail_points(q, *_TAIL_WINDOW)
+    slope, intercept = _fit_line(lx, lsf)
+    return ("log_x", "log_sf", "fit"), zip(lx.tolist(), lsf.tolist(), (intercept + slope * lx).tolist())
 
 
 def _scaling_table(rows):

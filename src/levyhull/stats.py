@@ -124,36 +124,62 @@ def variance_se(samples):
     return float(s2), float(math.sqrt(max(m4 - s2 * s2, 0.0) / x.size))
 
 
-def _tail_points(samples, q_lo, q_hi):
-    """The ``(log x, log(1 - ECDF))`` points that :func:`tail_slope` fits:
-    the positive order statistics of ranks ``r`` with
-    ``q_lo <= r / n <= q_hi``, at survival ``(n - r) / n``."""
+def _tail_window(n, q_lo, q_hi):
+    """The ranks ``lo..hi`` of the order statistics of a sample of size
+    ``n`` with ``q_lo <= r / n <= q_hi`` and ``r < n``."""
     if not 0.0 < q_lo < q_hi < 1.0:
         raise SampleSizeError(f"need 0 < q_lo < q_hi < 1, got {q_lo}, {q_hi}")
-    x = np.sort(np.asarray(samples, dtype=float))
-    n = x.size
-    # the ranks r < n with q_lo <= r / n <= q_hi form one run, which starts
-    # and ends within one of the rounded products q * n
+    # the ranks form one run, which starts and ends within one of the
+    # rounded products q * n
     lo = next((r for r in range(max(math.ceil(q_lo * n) - 1, 1), n) if r / n >= q_lo), n)
     hi = next((r for r in range(min(math.floor(q_hi * n) + 1, n - 1), 0, -1) if r / n <= q_hi), 0)
-    ranks = np.arange(lo, hi + 1)
-    keep = x[lo - 1 : hi] > 0.0
+    return lo, hi
+
+
+def _tail_points(samples, q_lo, q_hi, n=None):
+    """The ``(log x, log(1 - ECDF))`` points that :func:`tail_slope` fits:
+    the positive order statistics of ranks ``lo..hi`` of
+    :func:`_tail_window`, at survival ``(n - r) / n``."""
+    x = np.asarray(samples, dtype=float)
+    if n is None:
+        n = x.size
+    elif n < x.size:
+        raise ParameterError(f"a sample of size n = {n} cannot hold {x.size} values")
+    lo, hi = _tail_window(n, q_lo, q_hi)
+    need = n - lo + 1   # the ranks lo..n
+    if x.size < need <= n:   # need is n + 1 only for n = 0, whose window is empty
+        raise SampleSizeError(f"the tail window of {n} draws needs their {need} largest values, got {x.size}")
+    x = np.sort(x)[x.size - need :][: hi - lo + 1]   # the ranks lo..hi
+    keep = x > 0.0
     k = int(keep.sum())
     if k < 50:
         raise SampleSizeError(f"tail window [{q_lo}, {q_hi}] holds {k} points; need >= 50")
-    lx = np.log(x[lo - 1 : hi][keep])
+    lx = np.log(x[keep])
     if lx[0] == lx[-1]:   # sorted, so no spread to fit a slope over
         raise SampleSizeError(f"tail window [{q_lo}, {q_hi}] holds {k} points of one value; need two")
-    return lx, np.log((n - ranks[keep]) / n)
+    return lx, np.log((n - np.arange(lo, hi + 1)[keep]) / n)
 
 
-def tail_slope(samples, q_lo=0.99, q_hi=0.9999) -> TailFitResult:
+def _fit_line(lx, ly):
+    """Least-squares slope and intercept of ``ly`` against ``lx``."""
+    mx = lx.mean()
+    slope = ((lx - mx) * ly).sum() / ((lx - mx) ** 2).sum()
+    return slope, ly.mean() - slope * mx
+
+
+def tail_slope(samples, q_lo=0.99, q_hi=0.9999, n=None) -> TailFitResult:
     """Least-squares slope of ``log(1 - ECDF)`` against ``log x`` over the
     order statistics between the two upper quantiles.
 
     For a survival function ``c * x^-a`` the slope estimates ``-a``.  The
     window is quantile-based, so the slope is invariant under positive
     scaling of the sample.
+
+    With ``n``, ``samples`` holds at least the ``K = n - lo + 1`` largest
+    order statistics of a sample of size ``n``, in any order, where ``lo``
+    is the lowest rank in the window; the fit is then the fit of the whole
+    sample, bit for bit.  Fewer than ``K`` values, or more than ``n``, are
+    refused.  Without ``n`` the sample is all of ``samples``.
 
     The standard error is ``|slope| * sqrt(2 / k)`` over the ``k`` fitted
     points, the rate of the QQ estimator (Kratz & Resnick 1996): its
@@ -163,11 +189,8 @@ def tail_slope(samples, q_lo=0.99, q_hi=0.9999) -> TailFitResult:
     of 1e6 Pareto(0.75) draws (k = 9901) the slopes' standard deviation is
     0.0093, against a mean figure of 0.0107.
     """
-    lx, ly = _tail_points(samples, q_lo, q_hi)
+    lx, ly = _tail_points(samples, q_lo, q_hi, n)
     k = lx.size
-    mx = lx.mean()
-    sxx = ((lx - mx) ** 2).sum()
-    slope = ((lx - mx) * ly).sum() / sxx
-    intercept = ly.mean() - slope * mx
+    slope, intercept = _fit_line(lx, ly)
     se = abs(slope) * math.sqrt(2.0 / k)
     return TailFitResult(float(slope), float(intercept), q_lo, q_hi, float(se), int(k))

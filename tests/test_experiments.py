@@ -503,6 +503,58 @@ def test_tail_index_reads_the_index_of_an_attracted_model():
     assert np.array_equal(q_draws(pareto), q_draws({"kind": "stable", "alpha": 1.5}))
 
 
+def test_tail_index_keeps_the_rows_and_samples_of_all_draws_at_batch_edges():
+    # at reps 60,001 the sample keeps all 60,001 draws while the perpetuity
+    # row reads 2 * 30,000, and both cross the 5e4 batch edge; the rows and
+    # samples are those of the whole sample held at once
+    from levyhull.errors import SampleSizeError
+    from levyhull.limitlaws import draw_limit_quadratic
+    from levyhull.models import stable_standard
+    from levyhull.stats import ks_two_sample
+
+    def tail_cfg(reps):
+        return config_from_mapping(
+            {"experiment": "tail-index", "model": {"kind": "stable", "alpha": 1.5}, "reps": reps, "seed": 7}
+        )
+
+    reps = 60_001
+    report = run(tail_cfg(reps))
+    draws = np.concatenate([draw_limit_quadratic(1.5, size, substream(7, "tail-q", k))
+                            for k, size in enumerate((50_000, reps - 50_000))])
+    fit = tail_slope(draws)
+    n = reps // 2
+    g = substream(7, "tail-perp", 0)
+    ell1 = g.random(n)
+    s1 = stable_standard(1.5, 0.0, g, n)
+    e = 2.0 / 1.5 - 1.0
+    recon = (1.0 - ell1) ** e * draws[n : 2 * n] + 0.5 * ell1 ** e * s1 * s1
+    ks = ks_two_sample(draws[:n], recon)
+    assert [(r.statistic, r.estimate, r.se_or_d) for r in report.rows] == [
+        ("tail_slope", fit.slope, fit.slope_se), ("perpetuity_ks", ks.statistic, ks.statistic)
+    ]
+    assert report.rows[1].p_value == ks.p_value
+    assert np.array_equal(report.samples["q_draws"], draws)
+    assert np.array_equal(report.samples["q_reconstructed"], recon)
+    with pytest.raises(SampleSizeError, match="holds 10 points"):
+        run(tail_cfg(1_001))
+
+
+def test_tail_index_does_not_hold_its_draws():
+    # the rows read the first 2e5 draws and the top 1 % of the 1e6; the
+    # whole array of draws, 8 MB, peaked at 18.9 MB, and the kept head and
+    # top at 13.4 MB
+    import tracemalloc
+
+    cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "criterion07_tail_index.cfg")
+    tracemalloc.start()
+    try:
+        run(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 15e6, peak
+
+
 def test_process_pool_is_at_most_the_cpu_count(monkeypatch):
     import concurrent.futures
     from concurrent.futures import Future

@@ -206,7 +206,8 @@ def test_tail_slope_window_errors():
 
 def test_tail_slope_window_matches_a_full_rank_mask():
     # the rank-bound window selects what a mask over every order statistic
-    # selects, so the fit keeps its bits
+    # selects, so the fit keeps its bits; so does a fit given only the
+    # largest order statistics and the sample size n, in any order
     def masked(samples, q_lo, q_hi):
         x = np.sort(samples)
         n = x.size
@@ -224,5 +225,16 @@ def test_tail_slope_window_matches_a_full_rank_mask():
     for n, q_lo, q_hi in [(100_000, 0.99, 0.9999), (1000, 0.5, 0.99), (12_345, 0.3, 0.7),
                           (4_000, 0.01, 0.99), (777, 1 / 3, 2 / 3), (1000, 0.9, 0.99999)]:
         x = g.standard_normal(n) * g.random(n) ** -1.2   # a mixed-sign sample
+        reference = masked(x, q_lo, q_hi)
         fit = tail_slope(x, q_lo, q_hi)
-        assert (fit.slope, fit.intercept, fit.slope_se, fit.n_points) == masked(x, q_lo, q_hi)
+        assert (fit.slope, fit.intercept, fit.slope_se, fit.n_points) == reference
+        ranks = np.arange(1, n)
+        need = n - ranks[ranks / n >= q_lo][0] + 1   # the ranks from the window's lowest to n
+        wider = max(n - need - 100, 0)
+        for upper in (g.permutation(np.sort(x)[n - need :]), np.partition(x, wider)[wider:]):
+            fit = tail_slope(upper, q_lo, q_hi, n=n)
+            assert (fit.slope, fit.intercept, fit.slope_se, fit.n_points) == reference
+        with pytest.raises(SampleSizeError, match=f"needs their {need} largest values, got {need - 1}"):
+            tail_slope(np.sort(x)[n - need + 1 :], q_lo, q_hi, n=n)
+        with pytest.raises(ParameterError, match=f"n = {n - 1} cannot hold {n} values"):
+            tail_slope(x, q_lo, q_hi, n=n - 1)
