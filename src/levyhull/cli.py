@@ -40,17 +40,10 @@ def _build_parser():
 
 
 def _cmd_run(args) -> int:
-    cfg = load_config(args.config)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    if args.out is not None:
-        overrides["out"] = args.out
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
-    outdir = _report_dir(cfg.out or f"runs/{cfg.experiment}")
+    overrides = {k: getattr(args, k) for k in ("seed", "workers", "out") if getattr(args, k) is not None}
+    cfg = dataclasses.replace(load_config(args.config), **overrides)
+    # checked before the first draw but made by write_report: a refused run leaves no directory
+    outdir = _report_dir(cfg.out or f"runs/{cfg.experiment}", make=False)
     report = run(cfg)
     json_path = write_report(report, outdir)
     for r in report.rows:

@@ -24,7 +24,9 @@ from __future__ import annotations
 import inspect
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from numbers import Integral
+from os import PathLike
 from pathlib import Path
 
 from .errors import ConfigError
@@ -68,40 +70,43 @@ JUMPS = {
 _JUMP_FIELD = "jump"    # the model parameter built from the model.jump block
 
 
-# top-level keys; every model.* key goes to _build, which rejects the keys
-# its kind does not take
-_KNOWN_KEYS = {
-    "experiment",
-    "T_grid",
-    "reps",
-    "cutoff",
-    "seed",
-    "workers",
-    "out",
-}
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment.  Its fields other than ``model`` are the top-level
+    configuration keys, ``t_grid`` read as ``T_grid``; built directly, from
+    a file or by :func:`dataclasses.replace`, its values obey the file's
+    rules: each number is read by :func:`_number` and ``out`` is one name."""
     experiment: str
     model: object | None
-    t_grid: tuple
-    reps: int
+    t_grid: tuple = (1.0,)
+    reps: int = 1000
     cutoff: float = DEFAULT_CUTOFF
     seed: int = 0
     workers: int = 1
-    out: str | None = None
+    out: str = ""    # the command line writes an empty name to runs/<experiment>
 
     def __post_init__(self):
+        grid = self.t_grid if isinstance(self.t_grid, (list, tuple)) else [self.t_grid]
+        out = self.out
+        if isinstance(out, bool) or not isinstance(out, (str, int, float, PathLike)):
+            # a flat value with spaces reads as a list; flat `out = 2026` as a number
+            raise ConfigError(f"out must be one directory name, got {out!r}")
+        for name, value in (
+            ("t_grid", tuple(_number("T_grid", t) for t in grid)),
+            ("reps", _number("reps", self.reps, int)),
+            ("cutoff", _number("cutoff", self.cutoff)),
+            ("seed", _number("seed", self.seed, int)),
+            ("workers", _number("workers", self.workers, int)),
+            ("out", str(out)),
+        ):
+            object.__setattr__(self, name, value)
         if self.experiment not in EXPERIMENTS:
-            raise ConfigError(
-                f"unknown experiment {self.experiment!r}; choose from {EXPERIMENTS}"
-            )
+            raise ConfigError(f"unknown experiment {self.experiment!r}; choose from {EXPERIMENTS}")
+        if self.model is not None and not isinstance(self.model, tuple(MODELS.values())):
+            raise ConfigError(f"model must be None or of a class in MODELS, got {self.model!r}")
         if self.reps < 100:
             raise ConfigError(f"replication count must be >= 100, got {self.reps}")
-        if not self.t_grid or any(
-            b <= a for a, b in zip(self.t_grid, self.t_grid[1:])
-        ):
+        if not self.t_grid or any(b <= a for a, b in zip(self.t_grid, self.t_grid[1:])):
             raise ConfigError(f"T grid must be nonempty and strictly increasing: {self.t_grid}")
         if not all(0.0 < t < math.inf for t in self.t_grid):
             raise ConfigError(f"T_grid entries must be finite and positive: {self.t_grid}")
@@ -199,7 +204,7 @@ def _number(key, value, cast=float):
         raise ConfigError(f"{key} must be a number, got {value!r}") from None
     if cast is float:
         return x
-    if isinstance(value, int):
+    if isinstance(value, Integral):   # numpy's integers too
         return int(value)   # exact beyond 2**53, as a 64-bit seed needs
     if not x.is_integer():
         raise ConfigError(f"{key} must be an integer, got {value!r}")
@@ -208,31 +213,17 @@ def _number(key, value, cast=float):
 
 def config_from_mapping(mapping) -> ExperimentConfig:
     flat = _flatten(mapping)
-    unknown = {k for k in flat if not k.startswith("model.")} - _KNOWN_KEYS
+    # the top-level keys are the fields of ExperimentConfig but the model block
+    keys = {"T_grid" if f.name == "t_grid" else f.name: f.name
+            for f in fields(ExperimentConfig) if f.name != "model"}
+    unknown = {k for k in flat if not k.startswith("model.")} - keys.keys()
     if unknown:
         raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
     if "experiment" not in flat:
         raise ConfigError("configuration needs an 'experiment' key")
     has_model = any(k.startswith("model.") for k in flat)   # a model block needs model.kind
-    grid = flat.get("T_grid", 1.0)
-    if not isinstance(grid, list):
-        grid = [grid]
-    kwargs = dict(
-        experiment=str(flat["experiment"]),
-        model=_build(flat, "model.", MODELS, "model") if has_model else None,
-        t_grid=tuple(_number("T_grid", t) for t in grid),
-        reps=_number("reps", flat.get("reps", 1000), int),
-    )
-    for key, cast in (("cutoff", float), ("seed", int), ("workers", int)):
-        if key in flat:
-            kwargs[key] = _number(key, flat[key], cast)
-    if "out" in flat:
-        out = flat["out"]
-        # a flat value with spaces reads as a list; JSON may give null
-        if isinstance(out, (list, bool)) or out is None:
-            raise ConfigError(f"out must be one directory name, got {out!r}")
-        kwargs["out"] = str(out)
-    return ExperimentConfig(**kwargs)
+    model = _build(flat, "model.", MODELS, "model") if has_model else None
+    return ExperimentConfig(model=model, **{keys[k]: v for k, v in flat.items() if k in keys})
 
 
 def load_config(path) -> ExperimentConfig:

@@ -568,6 +568,8 @@ def _check_model(cfg, needs):
         raise ConfigError(f"{cfg.experiment} needs a compound Poisson model (exact jump paths)")
     if needs and cfg.model is None:
         raise ConfigError(f"{cfg.experiment} needs a model")
+    if needs is None and cfg.model is not None:
+        raise ConfigError(f"{cfg.experiment} takes no model")
     try:
         if isinstance(needs, tuple) and _require_regime(cfg.model, *needs) == "finite-variance":
             require_finite_variance(cfg.model, cfg.t_grid[0])
@@ -631,21 +633,26 @@ def report_csv_body(report: RunReport) -> str:
                                for v in map(_plain, astuple(r))] for r in report.rows))
 
 
-def _output_dir(outdir, what) -> Path:
-    """``outdir`` as a :class:`~pathlib.Path`, made with its parents.  A path
-    that is, or runs through, a file is a :class:`PathError` saying that
-    ``what`` cannot be written there."""
+def _output_dir(outdir, what, make=True) -> Path:
+    """``outdir`` as a :class:`~pathlib.Path`, made with its parents when
+    ``make`` is true.  A path that is, or runs through, a file is a
+    :class:`PathError` saying that ``what`` cannot be written there; without
+    ``make`` the nearest part of the path that exists is checked, and
+    nothing is made."""
     out = Path(outdir)
     try:
-        out.mkdir(parents=True, exist_ok=True)
+        if make:
+            out.mkdir(parents=True, exist_ok=True)
+        elif not next(p for p in (out, *out.parents) if p.exists()).is_dir():
+            raise NotADirectoryError
     except (FileExistsError, NotADirectoryError):
         raise PathError(f"cannot write {what} to {out}: not a directory") from None
     return out
 
 
-def _report_dir(outdir) -> Path:
+def _report_dir(outdir, make=True) -> Path:
     """:func:`_output_dir` of a report, which refuses a ``samples`` that is no directory too."""
-    out = _output_dir(outdir, "a report")
+    out = _output_dir(outdir, "a report", make)
     if (out / "samples").exists() and not (out / "samples").is_dir():
         raise PathError(f"cannot write a report to {out}: samples is not a directory")
     return out

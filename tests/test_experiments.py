@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -111,7 +112,7 @@ def test_grid_list_forms(tmp_path):
     assert cfg.t_grid == (100.0, 10000.0, 1000000.0)
 
 
-def test_config_errors():
+def test_config_errors(tmp_path):
     # unknown experiments, the retired names of two split ones included
     for name in ("nope", "sb-props", "verify-clt"):
         with pytest.raises(ConfigError, match=name):
@@ -142,6 +143,26 @@ def test_config_errors():
             config_from_mapping({**base, key: value})
     with pytest.raises(ConfigError, match=re.escape("model.sigma")):
         config_from_mapping({**base, "model": {"kind": "brownian", "sigma": True}})
+    # values out of range, and a configuration without an experiment
+    for key, value, text in (("seed", -1, "seed must be an unsigned 64-bit integer"),
+                             ("seed", 2**64, "seed must be an unsigned 64-bit integer"),
+                             ("workers", 0, "worker count must be >= 1"),
+                             ("cutoff", 0, re.escape("cutoff must lie in (0, 1], got 0.0")),
+                             ("cutoff", 1.5, re.escape("cutoff must lie in (0, 1], got 1.5"))):
+        with pytest.raises(ConfigError, match=text):
+            config_from_mapping({**base, key: value})
+    with pytest.raises(ConfigError, match="configuration needs an 'experiment' key"):
+        config_from_mapping({"T_grid": [1], "reps": 200})
+    # a line without '=', a key given twice and malformed JSON, as text and as a file
+    for text, message in (("experiment = stick-counts\nreps 200\n", "line 2: expected 'key = value'"),
+                          ("experiment = stick-counts\nreps = 200\nreps = 300\n", "line 3: duplicate key 'reps'"),
+                          ('{"experiment": "stick-counts", "reps": }', "invalid JSON configuration")):
+        if not text.startswith("{"):
+            with pytest.raises(ConfigError, match=message):
+                config.parse_flat_text(text)
+        (tmp_path / "c.cfg").write_text(text)
+        with pytest.raises(ConfigError, match=message):
+            load_config(tmp_path / "c.cfg")
     # an integral float is an integer, and a 64-bit seed stays exact
     cfg = config_from_mapping({**base, "seed": 1e3, "reps": 200.0})
     assert (cfg.seed, cfg.reps) == (1000, 200) and type(cfg.seed) is int
@@ -164,6 +185,32 @@ def test_config_refuses_an_out_that_is_not_one_name():
         with pytest.raises(ConfigError, match="out must be"):
             config_from_mapping({**base, "out": value})
     assert config_from_mapping({**base, "out": "runs/my dir"}).out == "runs/my dir"
+
+
+def test_a_config_built_directly_keeps_the_rules_of_the_file():
+    # ExperimentConfig("stick-counts", None, (7.5,), 150.5) once built, and
+    # its run ended in numpy's TypeError; seed=1.5 failed in substream, and
+    # workers=True ran
+    for key, value in (("reps", 150.5), ("seed", 1.5), ("workers", True), ("out", ["a"]),
+                       ("t_grid", ("x",)), ("cutoff", "small")):
+        with pytest.raises(ConfigError, match=key.replace("t_grid", "T_grid")):
+            config.ExperimentConfig("stick-counts", None, **{key: value})
+    cfg = config.ExperimentConfig("stick-counts", None)
+    assert (cfg.t_grid, cfg.reps, cfg.seed, cfg.workers, cfg.out) == ((1.0,), 1000, 0, 1, "")
+    # values are read as a file's are, so a mapping and a direct build agree
+    cfg = config.ExperimentConfig("stick-counts", None, 7.5, 150.0, seed=1e3, out=Path("runs/x"))
+    assert cfg == config_from_mapping({"experiment": "stick-counts", "T_grid": 7.5, "reps": 150,
+                                       "seed": 1000, "out": "runs/x"})
+    assert type(cfg.reps) is type(cfg.seed) is int and cfg.out == "runs/x"
+    # a numpy integer stays exact beyond 2**53
+    for seed in (2**53 + 1, 2**64 - 1):
+        assert config.ExperimentConfig("stick-counts", None, seed=np.uint64(seed)).seed == seed
+    # a model is one of the classes a model block builds
+    with pytest.raises(ConfigError, match="model must be"):
+        config.ExperimentConfig("clt-trend", "brownian")
+    # dataclasses.replace goes through the same rules
+    with pytest.raises(ConfigError, match="seed"):
+        dataclasses.replace(cfg, seed=1.5)
 
 
 def test_every_configured_experiment_has_a_runner():
@@ -259,6 +306,9 @@ def test_regime_mismatch_rejected_before_sampling(monkeypatch):
         ("tail-index", {"kind": "brownian"}, "tail-index: statistic needs the stable-zero-mean regime"),
         ("clt-independence", {"kind": "stable", "alpha": 1.5}, "needs the finite-variance regime"),
         ("compare-length", {"kind": "stable", "alpha": 2}, "needs T > e"),
+        ("stick-counts", {"kind": "brownian"}, "stick-counts takes no model"),
+        ("compensation", {"kind": "stable", "alpha": 1.5}, "compensation takes no model"),
+        ("hull-props", {"kind": "brownian"}, "hull-props takes no model"),
     ):
         mapping = {"experiment": experiment, "T_grid": [2, 100], "reps": 200}
         with pytest.raises(ConfigError, match=text):
@@ -769,6 +819,15 @@ def test_emit_plot_kinds(tmp_path):
         emit_plot_data(rep, "tail-loglog", tmp_path)
     with pytest.raises(ConfigError):
         emit_plot_data(rep, "histogram", tmp_path)
+    # a report without paired samples, or without sd_* rows: exit 2 from the CLI
+    from levyhull.cli import main
+
+    bare = write_report(experiments.RunReport(rep.experiment, rows=rep.rows), tmp_path / "bare")
+    for kind, text in (("ecdf-pair", "no paired samples"), ("qq", "no paired samples"),
+                       ("scaling-table", "no sd_\\* rows")):
+        with pytest.raises(PathError, match=text):
+            emit_plot_data(load_report(bare), kind, tmp_path)
+        assert main(["emit-plot", "--report", str(bare), "--kind", kind]) == 2
 
 
 def test_emit_plot_pairs_finite_with_limit_samples(tmp_path):
@@ -887,6 +946,30 @@ def test_emit_plot_floats_are_the_repr_of_their_values(tmp_path):
     table = [[T, hut, maj, tent, hut, maj / math.sqrt(math.log(T)), tent / math.sqrt(T)]
              for T, (hut, maj, tent) in sd.items()]
     assert fields("scaling-table") == reprs(*zip(*table))
+
+
+@pytest.mark.parametrize("name, target, defect", [
+    ("conservation_violations", "shape_stats", "raise"),
+    ("monotonicity_violations", "merge_collinear", "reverse"),
+    ("sandwich_violations", "shape_stats", "shorten"),
+])
+def test_hull_invariant_counters_count_a_planted_defect(monkeypatch, name, target, defect):
+    # each counter reads 0 on the true hull layer and above 0 once its
+    # defect is planted: a face set that does not conserve the horizon,
+    # faces out of slope order, and a majorant one unit too short
+    original = getattr(experiments, target)
+
+    def planted(*args):
+        if defect == "raise":
+            raise PathError("planted")
+        out = original(*args)
+        return out[::-1] if defect == "reverse" else out._replace(upsilon=out.upsilon - 1.0)
+
+    cfg = config_from_mapping({"experiment": "hull-props", "reps": 200})
+    assert {r.statistic: r.estimate for r in run(cfg).rows}[name] == 0.0
+    monkeypatch.setattr(experiments, target, planted)
+    row = {r.statistic: r for r in run(cfg).rows}[name]
+    assert row.estimate > 0.0 and not row.passed
 
 
 # ---------------------------------------------------------------------------
@@ -1150,6 +1233,25 @@ def test_cli_run_refuses_a_samples_file_before_the_first_draw(tmp_path, capsys, 
     assert (out / "samples").read_text() == "keep"
 
 
+def test_cli_run_refused_after_it_starts_leaves_no_directory(tmp_path, capsys):
+    # the output directory was once made before the run, so a run refused
+    # by its runner left it behind, empty
+    from levyhull.cli import main
+
+    tail = '{"experiment": "tail-index", "model": {"kind": "stable", "alpha": 1.5}, "reps": 1001, "seed": 7}'
+    one = '{"experiment": "compare-length", "model": {"kind": "brownian"}, "T_grid": [100], "reps": 200}'
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    for name, body, text in (("tail", tail, "holds 10 points"), ("one", one, "needs at least two horizons")):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(body)
+        for out in (tmp_path / name / "deeper", kept):
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+            assert text in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept", "one.json", "tail.json"]
+    assert list(kept.iterdir()) == []
+
+
 def test_cli_run_names_a_report_file_it_cannot_write(tmp_path, capsys):
     # a samples that is a file, or a report.json that is a directory, once
     # ended in a FileExistsError or IsADirectoryError traceback, exit 1
@@ -1191,7 +1293,7 @@ def test_shipped_criterion_configs_parse():
         cfg = load_config(path)
         key = path.stem.split("_")[0]
         assert cfg.experiment == expected[key], path.name
-        assert cfg.out is not None
+        assert cfg.out
 
 
 def test_cli_reports_config_errors(tmp_path, capsys):

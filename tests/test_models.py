@@ -387,6 +387,10 @@ def test_grid_path_shapes():
     assert path.times[-1] == 1.0
     single = sample_path(StableProcess(1.5), 1.0, 1.0, g)
     assert len(single.times) == 2
+    # a step that does not divide the horizon: one short last step ends at T
+    short = sample_path(BrownianDrift(1.0), 1.0, 0.3, g)
+    assert short.times[-1] == 1.0 and short.values[0] == 0.0
+    assert np.allclose(np.diff(short.times), [0.3, 0.3, 0.3, 0.1])
 
 
 def test_grid_final_value_is_leftfold_of_increments():
